@@ -8,10 +8,11 @@ polynomial against the cyclotomic polynomials of degree at most d.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence, Union
+from math import gcd, lcm
+from typing import Optional, Union
 
 import numpy as np
 
@@ -276,9 +277,32 @@ class ToralMap:
         return out
 
 
+class OrbitPoints(Sequence):
+    """Orbit points x_k = v_k / D: integer numerator vectors over one common
+    denominator D, each point built as a tuple of Fractions on access."""
+
+    def __init__(self, numerators: list[tuple[int, ...]], denominator: int):
+        self._num = numerators
+        self._den = denominator
+
+    def _point(self, v: tuple[int, ...]) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in v)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._point(v) for v in self._num[i]]
+        return self._point(self._num[i])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 @dataclass
 class OrbitResult:
-    points: list[tuple[Fraction, ...]]
+    points: Sequence[tuple[Fraction, ...]]
     ergodic: bool
     certified_steps: int
     discrepancy: Optional[float] = None
@@ -305,9 +329,12 @@ def toral_orbit(
     output_bits: int = 32,
     grid_bits: int = 4,
 ) -> OrbitResult:
-    """Orbit of x0 under x -> Ax mod 1, computed in exact rational
-    arithmetic, plus a box-counting discrepancy over a 2^grid_bits-per-axis
-    grid.
+    """Orbit of x0 under x -> Ax mod 1, computed exactly, plus a
+    box-counting discrepancy over a 2^grid_bits-per-axis grid.
+
+    With D the common denominator of x0, every orbit point is v / D for an
+    integer vector v, so the orbit is iterated as v <- A v mod D and the
+    grid cell of a coordinate is (v_i * 2^grid_bits) // D.
 
     `precision_bits` declares how many bits of x0 are trusted; the error of
     the true orbit grows by at most the induced 1-norm of A per step, and
@@ -319,9 +346,13 @@ def toral_orbit(
     x = [Fraction(c) for c in x0]
     if len(x) != tmap.dimension:
         raise MatrixError("dimension mismatch between x0 and the matrix")
-    pts = [tuple(c - (c.numerator // c.denominator) for c in x)]
+    D = lcm(*(c.denominator for c in x))
+    v = tuple(c.numerator * (D // c.denominator) % D for c in x)
+    A = tmap.matrix
+    nums = [v]
     for _ in range(steps):
-        pts.append(tuple(tmap.apply(pts[-1])))
+        v = tuple(sum(a * c for a, c in zip(row, v)) % D for row in A)
+        nums.append(v)
     if precision_bits is None:
         certified = steps
     else:
@@ -333,14 +364,17 @@ def toral_orbit(
             err *= growth
             certified += 1
     cells = 1 << grid_bits
-    counts = np.zeros([cells] * tmap.dimension, dtype=np.int64)
-    for pt in pts:
-        idx = tuple(int(c * cells) % cells for c in pt)
-        counts[idx] += 1
-    freq = counts / len(pts)
+    flat = []
+    for v in nums:
+        f = 0
+        for c in v:
+            f = f * cells + ((c << grid_bits) // D)
+        flat.append(f)
+    counts = np.bincount(flat, minlength=cells**tmap.dimension)
+    freq = counts / len(nums)
     disc = float(np.abs(freq - 1.0 / cells**tmap.dimension).max())
     return OrbitResult(
-        points=pts,
+        points=OrbitPoints(nums, D),
         ergodic=tmap.is_ergodic(),
         certified_steps=certified,
         discrepancy=disc,

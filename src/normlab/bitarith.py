@@ -134,15 +134,15 @@ class FixedPointNumber:
     def certified_digit_count(self) -> int:
         """Largest t such that every real in [value - err, value + err] has
         the same first t fractional digits as the stored mantissa (digits of
-        the magnitude).  Capped at the certified target N."""
+        the magnitude).  Capped at the certified target N.
+
+        lo and hi agree on their first t fractional digits exactly when
+        their highest differing bit lies below position frac_bits - t."""
         lo = self.mant - self.err_ulps
         hi = self.mant + self.err_ulps
         if lo < 0:
             return 0
-        t = self.certified_bits
-        while t > 0 and (lo >> (self.frac_bits - t)) != (hi >> (self.frac_bits - t)):
-            t -= 1
-        return t
+        return max(0, min(self.certified_bits, self.frac_bits - (lo ^ hi).bit_length()))
 
     def fraction_digits(self, count: int, certified_only: bool = True) -> np.ndarray:
         """First `count` fractional digits of the magnitude, MSB first."""
@@ -156,11 +156,6 @@ class FixedPointNumber:
         raw = word.to_bytes((count + 7) // 8, "big")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
         return bits[-count:]
-
-    def to_sequence(self, count: Optional[int] = None) -> SymbolicSequence:
-        n = self.certified_digit_count() if count is None else count
-        digits = self.fraction_digits(n)
-        return SymbolicSequence.from_array(digits, r=2, name="fixedpoint")
 
     def with_error(self, err_ulps: int) -> "FixedPointNumber":
         return FixedPointNumber(self.mant, self.frac_bits, self.guard_bits, self.sign, err_ulps)
@@ -220,8 +215,15 @@ def neg(x: FixedPointNumber) -> FixedPointNumber:
 
 
 def mul_rational(x: FixedPointNumber, p: int, q: int, N: int, G: Optional[int] = None) -> FixedPointNumber:
-    """x * p / q at N (+G) fractional bits: big-integer multiply by |p|, long
-    division by q, truncation toward zero (adds at most 1 ulp)."""
+    """x * p / q at N (+G) fractional bits, truncated toward zero (adds at
+    most 1 ulp).
+
+    Exact and linear-time: the product mant * |p| is first shifted to the
+    output scale (floor(a / (q 2^k)) = floor(floor(a / 2^k) / q) for
+    k = x.frac_bits - (N+G) >= 0, a left shift for k < 0), then divided by
+    the small q.  The error radius is ceil(ceil(err * |p| / 2^k) / q), plus
+    one ulp when any dropped bit or the remainder mod q is nonzero.
+    """
     if q == 0:
         raise DomainError("q must be a positive integer, got 0")
     if q < 0:
@@ -230,12 +232,20 @@ def mul_rational(x: FixedPointNumber, p: int, q: int, N: int, G: Optional[int] =
         raise DomainError("p must be nonzero")
     Gout = x.guard_bits if G is None else G
     F = N + Gout
-    num = x.mant * abs(p) << F
-    den = q << x.frac_bits
-    mant, rem = divmod(num, den)
-    err_num = x.err_ulps * abs(p) << F
-    err = -((-err_num) // den)  # ceil
-    if rem:
+    a = x.mant * abs(p)
+    e = x.err_ulps * abs(p)
+    k = x.frac_bits - F
+    if k >= 0:
+        inexact = a & ((1 << k) - 1)
+        a >>= k
+        e = -((-e) >> k)  # ceil division by 2^k
+    else:
+        inexact = 0
+        a <<= -k
+        e <<= -k
+    mant, rem = divmod(a, q)
+    err = -((-e) // q)  # ceil
+    if inexact or rem:
         err += 1
     sign = x.sign * (1 if p > 0 else -1)
     return FixedPointNumber(mant, F, Gout, sign, err)

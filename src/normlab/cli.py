@@ -29,6 +29,10 @@ from .generators import GeneratorInstance
 from .seqcore import Block, SymbolicSequence, read_nseq, write_nseq
 
 
+class UsageError(ValueError):
+    """A missing or inconsistent option; main() reports it and exits 2."""
+
+
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (default: stdout / derived)")
     parser.add_argument("--format", choices=("csv", "json", "text"), default="text")
@@ -134,6 +138,8 @@ def _cmd_arith(args) -> int:
         shifts = [int(s) for s in args.shifts.split(",")]
         result = shifted_sum(seq, shifts, N, G)
     else:
+        if args.op in ("add", "mul") and args.infile2 is None:
+            raise UsageError(f"arith --op {args.op} needs --in2")
         x = _fixed_from_file(args.infile, N, G, args.int_part)
         if args.op == "add":
             y = _fixed_from_file(args.infile2, N, G, args.int_part2)
@@ -186,6 +192,9 @@ def _cmd_algsys(args) -> int:
         write_nseq(path, out, count=args.n)
         print(f"wrote {args.n} digits to {path}")
     elif args.op == "orbit":
+        for value, flag in ((args.matrix, "--matrix"), (args.x0, "--x0")):
+            if value is None:
+                raise UsageError(f"algsys orbit needs {flag}")
         matrix = json.loads(args.matrix)
         tmap = algsys.ToralMap.from_rows(matrix)
         x0 = [Fraction(c) for c in args.x0.split(",")]

@@ -32,7 +32,7 @@ from .generators import (
     v_sequence,
     y_sequence,
 )
-from .seqcore import Block, SymbolicSequence, joint_frequency, prefix_frequency
+from .seqcore import Block, SymbolicSequence, prefix_frequency
 
 SCHEMA_VERSION = 1
 
@@ -480,27 +480,44 @@ def _complexity_contrast(cfg: dict, report: ExperimentReport) -> None:
     )
 
 
+def _pair_block_counts(d1: np.ndarray, d2: np.ndarray, blen: int):
+    """Counts of the binary blen-blocks anchored at each position of two
+    equally long rows, in one pass: the joint histogram indexed by
+    c1 * 2^blen + c2, and the two marginal histograms."""
+    nb = 1 << blen
+    c1 = seqcore._anchor_codes(d1, blen, 2)
+    c2 = seqcore._anchor_codes(d2, blen, 2)
+    return (
+        np.bincount(c1 * nb + c2, minlength=nb * nb),
+        np.bincount(c1, minlength=nb),
+        np.bincount(c2, minlength=nb),
+    )
+
+
 @_experiment("base4-independence")
 def _base4_independence(cfg: dict, report: ExperimentReport) -> None:
     N = cfg["n"]
     k = cfg["sigma_count"]
     stream = uniform_stream(4, derive_seed(cfg["seed"], "base4"), N + 2)
     row1, row2 = seqcore.base4_split(stream)
+    d1, d2 = row1.digits(1, N), row2.digits(1, N)
     for blen in (1, 2):
+        W = N - blen + 1
+        nb = 1 << blen
+        joint, marg1, marg2 = _pair_block_counts(d1, d2, blen)
         worst = 0.0
         worst_name = ""
         ok = True
-        for c1 in range(1 << blen):
-            for c2 in range(1 << blen):
-                B1 = Block.from_code(c1, blen, 2)
-                B2 = Block.from_code(c2, blen, 2)
-                j = float(joint_frequency(row1, row2, B1, B2, N))
-                m1 = float(prefix_frequency(row1, B1, N))
-                m2 = float(prefix_frequency(row2, B2, N))
+        for a1 in range(nb):
+            for a2 in range(nb):
+                j = float(Fraction(int(joint[a1 * nb + a2]), W))
+                m1 = float(Fraction(int(marg1[a1]), W))
+                m2 = float(Fraction(int(marg2[a2]), W))
                 target = m1 * m2
-                sigma = _binom_sigma(target, N - blen + 1)
+                sigma = _binom_sigma(target, W)
                 dev = abs(j - target)
                 if dev > worst:
+                    B1, B2 = Block.from_code(a1, blen, 2), Block.from_code(a2, blen, 2)
                     worst, worst_name = dev, f"({B1},{B2})"
                 if dev > k * sigma:
                     ok = False
@@ -690,17 +707,15 @@ def _spr_obstruction(cfg: dict, report: ExperimentReport) -> None:
     ok = ~amb
     B = (1, 0)
     nb = len(B)
-    sum_hits = 0
-    anchors = 0
+    W = N - nb + 1
     ydig = ypart.digits(1, N + nb)
-    for n in range(N - nb + 1):
-        if not (ok[n] and ok[n + 1]):
-            continue
-        if tuple(ydig[n : n + nb]) != B:
-            continue
-        anchors += 1
-        if digits[n] == 1 and digits[n + 1] == 1:
-            sum_hits += 1
+    anchor = np.ones(W, dtype=bool)  # certified digits and B in the partner
+    ones = np.ones(W, dtype=bool)  # the carry sum shows a run of nb ones
+    for j, b in enumerate(B):
+        anchor &= ok[j : j + W] & (ydig[j : j + W] == b)
+        ones &= digits[j : j + W] == 1
+    anchors = int(np.count_nonzero(anchor))
+    sum_hits = int(np.count_nonzero(anchor & ones))
     measured = sum_hits / max(anchors, 1)
     product_demand = float(p) ** nb  # conditional ones-run frequency if product structure held
     forced_cap = float(1 - p)  # each occurrence forces a mirror prefix digit in x

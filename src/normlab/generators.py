@@ -343,19 +343,13 @@ def derive_seed(seed: int, tag: str) -> int:
     return h
 
 
-def _as_fraction(p) -> Fraction:
-    if isinstance(p, (Fraction, str)):
-        return Fraction(p)
-    return Fraction(p)  # int or float (floats are exact binary rationals)
-
-
 def bernoulli_stream(p, seed: int, N: int) -> SymbolicSequence:
     """Deterministic pseudorandom binary digits with marginal P(1) = p.
 
     Digit i is 1 iff the (i-1)-th 64-bit word is below floor(p * 2^64);
     exact, branch-simple, reproducible per (p, seed).
     """
-    pf = _as_fraction(p)
+    pf = Fraction(p)  # floats are exact binary rationals
     if not 0 < pf < 1:
         raise DomainError(f"p must lie strictly between 0 and 1, got {p}")
     if N < 1:

@@ -352,11 +352,6 @@ class EmpiricalMeasure:
     def fractions(self) -> dict[tuple[int, ...], Fraction]:
         return {k: Fraction(v, self.total) for k, v in self.counts.items()}
 
-    def to_float_dict(self) -> dict[str, float]:
-        return {
-            "".join(map(str, k)): v / self.total for k, v in sorted(self.counts.items())
-        }
-
     def merge(self, other: "EmpiricalMeasure") -> "EmpiricalMeasure":
         """Associative merge of counts from disjoint sub-windows."""
         if self.m != other.m or self.alphabet != other.alphabet:

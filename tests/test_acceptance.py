@@ -26,6 +26,9 @@ CRITERIA = [
     ("A12 rational multiples stay uniform", ["rational-multiple-goodness"], 60.0),
     ("A13 mod-p translation and CA identity", ["modp-translation", "ca-switch-identity"], 30.0),
     ("A14 arithmetic round-trips", ["arithmetic-roundtrips"], 30.0),
+    ("A15 toral orbit discrepancy", ["toral-discrepancy"], 1.5),
+    ("A16 carry-sum obstruction", ["spr-obstruction"], 0.5),
+    ("A17 zipped column uniformity", ["zip-columns"], 0.5),
 ]
 
 

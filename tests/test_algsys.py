@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normlab.algsys import (
@@ -177,3 +177,35 @@ def test_diagonal_product_map_orbit():
     r = toral_orbit(tm, [Fraction(1, 7), Fraction(1, 5)], 4)
     assert r.points[1] == (Fraction(2, 7), Fraction(3, 5))
     assert r.ergodic
+
+
+def _nonsingular(rows):
+    try:
+        return ToralMap.from_rows(rows)
+    except MatrixError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_orbit_matches_fraction_orbit(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    entry = st.integers(-3, 3)
+    rows = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    tm = _nonsingular(rows)
+    assume(tm is not None)
+    x0 = [Fraction(data.draw(st.integers(-40, 40)), data.draw(st.integers(1, 30))) for _ in range(d)]
+    steps = data.draw(st.integers(0, 20))
+    grid_bits = data.draw(st.integers(1, 3))
+    r = toral_orbit(tm, x0, steps, grid_bits=grid_bits)
+    pts = [tuple(c - (c.numerator // c.denominator) for c in x0)]
+    for _ in range(steps):
+        pts.append(tuple(tm.apply(pts[-1])))
+    assert len(r.points) == len(pts)
+    assert list(r.points) == pts
+    assert r.points[1:] == pts[1:]
+    cells = 1 << grid_bits
+    counts = np.zeros([cells] * d, dtype=np.int64)
+    for pt in pts:
+        counts[tuple(int(c * cells) % cells for c in pt)] += 1
+    assert r.discrepancy == float(np.abs(counts / len(pts) - 1.0 / cells**d).max())

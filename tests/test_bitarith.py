@@ -168,6 +168,39 @@ def test_mul_rational_roundtrip(mant, p, q):
     assert abs(z.value() - x.value()) <= Fraction(2, 2**N)
 
 
+def mul_rational_by_long_division(x: FixedPointNumber, p: int, q: int, N: int, G: int):
+    """The defining formula: one long division of mant * |p| * 2^(N+G) by
+    q * 2^frac_bits, error rounded up, one more ulp for a nonzero remainder."""
+    F = N + G
+    den = q << x.frac_bits
+    mant, rem = divmod(x.mant * abs(p) << F, den)
+    err = -((-(x.err_ulps * abs(p) << F)) // den) + (1 if rem else 0)
+    return mant, err, x.sign * (1 if p > 0 else -1)
+
+
+@settings(max_examples=300)
+@pytest.mark.parametrize("shrink", [True, False], ids=["k>=0", "k<0"])
+@given(data=st.data())
+def test_mul_rational_matches_long_division(shrink, data):
+    frac_bits = data.draw(st.integers(1, 96))
+    x = FixedPointNumber(
+        data.draw(st.integers(0, 2 ** (frac_bits + 4))),
+        frac_bits,
+        data.draw(st.integers(0, frac_bits)),
+        data.draw(st.sampled_from([1, -1])),
+        data.draw(st.integers(0, 2**12)),
+    )
+    # k = frac_bits - F: output bits dropped (k >= 0) or appended (k < 0)
+    k = data.draw(st.integers(0, frac_bits) if shrink else st.integers(-64, -1))
+    G = data.draw(st.integers(0, frac_bits - k))
+    N = frac_bits - k - G
+    p = data.draw(st.integers(1, 2**40) | st.integers(-1000, -1))
+    q = data.draw(st.integers(1, 1000) | st.integers(1, 2**70))
+    z = mul_rational(x, p, q, N, G)
+    assert (z.mant, z.err_ulps, z.sign) == mul_rational_by_long_division(x, p, q, N, G)
+    assert (z.frac_bits, z.guard_bits) == (N + G, G)
+
+
 # -- mul ---------------------------------------------------------------------
 
 
@@ -287,3 +320,25 @@ def test_certified_digits_shrink_with_error():
     assert x.certified_digit_count() == 8
     noisy = x.with_error(1 << 9)  # more than the guard region can absorb
     assert noisy.certified_digit_count() < 8
+
+
+def certified_digit_count_by_bits(x: FixedPointNumber) -> int:
+    """The defining search: lower t one bit at a time until lo and hi agree
+    on their first t fractional digits."""
+    lo, hi = x.mant - x.err_ulps, x.mant + x.err_ulps
+    if lo < 0:
+        return 0
+    t = x.certified_bits
+    while t > 0 and (lo >> (x.frac_bits - t)) != (hi >> (x.frac_bits - t)):
+        t -= 1
+    return t
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_certified_digit_count_matches_bit_search(data):
+    frac_bits = data.draw(st.integers(0, 80))
+    mant = data.draw(st.integers(0, 2 ** (frac_bits + 3)))
+    err = data.draw(st.integers(0, 2 ** (frac_bits + 2)) | st.integers(0, 16))
+    x = FixedPointNumber(mant, frac_bits, data.draw(st.integers(0, frac_bits)), 1, err)
+    assert x.certified_digit_count() == certified_digit_count_by_bits(x)

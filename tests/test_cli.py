@@ -119,3 +119,26 @@ def test_experiment_reports_reproduce():
     a.pop("runtime_s"), b.pop("runtime_s")
     assert a == b
     assert a["parameters"]["seed"] == 7  # seeds live in the report
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_arith_binary_op_without_in2_is_usage_error(tmp_path, capsys, op):
+    src = tmp_path / "y.nseq"
+    main(["generate", "--kind", "y", "--n", "128", "--out", str(src)])
+    capsys.readouterr()
+    assert main(["arith", "--op", op, "--in", str(src), "--frac-bits", "64"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: arith --op {op} needs --in2"
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["--x0", "1/5,2/5"], "--matrix"),
+        (["--matrix", "[[2,1],[1,1]]"], "--x0"),
+    ],
+    ids=["no-matrix", "no-x0"],
+)
+def test_algsys_orbit_missing_option_is_usage_error(capsys, argv, missing):
+    assert main(["algsys", "orbit", *argv]) == 2
+    assert capsys.readouterr().err.strip() == f"error: algsys orbit needs {missing}"

@@ -238,7 +238,14 @@ class ToralMap:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "ToralMap":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        """Build from a list of rows of integers, e.g. parsed JSON."""
+        if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple))
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
+            for row in rows
+        ):
+            raise MatrixError(f"matrix must be a list of rows of integers, got {rows!r}")
+        return cls(tuple(tuple(row) for row in rows))
 
     @property
     def dimension(self) -> int:

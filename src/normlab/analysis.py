@@ -15,13 +15,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .seqcore import Block, LengthError, SymbolicSequence, _anchor_codes
+from .errors import BudgetError
+from .seqcore import Block, LengthError, SymbolicSequence, _anchor_codes, block_histogram
 
 ENUM_BUDGET_BITS = 24
-
-
-class BudgetError(ValueError):
-    pass
 
 
 def _digits_of(seq, L: Optional[int] = None) -> np.ndarray:
@@ -54,21 +51,11 @@ def combinatorial_entropy(B, n: int, r: Optional[int] = None) -> float:
         r = r or 2
     if n > len(digits):
         raise LengthError(f"n={n} exceeds block length {len(digits)}")
-    codes = _anchor_codes(digits, n, r)
-    counts = np.bincount(codes)
-    counts = counts[counts > 0]
+    _, counts = block_histogram(_anchor_codes(digits, n, r), r**n)
     if len(counts) == 1:
         return 0.0
     p = counts / counts.sum()
     return float(-(p * np.log2(p)).sum() / n)
-
-
-def _sorted_block_counts(digits: np.ndarray, m: int, r: int) -> np.ndarray:
-    codes = _anchor_codes(digits, m, r)
-    counts = np.bincount(codes)
-    counts = counts[counts > 0]
-    counts.sort()
-    return counts[::-1]
 
 
 def epsilon_complexity(seq, eps, m: int, L: Optional[int] = None, r: Optional[int] = None) -> int:
@@ -87,12 +74,12 @@ def epsilon_complexity(seq, eps, m: int, L: Optional[int] = None, r: Optional[in
     if m > len(digits):
         raise LengthError(f"m={m} exceeds prefix length {len(digits)}")
     rr = r or _alphabet_size(seq)
-    counts = _sorted_block_counts(digits, m, rr)
+    _, counts = block_histogram(_anchor_codes(digits, m, rr), rr**m)
     W = int(counts.sum())
     allowed = epsf * W
     outside = W
     taken = 0
-    for c in counts:
+    for c in np.sort(counts)[::-1]:
         if outside <= allowed:
             break
         outside -= int(c)
@@ -135,7 +122,10 @@ def complexity_curve(seq, eps, m_range: Iterable[int], L: Optional[int] = None) 
 def eps_m_goodness(seq, m: int, L: Optional[int] = None) -> Fraction:
     """Max over all binary m-blocks of |anchored frequency - 2^-m|.
 
-    The prefix is (eps, m)-good exactly when the result is <= eps.
+    The prefix is (eps, m)-good exactly when the result is <= eps.  Over the
+    W anchored windows, |c/W - 2^-m| = |c 2^m - W| / (W 2^m) is convex in the
+    count c, so the maximum sits at the smallest or the largest count, and
+    the smallest is 0 when some m-block does not occur.
     """
     digits = _digits_of(seq, L)
     if _alphabet_size(seq) != 2:
@@ -144,14 +134,10 @@ def eps_m_goodness(seq, m: int, L: Optional[int] = None) -> Fraction:
         raise LengthError(f"m={m} exceeds prefix length {len(digits)}")
     codes = _anchor_codes(digits, m, 2)
     W = len(codes)
-    counts = np.bincount(codes, minlength=2**m)
-    target = Fraction(1, 2**m)
-    worst = Fraction(0)
-    for c in counts:
-        dev = abs(Fraction(int(c), W) - target)
-        if dev > worst:
-            worst = dev
-    return worst
+    _, counts = block_histogram(codes, 1 << m)
+    lo = int(counts.min()) if len(counts) == 1 << m else 0
+    hi = int(counts.max())
+    return Fraction(max(abs((lo << m) - W), abs((hi << m) - W)), W << m)
 
 
 def switch_density(seq, L: Optional[int] = None) -> Fraction:

@@ -16,16 +16,13 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .errors import DomainError
 from .seqcore import HorizonError, SymbolicSequence
 
 DEFAULT_GUARD_BITS = 64
 
 
 class PrecisionError(ValueError):
-    pass
-
-
-class DomainError(ValueError):
     pass
 
 

@@ -276,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind",
         required=True,
         choices=(
-            "kappa", "y", "v", "bernoulli", "uniform", "champernowne",
-            "periodic", "periodic-sparse",
+            "kappa", "y", "v", "bernoulli", "uniform", "champernowne", "periodic",
         ),
     )
     p.add_argument("--n", type=int, required=True, help="number of digits")

@@ -1,0 +1,18 @@
+"""The exception types that several normlab modules raise.
+
+Each is a ValueError, so the command line reports every one of them as a
+usage error (one `error:` line, exit code 2).  The modules that raise them
+re-export them under their old names, e.g. `normlab.bitarith.DomainError`.
+"""
+
+
+class DomainError(ValueError):
+    """An argument outside the domain an operation is defined on."""
+
+
+class BudgetError(ValueError):
+    """A request beyond a fixed enumeration or verification budget."""
+
+
+class DataQualityError(ValueError):
+    """Sampled data too ambiguous to tally."""

@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -136,14 +135,17 @@ def run_experiment(name: str, overrides: Optional[dict] = None) -> ExperimentRep
 
 
 def verify(names: Optional[list[str]] = None, threads: int = 1) -> list[ExperimentReport]:
+    """Run the named experiments (all when None) one after another.
+
+    `threads` is accepted for compatibility and ignored: the experiments are
+    bigint and Fraction work that holds the interpreter lock, so a thread
+    pool measured no faster than a serial run.
+    """
     todo = names if names is not None else experiment_names()
     for n in todo:
         if n not in _REGISTRY:
             raise UnknownExperimentError(n)
-    if threads <= 1 or len(todo) <= 1:
-        return [run_experiment(n) for n in todo]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_experiment, todo))
+    return [run_experiment(n) for n in todo]
 
 
 def _binom_sigma(p: float, n: int) -> float:

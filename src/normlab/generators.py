@@ -16,6 +16,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .errors import DomainError
 from .grayorder import alt_block, reflected_gray
 from .seqcore import (
     BINARY,
@@ -24,10 +25,6 @@ from .seqcore import (
     IndexSet,
     SymbolicSequence,
 )
-
-
-class DomainError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +212,7 @@ def _kappa_bulk(start: int, count: int) -> np.ndarray:
 
 
 def kappa_sequence() -> SymbolicSequence:
-    return SymbolicSequence(
-        kappa_digit, BINARY, horizon=None, name="kappa", bulk_fn=_kappa_bulk
-    )
+    return SymbolicSequence(_kappa_bulk, BINARY, name="kappa", digit_fn=kappa_digit)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +243,7 @@ def _y_bulk(start: int, count: int) -> np.ndarray:
 
 def y_sequence() -> SymbolicSequence:
     """Fractional digits of y (positions >= 1)."""
-    return SymbolicSequence(y_digit, BINARY, horizon=None, name="y", bulk_fn=_y_bulk)
+    return SymbolicSequence(_y_bulk, BINARY, name="y", digit_fn=y_digit)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +295,7 @@ def _v_bulk(start: int, count: int) -> np.ndarray:
 
 
 def v_sequence() -> SymbolicSequence:
-    return SymbolicSequence(v_digit, BINARY, horizon=None, name="v", bulk_fn=_v_bulk)
+    return SymbolicSequence(_v_bulk, BINARY, name="v", digit_fn=v_digit)
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +351,11 @@ def bernoulli_stream(p, seed: int, N: int) -> SymbolicSequence:
         raise DomainError("N must be >= 1")
     threshold = (pf.numerator << 64) // pf.denominator
 
-    def digit(pos: int) -> int:
-        return 1 if splitmix64(seed, pos - 1) < threshold else 0
-
     def bulk(start: int, count: int) -> np.ndarray:
         idx = np.arange(start - 1, start - 1 + count, dtype=np.uint64)
         return (_vec_words(seed, idx) < np.uint64(threshold)).astype(np.uint8)
 
-    return SymbolicSequence(
-        digit, BINARY, horizon=N, name=f"bernoulli(p={pf}, seed={seed})", bulk_fn=bulk
-    )
+    return SymbolicSequence(bulk, BINARY, horizon=N, name=f"bernoulli(p={pf}, seed={seed})")
 
 
 def uniform_stream(r: int, seed: int, N: int) -> SymbolicSequence:
@@ -376,16 +366,11 @@ def uniform_stream(r: int, seed: int, N: int) -> SymbolicSequence:
     if N < 1:
         raise DomainError("N must be >= 1")
 
-    def digit(pos: int) -> int:
-        return splitmix64(seed, pos - 1) % r
-
     def bulk(start: int, count: int) -> np.ndarray:
         idx = np.arange(start - 1, start - 1 + count, dtype=np.uint64)
         return (_vec_words(seed, idx) % np.uint64(r)).astype(np.uint8)
 
-    return SymbolicSequence(
-        digit, Alphabet(r), horizon=N, name=f"uniform(r={r}, seed={seed})", bulk_fn=bulk
-    )
+    return SymbolicSequence(bulk, Alphabet(r), horizon=N, name=f"uniform(r={r}, seed={seed})")
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +405,11 @@ def champernowne_digits(r: int, N: int) -> SymbolicSequence:
         cache["next"] = value
         return arr
 
-    def digit(p: int) -> int:
-        return int(materialize(p)[p - 1])
-
     def bulk(start: int, count: int) -> np.ndarray:
         arr = materialize(start + count - 1)
         return arr[start - 1 : start - 1 + count].copy()
 
-    return SymbolicSequence(
-        digit, Alphabet(r), horizon=N, name=f"champernowne(r={r})", bulk_fn=bulk
-    )
+    return SymbolicSequence(bulk, Alphabet(r), horizon=N, name=f"champernowne(r={r})")
 
 
 def periodic_sparse(
@@ -445,12 +425,6 @@ def periodic_sparse(
     L = len(pat)
     fill_fn = filler if callable(filler) else (lambda p: filler)
 
-    def digit(p: int) -> int:
-        if p in S:
-            k = S.count_up_to(p)  # rank of p among the members of S
-            return pat[(k - 1) % L]
-        return fill_fn(p)
-
     def bulk(start: int, count: int) -> np.ndarray:
         hi = start + count - 1
         out = np.fromiter(
@@ -463,9 +437,7 @@ def periodic_sparse(
                 out[s - start] = pat[(k - 1) % L]
         return out
 
-    return SymbolicSequence(
-        digit, pattern.alphabet, horizon=None, name="periodic-sparse", bulk_fn=bulk
-    )
+    return SymbolicSequence(bulk, pattern.alphabet, name="periodic-sparse")
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +473,7 @@ class GeneratorInstance:
             if self.n is None:
                 raise DomainError("champernowne needs n")
             return champernowne_digits(self.r, self.n)
-        if self.kind in ("periodic", "periodic-sparse"):
+        if self.kind == "periodic":
             if not self.pattern:
                 raise DomainError("periodic needs a pattern")
             return SymbolicSequence.periodic(Block.from_string(self.pattern, self.r))

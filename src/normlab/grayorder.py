@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .errors import BudgetError
 from .seqcore import Block, LengthError
 
 VERIFY_BUDGET_BITS = 20
@@ -22,10 +23,6 @@ class ParityError(ValueError):
 
 
 class IndexRangeError(ValueError):
-    pass
-
-
-class BudgetError(ValueError):
     pass
 
 

@@ -15,15 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .bitarith import stream_carry_add
+from .errors import DataQualityError, DomainError
 from .generators import bernoulli_stream, derive_seed
-
-
-class DomainError(ValueError):
-    pass
-
-
-class DataQualityError(RuntimeError):
-    pass
 
 
 def _check_p(p) -> Fraction:

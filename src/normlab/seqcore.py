@@ -114,23 +114,27 @@ def mirror(block: Block) -> Block:
 class SymbolicSequence:
     """Deterministic random-access digit source.
 
-    `digit(p)` is defined for 1 <= p <= horizon (horizon None = unbounded)
-    and always returns the same digit for the same p.
+    `bulk_fn(start, count)` is the one access primitive: it returns the
+    digits at positions start .. start+count-1 as an array.  `digit(p)` reads
+    one digit through it unless a per-digit rule `digit_fn` is given, which
+    sequences need whose positions reach far beyond any array (p > 2^62).
+    Positions run over 1 <= p <= horizon (horizon None = unbounded), and the
+    same position always yields the same digit.
     """
 
     def __init__(
         self,
-        digit_fn: Callable[[int], int],
+        bulk_fn: Callable[[int, int], np.ndarray],
         alphabet: Alphabet = BINARY,
         horizon: Optional[int] = None,
         name: str = "",
-        bulk_fn: Optional[Callable[[int, int], np.ndarray]] = None,
+        digit_fn: Optional[Callable[[int], int]] = None,
     ):
-        self._digit_fn = digit_fn
+        self._bulk_fn = bulk_fn
+        self._digit_fn = digit_fn or (lambda p: int(bulk_fn(p, 1)[0]))
         self.alphabet = alphabet
         self.horizon = horizon
         self.name = name
-        self._bulk_fn = bulk_fn
 
     def _check_range(self, start: int, count: int) -> None:
         if start < 1:
@@ -149,16 +153,7 @@ class SymbolicSequence:
     def digits(self, start: int, count: int) -> np.ndarray:
         """Digits at positions start .. start+count-1 as an array."""
         self._check_range(start, count)
-        if self._bulk_fn is not None:
-            arr = self._bulk_fn(start, count)
-        else:
-            dtype = _dtype_for(self.alphabet.size)
-            arr = np.fromiter(
-                (self._digit_fn(p) for p in range(start, start + count)),
-                dtype=dtype,
-                count=count,
-            )
-        return arr
+        return self._bulk_fn(start, count)
 
     def prefix(self, n: int) -> np.ndarray:
         return self.digits(1, n)
@@ -172,11 +167,10 @@ class SymbolicSequence:
         if data.size and int(data.max()) >= r:
             raise AlphabetError("array contains digits outside the alphabet")
         return cls(
-            lambda p: int(data[p - 1]),
+            lambda s, c: data[s - 1 : s - 1 + c].copy(),
             Alphabet(r),
             horizon=len(data),
             name=name,
-            bulk_fn=lambda s, c: data[s - 1 : s - 1 + c].copy(),
         )
 
     @classmethod
@@ -193,11 +187,10 @@ class SymbolicSequence:
             return pat[idx]
 
         return cls(
-            lambda p: int(pat[(p - 1) % L]),
+            bulk,
             Alphabet(r),
             horizon=None,
             name=name or f"periodic({''.join(map(str, pat.tolist()))})",
-            bulk_fn=bulk,
         )
 
     @classmethod
@@ -304,8 +297,28 @@ def _anchor_codes(digits: np.ndarray, m: int, r: int) -> np.ndarray:
     codes = np.zeros(W, dtype=np.int64)
     for j in range(m):
         codes *= r
-        codes += digits[j : j + W].astype(np.int64)
+        codes += digits[j : j + W]  # cast in buffered chunks, not one full-size copy
     return codes
+
+
+def block_histogram(codes: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block codes that occur, in ascending order, and their counts.
+
+    `n_blocks` is the number of possible codes (r^m for m-blocks).  A table
+    of all of them is counted when it is no longer than `codes`, and the
+    codes are sorted otherwise, so memory stays linear in len(codes).
+    """
+    if n_blocks <= len(codes):
+        counts = np.bincount(codes, minlength=n_blocks)
+        observed = np.flatnonzero(counts)
+        return observed, counts[observed]
+    return np.unique(codes, return_counts=True)
+
+
+def _occurrences(digits: np.ndarray, r: int, B: Block) -> int:
+    """Number of anchored windows of `digits` that spell B."""
+    codes = _anchor_codes(digits, len(B), r)
+    return int(np.count_nonzero(codes == B.encode()))
 
 
 def block_density(B: Block, C: Block) -> Fraction:
@@ -314,8 +327,7 @@ def block_density(B: Block, C: Block) -> Fraction:
         raise LengthError(f"|C|={len(C)} exceeds |B|={len(B)}")
     if B.alphabet != C.alphabet:
         raise AlphabetError("blocks over different alphabets")
-    codes = _anchor_codes(B.as_array(), len(C), B.alphabet.size)
-    hits = int(np.count_nonzero(codes == C.encode()))
+    hits = _occurrences(B.as_array(), B.alphabet.size, C)
     return Fraction(hits, len(B) - len(C) + 1)
 
 
@@ -323,9 +335,7 @@ def prefix_frequency(seq: SymbolicSequence, B: Block, N: int) -> Fraction:
     """Fraction of anchors n in [1, N-|B|+1] where B occurs in seq."""
     if N < len(B):
         raise LengthError(f"window N={N} shorter than block length {len(B)}")
-    digits = seq.digits(1, N)
-    codes = _anchor_codes(digits, len(B), seq.alphabet.size)
-    hits = int(np.count_nonzero(codes == B.encode()))
+    hits = _occurrences(seq.digits(1, N), seq.alphabet.size, B)
     return Fraction(hits, N - len(B) + 1)
 
 
@@ -377,27 +387,21 @@ def empirical_measure(seq: SymbolicSequence, m: int, window) -> EmpiricalMeasure
         if not anchors:
             raise EmptyWindowError("empty window")
         top = max(anchors) + m - 1
-        digits = seq.digits(1, top)
-        codes = _anchor_codes(digits, m, r)
-        at = codes[np.asarray(anchors, dtype=np.int64) - 1]
+        at = _anchor_codes(seq.digits(1, top), m, r)[np.asarray(anchors, dtype=np.int64) - 1]
         desc = f"indexset({window.name}, {len(anchors)} anchors)"
     else:
         N = int(window)
         if N < m:
             raise EmptyWindowError(f"prefix {N} shorter than block length {m}")
-        digits = seq.digits(1, N)
-        at = _anchor_codes(digits, m, r)
+        at = _anchor_codes(seq.digits(1, N), m, r)
         desc = f"prefix({N})"
-    if r**m <= 2**24:
-        binc = np.bincount(at, minlength=r**m)
-        nz = np.nonzero(binc)[0]
-        counts = {tuple(Block.from_code(int(c), m, r).digits): int(binc[c]) for c in nz}
-    else:
-        counts = {}
-        uniq, cnt = np.unique(at, return_counts=True)
-        for c, n in zip(uniq, cnt):
-            counts[tuple(Block.from_code(int(c), m, r).digits)] = int(n)
-    return EmpiricalMeasure(m, desc, counts, len(at), seq.alphabet)
+    total = len(at)
+    observed, cnt = block_histogram(at, r**m)
+    del at  # 8 bytes a window: freed before the per-block keys are built
+    counts = {
+        tuple(Block.from_code(int(c), m, r).digits): int(n) for c, n in zip(observed, cnt)
+    }
+    return EmpiricalMeasure(m, desc, counts, total, seq.alphabet)
 
 
 def joint_frequency(
@@ -440,12 +444,6 @@ def zip_product(seqs: Sequence[SymbolicSequence]) -> SymbolicSequence:
     horizons = [s.horizon for s in seqs if s.horizon is not None]
     horizon = min(horizons) if horizons else None
 
-    def digit(p: int) -> int:
-        code = 0
-        for s in seqs:
-            code = code * s.alphabet.size + s.digit(p)
-        return code
-
     def bulk(start: int, c: int) -> np.ndarray:
         out = np.zeros(c, dtype=_dtype_for(R))
         for s in seqs:
@@ -453,9 +451,7 @@ def zip_product(seqs: Sequence[SymbolicSequence]) -> SymbolicSequence:
             out += s.digits(start, c).astype(_dtype_for(R))
         return out
 
-    return SymbolicSequence(
-        digit, Alphabet(R), horizon=horizon, name="zip", bulk_fn=bulk
-    )
+    return SymbolicSequence(bulk, Alphabet(R), horizon=horizon, name="zip")
 
 
 def base4_split(seq: SymbolicSequence) -> tuple[SymbolicSequence, SymbolicSequence]:
@@ -463,18 +459,16 @@ def base4_split(seq: SymbolicSequence) -> tuple[SymbolicSequence, SymbolicSequen
     if seq.alphabet.size != 4:
         raise AlphabetError("base4_split needs an alphabet of size 4")
     row1 = SymbolicSequence(
-        lambda p: seq.digit(p) // 2,
+        lambda s, c: (seq.digits(s, c) // 2).astype(np.uint8),
         BINARY,
         horizon=seq.horizon,
         name=f"{seq.name}/hi",
-        bulk_fn=lambda s, c: (seq.digits(s, c) // 2).astype(np.uint8),
     )
     row2 = SymbolicSequence(
-        lambda p: seq.digit(p) % 2,
+        lambda s, c: (seq.digits(s, c) % 2).astype(np.uint8),
         BINARY,
         horizon=seq.horizon,
         name=f"{seq.name}/lo",
-        bulk_fn=lambda s, c: (seq.digits(s, c) % 2).astype(np.uint8),
     )
     return row1, row2
 
@@ -483,9 +477,6 @@ def restrict(seq: SymbolicSequence, S: IndexSet) -> SymbolicSequence:
     """k-th digit of the result = seq digit at the k-th smallest element of S."""
     horizon = S.size() if S.finite else None
 
-    def digit(k: int) -> int:
-        return seq.digit(S.element(k))
-
     def bulk(start: int, c: int) -> np.ndarray:
         positions = list(islice(iter(S), start - 1, start - 1 + c))
         if len(positions) < c:
@@ -493,9 +484,7 @@ def restrict(seq: SymbolicSequence, S: IndexSet) -> SymbolicSequence:
         dtype = _dtype_for(seq.alphabet.size)
         return np.fromiter((seq.digit(p) for p in positions), dtype=dtype, count=c)
 
-    return SymbolicSequence(
-        digit, seq.alphabet, horizon=horizon, name=f"{seq.name}|S", bulk_fn=bulk
-    )
+    return SymbolicSequence(bulk, seq.alphabet, horizon=horizon, name=f"{seq.name}|S")
 
 
 def index_density_profile(S: IndexSet, N: int) -> list[tuple[int, Fraction]]:

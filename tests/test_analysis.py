@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normlab.analysis import (
@@ -157,6 +157,40 @@ def test_goodness_kappa_prefix():
     digits = kappa_sequence().prefix(1 << 20)
     for m in range(1, 7):
         assert eps_m_goodness(digits, m) <= Fraction(1, 4) / 2**m
+
+
+def _goodness_by_enumeration(digits, m):
+    """The definition: the largest |c/W - 2^-m| over all 2^m binary blocks."""
+    W = len(digits) - m + 1
+    counts = [0] * 2**m
+    for i in range(W):
+        counts[int("".join(map(str, digits[i : i + m])), 2)] += 1
+    target = Fraction(1, 2**m)
+    return max(abs(Fraction(c, W) - target) for c in counts)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=80), st.integers(1, 9))
+@example([0, 1, 1, 0], 2)  # 00 never occurs, the rest once each: the 0 count decides
+def test_goodness_closed_form_matches_enumeration(digits, m):
+    # m up to 9 on at most 80 digits: 2^m > W, where blocks go missing, is common
+    m = min(m, len(digits))
+    assert eps_m_goodness(digits, m) == _goodness_by_enumeration(digits, m)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=60), st.integers(1, 6))
+def test_entropy_matches_dense_bincount(digits, n):
+    # the former rule, a dense bincount over every code below the largest;
+    # with 3^n > W the sparse path runs and must give the same float
+    n = min(n, len(digits))
+    arr = np.asarray(digits, dtype=np.uint8)
+    codes = [int("".join(map(str, digits[i : i + n])), 3) for i in range(len(digits) - n + 1)]
+    counts = np.bincount(codes)
+    counts = counts[counts > 0]
+    p = counts / counts.sum()
+    want = 0.0 if len(counts) == 1 else float(-(p * np.log2(p)).sum() / n)
+    assert combinatorial_entropy(arr, n, r=3) == want
 
 
 # -- switches ----------------------------------------------------------------

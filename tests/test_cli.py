@@ -1,8 +1,12 @@
 import json
+import time
 
 import pytest
 
+from normlab import pnormal
 from normlab.cli import main
+from normlab.errors import DataQualityError, DomainError
+from normlab.generators import GeneratorInstance
 from normlab.seqcore import read_nseq
 
 
@@ -142,3 +146,45 @@ def test_arith_binary_op_without_in2_is_usage_error(tmp_path, capsys, op):
 def test_algsys_orbit_missing_option_is_usage_error(capsys, argv, missing):
     assert main(["algsys", "orbit", *argv]) == 2
     assert capsys.readouterr().err.strip() == f"error: algsys orbit needs {missing}"
+
+
+@pytest.mark.parametrize("matrix", ["5", "[[1.5]]", '{"a":1}'], ids=["scalar", "float", "dict"])
+def test_algsys_orbit_rejects_malformed_matrix(capsys, matrix):
+    assert main(["algsys", "orbit", "--matrix", matrix, "--x0", "1/5", "--steps", "3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: matrix must be a list of rows of integers")
+
+
+def test_generate_periodic_sparse_is_not_a_kind(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--kind", "periodic-sparse", "--pattern", "01", "--n", "8",
+              "--out", str(tmp_path / "p.nseq")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "p.nseq").exists()
+    with pytest.raises(DomainError):
+        GeneratorInstance(kind="periodic-sparse", pattern="01").build()
+
+
+@pytest.mark.parametrize("op", ["entropy", "goodness"])
+def test_analyze_long_blocks_on_short_file(tmp_path, capsys, op):
+    # block lengths far beyond log2 of the window: counting stays linear in
+    # the window; lengths whose codes overflow 64 bits are a usage error
+    src = tmp_path / "b.nseq"
+    main(["generate", "--kind", "bernoulli", "--p", "1/2", "--seed", "3", "--n", "100", "--out", str(src)])
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["analyze", "--op", op, "--in", str(src), "--n-max", "40", "--format", "json"]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 40
+    assert main(["analyze", "--op", op, "--in", str(src), "--n-max", "62"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_data_quality_error_is_usage_error(monkeypatch, capsys):
+    def ambiguous(*args, **kwargs):
+        raise DataQualityError("ambiguity rate 0.5000 exceeds 0.0100")
+
+    monkeypatch.setattr(pnormal, "carry_sum_stats", ambiguous)
+    assert main(["pnormal", "--p", "1/5"]) == 2
+    assert capsys.readouterr().err.strip() == "error: ambiguity rate 0.5000 exceeds 0.0100"

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normlab.generators import (
     SCHEDULE,
@@ -196,6 +198,32 @@ def test_uniform_stream_matches_digit():
     assert seq.prefix(60).tolist() == [seq.digit(p) for p in range(1, 61)]
 
 
+# The scalar rules below are the per-digit functions these generators had
+# next to their bulk paths; digit(p) must still follow them.
+
+
+@settings(max_examples=40)
+@given(
+    st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda f: 0 < f < 1),
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=10),
+)
+def test_bernoulli_digit_rule(p, seed, positions):
+    seq = bernoulli_stream(p, seed, 10**6)
+    threshold = (p.numerator << 64) // p.denominator
+    for pos in positions:
+        want = 1 if splitmix64(seed, pos - 1) < threshold else 0
+        assert seq.digit(pos) == want == int(seq.digits(pos, 1)[0])
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 256), st.integers(0, 2**64 - 1), st.lists(st.integers(1, 10**6), min_size=1, max_size=10))
+def test_uniform_digit_rule(r, seed, positions):
+    seq = uniform_stream(r, seed, 10**6)
+    for pos in positions:
+        assert seq.digit(pos) == splitmix64(seed, pos - 1) % r == int(seq.digits(pos, 1)[0])
+
+
 def test_derive_seed_changes_stream():
     assert derive_seed(1, "a") != derive_seed(1, "b")
 
@@ -242,6 +270,26 @@ def test_periodic_sparse_zero_density_support():
     sparse = IndexSet.from_elements([2**k for k in range(1, 11)])
     seq = periodic_sparse(Block.from_string("1"), sparse, filler=0)
     assert seq.prefix(1024).mean() < 0.01
+
+
+@settings(max_examples=30)
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=5),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.sampled_from([0, 1, "parity"]),
+)
+def test_periodic_sparse_rank_rule(pattern, first, step, filler):
+    # on S, the digit at p is pattern[rank of p in S - 1 mod L]; off S, the filler
+    S = IndexSet.arithmetic(first, step)
+    fill = (lambda p: p % 2) if filler == "parity" else filler
+    seq = periodic_sparse(Block(tuple(pattern)), S, filler=fill)
+    for p in range(1, 41):
+        if p in S:
+            want = pattern[(S.count_up_to(p) - 1) % len(pattern)]
+        else:
+            want = fill(p) if callable(fill) else fill
+        assert seq.digit(p) == want == int(seq.digits(p, 1)[0])
 
 
 # -- generator instances -----------------------------------------------------

@@ -1,5 +1,7 @@
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from normlab.seqcore import (
     SymbolicSequence,
     base4_split,
     block_density,
+    block_histogram,
     empirical_measure,
     index_density_profile,
     joint_frequency,
@@ -118,6 +121,21 @@ def test_prefix_frequency_horizon_error():
         prefix_frequency(seq, B("1"), 4)
 
 
+# -- block_histogram ---------------------------------------------------------
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 64).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=40))
+))
+def test_block_histogram_matches_counter(case):
+    # n_blocks up to 64 against at most 40 codes: both the dense and the
+    # sorting path run
+    n_blocks, codes = case
+    observed, counts = block_histogram(np.asarray(codes, dtype=np.int64), n_blocks)
+    assert list(zip(observed.tolist(), counts.tolist())) == sorted(Counter(codes).items())
+
+
 # -- empirical_measure -------------------------------------------------------
 
 
@@ -150,6 +168,18 @@ def test_empirical_measure_explicit_window():
 def test_empirical_measure_empty_window():
     with pytest.raises(EmptyWindowError):
         empirical_measure(SymbolicSequence.constant(0), 2, 1)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 3), st.lists(st.integers(0, 2), min_size=1, max_size=50), st.integers(1, 5))
+def test_empirical_measure_counts_windows(r, digits, m):
+    digits = [d % r for d in digits]
+    m = min(m, len(digits))
+    em = empirical_measure(SymbolicSequence.from_array(digits, r=r), m, len(digits))
+    windows = Counter(tuple(digits[i : i + m]) for i in range(len(digits) - m + 1))
+    assert em.counts == dict(windows)
+    for key in em.counts:
+        assert Block.from_code(Block(key, Alphabet(r)).encode(), m, r).digits == key
 
 
 def test_empirical_measure_merge_over_subwindows():
@@ -251,6 +281,40 @@ def test_zip_projection_recovers_rows(bits, trits):
     codes = z.prefix(n)
     assert (codes // 3 == r1.prefix(n)).all()
     assert (codes % 3 == r2.prefix(n)).all()
+
+
+@settings(max_examples=30)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=20), st.lists(st.integers(0, 2), min_size=1, max_size=20))
+def test_zip_digit_is_row_major_code(bits, trits):
+    n = min(len(bits), len(trits))
+    z = zip_product([SymbolicSequence.from_array(bits[:n]), SymbolicSequence.from_array(trits[:n], r=3)])
+    for p in range(1, n + 1):
+        code = 0
+        for r, row in ((2, bits), (3, trits)):
+            code = code * r + row[p - 1]
+        assert z.digit(p) == code == int(z.digits(p, 1)[0])
+
+
+@settings(max_examples=30)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+def test_base4_split_digit_rule(digits):
+    hi, lo = base4_split(SymbolicSequence.from_array(digits, r=4))
+    for p, d in enumerate(digits, start=1):
+        assert (hi.digit(p), lo.digit(p)) == (d // 2, d % 2)
+
+
+@settings(max_examples=30)
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=8),
+    st.integers(1, 5),
+    st.integers(1, 4),
+)
+def test_restrict_digit_is_digit_at_kth_element(pattern, first, step):
+    S = IndexSet.arithmetic(first, step)
+    sub = restrict(SymbolicSequence.periodic(pattern), S)
+    got = sub.prefix(20).tolist()
+    assert got == [sub.digit(k) for k in range(1, 21)]
+    assert got == [pattern[(S.element(k) - 1) % len(pattern)] for k in range(1, 21)]
 
 
 # -- restrict / index sets ---------------------------------------------------

@@ -2,8 +2,8 @@
 automata, and integer toral endomorphism orbits.
 
 Ergodicity of an integer matrix map on the torus means no eigenvalue is a
-root of unity; this is decided exactly by resultants of the characteristic
-polynomial against the cyclotomic polynomials of degree at most d.
+root of unity; this is decided exactly by integer determinants: no
+det(A^m - I) vanishes for the orders m a root-of-unity eigenvalue can have.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Union
 
 import numpy as np
@@ -103,120 +103,27 @@ def apply_ca(ca: LinearCA, s: SymbolicSequence, N: int) -> SymbolicSequence:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (coefficients ascending)
+# integer determinants
 
 
-def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def poly_divmod_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact division of integer polynomials (monic-ish divisor), remainder 0."""
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c, rem = divmod(a[i + len(b) - 1], b[-1])
-        if rem:
-            raise ArithmeticError("division is not exact")
-        out[i] = c
-        for j, bj in enumerate(b):
-            a[i + j] -= c * bj
-    if any(a):
-        raise ArithmeticError("division left a remainder")
-    return out
-
-
-def cyclotomic(m: int) -> list[int]:
-    """Coefficients (ascending) of the m-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly = poly_divmod_exact(poly, cyclotomic(d))
-    return poly
-
-
-def _euler_phi(m: int) -> int:
-    out = 1
-    for d in range(2, m + 1):
-        if gcd(d, m) == 1:
-            out += 1
-    return out if m > 1 else 1
-
-
-def resultant(a: Sequence[int], b: Sequence[int]) -> int:
-    """Resultant of two integer polynomials via the Sylvester determinant,
-    computed exactly with rational Gaussian elimination."""
-    a = list(a)
-    b = list(b)
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    n, m = len(a) - 1, len(b) - 1
-    if n < 0 or m < 0:
-        return 0
-    if n == 0:
-        return a[0] ** m
-    if m == 0:
-        return b[0] ** n
-    size = n + m
-    M = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(m):
-        for j, c in enumerate(reversed(a)):
-            M[i][i + j] = Fraction(c)
-    for i in range(n):
-        for j, c in enumerate(reversed(b)):
-            M[m + i][i + j] = Fraction(c)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if M[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, size):
-            if M[r][col] != 0:
-                factor = M[r][col] * inv
-                for c in range(col, size):
-                    M[r][c] -= factor * M[col][c]
-    assert det.denominator == 1
-    return int(det)
-
-
-def charpoly(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Characteristic polynomial det(xI - A), ascending integer coefficients,
-    by the Faddeev-LeVerrier recursion."""
-    d = len(matrix)
-    A = [[Fraction(v) for v in row] for row in matrix]
-
-    def matmul(X, Y):
-        return [
-            [sum(X[i][k] * Y[k][j] for k in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-
-    coeffs = [Fraction(1)]  # leading coefficient of x^d
-    M = [[Fraction(0)] * d for _ in range(d)]
-    for k in range(1, d + 1):
-        for i in range(d):
-            M[i][i] += coeffs[-1]
-        M = matmul(A, M)
-        c = -Fraction(sum(M[i][i] for i in range(d)), k)
-        coeffs.append(c)
-    asc = list(reversed(coeffs))
-    out = []
-    for c in asc:
-        assert c.denominator == 1
-        out.append(int(c))
-    return out
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so all entries stay integers."""
+    M = [list(row) for row in rows]
+    d = len(M)
+    sign, prev = 1, 1
+    for k in range(d - 1):
+        if M[k][k] == 0:
+            pivot = next((i for i in range(k + 1, d) if M[i][k]), None)
+            if pivot is None:
+                return 0
+            M[k], M[pivot] = M[pivot], M[k]
+            sign = -sign
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +159,7 @@ class ToralMap:
         return len(self.matrix)
 
     def determinant(self) -> int:
-        cp = charpoly(self.matrix)
-        return (-1) ** self.dimension * cp[0]
+        return _det(self.matrix)
 
     def induced_one_norm(self) -> int:
         return max(
@@ -262,17 +168,20 @@ class ToralMap:
         )
 
     def is_ergodic(self) -> bool:
-        """No eigenvalue is a root of unity: the characteristic polynomial
-        has zero resultant with no cyclotomic polynomial of degree <= d."""
-        cp = charpoly(self.matrix)
+        """No eigenvalue is a root of unity: det(A^m - I) != 0 for m = 1..2d^2+6.
+
+        A root-of-unity eigenvalue of order m is a root of the m-th
+        cyclotomic polynomial, so phi(m) <= d; phi(m) >= sqrt(m/2) then
+        gives m <= 2d^2, and every such order is covered.
+        """
+        A = self.matrix
         d = self.dimension
-        m = 1
-        while True:
-            if m > 2 * d * d + 6:
-                break
-            if _euler_phi(m) <= d and resultant(cp, cyclotomic(m)) == 0:
+        power = A
+        for m in range(1, 2 * d * d + 7):
+            if m > 1:
+                power = [[sum(p * a for p, a in zip(row, col)) for col in zip(*A)] for row in power]
+            if _det([[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(power)]) == 0:
                 return False
-            m += 1
         return True
 
     def apply(self, x: Sequence[Fraction]) -> list[Fraction]:

@@ -36,7 +36,6 @@ class UsageError(ValueError):
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (default: stdout / derived)")
     parser.add_argument("--format", choices=("csv", "json", "text"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=None)
 
 
@@ -213,16 +212,9 @@ def _cmd_gray(args) -> int:
     start = Block.from_string(args.start, 2) if args.start else None
     n = args.n if start is None else len(start)
     variant = "alternated" if args.variant == "alt" else args.variant
-    if args.l is not None:
-        block = (
-            grayorder.gray_block(n, args.l, start)
-            if variant == "gray"
-            else grayorder.alt_block(n, args.l, start)
-        )
+    ordering = grayorder.GrayOrdering(n, start, variant)
+    for block in ordering if args.l is None else [ordering.block(args.l)]:
         print(block)
-    else:
-        for block in grayorder.GrayOrdering(n, start, variant):
-            print(block)
     return 0
 
 
@@ -235,13 +227,17 @@ def _cmd_verify(args) -> int:
     except experiments.UnknownExperimentError as exc:
         print(f"unknown experiment: {exc}", file=sys.stderr)
         return 2
-    for rep in reports:
-        print("\n".join(rep.summary_lines()))
+    payload = [r.as_dict() for r in reports]
     n_fail = sum(not r.passed for r in reports)
-    print(f"verify: {len(reports) - n_fail}/{len(reports)} experiments passed")
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        for rep in reports:
+            print("\n".join(rep.summary_lines()))
+        print(f"verify: {len(reports) - n_fail}/{len(reports)} experiments passed")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump([r.as_dict() for r in reports], fh, indent=2)
+            json.dump(payload, fh, indent=2)
     return 1 if n_fail else 0
 
 
@@ -283,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", help="ones probability for bernoulli, e.g. 0.2 or 1/5")
     p.add_argument("--r", type=int, default=2, help="alphabet size")
     p.add_argument("--pattern", help="digit pattern for the periodic kind")
+    p.add_argument("--seed", type=int, default=0, help="stream seed for bernoulli and uniform")
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("analyze", help="block statistics of an .nseq prefix")
@@ -314,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--p", required=True, help="ones probability, e.g. 0.2 or 1/5")
     p.add_argument("--mc", type=int, help="Monte-Carlo sample length")
+    p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
     p.set_defaults(fn=_cmd_pnormal)
 
     p = sub.add_parser("algsys", help="mod-p streams, cellular automata, toral orbits")

@@ -763,7 +763,7 @@ def _toral_discrepancy(cfg: dict, report: ExperimentReport) -> None:
             "ergodic-flag",
             result.ergodic,
             True,
-            "no root-of-unity eigenvalue (resultant test)",
+            "no root-of-unity eigenvalue (det(A^m - I) != 0 for m <= 2d^2 + 6)",
             result.ergodic,
             "closed-form",
         )

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError
-from .grayorder import alt_block, reflected_gray
+from .grayorder import GrayOrdering, offset, offset_digit
 from .seqcore import (
     BINARY,
     Alphabet,
@@ -138,13 +138,13 @@ SCHEDULE = LevelSchedule()
 
 @lru_cache(maxsize=None)
 def _kappa_prefix_2048() -> np.ndarray:
-    """First n_3 = 2048 digits, built chunkwise from the alternated orderings."""
+    """First n_3 = 2048 digits: the words of the alternated orderings of
+    levels 1 and 2, each started at the level's prefix."""
     level = np.array([0, 1], dtype=np.uint8)  # the level-1 seed block
     for k in (1, 2):
         n_k = SCHEDULE.value(k)
-        start = Block(tuple(int(b) for b in level))
-        chunks = [alt_block(n_k, l, start).as_array() for l in range(1, 2**n_k + 1)]
-        level = np.concatenate(chunks)
+        words = GrayOrdering(n_k, Block(tuple(int(b) for b in level)), "alternated").words()
+        level = ((words[:, None] >> np.arange(n_k - 1, -1, -1)) & 1).astype(np.uint8).ravel()
     level.setflags(write=False)
     return level
 
@@ -162,16 +162,9 @@ def kappa_digit(p: int) -> int:
         raise DomainError("position beyond the materializable schedule")
     l = ((p - 1) >> e) + 1              # chunk index within the level-(k+1) block
     r = ((p - 1) & ((1 << e) - 1)) + 1  # position within the chunk
-    # chunk l is the l-th Gray block started at the level-k prefix, mirrored
-    # for even l; its bit r differs from prefix bit r by the Gray word bit.
-    bit = kappa_digit(r)
-    g = reflected_gray(l - 1)
-    weight = (1 << e) - r               # bit weight of position r in an n_k-bit word
-    if weight < g.bit_length():
-        bit ^= (g >> weight) & 1
-    if l % 2 == 0:
-        bit ^= 1
-    return bit
+    # chunk l is the l-th word of the alternated ordering started at the
+    # level-k prefix: prefix digit r XOR digit r of the ordering's offset
+    return kappa_digit(r) ^ offset_digit(1 << e, l, r, alternated=True)
 
 
 def _kappa_bulk(start: int, count: int) -> np.ndarray:
@@ -191,19 +184,11 @@ def _kappa_bulk(start: int, count: int) -> np.ndarray:
             out[pos - lo] = kappa_digit(pos)
             pos += 1
             continue
-        n_k = SCHEDULE.value(k)
+        n_k = SCHEDULE.value(k)  # 2048: a whole number of bytes
         l = (pos - 1) // n_k + 1
         chunk_lo = (l - 1) * n_k + 1
-        chunk = prefix[:n_k].copy()
-        g = reflected_gray(l - 1)
-        j = 0
-        while g:
-            if g & 1:
-                chunk[n_k - 1 - j] ^= 1
-            g >>= 1
-            j += 1
-        if l % 2 == 0:
-            chunk ^= 1
+        word = offset(n_k, l, alternated=True).to_bytes(n_k // 8, "big")
+        chunk = prefix[:n_k] ^ np.unpackbits(np.frombuffer(word, dtype=np.uint8))
         a = pos - chunk_lo
         take = min(hi, chunk_lo + n_k - 1) - pos + 1
         out[pos - lo : pos - lo + take] = chunk[a : a + take]

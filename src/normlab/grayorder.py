@@ -1,10 +1,13 @@
 """Random-access Gray-code orderings of the binary blocks of a given length.
 
-The l-th block of the ordering that starts at a block S is
-S XOR reflected-gray(l-1), with the first block coordinate taken as the
-most significant bit of the n-bit Gray word.  `verify_ordering` is the
-exhaustive regression guard for the equivalence of this index formula with
-the recursive prefix/suffix construction.
+The one ordering rule: the l-th word (1-indexed) of the ordering that
+starts at the n-bit word S is S XOR `offset(n, l)`, where the offset is
+reflected-gray(l-1), complemented for even l in the alternated variant.
+The first block coordinate is the most significant bit of the word.
+`GrayOrdering` validates one (n, start, variant) and reads its blocks
+through the rule; `verify_ordering` is the exhaustive regression guard that
+runs the same rule over all 2^n indices and checks distinctness, unit
+Hamming steps and the recursive prefix/suffix structure.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import BudgetError
-from .seqcore import Block, LengthError
+from .seqcore import AlphabetError, Block, LengthError
 
 VERIFY_BUDGET_BITS = 20
 
@@ -26,43 +31,95 @@ class IndexRangeError(ValueError):
     pass
 
 
-def reflected_gray(j: int) -> int:
+def reflected_gray(j):
     """Gray code of the counter value j."""
     return j ^ (j >> 1)
 
 
-def _as_int(block: Block) -> int:
-    return block.encode()
+def offset(n: int, l, alternated: bool = False):
+    """XOR offset of the l-th word (1-indexed) from the start word.
+
+    Works on an int or elementwise on an int64 array of indices (n <= 62).
+    """
+    g = reflected_gray(l - 1)
+    if alternated:
+        g = g ^ ((~l & 1) * ((1 << n) - 1))
+    return g
 
 
-def _as_block(word: int, n: int) -> Block:
-    return Block.from_code(word, n, 2)
+def offset_digit(n: int, l: int, i: int, alternated: bool = False) -> int:
+    """Digit i (1 = most significant) of offset(n, l, alternated), without
+    building the n-bit word, so n may be astronomically large."""
+    bit = (reflected_gray(l - 1) >> (n - i)) & 1
+    return bit ^ (~l & 1) if alternated else bit
+
+
+@dataclass(frozen=True)
+class GrayOrdering:
+    """One ordering of the binary blocks of length n, random access by index.
+
+    The one place an ordering is validated: a known variant, n >= 1, even n
+    for the alternated variant (mirroring moves a block an even number of
+    steps along the ordering, so the alternated list is again an ordering),
+    and a binary start block of length n (default all zeros).
+    """
+
+    n: int
+    start: Optional[Block] = None
+    variant: str = "gray"
+
+    def __post_init__(self):
+        if self.variant not in ("gray", "alternated"):
+            raise ValueError(f"unknown variant {self.variant!r}")
+        if self.n < 1:
+            raise LengthError("block length must be >= 1")
+        if self.alternated and self.n % 2 != 0:
+            raise ParityError(f"alternated ordering needs even block length, got {self.n}")
+        if self.start is not None:
+            if len(self.start) != self.n:
+                raise LengthError(f"start block has length {len(self.start)}, expected {self.n}")
+            if self.start.alphabet.size != 2:
+                raise AlphabetError("start block must be binary")
+
+    @property
+    def alternated(self) -> bool:
+        return self.variant == "alternated"
+
+    @property
+    def start_word(self) -> int:
+        return 0 if self.start is None else self.start.encode()
+
+    def __len__(self) -> int:
+        return 2**self.n
+
+    def word(self, l: int) -> int:
+        if not 1 <= l <= 2**self.n:
+            raise IndexRangeError(f"index {l} outside [1, 2^{self.n}]")
+        return self.start_word ^ offset(self.n, l, self.alternated)
+
+    def words(self) -> np.ndarray:
+        """All 2^n words in order as int64; n <= VERIFY_BUDGET_BITS."""
+        if self.n > VERIFY_BUDGET_BITS:
+            raise BudgetError(f"exhaustive check budget is n <= {VERIFY_BUDGET_BITS}")
+        index = np.arange(1, 2**self.n + 1, dtype=np.int64)
+        return self.start_word ^ offset(self.n, index, self.alternated)
+
+    def block(self, l: int) -> Block:
+        return Block.from_code(self.word(l), self.n, 2)
+
+    def __iter__(self):
+        for l in range(1, 2**self.n + 1):
+            yield self.block(l)
 
 
 def gray_block(n: int, l: int, start: Optional[Block] = None) -> Block:
     """l-th block (1-indexed) of the ordering of {0,1}^n beginning at start."""
-    if n < 1:
-        raise LengthError("block length must be >= 1")
-    if not 1 <= l <= 2**n:
-        raise IndexRangeError(f"index {l} outside [1, 2^{n}]")
-    base = 0
-    if start is not None:
-        if len(start) != n:
-            raise LengthError(f"start block has length {len(start)}, expected {n}")
-        base = _as_int(start)
-    return _as_block(base ^ reflected_gray(l - 1), n)
+    return GrayOrdering(n, start).block(l)
 
 
 def alt_block(n: int, l: int, start: Optional[Block] = None) -> Block:
-    """Tilde-alternated ordering: gray_block for odd l, its mirror for even l.
-
-    Defined for even n only (mirroring moves a block an even number of steps
-    along the ordering, so the alternated list is again an ordering).
-    """
-    if n % 2 != 0:
-        raise ParityError(f"alternated ordering needs even block length, got {n}")
-    b = gray_block(n, l, start)
-    return b.mirror() if l % 2 == 0 else b
+    """Tilde-alternated ordering: gray_block for odd l, its mirror for even l."""
+    return GrayOrdering(n, start, "alternated").block(l)
 
 
 @dataclass
@@ -95,91 +152,49 @@ def verify_ordering(n: int, start: Optional[Block] = None, variant: str = "gray"
     enumerate all of {0,1}^i.
     variant="alternated": the outputs are a permutation of {0,1}^n (even n).
     """
-    if variant not in ("gray", "alternated"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if n > VERIFY_BUDGET_BITS:
-        raise BudgetError(f"exhaustive check budget is n <= {VERIFY_BUDGET_BITS}")
-    if variant == "alternated" and n % 2 != 0:
-        raise ParityError("alternated ordering needs even n")
+    ordering = GrayOrdering(n, start, variant)
+    return _check_words(ordering.words(), n, variant, ordering.start_word)
 
-    base = _as_int(start) if start is not None else 0
-    if start is not None and len(start) != n:
-        raise LengthError(f"start block has length {len(start)}, expected {n}")
-    size = 2**n
-    if variant == "gray":
-        words = [base ^ reflected_gray(j) for j in range(size)]
-    else:
-        mask = size - 1
-        words = [
-            (base ^ reflected_gray(j)) ^ (mask if j % 2 == 1 else 0)
-            for j in range(size)
-        ]
 
+def _check_words(words: np.ndarray, n: int, variant: str, start: int) -> OrderingReport:
+    """The report of `verify_ordering` for any int64 array of 2^n n-bit words."""
+    size = 1 << n
     failures: list[str] = []
-    distinct = len(set(words)) == size
+    distinct = len(np.unique(words)) == size
     if not distinct:
         failures.append("outputs are not distinct")
-    bijection = distinct  # distinct n-bit words of the right count = permutation
 
     unit_hamming: Optional[bool] = None
     nested: Optional[bool] = None
     if variant == "gray":
-        unit_hamming = True
-        for a, b in zip(words, words[1:]):
-            diff = a ^ b
-            if diff == 0 or diff & (diff - 1):
-                unit_hamming = False
-                failures.append(f"neighbors {a:0{n}b}, {b:0{n}b} differ in != 1 place")
-                break
+        diff = words[1:] ^ words[:-1]
+        bad = np.flatnonzero((diff == 0) | (diff & (diff - 1) != 0))
+        unit_hamming = not len(bad)
+        if not unit_hamming:
+            a, b = int(words[bad[0]]), int(words[bad[0] + 1])
+            failures.append(f"neighbors {a:0{n}b}, {b:0{n}b} differ in != 1 place")
         nested = True
+        index = np.arange(size, dtype=np.int64)
         for i in range(1, n):
             group = 1 << i
-            suffix_mask = group - 1
-            for j in range(size // group):
-                chunk = words[j * group : (j + 1) * group]
-                prefixes = {w >> i for w in chunk}
-                suffixes = {w & suffix_mask for w in chunk}
-                if len(prefixes) != 1 or len(suffixes) != group:
-                    nested = False
-                    failures.append(f"suffix structure broken at i={i}, group {j}")
-                    break
-            if not nested:
+            prefixes = (words >> i).reshape(-1, group)
+            # (group, suffix) keys: every group holds every suffix once iff
+            # each of the 2^n keys occurs exactly once
+            keys = (index & -group) | (words & (group - 1))
+            suffixes_bad = np.bincount(keys, minlength=size).reshape(-1, group) != 1
+            bad = np.flatnonzero((prefixes != prefixes[:, :1]).any(axis=1) | suffixes_bad.any(axis=1))
+            if len(bad):
+                nested = False
+                failures.append(f"suffix structure broken at i={i}, group {bad[0]}")
                 break
 
     return OrderingReport(
         n=n,
         variant=variant,
-        start=f"{base:0{n}b}",
+        start=f"{start:0{n}b}",
         all_distinct=distinct,
         unit_hamming=unit_hamming,
         nested_suffixes=nested,
-        bijection=bijection,
+        bijection=distinct,  # distinct n-bit words of the right count = permutation
         failures=failures,
     )
-
-
-@dataclass(frozen=True)
-class GrayOrdering:
-    """One ordering of the binary blocks of length n, random access by index."""
-
-    n: int
-    start: Optional[Block] = None
-    variant: str = "gray"
-
-    def __post_init__(self):
-        if self.variant not in ("gray", "alternated"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "alternated" and self.n % 2 != 0:
-            raise ParityError("alternated ordering needs even n")
-
-    def __len__(self) -> int:
-        return 2**self.n
-
-    def block(self, l: int) -> Block:
-        if self.variant == "gray":
-            return gray_block(self.n, l, self.start)
-        return alt_block(self.n, l, self.start)
-
-    def __iter__(self):
-        for l in range(1, 2**self.n + 1):
-            yield self.block(l)

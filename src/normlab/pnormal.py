@@ -15,8 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .bitarith import stream_carry_add
-from .errors import DataQualityError, DomainError
+from .errors import BudgetError, DataQualityError, DomainError
 from .generators import bernoulli_stream, derive_seed
+
+MC_BUDGET_BITS = 22  # Monte-Carlo samples cost about 63 bytes each
 
 
 def _check_p(p) -> Fraction:
@@ -104,6 +106,8 @@ def monte_carlo_carry_sum(
     pf = _check_p(p)
     if N < 10**3:
         raise DomainError("need at least 10^3 digits for the tallies")
+    if N > 1 << MC_BUDGET_BITS:
+        raise BudgetError(f"Monte-Carlo budget is N <= 2^{MC_BUDGET_BITS}")
     M = N + lookahead_cap
     s1 = bernoulli_stream(pf, derive_seed(seed, "carry-sum/left"), M)
     s2 = bernoulli_stream(pf, derive_seed(seed, "carry-sum/right"), M)

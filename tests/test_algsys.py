@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +13,8 @@ from normlab.algsys import (
     ModulusError,
     ToralMap,
     apply_ca,
-    charpoly,
-    cyclotomic,
     modp_add,
     modp_neg,
-    resultant,
     toral_orbit,
 )
 from normlab.seqcore import SymbolicSequence
@@ -96,30 +95,6 @@ def test_ca_commutes_with_shift(bits):
     assert shifted_then_ca.prefix(n).tolist() == ca_then_shifted
 
 
-# -- polynomials -------------------------------------------------------------
-
-
-def test_charpoly_known():
-    assert charpoly([[2, 1], [1, 1]]) == [1, -3, 1]
-    assert charpoly([[2, 0], [0, 2]]) == [4, -4, 1]
-
-
-def test_cyclotomic_table():
-    assert cyclotomic(1) == [-1, 1]
-    assert cyclotomic(2) == [1, 1]
-    assert cyclotomic(3) == [1, 1, 1]
-    assert cyclotomic(4) == [1, 0, 1]
-    assert cyclotomic(6) == [1, -1, 1]
-    assert cyclotomic(12) == [1, 0, -1, 0, 1]
-
-
-def test_resultant_shared_root():
-    # (x-1)(x-2) and (x-1)(x-3) share the root 1
-    assert resultant([2, -3, 1], [3, -4, 1]) == 0
-    # (x-1)(x-2) and (x-3)(x-4) share nothing
-    assert resultant([2, -3, 1], [12, -7, 1]) != 0
-
-
 # -- toral maps --------------------------------------------------------------
 
 
@@ -156,6 +131,61 @@ def test_ergodicity_flags():
     assert ToralMap.from_rows([[3]]).is_ergodic()
     assert not ToralMap.from_rows([[1]]).is_ergodic()
     assert not ToralMap.from_rows([[-1]]).is_ergodic()
+
+
+def test_determinant_spot_values():
+    assert ToralMap.from_rows([[-7]]).determinant() == -7
+    assert ToralMap.from_rows([[2, 1], [1, 1]]).determinant() == 1
+    assert ToralMap.from_rows([[0, 1], [1, 0]]).determinant() == -1  # pivot swap
+    assert ToralMap.from_rows([[2, 0, 1], [1, 3, 2], [1, 1, 2]]).determinant() == 6
+    assert ToralMap.from_rows([[0, 0, 0, 2], [0, 0, 3, 0], [0, 5, 0, 0], [7, 0, 0, 0]]).determinant() == 210
+    assert ToralMap.from_rows([[1, 2, 3, 4], [2, 3, 4, 1], [3, 4, 1, 2], [4, 1, 2, 3]]).determinant() == 160
+
+
+def _leibniz_det(rows):
+    d = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(d))
+    return total
+
+
+def _divides(a, b):
+    """Whether the monic integer polynomial b divides a (ascending coefficients)."""
+    a = list(a)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1]
+        for j, bj in enumerate(b):
+            a[i + j] -= c * bj
+    return not any(a)
+
+
+# the cyclotomic polynomials of degree <= 3, ascending: Phi_1, Phi_2, Phi_3, Phi_4, Phi_6
+_CYCLOTOMIC_DEG_LE_3 = ([-1, 1], [1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1])
+
+
+def _charpoly(rows):
+    """det(xI - A) for d <= 3 from the trace and the principal minors."""
+    d = len(rows)
+    minors = [
+        _leibniz_det([[rows[i][j] for j in idx] for i in idx])
+        for idx in itertools.combinations(range(d), 2)
+    ]
+    sums = [1, sum(rows[i][i] for i in range(d)), sum(minors), _leibniz_det(rows)]
+    return [(-1) ** k * sums[k] for k in range(d, -1, -1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_determinant_and_ergodicity_match_charpoly_reference(data):
+    d = data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d))
+    tm = _nonsingular(rows)
+    assume(tm is not None)
+    assert tm.determinant() == _leibniz_det(rows)
+    cp = _charpoly(rows)
+    assert tm.is_ergodic() == (not any(_divides(cp, phi) for phi in _CYCLOTOMIC_DEG_LE_3))
 
 
 def test_singular_matrix_rejected():

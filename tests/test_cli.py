@@ -188,3 +188,24 @@ def test_data_quality_error_is_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(pnormal, "carry_sum_stats", ambiguous)
     assert main(["pnormal", "--p", "1/5"]) == 2
     assert capsys.readouterr().err.strip() == "error: ambiguity rate 0.5000 exceeds 0.0100"
+
+
+def test_verify_format_json_prints_the_reports(tmp_path, capsys):
+    out = tmp_path / "reports.json"
+    assert main(["verify", "--name", "z-prefix-digits", "--format", "json", "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in printed] == ["z-prefix-digits"]
+    assert printed == json.loads(out.read_text())
+
+
+def test_seed_only_where_it_is_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--name", "z-prefix-digits", "--seed", "5"])
+    assert exc.value.code == 2
+    assert main(["pnormal", "--p", "1/5", "--seed", "5"]) == 0
+
+
+def test_pnormal_mc_budget(capsys):
+    assert main(["pnormal", "--p", "1/5", "--mc", "100000000"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0] == "error: Monte-Carlo budget is N <= 2^22"

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normlab.experiments import _pair_block_counts
+from normlab.experiments import _pair_block_counts, load_manifest, run_experiment
 from normlab.seqcore import Block, SymbolicSequence, joint_frequency, prefix_frequency
 
 
@@ -24,3 +24,10 @@ def test_pair_block_counts_match_frequencies(data):
                 B2 = Block.from_code(c2, blen, 2)
                 got = Fraction(int(joint[(c1 << blen) + c2]), W)
                 assert got == joint_frequency(s1, s2, B1, B2, N)
+
+
+def test_xy_switch_decay_matches_recorded_curve():
+    recorded = load_manifest()["experiments"]["xy-switch-decay"]["recorded_curve"]
+    rep = run_experiment("xy-switch-decay")
+    curve = next(c.measured for c in rep.checks if c.name == "curve-nonincreasing")
+    assert [round(v, 6) for v in curve] == recorded

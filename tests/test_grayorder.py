@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +8,11 @@ from normlab.grayorder import (
     GrayOrdering,
     IndexRangeError,
     ParityError,
+    _check_words,
     alt_block,
     gray_block,
+    offset,
+    offset_digit,
     verify_ordering,
 )
 from normlab.seqcore import Block, LengthError, mirror
@@ -109,3 +113,88 @@ def test_alternated_bijection_even_lengths(n, start_code):
 def test_ordering_iterator_matches_indexing():
     ordering = GrayOrdering(4, B("0110"))
     assert [str(b) for b in ordering] == [str(gray_block(4, l, B("0110"))) for l in range(1, 17)]
+
+
+def _loop_report(words, n, variant):
+    """The per-word loops the exhaustive guard ran before it was vectorised."""
+    size = 2**n
+    failures = []
+    distinct = len(set(words)) == size
+    if not distinct:
+        failures.append("outputs are not distinct")
+    unit_hamming = nested = None
+    if variant == "gray":
+        unit_hamming = True
+        for a, b in zip(words, words[1:]):
+            diff = a ^ b
+            if diff == 0 or diff & (diff - 1):
+                unit_hamming = False
+                failures.append(f"neighbors {a:0{n}b}, {b:0{n}b} differ in != 1 place")
+                break
+        nested = True
+        for i in range(1, n):
+            group = 1 << i
+            for j in range(size // group):
+                chunk = words[j * group : (j + 1) * group]
+                if len({w >> i for w in chunk}) != 1 or len({w & (group - 1) for w in chunk}) != group:
+                    nested = False
+                    failures.append(f"suffix structure broken at i={i}, group {j}")
+                    break
+            if not nested:
+                break
+    return distinct, unit_hamming, nested, failures
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 8),
+    st.sampled_from(["gray", "alternated"]),
+    st.integers(0, 255),
+    st.sampled_from(["none", "swap", "duplicate", "flip"]),
+    st.integers(0, 255),
+    st.integers(0, 255),
+)
+def test_vectorised_checks_match_loop_on_corrupted_words(n, variant, start_code, corruption, a, b):
+    if variant == "alternated" and n % 2:
+        n += 1
+    size = 2**n
+    ordering = GrayOrdering(n, Block.from_code(start_code % size, n, 2), variant)
+    words = ordering.words().tolist()
+    assert words == [ordering.word(l) for l in range(1, size + 1)]
+    j, k = a % size, b % size
+    if corruption == "swap":
+        j = min(j, size - 2)
+        words[j], words[j + 1] = words[j + 1], words[j]
+    elif corruption == "duplicate":
+        words[j] = words[k if k != j else (j + 1) % size]
+    elif corruption == "flip":
+        words[j] ^= 1 << (k % n)
+    rep = _check_words(np.array(words, dtype=np.int64), n, variant, ordering.start_word)
+    distinct, unit_hamming, nested, failures = _loop_report(words, n, variant)
+    assert (rep.all_distinct, rep.bijection) == (distinct, distinct)
+    assert (rep.unit_hamming, rep.nested_suffixes, rep.failures) == (unit_hamming, nested, failures)
+    if corruption in ("duplicate", "flip"):
+        assert not rep.passed
+
+
+def test_verify_ordering_reports_a_broken_ordering():
+    words = GrayOrdering(3).words()
+    words[[1, 2]] = words[[2, 1]]  # 000 011 001 010 ...
+    rep = _check_words(words, 3, "gray", 0)
+    assert rep.all_distinct and not rep.unit_hamming and not rep.nested_suffixes
+    assert rep.failures == [
+        "neighbors 000, 011 differ in != 1 place",
+        "suffix structure broken at i=1, group 0",
+    ]
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 62), st.integers(0, 2**62 - 1), st.integers(1, 62), st.booleans())
+def test_offset_digit_matches_offset_bits(n, l, i, alternated):
+    if alternated and n % 2:
+        n += 1 if n < 62 else -1
+    l = 1 + l % 2**n
+    i = 1 + (i - 1) % n
+    word = offset(n, l, alternated)
+    assert offset_digit(n, l, i, alternated) == (word >> (n - i)) & 1
+    assert int(offset(n, np.array([l], dtype=np.int64), alternated)[0]) == word

@@ -18,7 +18,7 @@ def main() -> int:
     max_log2 = int(sys.argv[1]) if len(sys.argv) > 1 else 20
     out = sys.argv[2] if len(sys.argv) > 2 else None
     N = 1 << max_log2
-    shifts = [0] + SCHEDULE.finite_sums().elements_up_to(N)
+    shifts = [0] + SCHEDULE.finite_sums(N)
     total = shifted_sum(kappa_sequence(), shifts, N, 64)
     digits = total.fraction_digits(N, certified_only=False)
     lines = ["prefix_length,switch_density"]

@@ -54,12 +54,6 @@ def modp_add(s1: SymbolicSequence, s2: SymbolicSequence, N: int) -> SymbolicSequ
     return SymbolicSequence.from_array(((a + b) % p), r=p, name="modp-add")
 
 
-def modp_neg(s: SymbolicSequence, N: int) -> SymbolicSequence:
-    p = s.alphabet.size
-    arr = s.digits(1, N).astype(np.int64)
-    return SymbolicSequence.from_array((-arr) % p, r=p, name="modp-neg")
-
-
 # ---------------------------------------------------------------------------
 # linear cellular automata
 
@@ -76,11 +70,6 @@ class LinearCA:
             raise ModulusError(f"modulus must be prime, got {self.p}")
         if not self.coeffs:
             raise ValueError("need at least one coefficient")
-
-    @property
-    def is_shift_dependent(self) -> bool:
-        """True when some positive-index coefficient is nonzero mod p."""
-        return any(c % self.p for c in self.coeffs[1:])
 
     @property
     def reach(self) -> int:
@@ -183,14 +172,6 @@ class ToralMap:
             if _det([[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(power)]) == 0:
                 return False
         return True
-
-    def apply(self, x: Sequence[Fraction]) -> list[Fraction]:
-        d = self.dimension
-        out = []
-        for i in range(d):
-            v = sum(Fraction(self.matrix[i][j]) * x[j] for j in range(d))
-            out.append(v - (v.numerator // v.denominator))  # mod 1
-        return out
 
 
 class OrbitPoints(Sequence):

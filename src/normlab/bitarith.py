@@ -62,17 +62,6 @@ class FixedPointNumber:
         return cls(0, N + G, G)
 
     @classmethod
-    def from_fraction(cls, value, N: int, G: int = DEFAULT_GUARD_BITS) -> "FixedPointNumber":
-        """Round a rational toward zero at N+G fractional bits (err <= 1 ulp,
-        0 when the value is an exactly representable dyadic)."""
-        v = Fraction(value)
-        sign = 1 if v >= 0 else -1
-        v = abs(v)
-        F = N + G
-        mant, rem = divmod(v.numerator << F, v.denominator)
-        return cls(mant, F, G, sign, 0 if rem == 0 else 1)
-
-    @classmethod
     def from_sequence(
         cls,
         seq: SymbolicSequence,
@@ -153,9 +142,6 @@ class FixedPointNumber:
         raw = word.to_bytes((count + 7) // 8, "big")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
         return bits[-count:]
-
-    def with_error(self, err_ulps: int) -> "FixedPointNumber":
-        return FixedPointNumber(self.mant, self.frac_bits, self.guard_bits, self.sign, err_ulps)
 
     def __repr__(self) -> str:
         ip = self.integer_part()

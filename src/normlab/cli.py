@@ -1,15 +1,14 @@
 """Command-line front end.
 
 Subcommands: generate, analyze, arith, pnormal, algsys, gray, verify,
-experiment.  Exit codes: 0 pass, 1 failed check, 2 usage error.
-NORMLAB_THREADS overrides --threads.
+experiment.  Each accepts only the flags it reads.  Exit codes: 0 pass,
+1 failed check, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -31,19 +30,6 @@ from .seqcore import Block, SymbolicSequence, read_nseq, write_nseq
 
 class UsageError(ValueError):
     """A missing or inconsistent option; main() reports it and exits 2."""
-
-
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="output path (default: stdout / derived)")
-    parser.add_argument("--format", choices=("csv", "json", "text"), default="text")
-    parser.add_argument("--threads", type=int, default=None)
-
-
-def _threads(args) -> int:
-    env = os.environ.get("NORMLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, args.threads or 1)
 
 
 def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
@@ -174,7 +160,17 @@ def _cmd_pnormal(args) -> int:
     return 0
 
 
+_ALGSYS_NEEDS = {
+    "modp-add": (("infile", "--in"), ("infile2", "--in2")),
+    "ca": (("infile", "--in"),),
+    "orbit": (("matrix", "--matrix"), ("x0", "--x0")),
+}
+
+
 def _cmd_algsys(args) -> int:
+    for dest, flag in _ALGSYS_NEEDS[args.op]:
+        if getattr(args, dest) is None:
+            raise UsageError(f"algsys {args.op} needs {flag}")
     if args.op == "modp-add":
         s1 = read_nseq(args.infile)
         s2 = read_nseq(args.infile2)
@@ -191,9 +187,6 @@ def _cmd_algsys(args) -> int:
         write_nseq(path, out, count=args.n)
         print(f"wrote {args.n} digits to {path}")
     elif args.op == "orbit":
-        for value, flag in ((args.matrix, "--matrix"), (args.x0, "--x0")):
-            if value is None:
-                raise UsageError(f"algsys orbit needs {flag}")
         matrix = json.loads(args.matrix)
         tmap = algsys.ToralMap.from_rows(matrix)
         x0 = [Fraction(c) for c in args.x0.split(",")]
@@ -223,7 +216,7 @@ def _cmd_verify(args) -> int:
     if args.all:
         names = None
     try:
-        reports = experiments.verify(names, threads=_threads(args))
+        reports = experiments.verify(names)
     except experiments.UnknownExperimentError as exc:
         print(f"unknown experiment: {exc}", file=sys.stderr)
         return 2
@@ -267,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a generated digit sequence as .nseq")
-    _common(p)
+    p.add_argument("--out", help="output path (default: KIND.nseq)")
     p.add_argument(
         "--kind",
         required=True,
@@ -283,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("analyze", help="block statistics of an .nseq prefix")
-    _common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p.add_argument("--op", required=True, choices=("entropy", "complexity", "goodness", "switches", "profile"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--L", type=int, help="prefix length (default: whole file)")
@@ -294,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("arith", help="fixed-point arithmetic on .nseq fraction digits")
-    _common(p)
+    p.add_argument("--out", help="output path (default: OP.nseq, plus OP.nseq.json)")
     p.add_argument("--op", dest="op", required=True, choices=("add", "mul", "mulq", "neg", "shiftsum"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--in2", dest="infile2")
@@ -308,14 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_arith)
 
     p = sub.add_parser("pnormal", help="carry-sum closed forms and Monte-Carlo check")
-    _common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p.add_argument("--p", required=True, help="ones probability, e.g. 0.2 or 1/5")
     p.add_argument("--mc", type=int, help="Monte-Carlo sample length")
     p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
     p.set_defaults(fn=_cmd_pnormal)
 
     p = sub.add_parser("algsys", help="mod-p streams, cellular automata, toral orbits")
-    _common(p)
+    p.add_argument("--out", help="output path (default: stdout, or OP.nseq for modp-add and ca)")
+    p.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p.add_argument("op", choices=("modp-add", "ca", "orbit"))
     p.add_argument("--in", dest="infile")
     p.add_argument("--in2", dest="infile2")
@@ -330,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_algsys)
 
     p = sub.add_parser("gray", help="emit Gray-code orderings as text")
-    _common(p)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--start", help="start block, e.g. 01111000")
     p.add_argument("--variant", choices=("gray", "alt", "alternated"), default="gray")
@@ -338,13 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gray)
 
     p = sub.add_parser("verify", help="run the acceptance experiment suite")
-    _common(p)
+    p.add_argument("--out", help="also write the reports as JSON to this path")
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--all", action="store_true", help="run every registered experiment")
     p.add_argument("--name", dest="names", action="append", help="run one experiment (repeatable)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("experiment", help="run a single named experiment")
-    _common(p)
+    p.add_argument("--out", help="also write the report as JSON to this path")
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--name", required=True)
     p.add_argument("--config", help="JSON overrides for the manifest parameters")
     p.set_defaults(fn=_cmd_experiment)

@@ -40,6 +40,11 @@ class UnknownExperimentError(KeyError):
     pass
 
 
+class ConfigError(ValueError):
+    """An override that is no parameter of the experiment's manifest entry,
+    or that changes the JSON type of one."""
+
+
 def load_manifest() -> dict:
     with resources.files("normlab").joinpath("tolerances.json").open("rb") as fh:
         return json.load(fh)
@@ -120,12 +125,26 @@ def experiment_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def _check_overrides(name: str, config: dict, overrides) -> None:
+    """Each override must name a manifest parameter of the experiment and
+    keep its JSON type; an integer may stand where the manifest has a float."""
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"config overrides must be a JSON object, got {overrides!r}")
+    for key, value in overrides.items():
+        if key not in config:
+            raise ConfigError(f"{name} has no parameter {key!r}; known: {', '.join(sorted(config))}")
+        want, got = type(config[key]), type(value)
+        if got is not want and not (want is float and got is int):
+            raise ConfigError(f"{name} parameter {key!r} must be {want.__name__}, got {value!r}")
+
+
 def run_experiment(name: str, overrides: Optional[dict] = None) -> ExperimentReport:
     if name not in _REGISTRY:
         raise UnknownExperimentError(name)
     manifest = load_manifest()
     config = dict(manifest["experiments"].get(name, {}))
-    if overrides:
+    if overrides is not None:
+        _check_overrides(name, config, overrides)
         config.update(overrides)
     report = ExperimentReport(name=name, parameters=config, content_hash=_content_hash(config))
     t0 = time.perf_counter()
@@ -137,9 +156,10 @@ def run_experiment(name: str, overrides: Optional[dict] = None) -> ExperimentRep
 def verify(names: Optional[list[str]] = None, threads: int = 1) -> list[ExperimentReport]:
     """Run the named experiments (all when None) one after another.
 
-    `threads` is accepted for compatibility and ignored: the experiments are
-    bigint and Fraction work that holds the interpreter lock, so a thread
-    pool measured no faster than a serial run.
+    `threads` is ignored; it stays only because the perfbench harness
+    calls `verify(names, threads=1)`.  The experiments are bigint and
+    Fraction work that holds the interpreter lock, so a thread pool
+    measured no faster than a serial run.
     """
     todo = names if names is not None else experiment_names()
     for n in todo:
@@ -289,7 +309,7 @@ def _z_switch_half(cfg: dict, report: ExperimentReport) -> None:
 
 
 def _xy_digits(N: int, G: int) -> np.ndarray:
-    shifts = [0] + SCHEDULE.finite_sums().elements_up_to(N)
+    shifts = [0] + SCHEDULE.finite_sums(N)
     xy = shifted_sum(kappa_sequence(), shifts, N, G)
     return xy.fraction_digits(N, certified_only=False)
 

@@ -2,9 +2,8 @@
 
 Provides the Gray-ordered Champernowne-like normal sequence kappa, the
 sparse indicator number y and its reciprocal partner v, seeded Bernoulli
-surrogates, the Champernowne reference, and periodic-on-an-index-set
-fillers.  Every generator is deterministic: identical parameters yield
-identical digit functions.
+surrogates and the Champernowne reference.  Every generator is
+deterministic: identical parameters yield identical digit functions.
 """
 
 from __future__ import annotations
@@ -12,19 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
 from .grayorder import GrayOrdering, offset, offset_digit
-from .seqcore import (
-    BINARY,
-    Alphabet,
-    Block,
-    IndexSet,
-    SymbolicSequence,
-)
+from .seqcore import BINARY, Alphabet, Block, SymbolicSequence
 
 
 # ---------------------------------------------------------------------------
@@ -108,25 +101,24 @@ class LevelSchedule:
                 v -= nk
         return v == 0
 
-    def finite_sums(self) -> IndexSet:
-        """S = {0} union FS((n_k)) restricted to positive positions.
+    def finite_sums(self, n: int) -> list[int]:
+        """The positive elements up to n of S = {0} union FS((n_k)), ascending.
 
         (0 belongs to the set but is not a 1-indexed position; membership
         queries at 0 still answer True via `finite_sum_contains`.)
-        The enumerable view covers sums of materializable levels, which is
-        every element below n_{depth}; superincreasing levels make
-        subset-mask numeric order equal to sum order.
+        Sums of the materializable levels cover every element below
+        n_{depth}; superincreasing levels make subset-mask numeric order
+        equal to sum order, so the enumeration stops at the first sum above n.
         """
-        values = []
-        for k in range(1, self.depth + 1):
-            if self.exponent(k) <= self._VALUE_EXP_CAP:
-                values.append(self.value(k))
-
-        def it():
-            for mask in range(1, 1 << len(values)):
-                yield sum(values[i] for i in range(len(values)) if mask >> i & 1)
-
-        return IndexSet(self.finite_sum_contains, it, finite=True, name="FS(levels)")
+        levels = range(1, self.depth + 1)
+        values = [self.value(k) for k in levels if self.exponent(k) <= self._VALUE_EXP_CAP]
+        sums = []
+        for mask in range(1, 1 << len(values)):
+            s = sum(v for i, v in enumerate(values) if mask >> i & 1)
+            if s > n:
+                break
+            sums.append(s)
+        return sums
 
 
 SCHEDULE = LevelSchedule()
@@ -220,7 +212,7 @@ def y_digit(p: int) -> int:
 def _y_bulk(start: int, count: int) -> np.ndarray:
     out = np.zeros(count, dtype=np.uint8)
     hi = start + count - 1
-    for s in SCHEDULE.finite_sums().elements_up_to(hi):
+    for s in SCHEDULE.finite_sums(hi):
         if s >= start:
             out[s - start] = 1
     return out
@@ -395,34 +387,6 @@ def champernowne_digits(r: int, N: int) -> SymbolicSequence:
         return arr[start - 1 : start - 1 + count].copy()
 
     return SymbolicSequence(bulk, Alphabet(r), horizon=N, name=f"champernowne(r={r})")
-
-
-def periodic_sparse(
-    pattern: Block,
-    S: IndexSet,
-    filler: Union[int, Callable[[int], int]] = 0,
-) -> SymbolicSequence:
-    """Digits along S cycle through `pattern`; digits off S follow `filler`
-    (a constant digit or a position -> digit rule)."""
-    if len(pattern) < 1:
-        raise DomainError("pattern must be nonempty")
-    pat = pattern.digits
-    L = len(pat)
-    fill_fn = filler if callable(filler) else (lambda p: filler)
-
-    def bulk(start: int, count: int) -> np.ndarray:
-        hi = start + count - 1
-        out = np.fromiter(
-            (fill_fn(p) for p in range(start, hi + 1)),
-            dtype=np.uint8 if pattern.alphabet.size <= 256 else np.uint32,
-            count=count,
-        )
-        for k, s in enumerate(S.elements_up_to(hi), start=1):
-            if s >= start:
-                out[s - start] = pat[(k - 1) % L]
-        return out
-
-    return SymbolicSequence(bulk, pattern.alphabet, name="periodic-sparse")
 
 
 # ---------------------------------------------------------------------------

@@ -108,18 +108,9 @@ class GrayOrdering:
         return Block.from_code(self.word(l), self.n, 2)
 
     def __iter__(self):
-        for l in range(1, 2**self.n + 1):
-            yield self.block(l)
-
-
-def gray_block(n: int, l: int, start: Optional[Block] = None) -> Block:
-    """l-th block (1-indexed) of the ordering of {0,1}^n beginning at start."""
-    return GrayOrdering(n, start).block(l)
-
-
-def alt_block(n: int, l: int, start: Optional[Block] = None) -> Block:
-    """Tilde-alternated ordering: gray_block for odd l, its mirror for even l."""
-    return GrayOrdering(n, start, "alternated").block(l)
+        """All 2^n blocks in order, under the same budget as `words`."""
+        for word in self.words().tolist():
+            yield Block.from_code(word, self.n, 2)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Alphabets, blocks, symbolic sequences, index sets, and occurrence counting.
+"""Alphabets, blocks, symbolic sequences, and occurrence counting.
 
 Positions are 1-indexed throughout.  Counts and frequencies are exact
 rationals (`fractions.Fraction`); callers convert to float only for display.
@@ -9,9 +9,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count as _count
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -97,18 +95,8 @@ class Block:
             code = code * self.alphabet.size + d
         return code
 
-    def mirror(self) -> "Block":
-        if self.alphabet.size != 2:
-            raise AlphabetError("mirror is defined for the binary alphabet only")
-        return Block(tuple(1 - d for d in self.digits), self.alphabet)
-
     def as_array(self) -> np.ndarray:
         return np.array(self.digits, dtype=_dtype_for(self.alphabet.size))
-
-
-def mirror(block: Block) -> Block:
-    """Bitwise complement of a binary block."""
-    return block.mirror()
 
 
 class SymbolicSequence:
@@ -198,91 +186,6 @@ class SymbolicSequence:
         return cls.periodic([digit], r=r, name=name or f"constant({digit})")
 
 
-class IndexSet:
-    """Subset of the positive integers with a sorted enumerable view."""
-
-    def __init__(
-        self,
-        contains: Callable[[int], bool],
-        iterator_factory: Callable[[], Iterator[int]],
-        finite: bool = False,
-        name: str = "",
-    ):
-        self._contains = contains
-        self._iterator_factory = iterator_factory
-        self.finite = finite
-        self.name = name
-
-    def __contains__(self, p: int) -> bool:
-        return p >= 1 and self._contains(p)
-
-    def __iter__(self) -> Iterator[int]:
-        return self._iterator_factory()
-
-    def element(self, k: int) -> int:
-        """k-th smallest element, 1-indexed."""
-        if k < 1:
-            raise IndexError("element index is 1-based")
-        for i, p in enumerate(self, start=1):
-            if i == k:
-                return p
-        raise IndexError(f"index set exhausted before element {k}")
-
-    def elements_up_to(self, n: int) -> list[int]:
-        out = []
-        for p in self:
-            if p > n:
-                break
-            out.append(p)
-        return out
-
-    def count_up_to(self, n: int) -> int:
-        return len(self.elements_up_to(n))
-
-    def size(self) -> Optional[int]:
-        if not self.finite:
-            return None
-        return sum(1 for _ in self)
-
-    @classmethod
-    def naturals(cls) -> "IndexSet":
-        return cls(lambda p: True, lambda: _count(1), finite=False, name="N")
-
-    @classmethod
-    def arithmetic(cls, first: int, step: int, stop: Optional[int] = None) -> "IndexSet":
-        """first, first+step, first+2*step, ... (optionally bounded by stop)."""
-        if first < 1 or step < 1:
-            raise ValueError("arithmetic index set needs first >= 1, step >= 1")
-
-        def member(p: int) -> bool:
-            return p >= first and (p - first) % step == 0 and (stop is None or p <= stop)
-
-        def it() -> Iterator[int]:
-            p = first
-            while stop is None or p <= stop:
-                yield p
-                p += step
-
-        name = f"{first}+{step}k" + ("" if stop is None else f"<= {stop}")
-        return cls(member, it, finite=stop is not None, name=name)
-
-    @classmethod
-    def interval(cls, a: int, b: int) -> "IndexSet":
-        return cls.arithmetic(a, 1, stop=b)
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[int]) -> "IndexSet":
-        elems = sorted(set(int(e) for e in elements))
-        if elems and elems[0] < 1:
-            raise ValueError("index set elements must be >= 1")
-        eset = set(elems)
-        return cls(lambda p: p in eset, lambda: iter(elems), finite=True, name="explicit")
-
-    @classmethod
-    def empty(cls) -> "IndexSet":
-        return cls(lambda p: False, lambda: iter(()), finite=True, name="empty")
-
-
 # ---------------------------------------------------------------------------
 # occurrence counting
 
@@ -315,28 +218,12 @@ def block_histogram(codes: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.nd
     return np.unique(codes, return_counts=True)
 
 
-def _occurrences(digits: np.ndarray, r: int, B: Block) -> int:
-    """Number of anchored windows of `digits` that spell B."""
-    codes = _anchor_codes(digits, len(B), r)
-    return int(np.count_nonzero(codes == B.encode()))
-
-
-def block_density(B: Block, C: Block) -> Fraction:
-    """Fraction of anchored windows of B equal to C."""
-    if len(C) > len(B):
-        raise LengthError(f"|C|={len(C)} exceeds |B|={len(B)}")
-    if B.alphabet != C.alphabet:
-        raise AlphabetError("blocks over different alphabets")
-    hits = _occurrences(B.as_array(), B.alphabet.size, C)
-    return Fraction(hits, len(B) - len(C) + 1)
-
-
 def prefix_frequency(seq: SymbolicSequence, B: Block, N: int) -> Fraction:
     """Fraction of anchors n in [1, N-|B|+1] where B occurs in seq."""
     if N < len(B):
         raise LengthError(f"window N={N} shorter than block length {len(B)}")
-    hits = _occurrences(seq.digits(1, N), seq.alphabet.size, B)
-    return Fraction(hits, N - len(B) + 1)
+    codes = _anchor_codes(seq.digits(1, N), len(B), seq.alphabet.size)
+    return Fraction(int(np.count_nonzero(codes == B.encode())), N - len(B) + 1)
 
 
 @dataclass(frozen=True)
@@ -378,54 +265,19 @@ class EmpiricalMeasure:
         )
 
 
-def empirical_measure(seq: SymbolicSequence, m: int, window) -> EmpiricalMeasure:
-    """Count m-blocks anchored at a prefix [1, N-m+1] (window=int N) or at the
-    members of a finite IndexSet (window=IndexSet)."""
+def empirical_measure(seq: SymbolicSequence, m: int, N: int) -> EmpiricalMeasure:
+    """Count the m-blocks anchored at the prefix [1, N-m+1]."""
+    if N < m:
+        raise EmptyWindowError(f"prefix {N} shorter than block length {m}")
     r = seq.alphabet.size
-    if isinstance(window, IndexSet):
-        anchors = list(window)
-        if not anchors:
-            raise EmptyWindowError("empty window")
-        top = max(anchors) + m - 1
-        at = _anchor_codes(seq.digits(1, top), m, r)[np.asarray(anchors, dtype=np.int64) - 1]
-        desc = f"indexset({window.name}, {len(anchors)} anchors)"
-    else:
-        N = int(window)
-        if N < m:
-            raise EmptyWindowError(f"prefix {N} shorter than block length {m}")
-        at = _anchor_codes(seq.digits(1, N), m, r)
-        desc = f"prefix({N})"
+    at = _anchor_codes(seq.digits(1, N), m, r)
     total = len(at)
     observed, cnt = block_histogram(at, r**m)
     del at  # 8 bytes a window: freed before the per-block keys are built
     counts = {
         tuple(Block.from_code(int(c), m, r).digits): int(n) for c, n in zip(observed, cnt)
     }
-    return EmpiricalMeasure(m, desc, counts, total, seq.alphabet)
-
-
-def joint_frequency(
-    seq1: SymbolicSequence,
-    seq2: SymbolicSequence,
-    B1: Block,
-    B2: Block,
-    N: int,
-) -> Fraction:
-    """Fraction of common anchors where B1 occurs in seq1 and B2 in seq2.
-
-    Anchors range over [1, N - max(|B1|,|B2|) + 1] so that the diagonal case
-    joint_frequency(s, s, B, B, N) == prefix_frequency(s, B, N) holds exactly.
-    """
-    k = max(len(B1), len(B2))
-    if N < k:
-        raise LengthError(f"window N={N} shorter than the longest block ({k})")
-    W = N - k + 1
-    d1 = seq1.digits(1, W + len(B1) - 1)
-    d2 = seq2.digits(1, W + len(B2) - 1)
-    c1 = _anchor_codes(d1, len(B1), seq1.alphabet.size)[:W]
-    c2 = _anchor_codes(d2, len(B2), seq2.alphabet.size)[:W]
-    hits = int(np.count_nonzero((c1 == B1.encode()) & (c2 == B2.encode())))
-    return Fraction(hits, W)
+    return EmpiricalMeasure(m, f"prefix({N})", counts, total, seq.alphabet)
 
 
 def zip_product(seqs: Sequence[SymbolicSequence]) -> SymbolicSequence:
@@ -471,41 +323,6 @@ def base4_split(seq: SymbolicSequence) -> tuple[SymbolicSequence, SymbolicSequen
         name=f"{seq.name}/lo",
     )
     return row1, row2
-
-
-def restrict(seq: SymbolicSequence, S: IndexSet) -> SymbolicSequence:
-    """k-th digit of the result = seq digit at the k-th smallest element of S."""
-    horizon = S.size() if S.finite else None
-
-    def bulk(start: int, c: int) -> np.ndarray:
-        positions = list(islice(iter(S), start - 1, start - 1 + c))
-        if len(positions) < c:
-            raise HorizonError("index set exhausted before the requested position")
-        dtype = _dtype_for(seq.alphabet.size)
-        return np.fromiter((seq.digit(p) for p in positions), dtype=dtype, count=c)
-
-    return SymbolicSequence(bulk, seq.alphabet, horizon=horizon, name=f"{seq.name}|S")
-
-
-def index_density_profile(S: IndexSet, N: int) -> list[tuple[int, Fraction]]:
-    """Running densities |S cap [1,n]| / n at dyadic n <= N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    marks = []
-    n = 1
-    while n <= N:
-        marks.append(n)
-        n *= 2
-    out = []
-    it = iter(S)
-    seen = 0
-    nxt = next(it, None)
-    for n in marks:
-        while nxt is not None and nxt <= n:
-            seen += 1
-            nxt = next(it, None)
-        out.append((n, Fraction(seen, n)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from normlab.analysis import (
     switch_density,
 )
 from normlab.generators import bernoulli_stream, kappa_sequence, y_sequence
-from normlab.grayorder import gray_block
+from normlab.grayorder import GrayOrdering
 from normlab.seqcore import Block, LengthError, SymbolicSequence, prefix_frequency
 
 B = Block.from_string
@@ -141,7 +141,7 @@ def test_goodness_gray_concatenation():
     # all 2^8 blocks of length 8 in Gray order: each symbol appears exactly
     # half the time, so the single-symbol deviation vanishes
     digits = np.concatenate(
-        [gray_block(8, l).as_array() for l in range(1, 257)]
+        [GrayOrdering(8).block(l).as_array() for l in range(1, 257)]
     )
     assert eps_m_goodness(digits, 1) <= Fraction(1, 100)
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,11 @@ from normlab.seqcore import SymbolicSequence
 
 
 def fp(value, N=32, G=8) -> FixedPointNumber:
-    return FixedPointNumber.from_fraction(Fraction(value), N, G)
+    """Round a rational toward zero at N+G fractional bits (err <= 1 ulp,
+    0 when the value is an exactly representable dyadic)."""
+    v = Fraction(value)
+    mant, rem = divmod(abs(v.numerator) << (N + G), v.denominator)
+    return FixedPointNumber(mant, N + G, G, -1 if v < 0 else 1, 0 if rem == 0 else 1)
 
 
 def binary_fraction_digits(value: Fraction, count: int) -> list[int]:
@@ -52,8 +57,8 @@ def test_add_identity():
 
 
 def test_add_alignment():
-    a = FixedPointNumber.from_fraction(Fraction(1, 4), 8, 2)
-    b = FixedPointNumber.from_fraction(Fraction(1, 8), 16, 4)
+    a = fp(Fraction(1, 4), 8, 2)
+    b = fp(Fraction(1, 8), 16, 4)
     s = carry_add(a, b)
     assert s.value() == Fraction(3, 8)
     assert s.frac_bits == 20
@@ -73,8 +78,8 @@ def test_regular_tail_pattern():
     zeta_val = eta_val / 2**n
     want = binary_fraction_digits(eta_val + zeta_val, total)
     got = carry_add(
-        FixedPointNumber.from_fraction(eta_val, total, 0),
-        FixedPointNumber.from_fraction(zeta_val, total, 0),
+        fp(eta_val, total, 0),
+        fp(zeta_val, total, 0),
     )
     assert got.fraction_digits(total, False).tolist() == want
     # regular pattern between the irregular blocks, flipped parity after the
@@ -229,8 +234,8 @@ def test_mul_precision_check():
 def test_mul_error_envelope():
     # with operand errors at <= 1 ulp the reported error stays within the
     # (|x| + |y| + 1) envelope at the output scale
-    x = fp(Fraction(1, 3), 128, 32).with_error(1)
-    y = fp(Fraction(2, 3), 128, 32).with_error(1)
+    x = replace(fp(Fraction(1, 3), 128, 32), err_ulps=1)
+    y = replace(fp(Fraction(2, 3), 128, 32), err_ulps=1)
     prod = mul(x, y, 96, 32)
     assert prod.err_ulps <= 3
 
@@ -318,7 +323,7 @@ def test_stream_matches_batch_on_kappa_shift():
 def test_certified_digits_shrink_with_error():
     x = FixedPointNumber(0b1010101010101010, 16, 8, err_ulps=0)
     assert x.certified_digit_count() == 8
-    noisy = x.with_error(1 << 9)  # more than the guard region can absorb
+    noisy = replace(x, err_ulps=1 << 9)  # more than the guard region can absorb
     assert noisy.certified_digit_count() < 8
 
 

@@ -109,10 +109,44 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_threads_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("NORMLAB_THREADS", "2")
-    assert main(["verify", "--name", "figure1-kappa", "--name", "z-prefix-digits"]) == 0
-    assert "2/2 experiments passed" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "argv, env, code",
+    [
+        (["verify", "--name", "z-prefix-digits", "--threads", "2"], None, 2),
+        (["verify", "--name", "z-prefix-digits", "--format", "csv"], None, 2),
+        (["experiment", "--name", "z-prefix-digits", "--format", "csv"], None, 2),
+        (["gray", "--n", "2", "--out", "f"], None, 2),
+        (["generate", "--kind", "kappa", "--n", "8", "--format", "json"], None, 2),
+        (["verify", "--name", "figure1-kappa", "--name", "z-prefix-digits"], "abc", 0),
+    ],
+    ids=["threads", "verify-csv", "experiment-csv", "gray-out", "generate-format", "threads-env"],
+)
+def test_only_read_flags_are_accepted(tmp_path, monkeypatch, capsys, argv, env, code):
+    # a flag the command does not read is an argparse error; the
+    # NORMLAB_THREADS environment variable is not read at all
+    monkeypatch.chdir(tmp_path)
+    if env is not None:
+        monkeypatch.setenv("NORMLAB_THREADS", env)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    assert list(tmp_path.iterdir()) == []
+    if code == 0:
+        assert "2/2 experiments passed" in capsys.readouterr().out
+
+
+def test_each_command_has_only_the_flags_it_reads():
+    from normlab.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    flags = {name: {o for a in p._actions for o in a.option_strings} for name, p in sub.choices.items()}
+    assert not any("--threads" in f for f in flags.values())
+    assert {n for n, f in flags.items() if "--format" in f} == {
+        "analyze", "pnormal", "algsys", "verify", "experiment"
+    }
+    assert {n for n, f in flags.items() if "--out" not in f} == {"gray"}
 
 
 def test_experiment_reports_reproduce():
@@ -209,3 +243,53 @@ def test_pnormal_mc_budget(capsys):
     assert main(["pnormal", "--p", "1/5", "--mc", "100000000"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0] == "error: Monte-Carlo budget is N <= 2^22"
+
+
+def test_gray_listing_beyond_budget_is_usage_error(capsys):
+    assert main(["gray", "--n", "21"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: exhaustive check budget is n <= 20"
+    assert main(["gray", "--n", "70", "--l", "3"]) == 0  # random access needs no budget
+    assert capsys.readouterr().out.strip() == "0" * 68 + "11"
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["modp-add", "--in2", "b.nseq"], "--in"),
+        (["modp-add", "--in", "a.nseq"], "--in2"),
+        (["ca"], "--in"),
+    ],
+    ids=["modp-add-no-in", "modp-add-no-in2", "ca-no-in"],
+)
+def test_algsys_stream_op_missing_input_is_usage_error(capsys, argv, missing):
+    assert main(["algsys", *argv]) == 2
+    op = argv[0]
+    assert capsys.readouterr().err.strip() == f"error: algsys {op} needs {missing}"
+
+
+@pytest.mark.parametrize(
+    "name, config, message",
+    [
+        ("toral-discrepancy", {"steps": 1e12}, "parameter 'steps' must be int, got 1000000000000.0"),
+        ("vy-identity", {"frac_bitz": 3}, "has no parameter 'frac_bitz'"),
+        ("z-switch-half", {"tolerance": "0"}, "parameter 'tolerance' must be float, got '0'"),
+        ("z-switch-half", {"prefix_log2": True}, "parameter 'prefix_log2' must be int, got True"),
+        ("z-switch-half", [1], "config overrides must be a JSON object"),
+    ],
+    ids=["float-for-int", "unknown-key", "str-for-float", "bool-for-int", "not-an-object"],
+)
+def test_experiment_config_must_match_the_manifest(capsys, name, config, message):
+    assert main(["experiment", "--name", name, "--config", json.dumps(config)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+def test_experiment_config_int_for_float(capsys):
+    # an integer stands where the manifest has a float
+    code = main([
+        "experiment", "--name", "z-switch-half",
+        "--config", json.dumps({"prefix_log2": 12, "tolerance": 1}),
+    ])
+    assert code == 0

@@ -1,10 +1,37 @@
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlab.experiments import _pair_block_counts, load_manifest, run_experiment
-from normlab.seqcore import Block, SymbolicSequence, joint_frequency, prefix_frequency
+from normlab.seqcore import Block, SymbolicSequence, _anchor_codes, prefix_frequency
+
+
+def joint_frequency(seq1, seq2, B1: Block, B2: Block, N: int) -> Fraction:
+    """Fraction of common anchors where B1 occurs in seq1 and B2 in seq2.
+
+    Anchors range over [1, N - max(|B1|,|B2|) + 1] so that the diagonal case
+    joint_frequency(s, s, B, B, N) == prefix_frequency(s, B, N) holds exactly.
+    """
+    W = N - max(len(B1), len(B2)) + 1
+    c1 = _anchor_codes(seq1.digits(1, W + len(B1) - 1), len(B1), seq1.alphabet.size)
+    c2 = _anchor_codes(seq2.digits(1, W + len(B2) - 1), len(B2), seq2.alphabet.size)
+    return Fraction(int(np.count_nonzero((c1 == B1.encode()) & (c2 == B2.encode()))), W)
+
+
+def test_joint_frequency_diagonal():
+    seq = SymbolicSequence.periodic([0, 1, 1])
+    for blk in ("01", "11", "10"):
+        B = Block.from_string(blk)
+        assert joint_frequency(seq, seq, B, B, 50) == prefix_frequency(seq, B, 50)
+
+
+def test_joint_frequency_constant_left():
+    zeros = SymbolicSequence.constant(0)
+    seq = SymbolicSequence.periodic([0, 1, 1, 0])
+    B = Block.from_string
+    assert joint_frequency(zeros, seq, B("00"), B("11"), 60) == prefix_frequency(seq, B("11"), 60)
 
 
 @settings(max_examples=100)

@@ -15,7 +15,6 @@ from normlab.generators import (
     derive_seed,
     kappa_digit,
     kappa_sequence,
-    periodic_sparse,
     splitmix64,
     uniform_stream,
     v_digit,
@@ -23,8 +22,8 @@ from normlab.generators import (
     y_digit,
     y_sequence,
 )
-from normlab.grayorder import alt_block
-from normlab.seqcore import Block, IndexSet, index_density_profile
+from normlab.grayorder import GrayOrdering
+from normlab.seqcore import Block
 
 KAPPA_PREFIX_56 = (
     "01111000" "10000110" "01111011" "10000101" "01111110" "10000000" "01111101"
@@ -51,9 +50,9 @@ def test_schedule_value_refuses_monsters():
 
 
 def test_finite_sums_membership():
-    s = SCHEDULE.finite_sums()
     members = {2, 8, 10, 2048, 2050, 2056, 2058}
-    assert {p for p in range(1, 2060) if p in s} == members
+    assert {p for p in range(1, 2060) if SCHEDULE.finite_sum_contains(p)} == members
+    assert set(SCHEDULE.finite_sums(2059)) == members
     assert SCHEDULE.finite_sum_contains(0)
     n4 = 1 << 2059
     assert SCHEDULE.finite_sum_contains(n4)
@@ -62,13 +61,14 @@ def test_finite_sums_membership():
 
 
 def test_finite_sums_enumeration_sorted():
-    elems = SCHEDULE.finite_sums().elements_up_to(3000)
-    assert elems == [2, 8, 10, 2048, 2050, 2056, 2058]
+    assert SCHEDULE.finite_sums(3000) == [2, 8, 10, 2048, 2050, 2056, 2058]
+    assert SCHEDULE.finite_sums(2057) == [2, 8, 10, 2048, 2050, 2056]
+    assert SCHEDULE.finite_sums(1) == []
+    assert SCHEDULE.finite_sums(1 << 2059)[-2:] == [2058, 1 << 2059]
 
 
 def test_index_density_profile_of_sum_set():
-    prof = dict(index_density_profile(SCHEDULE.finite_sums(), 2048))
-    assert prof[2048] == Fraction(4, 2048)
+    assert Fraction(len(SCHEDULE.finite_sums(2048)), 2048) == Fraction(4, 2048)
 
 
 def test_schedule_rebuild_is_identical():
@@ -88,12 +88,13 @@ def test_kappa_opening_digits():
 def test_kappa_prefix_is_alternated_concatenation():
     # level-2 block: chunks l = 1..2^{n_1} of length n_1 over the level-1 seed
     got = kappa_sequence().prefix(8).tolist()
-    chunks = [alt_block(2, l, Block.from_string("01")).digits for l in range(1, 5)]
+    level2 = GrayOrdering(2, Block.from_string("01"), "alternated")
+    chunks = [level2.block(l).digits for l in range(1, 5)]
     assert got == [d for ch in chunks for d in ch]
     # level-3 block: chunks l = 1..2^{n_2} of length n_2 over the level-2 prefix
     got = kappa_sequence().prefix(2048).tolist()
     start = Block(tuple(got[:8]))
-    chunks = [alt_block(8, l, start).digits for l in range(1, 257)]
+    chunks = [GrayOrdering(8, start, "alternated").block(l).digits for l in range(1, 257)]
     assert got == [d for ch in chunks for d in ch]
 
 
@@ -104,7 +105,7 @@ def test_kappa_level3_chunks_match_recursion():
     for l in (2, 3, 117, 256, 54321):
         lo = (l - 1) * 2048 + 1
         got = seq.digits(lo, 2048).tolist()
-        assert got == list(alt_block(2048, l, start).digits)
+        assert got == list(GrayOrdering(2048, start, "alternated").block(l).digits)
 
 
 def test_kappa_digit_matches_bulk():
@@ -250,46 +251,6 @@ def test_champernowne_base2_balance():
     dev_large = abs(digits.mean() - 0.5)
     assert dev_large <= 0.04
     assert dev_large < dev_small
-
-
-# -- periodic sparse ---------------------------------------------------------
-
-
-def test_periodic_sparse_everywhere():
-    seq = periodic_sparse(Block.from_string("0"), IndexSet.naturals())
-    assert seq.prefix(16).tolist() == [0] * 16
-
-
-def test_periodic_sparse_on_evens():
-    seq = periodic_sparse(Block.from_string("01"), IndexSet.arithmetic(2, 2), filler=0)
-    assert seq.prefix(8).tolist() == [0, 0, 0, 1, 0, 0, 0, 1]
-    assert seq.digit(6) == 0  # third member of the set, pattern cycles 0,1,0,1
-
-
-def test_periodic_sparse_zero_density_support():
-    sparse = IndexSet.from_elements([2**k for k in range(1, 11)])
-    seq = periodic_sparse(Block.from_string("1"), sparse, filler=0)
-    assert seq.prefix(1024).mean() < 0.01
-
-
-@settings(max_examples=30)
-@given(
-    st.lists(st.integers(0, 1), min_size=1, max_size=5),
-    st.integers(1, 6),
-    st.integers(1, 4),
-    st.sampled_from([0, 1, "parity"]),
-)
-def test_periodic_sparse_rank_rule(pattern, first, step, filler):
-    # on S, the digit at p is pattern[rank of p in S - 1 mod L]; off S, the filler
-    S = IndexSet.arithmetic(first, step)
-    fill = (lambda p: p % 2) if filler == "parity" else filler
-    seq = periodic_sparse(Block(tuple(pattern)), S, filler=fill)
-    for p in range(1, 41):
-        if p in S:
-            want = pattern[(S.count_up_to(p) - 1) % len(pattern)]
-        else:
-            want = fill(p) if callable(fill) else fill
-        assert seq.digit(p) == want == int(seq.digits(p, 1)[0])
 
 
 # -- generator instances -----------------------------------------------------

@@ -9,51 +9,59 @@ from normlab.grayorder import (
     IndexRangeError,
     ParityError,
     _check_words,
-    alt_block,
-    gray_block,
     offset,
     offset_digit,
     verify_ordering,
 )
-from normlab.seqcore import Block, LengthError, mirror
+from normlab.seqcore import Block, LengthError
 
 B = Block.from_string
 
 
+def mirror(block: Block) -> Block:
+    """Bitwise complement of a binary block."""
+    return Block(tuple(1 - d for d in block.digits))
+
+
 def test_length_one_ordering():
-    assert str(gray_block(1, 1, B("0"))) == "0"
-    assert str(gray_block(1, 2, B("0"))) == "1"
+    assert str(GrayOrdering(1, B("0")).block(1)) == "0"
+    assert str(GrayOrdering(1, B("0")).block(2)) == "1"
 
 
 def test_level_two_ordering_blocks():
     start = B("01111000")
-    assert str(gray_block(8, 2, start)) == "01111001"
-    assert str(mirror(gray_block(8, 2, start))) == "10000110"
-    assert str(gray_block(8, 3, start)) == "01111011"
+    assert str(GrayOrdering(8, start).block(2)) == "01111001"
+    assert str(mirror(GrayOrdering(8, start).block(2))) == "10000110"
+    assert str(GrayOrdering(8, start).block(3)) == "01111011"
 
 
 def test_index_range_checked():
     with pytest.raises(IndexRangeError):
-        gray_block(3, 9, B("000"))
+        GrayOrdering(3, B("000")).block(9)
     with pytest.raises(IndexRangeError):
-        gray_block(3, 0, B("000"))
+        GrayOrdering(3, B("000")).block(0)
 
 
 def test_start_length_checked():
     with pytest.raises(LengthError):
-        gray_block(3, 1, B("01"))
+        GrayOrdering(3, B("01")).block(1)
 
 
 def test_alternated_ordering_blocks():
-    assert [str(alt_block(2, l, B("01"))) for l in range(1, 5)] == ["01", "11", "10", "00"]
+    alt = GrayOrdering(2, B("01"), "alternated")
+    assert [str(alt.block(l)) for l in range(1, 5)] == ["01", "11", "10", "00"]
     start = B("01111000")
-    assert str(alt_block(8, 6, start)) == "10000000"
-    assert str(alt_block(8, 7, start)) == "01111101"
+    alt, gray = GrayOrdering(8, start, "alternated"), GrayOrdering(8, start)
+    assert str(alt.block(6)) == "10000000"
+    assert str(alt.block(7)) == "01111101"
+    # the gray block for odd l, its mirror for even l
+    for l in range(1, 257):
+        assert alt.block(l) == (gray.block(l) if l % 2 else mirror(gray.block(l)))
 
 
 def test_alternated_needs_even_length():
     with pytest.raises(ParityError):
-        alt_block(1, 1, B("0"))
+        GrayOrdering(1, B("0"), "alternated").block(1)
     with pytest.raises(ParityError):
         verify_ordering(3, B("000"), "alternated")
 
@@ -78,7 +86,7 @@ def test_verify_budget():
 @given(st.integers(1, 10), st.integers(0, 1023))
 def test_bijection_exhaustive(n, start_code):
     start = Block.from_code(start_code % 2**n, n, 2)
-    seen = {str(gray_block(n, l, start)) for l in range(1, 2**n + 1)}
+    seen = {str(GrayOrdering(n, start).block(l)) for l in range(1, 2**n + 1)}
     assert len(seen) == 2**n
 
 
@@ -87,8 +95,8 @@ def test_bijection_exhaustive(n, start_code):
 def test_unit_hamming_distance(n, start_code, l):
     l = 1 + l % (2**n - 1)
     start = Block.from_code(start_code % 2**n, n, 2)
-    a = gray_block(n, l, start).encode()
-    b = gray_block(n, l + 1, start).encode()
+    a = GrayOrdering(n, start).block(l).encode()
+    b = GrayOrdering(n, start).block(l + 1).encode()
     assert bin(a ^ b).count("1") == 1
 
 
@@ -97,8 +105,8 @@ def test_unit_hamming_distance(n, start_code, l):
 def test_start_xor_decomposition(n, start_code, l):
     l = 1 + (l - 1) % (2**n)
     start = Block.from_code(start_code % 2**n, n, 2)
-    with_start = gray_block(n, l, start).encode()
-    from_zero = gray_block(n, l).encode()
+    with_start = GrayOrdering(n, start).block(l).encode()
+    from_zero = GrayOrdering(n).block(l).encode()
     assert with_start == start.encode() ^ from_zero
 
 
@@ -111,8 +119,9 @@ def test_alternated_bijection_even_lengths(n, start_code):
 
 
 def test_ordering_iterator_matches_indexing():
-    ordering = GrayOrdering(4, B("0110"))
-    assert [str(b) for b in ordering] == [str(gray_block(4, l, B("0110"))) for l in range(1, 17)]
+    for variant in ("gray", "alternated"):
+        ordering = GrayOrdering(4, B("0110"), variant)
+        assert [str(b) for b in ordering] == [str(ordering.block(l)) for l in range(1, 17)]
 
 
 def _loop_report(words, n, variant):

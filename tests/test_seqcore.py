@@ -12,24 +12,27 @@ from normlab.seqcore import (
     Block,
     EmptyWindowError,
     HorizonError,
-    IndexSet,
     LengthError,
     SymbolicSequence,
     base4_split,
-    block_density,
     block_histogram,
     empirical_measure,
-    index_density_profile,
-    joint_frequency,
-    mirror,
     prefix_frequency,
     read_nseq,
-    restrict,
     write_nseq,
     zip_product,
 )
 
 B = Block.from_string
+
+
+def block_density(b: Block, c: Block) -> Fraction:
+    """Fraction of the anchored windows of b that spell c."""
+    return prefix_frequency(SymbolicSequence.from_array(b.as_array()), c, len(b))
+
+
+def complement(b: Block) -> Block:
+    return Block(tuple(1 - d for d in b.digits))
 
 
 def test_alphabet_rejects_small():
@@ -81,21 +84,7 @@ def test_density_mirror_invariant(digits, m):
     b = Block(tuple(digits))
     for code in range(2**m):
         c = Block.from_code(code, m, 2)
-        assert block_density(b, c) == block_density(mirror(b), mirror(c))
-
-
-# -- mirror ------------------------------------------------------------------
-
-
-def test_mirror_examples():
-    assert str(mirror(B("01"))) == "10"
-    assert str(mirror(B("01111001"))) == "10000110"
-    assert mirror(mirror(B("0110"))) == B("0110")
-
-
-def test_mirror_needs_binary():
-    with pytest.raises(AlphabetError):
-        mirror(Block((0, 2), Alphabet(3)))
+        assert block_density(b, c) == block_density(complement(b), complement(c))
 
 
 # -- prefix_frequency --------------------------------------------------------
@@ -159,12 +148,6 @@ def test_empirical_measure_balanced_block():
     assert em.fraction(B("1")) == Fraction(1, 2)
 
 
-def test_empirical_measure_explicit_window():
-    seq = SymbolicSequence.periodic([0, 1, 1])
-    em = empirical_measure(seq, 1, IndexSet.from_elements([3, 6, 9]))
-    assert em.fraction(B("1")) == 1
-
-
 def test_empirical_measure_empty_window():
     with pytest.raises(EmptyWindowError):
         empirical_measure(SymbolicSequence.constant(0), 2, 1)
@@ -183,10 +166,12 @@ def test_empirical_measure_counts_windows(r, digits, m):
 
 
 def test_empirical_measure_merge_over_subwindows():
-    seq = SymbolicSequence.periodic([0, 1, 1, 0, 1])
-    whole = empirical_measure(seq, 2, IndexSet.interval(1, 40))
-    left = empirical_measure(seq, 2, IndexSet.interval(1, 17))
-    right = empirical_measure(seq, 2, IndexSet.interval(18, 40))
+    # anchors 1..40 split at 17: each part carries the m - 1 digits its last
+    # anchored block reaches past it
+    digits = SymbolicSequence.periodic([0, 1, 1, 0, 1]).prefix(41)
+    whole = empirical_measure(SymbolicSequence.from_array(digits), 2, 41)
+    left = empirical_measure(SymbolicSequence.from_array(digits[:18]), 2, 18)
+    right = empirical_measure(SymbolicSequence.from_array(digits[17:]), 2, 24)
     merged = left.merge(right)
     assert merged.counts == whole.counts and merged.total == whole.total
 
@@ -205,25 +190,6 @@ def test_prefix_frequency_matches_measure_refinement():
             if blk[: len(b)] == tuple(b.digits)
         )
         assert prefix_frequency(seq, b, W + len(b) - 1) == extending
-
-
-# -- joint_frequency ---------------------------------------------------------
-
-
-def test_joint_frequency_diagonal():
-    seq = SymbolicSequence.periodic([0, 1, 1])
-    for blk in ("01", "11", "10"):
-        assert joint_frequency(seq, seq, B(blk), B(blk), 50) == prefix_frequency(
-            seq, B(blk), 50
-        )
-
-
-def test_joint_frequency_constant_left():
-    zeros = SymbolicSequence.constant(0)
-    seq = SymbolicSequence.periodic([0, 1, 1, 0])
-    assert joint_frequency(zeros, seq, B("00"), B("11"), 60) == prefix_frequency(
-        seq, B("11"), 60
-    )
 
 
 # -- zip / split -------------------------------------------------------------
@@ -301,54 +267,6 @@ def test_base4_split_digit_rule(digits):
     hi, lo = base4_split(SymbolicSequence.from_array(digits, r=4))
     for p, d in enumerate(digits, start=1):
         assert (hi.digit(p), lo.digit(p)) == (d // 2, d % 2)
-
-
-@settings(max_examples=30)
-@given(
-    st.lists(st.integers(0, 1), min_size=1, max_size=8),
-    st.integers(1, 5),
-    st.integers(1, 4),
-)
-def test_restrict_digit_is_digit_at_kth_element(pattern, first, step):
-    S = IndexSet.arithmetic(first, step)
-    sub = restrict(SymbolicSequence.periodic(pattern), S)
-    got = sub.prefix(20).tolist()
-    assert got == [sub.digit(k) for k in range(1, 21)]
-    assert got == [pattern[(S.element(k) - 1) % len(pattern)] for k in range(1, 21)]
-
-
-# -- restrict / index sets ---------------------------------------------------
-
-
-def test_restrict_multiples_of_three():
-    seq = SymbolicSequence.periodic([0, 1, 1])
-    sub = restrict(seq, IndexSet.arithmetic(3, 3))
-    assert sub.prefix(10).tolist() == [1] * 10
-
-
-def test_restrict_naturals_is_identity():
-    seq = SymbolicSequence.periodic([0, 1, 1, 0])
-    sub = restrict(seq, IndexSet.naturals())
-    assert sub.prefix(12).tolist() == seq.prefix(12).tolist()
-
-
-def test_restrict_finite_view():
-    seq = SymbolicSequence.from_array([0, 1, 1, 1, 1, 0, 0, 0, 1])
-    sub = restrict(seq, IndexSet.interval(1, 8))
-    assert sub.horizon == 8
-    assert sub.prefix(8).tolist() == [0, 1, 1, 1, 1, 0, 0, 0]
-    with pytest.raises(HorizonError):
-        sub.digit(9)
-
-
-def test_index_density_profile_evens():
-    prof = index_density_profile(IndexSet.arithmetic(2, 2), 64)
-    assert [d for _, d in prof][1:] == [Fraction(1, 2)] * 6
-
-
-def test_index_density_profile_empty():
-    prof = index_density_profile(IndexSet.empty(), 16)
-    assert all(d == 0 for _, d in prof)
 
 
 # -- nseq files --------------------------------------------------------------

@@ -16,7 +16,14 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .errors import BudgetError
 from .seqcore import HorizonError, SymbolicSequence
+
+# toral_orbit caps, checked before iterating: the cell histogram has
+# 2^(d * grid_bits) entries, and every orbit vector (d integers below D) is kept.
+ORBIT_GRID_BUDGET_BITS = 20  # d * grid_bits
+ORBIT_STEPS_BUDGET_BITS = 20  # steps, about 80 bytes each for a 2-torus with a small D
+ORBIT_STORE_BUDGET_BITS = 28  # steps * d * D.bit_length(), the bits of the stored orbit
 
 
 class ModulusError(ValueError):
@@ -237,13 +244,22 @@ def toral_orbit(
     the true orbit grows by at most the induced 1-norm of A per step, and
     `certified_steps` is how many steps stay within 2^-output_bits.  Exact
     rational inputs (precision_bits=None) certify every step.
+
+    Raises BudgetError, before iterating, beyond the ORBIT_*_BUDGET_BITS caps.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    d = tmap.dimension
+    if d * grid_bits > ORBIT_GRID_BUDGET_BITS:
+        raise BudgetError(f"orbit grid budget is d * grid_bits <= {ORBIT_GRID_BUDGET_BITS}")
+    if steps > 1 << ORBIT_STEPS_BUDGET_BITS:
+        raise BudgetError(f"orbit budget is steps <= 2^{ORBIT_STEPS_BUDGET_BITS}")
     x = [Fraction(c) for c in x0]
-    if len(x) != tmap.dimension:
+    if len(x) != d:
         raise MatrixError("dimension mismatch between x0 and the matrix")
     D = lcm(*(c.denominator for c in x))
+    if steps * d * D.bit_length() > 1 << ORBIT_STORE_BUDGET_BITS:
+        raise BudgetError(f"orbit storage budget is steps * d * bits(D) <= 2^{ORBIT_STORE_BUDGET_BITS}")
     v = tuple(c.numerator * (D // c.denominator) % D for c in x)
     A = tmap.matrix
     nums = [v]
@@ -254,7 +270,7 @@ def toral_orbit(
         certified = steps
     else:
         growth = tmap.induced_one_norm()
-        err = Fraction(tmap.dimension, 1 << precision_bits)
+        err = Fraction(d, 1 << precision_bits)
         cap = Fraction(1, 1 << output_bits)
         certified = 0
         while certified < steps and err * growth <= cap:
@@ -267,9 +283,9 @@ def toral_orbit(
         for c in v:
             f = f * cells + ((c << grid_bits) // D)
         flat.append(f)
-    counts = np.bincount(flat, minlength=cells**tmap.dimension)
+    counts = np.bincount(flat, minlength=cells**d)
     freq = counts / len(nums)
-    disc = float(np.abs(freq - 1.0 / cells**tmap.dimension).max())
+    disc = float(np.abs(freq - 1.0 / cells**d).max())
     return OrbitResult(
         points=OrbitPoints(nums, D),
         ergodic=tmap.is_ergodic(),

@@ -160,44 +160,42 @@ def _cmd_pnormal(args) -> int:
     return 0
 
 
-_ALGSYS_NEEDS = {
-    "modp-add": (("infile", "--in"), ("infile2", "--in2")),
-    "ca": (("infile", "--in"),),
-    "orbit": (("matrix", "--matrix"), ("x0", "--x0")),
-}
-
-
-def _cmd_algsys(args) -> int:
-    for dest, flag in _ALGSYS_NEEDS[args.op]:
+def _require(args, *needs: tuple[str, str]) -> None:
+    for dest, flag in needs:
         if getattr(args, dest) is None:
             raise UsageError(f"algsys {args.op} needs {flag}")
-    if args.op == "modp-add":
-        s1 = read_nseq(args.infile)
-        s2 = read_nseq(args.infile2)
-        out = algsys.modp_add(s1, s2, args.n)
-        path = args.out or "modp-add.nseq"
-        write_nseq(path, out, count=args.n)
-        print(f"wrote {args.n} digits to {path}")
-    elif args.op == "ca":
-        s = read_nseq(args.infile)
-        coeffs = tuple(int(c) for c in args.coeffs.split(","))
-        ca = algsys.LinearCA(args.p, coeffs)
-        out = algsys.apply_ca(ca, s, args.n)
-        path = args.out or "ca.nseq"
-        write_nseq(path, out, count=args.n)
-        print(f"wrote {args.n} digits to {path}")
-    elif args.op == "orbit":
-        matrix = json.loads(args.matrix)
-        tmap = algsys.ToralMap.from_rows(matrix)
-        x0 = [Fraction(c) for c in args.x0.split(",")]
-        result = algsys.toral_orbit(
-            tmap,
-            x0,
-            args.steps,
-            precision_bits=args.precision_bits,
-            grid_bits=args.grid_bits,
-        )
-        _emit(args, result.as_dict())
+
+
+def _write_stream(args, seq: SymbolicSequence) -> int:
+    path = args.out or f"{args.op}.nseq"
+    write_nseq(path, seq, count=args.n)
+    print(f"wrote {args.n} digits to {path}")
+    return 0
+
+
+def _cmd_modp_add(args) -> int:
+    _require(args, ("infile", "--in"), ("infile2", "--in2"))
+    return _write_stream(args, algsys.modp_add(read_nseq(args.infile), read_nseq(args.infile2), args.n))
+
+
+def _cmd_ca(args) -> int:
+    _require(args, ("infile", "--in"))
+    ca = algsys.LinearCA(args.p, tuple(int(c) for c in args.coeffs.split(",")))
+    return _write_stream(args, algsys.apply_ca(ca, read_nseq(args.infile), args.n))
+
+
+def _cmd_orbit(args) -> int:
+    _require(args, ("matrix", "--matrix"), ("x0", "--x0"))
+    tmap = algsys.ToralMap.from_rows(json.loads(args.matrix))
+    x0 = [Fraction(c) for c in args.x0.split(",")]
+    result = algsys.toral_orbit(
+        tmap,
+        x0,
+        args.steps,
+        precision_bits=args.precision_bits,
+        grid_bits=args.grid_bits,
+    )
+    _emit(args, result.as_dict())
     return 0
 
 
@@ -310,20 +308,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_pnormal)
 
     p = sub.add_parser("algsys", help="mod-p streams, cellular automata, toral orbits")
-    p.add_argument("--out", help="output path (default: stdout, or OP.nseq for modp-add and ca)")
-    p.add_argument("--format", choices=("csv", "json", "text"), default="text")
-    p.add_argument("op", choices=("modp-add", "ca", "orbit"))
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--in2", dest="infile2")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--p", type=int, default=2, help="prime modulus for ca")
-    p.add_argument("--coeffs", default="1,1")
-    p.add_argument("--matrix", help="integer matrix as JSON, e.g. [[2,1],[1,1]]")
-    p.add_argument("--x0", help="comma-separated rationals, e.g. 1/5,2/5")
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--precision-bits", type=int)
-    p.add_argument("--grid-bits", type=int, default=4)
-    p.set_defaults(fn=_cmd_algsys)
+    ops = p.add_subparsers(dest="op", required=True)
+    q = ops.add_parser("modp-add", help="digit-wise sum mod p of two .nseq streams")
+    q.add_argument("--out", help="output path (default: modp-add.nseq)")
+    q.add_argument("--in", dest="infile")
+    q.add_argument("--in2", dest="infile2")
+    q.add_argument("--n", type=int, default=1000)
+    q.set_defaults(fn=_cmd_modp_add)
+    q = ops.add_parser("ca", help="apply a linear cellular automaton to an .nseq stream")
+    q.add_argument("--out", help="output path (default: ca.nseq)")
+    q.add_argument("--in", dest="infile")
+    q.add_argument("--n", type=int, default=1000)
+    q.add_argument("--p", type=int, default=2, help="prime modulus")
+    q.add_argument("--coeffs", default="1,1")
+    q.set_defaults(fn=_cmd_ca)
+    q = ops.add_parser("orbit", help="exact toral-endomorphism orbit and its grid discrepancy")
+    q.add_argument("--out", help="output path (default: stdout)")
+    q.add_argument("--format", choices=("csv", "json", "text"), default="text")
+    q.add_argument("--matrix", help="integer matrix as JSON, e.g. [[2,1],[1,1]]")
+    q.add_argument("--x0", help="comma-separated rationals, e.g. 1/5,2/5")
+    q.add_argument("--steps", type=int, default=1000)
+    q.add_argument("--precision-bits", type=int)
+    q.add_argument("--grid-bits", type=int, default=4)
+    q.set_defaults(fn=_cmd_orbit)
 
     p = sub.add_parser("gray", help="emit Gray-code orderings as text")
     p.add_argument("--n", type=int, default=4)

@@ -4,6 +4,11 @@ Every experiment reads its parameters, seeds, expected values, and
 tolerances from the tolerances.json manifest shipped with the package.
 Reports are deterministic given the manifest: they embed a content hash of
 the effective configuration so regressions are attributable.
+
+An experiment is a generator of `Check`s.  A check carries the manifest
+entry's provenance unless it names its own.  Checks with a fixed comparison
+are built by `exact`, `at_most` and `band`, which compute `passed` from
+the values they report.
 """
 
 from __future__ import annotations
@@ -12,10 +17,10 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -57,17 +62,28 @@ class Check:
     expected: object
     tolerance: str
     passed: bool
-    provenance: str
+    provenance: Optional[str] = None  # None: the manifest entry's provenance
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "provenance": self.provenance,
-        }
+
+def exact(name: str, measured, expected, tolerance: str, provenance: Optional[str] = None) -> Check:
+    """A check that passes when the reported measured value equals the expected one."""
+    return Check(name, measured, expected, tolerance, measured == expected, provenance)
+
+
+def at_most(name: str, measured: float, bound, tolerance: str) -> Check:
+    """A check that passes when `measured` is at most `bound`."""
+    return Check(name, round(measured, 6), f"<= {bound}", tolerance, measured <= bound)
+
+
+def band(name: str, measured: float, center: float, sigma: float, k: int) -> Check:
+    """A check that passes when `measured` lies within k sigma of `center`."""
+    return Check(
+        name,
+        round(float(measured), 8),
+        round(float(center), 8),
+        f"within {k} sigma = {k * sigma:.2e}",
+        center - k * sigma <= measured <= center + k * sigma,
+    )
 
 
 @dataclass
@@ -91,7 +107,7 @@ class ExperimentReport:
             "content_hash": self.content_hash,
             "passed": self.passed,
             "runtime_s": round(self.runtime_s, 6),
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def summary_lines(self) -> list[str]:
@@ -110,13 +126,16 @@ def _content_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-_REGISTRY: dict[str, Callable[[dict, ExperimentReport], None]] = {}
+_REGISTRY: dict[str, Callable[[dict], list[Check]]] = {}
 
 
 def _experiment(name: str):
-    def deco(fn):
-        _REGISTRY[name] = fn
-        return fn
+    """Register a generator of checks.  The registry entry runs it to the
+    end, so one call of the entry spans all of the experiment's work."""
+
+    def deco(gen: Callable[[dict], Iterator[Check]]):
+        _REGISTRY[name] = lambda cfg: list(gen(cfg))
+        return gen
 
     return deco
 
@@ -148,8 +167,11 @@ def run_experiment(name: str, overrides: Optional[dict] = None) -> ExperimentRep
         config.update(overrides)
     report = ExperimentReport(name=name, parameters=config, content_hash=_content_hash(config))
     t0 = time.perf_counter()
-    _REGISTRY[name](config, report)
+    report.checks = _REGISTRY[name](config)
     report.runtime_s = time.perf_counter() - t0
+    for c in report.checks:
+        if c.provenance is None:
+            c.provenance = config["provenance"]
     return report
 
 
@@ -172,48 +194,33 @@ def _binom_sigma(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 1e-12) / n)
 
 
-def _check_band(report, name, measured, center, sigma, k, provenance) -> None:
-    lo, hi = center - k * sigma, center + k * sigma
-    report.checks.append(
-        Check(
-            name,
-            round(float(measured), 8),
-            round(float(center), 8),
-            f"within {k} sigma = {k * sigma:.2e}",
-            lo <= measured <= hi,
-            provenance,
-        )
-    )
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
 
 
 # ---------------------------------------------------------------------------
 
 
 @_experiment("figure1-kappa")
-def _figure1_kappa(cfg: dict, report: ExperimentReport) -> None:
+def _figure1_kappa(cfg: dict):
     seq = kappa_sequence()
     seq.digits(1, 56)  # warm the memoized prefix before timing
     t0 = time.perf_counter()
     got = "".join(map(str, seq.digits(1, 56).tolist()))
     dt_ms = (time.perf_counter() - t0) * 1e3
-    exp = cfg["expected_digits"]
-    report.checks.append(
-        Check("first-56-digits", got, exp, "exact", got == exp, cfg["provenance"])
-    )
-    report.checks.append(
-        Check(
-            "digit-access-runtime",
-            round(dt_ms, 4),
-            f"< {cfg['max_runtime_ms']} ms",
-            "wall clock",
-            dt_ms < cfg["max_runtime_ms"],
-            "recorded-run",
-        )
+    yield exact("first-56-digits", got, cfg["expected_digits"], "exact")
+    yield Check(
+        "digit-access-runtime",
+        round(dt_ms, 4),
+        f"< {cfg['max_runtime_ms']} ms",
+        "wall clock",
+        dt_ms < cfg["max_runtime_ms"],
+        "recorded-run",
     )
 
 
 @_experiment("gray-invariants")
-def _gray_invariants(cfg: dict, report: ExperimentReport) -> None:
+def _gray_invariants(cfg: dict):
     seed = cfg["seed"]
     bad = []
     total = 0
@@ -221,29 +228,14 @@ def _gray_invariants(cfg: dict, report: ExperimentReport) -> None:
         for t in range(cfg["starts_per_n"]):
             word = splitmix64(seed, n * 1000 + t) & ((1 << n) - 1)
             start = Block.from_code(word, n, 2)
-            rep = grayorder.verify_ordering(n, start, "gray")
-            total += 1
-            if not rep.passed:
-                bad.append((n, "gray", rep.failures[:1]))
-            if n % 2 == 0:
-                rep2 = grayorder.verify_ordering(n, start, "alternated")
+            for variant in ("gray", "alternated") if n % 2 == 0 else ("gray",):
+                rep = grayorder.verify_ordering(n, start, variant)
                 total += 1
-                if not rep2.passed:
-                    bad.append((n, "alternated", rep2.failures[:1]))
-    report.checks.append(
-        Check(
-            "orderings-verified",
-            f"{total - len(bad)}/{total}",
-            f"{total}/{total}",
-            "exhaustive, exact",
-            not bad,
-            cfg["provenance"],
-        )
-    )
+                if not rep.passed:
+                    bad.append((n, variant, rep.failures[:1]))
+    yield Check("orderings-verified", f"{total - len(bad)}/{total}", f"{total}/{total}", "exhaustive, exact", not bad)
     if bad:
-        report.checks.append(
-            Check("failures", str(bad[:3]), "[]", "diagnostic", False, cfg["provenance"])
-        )
+        yield Check("failures", str(bad[:3]), "[]", "diagnostic", False)
 
 
 def _y_fixedpoint(N: int, G: int) -> FixedPointNumber:
@@ -251,7 +243,7 @@ def _y_fixedpoint(N: int, G: int) -> FixedPointNumber:
 
 
 @_experiment("vy-identity")
-def _vy_identity(cfg: dict, report: ExperimentReport) -> None:
+def _vy_identity(cfg: dict):
     N, G = cfg["frac_bits"], cfg["guard_bits"]
     y = _y_fixedpoint(N, G)
     v = FixedPointNumber.from_sequence(v_sequence(), N, G)
@@ -261,50 +253,35 @@ def _vy_identity(cfg: dict, report: ExperimentReport) -> None:
     log2_diff = (
         float(diff.numerator.bit_length() - diff.denominator.bit_length()) if diff else -math.inf
     )
-    report.checks.append(
-        Check(
-            "abs(v*y - 1) inclusion",
-            f"2^{log2_diff:.0f}",
-            f"<= 2^{cfg['tolerance_log2']}",
-            "exact rational inclusion incl. error bound",
-            diff <= bound,
-            cfg["provenance"],
-        )
+    yield Check(
+        "abs(v*y - 1) inclusion",
+        f"2^{log2_diff:.0f}",
+        f"<= 2^{cfg['tolerance_log2']}",
+        "exact rational inclusion incl. error bound",
+        diff <= bound,
     )
 
 
 @_experiment("z-prefix-digits")
-def _z_prefix_digits(cfg: dict, report: ExperimentReport) -> None:
+def _z_prefix_digits(cfg: dict):
     N, G = cfg["frac_bits"], cfg["guard_bits"]
     z = mul_rational(_y_fixedpoint(N, G), 4, 3, N, G)
     got = "".join(map(str, z.fraction_digits(10).tolist()))
-    report.checks.append(
-        Check(
-            "z-fractional-prefix",
-            got,
-            cfg["expected_prefix"],
-            "exact",
-            got == cfg["expected_prefix"],
-            cfg["provenance"],
-        )
-    )
+    yield exact("z-fractional-prefix", got, cfg["expected_prefix"], "exact")
 
 
 @_experiment("z-switch-half")
-def _z_switch_half(cfg: dict, report: ExperimentReport) -> None:
+def _z_switch_half(cfg: dict):
     N = 1 << cfg["prefix_log2"]
     z = mul_rational(_y_fixedpoint(N, cfg["guard_bits"]), 4, 3, N, cfg["guard_bits"])
     digits = z.fraction_digits(N, certified_only=False)
     fr = prefix_frequency(SymbolicSequence.from_array(digits), Block.from_string("01"), N)
-    report.checks.append(
-        Check(
-            "01-frequency",
-            round(float(fr), 6),
-            cfg["expected"],
-            f"abs dev <= {cfg['tolerance']}",
-            abs(float(fr) - cfg["expected"]) <= cfg["tolerance"],
-            cfg["provenance"],
-        )
+    yield Check(
+        "01-frequency",
+        round(float(fr), 6),
+        cfg["expected"],
+        f"abs dev <= {cfg['tolerance']}",
+        abs(float(fr) - cfg["expected"]) <= cfg["tolerance"],
     )
 
 
@@ -315,190 +292,114 @@ def _xy_digits(N: int, G: int) -> np.ndarray:
 
 
 @_experiment("xy-switch-decay")
-def _xy_switch_decay(cfg: dict, report: ExperimentReport) -> None:
+def _xy_switch_decay(cfg: dict):
     logs = cfg["prefix_log2s"]
     digits = _xy_digits(1 << max(logs), cfg["guard_bits"])
     curve = [float(analysis.switch_density(digits[: 1 << lg])) for lg in logs]
-    report.checks.append(
-        Check(
-            "final-switch-density",
-            round(curve[-1], 6),
-            f"<= {cfg['final_bound']}",
-            "recorded-run bound",
-            curve[-1] <= cfg["final_bound"],
-            cfg["provenance"],
-        )
-    )
+    yield at_most("final-switch-density", curve[-1], cfg["final_bound"], "recorded-run bound")
     slack = cfg["monotone_slack"]
-    monotone = all(b <= a + slack for a, b in zip(curve, curve[1:]))
-    report.checks.append(
-        Check(
-            "curve-nonincreasing",
-            [round(v, 6) for v in curve],
-            f"nonincreasing within +{slack}",
-            "recorded-run shape",
-            monotone,
-            cfg["provenance"],
-        )
+    yield Check(
+        "curve-nonincreasing",
+        [round(v, 6) for v in curve],
+        f"nonincreasing within +{slack}",
+        "recorded-run shape",
+        all(b <= a + slack for a, b in zip(curve, curve[1:])),
     )
 
 
-@_experiment("kappa-goodness")
-def _kappa_goodness(cfg: dict, report: ExperimentReport) -> None:
-    digits = kappa_sequence().prefix(1 << cfg["prefix_log2"])
+def _goodness_checks(digits: np.ndarray, cfg: dict, label: str):
+    """One check per block length m <= m_max: the exact eps_m-goodness
+    deviation against bound_factor * 2^-m."""
     factor = Fraction(cfg["bound_factor"])
     for m in range(1, cfg["m_max"] + 1):
         dev = analysis.eps_m_goodness(digits, m)
         bound = factor * Fraction(1, 1 << m)
-        report.checks.append(
-            Check(
-                f"goodness-m{m}",
-                round(float(dev), 8),
-                f"<= {float(bound):.8f}",
-                "exact rational comparison",
-                dev <= bound,
-                cfg["provenance"],
-            )
+        yield Check(
+            f"{label}m{m}", round(float(dev), 8), f"<= {float(bound):.8f}", "exact rational comparison", dev <= bound
         )
 
 
+@_experiment("kappa-goodness")
+def _kappa_goodness(cfg: dict):
+    yield from _goodness_checks(kappa_sequence().prefix(1 << cfg["prefix_log2"]), cfg, "goodness-")
+
+
 @_experiment("carry-closed-forms")
-def _carry_closed_forms(cfg: dict, report: ExperimentReport) -> None:
-    prov = cfg["provenance"]
+def _carry_closed_forms(cfg: dict):
     p = Fraction(1, 5)
     P, pprime = pnormal.carry_digit_prob(p)
     Q0, P0, pprime0 = pnormal.conditional_digit_prob(p)
     exp = cfg["expected"]
-    for name, got in (
-        ("P_at_1_5", P),
-        ("pprime_at_1_5", pprime),
-        ("Q0_at_1_5", Q0),
-        ("pprime0_at_1_5", pprime0),
-    ):
-        report.checks.append(
-            Check(name, str(got), exp[name], "exact rational", str(got) == exp[name], prov)
-        )
+    for name, got in (("P_at_1_5", P), ("pprime_at_1_5", pprime), ("Q0_at_1_5", Q0), ("pprime0_at_1_5", pprime0)):
+        yield exact(name, str(got), exp[name], "exact rational")
     seed = cfg["seed"]
-    sym_ok = True
-    for i in range(cfg["n_random"]):
+
+    def random_rational(i: int) -> Fraction:
         den = 2 + splitmix64(seed, 2 * i) % 9999
-        num = 1 + splitmix64(seed, 2 * i + 1) % (den - 1)
-        q = Fraction(num, den)
-        if pnormal.carry_digit_prob(q)[1] + pnormal.carry_digit_prob(1 - q)[1] != 1:
-            sym_ok = False
-            break
-    report.checks.append(
-        Check(
-            "pprime-symmetry",
-            f"{cfg['n_random']} random rationals",
-            "p'(p) + p'(1-p) = 1",
-            "exact rational",
-            sym_ok,
-            prov,
-        )
+        return Fraction(1 + splitmix64(seed, 2 * i + 1) % (den - 1), den)
+
+    sym_ok = all(
+        pnormal.carry_digit_prob(q)[1] + pnormal.carry_digit_prob(1 - q)[1] == 1
+        for q in map(random_rational, range(cfg["n_random"]))
     )
-    grid_ok = True
+    yield Check(
+        "pprime-symmetry", f"{cfg['n_random']} random rationals", "p'(p) + p'(1-p) = 1", "exact rational", sym_ok
+    )
     G = cfg["grid_points"]
-    for k in range(1, G):
-        q = Fraction(k, G)
-        sign = pnormal.carry_digit_prob(q)[1] - q
-        if q < Fraction(1, 2) and sign <= 0:
-            grid_ok = False
-        if q > Fraction(1, 2) and sign >= 0:
-            grid_ok = False
-        if q == Fraction(1, 2) and sign != 0:
-            grid_ok = False
-        if not grid_ok:
-            break
-    report.checks.append(
-        Check(
-            "fixed-point-only-at-half",
-            f"grid of {G} points",
-            "sign change of p'(p)-p exactly at 1/2",
-            "exact rational",
-            grid_ok,
-            prov,
-        )
+    half = Fraction(1, 2)
+    grid_ok = all(
+        _sign(pnormal.carry_digit_prob(q)[1] - q) == _sign(half - q) for q in (Fraction(k, G) for k in range(1, G))
+    )
+    yield Check(
+        "fixed-point-only-at-half",
+        f"grid of {G} points",
+        "sign change of p'(p)-p exactly at 1/2",
+        "exact rational",
+        grid_ok,
     )
 
 
 @_experiment("carry-monte-carlo")
-def _carry_monte_carlo(cfg: dict, report: ExperimentReport) -> None:
+def _carry_monte_carlo(cfg: dict):
     p = Fraction(cfg["p"])
     mc = pnormal.monte_carlo_carry_sum(p, cfg["seed"], cfg["n"], cfg["lookahead_cap"])
-    _, pprime = pnormal.carry_digit_prob(p)
-    _, _, pprime0 = pnormal.conditional_digit_prob(p)
+    pprime = float(pnormal.carry_digit_prob(p)[1])
+    pprime0 = float(pnormal.conditional_digit_prob(p)[2])
     k = cfg["sigma_count"]
-    _check_band(
-        report, "freq-one", mc.freq_one, float(pprime), _binom_sigma(float(pprime), mc.tallied), k, cfg["provenance"]
-    )
-    n_cond = max(1, int(mc.tallied_pairs * (1 - float(pprime))))
-    _check_band(
-        report,
-        "freq-one-given-next-zero",
-        mc.freq_one_given_next_zero,
-        float(pprime0),
-        _binom_sigma(float(pprime0), n_cond),
-        k,
-        cfg["provenance"],
-    )
-    report.checks.append(
-        Check(
-            "conditional-exceeds-unconditional",
-            round(mc.dependence, 6),
-            "> 0",
-            "sign check",
-            mc.dependence > 0,
-            cfg["provenance"],
-        )
-    )
+    yield band("freq-one", mc.freq_one, pprime, _binom_sigma(pprime, mc.tallied), k)
+    n_cond = max(1, int(mc.tallied_pairs * (1 - pprime)))
+    yield band("freq-one-given-next-zero", mc.freq_one_given_next_zero, pprime0, _binom_sigma(pprime0, n_cond), k)
+    yield Check("conditional-exceeds-unconditional", round(mc.dependence, 6), "> 0", "sign check", mc.dependence > 0)
 
 
 @_experiment("low-entropy-census")
-def _low_entropy_census(cfg: dict, report: ExperimentReport) -> None:
+def _low_entropy_census(cfg: dict):
     for case in cfg["cases"]:
         m, n, c, exp = case["m"], case["n"], case["c"], case["expected"]
         got = analysis.count_low_entropy_blocks(m, n, c)
         rate = math.log2(got) / m if got else float("-inf")
-        report.checks.append(
-            Check(
-                f"count(m={m},n={n},c={c})",
-                f"{got} (log2/m = {rate:.4f})",
-                exp,
-                "exact exhaustive count",
-                got == exp,
-                cfg["provenance"],
-            )
+        yield Check(
+            f"count(m={m},n={n},c={c})", f"{got} (log2/m = {rate:.4f})", exp, "exact exhaustive count", got == exp
         )
 
 
 @_experiment("complexity-contrast")
-def _complexity_contrast(cfg: dict, report: ExperimentReport) -> None:
+def _complexity_contrast(cfg: dict):
     eps = cfg["eps"]
     ydig = y_sequence().prefix(cfg["sparse_prefix"])
     curve = analysis.complexity_curve(ydig, eps, range(1, cfg["sparse_m_max"] + 1))
     worst = max(c for _, c, _ in curve.rows)
-    report.checks.append(
-        Check(
-            "sparse-complexity",
-            worst,
-            f"<= {cfg['sparse_c_max']} for m <= {cfg['sparse_m_max']}",
-            "greedy-exact on prefix",
-            worst <= cfg["sparse_c_max"] and curve.verdict,
-            cfg["provenance"],
-        )
+    yield Check(
+        "sparse-complexity",
+        worst,
+        f"<= {cfg['sparse_c_max']} for m <= {cfg['sparse_m_max']}",
+        "greedy-exact on prefix",
+        worst <= cfg["sparse_c_max"] and curve.verdict,
     )
     kdig = kappa_sequence().prefix(1 << cfg["kappa_prefix_log2"])
     c_kappa = analysis.epsilon_complexity(kdig, eps, cfg["kappa_m"])
-    report.checks.append(
-        Check(
-            "kappa-complexity",
-            c_kappa,
-            f">= {cfg['kappa_c_min']}",
-            "greedy-exact on prefix",
-            c_kappa >= cfg["kappa_c_min"],
-            cfg["provenance"],
-        )
+    yield Check(
+        "kappa-complexity", c_kappa, f">= {cfg['kappa_c_min']}", "greedy-exact on prefix", c_kappa >= cfg["kappa_c_min"]
     )
 
 
@@ -517,7 +418,7 @@ def _pair_block_counts(d1: np.ndarray, d2: np.ndarray, blen: int):
 
 
 @_experiment("base4-independence")
-def _base4_independence(cfg: dict, report: ExperimentReport) -> None:
+def _base4_independence(cfg: dict):
     N = cfg["n"]
     k = cfg["sigma_count"]
     stream = uniform_stream(4, derive_seed(cfg["seed"], "base4"), N + 2)
@@ -543,46 +444,29 @@ def _base4_independence(cfg: dict, report: ExperimentReport) -> None:
                     worst, worst_name = dev, f"({B1},{B2})"
                 if dev > k * sigma:
                     ok = False
-        report.checks.append(
-            Check(
-                f"factorization-{blen}-blocks",
-                f"max dev {worst:.6f} at {worst_name}",
-                f"<= {k} sigma each",
-                "joint vs product of marginals",
-                ok,
-                cfg["provenance"],
-            )
+        yield Check(
+            f"factorization-{blen}-blocks",
+            f"max dev {worst:.6f} at {worst_name}",
+            f"<= {k} sigma each",
+            "joint vs product of marginals",
+            ok,
         )
 
 
 @_experiment("rational-multiple-goodness")
-def _rational_multiple_goodness(cfg: dict, report: ExperimentReport) -> None:
+def _rational_multiple_goodness(cfg: dict):
     N = 1 << cfg["prefix_log2"]
     G = cfg["guard_bits"]
     x = FixedPointNumber.from_sequence(
         bernoulli_stream(Fraction(1, 2), cfg["seed"], N + G), N, G
     )
-    factor = Fraction(cfg["bound_factor"])
     for p, q in ((3, 1), (1, 3)):
-        z = mul_rational(x, p, q, N, G)
-        digits = z.fraction_digits(N, certified_only=False)
-        for m in range(1, cfg["m_max"] + 1):
-            dev = analysis.eps_m_goodness(digits, m)
-            bound = factor * Fraction(1, 1 << m)
-            report.checks.append(
-                Check(
-                    f"goodness-x*{p}/{q}-m{m}",
-                    round(float(dev), 8),
-                    f"<= {float(bound):.8f}",
-                    "exact rational comparison",
-                    dev <= bound,
-                    cfg["provenance"],
-                )
-            )
+        digits = mul_rational(x, p, q, N, G).fraction_digits(N, certified_only=False)
+        yield from _goodness_checks(digits, cfg, f"goodness-x*{p}/{q}-")
 
 
 @_experiment("modp-translation")
-def _modp_translation(cfg: dict, report: ExperimentReport) -> None:
+def _modp_translation(cfg: dict):
     N = cfg["n"]
     k = cfg["sigma_count"]
     s = uniform_stream(3, derive_seed(cfg["seed"], "mod3"), N + 1)
@@ -593,42 +477,30 @@ def _modp_translation(cfg: dict, report: ExperimentReport) -> None:
     sigma = _binom_sigma(target, N - 1)
     worst = max(abs(float(f) - target) for f in measure.fractions().values())
     missing = 9 - len(measure.counts)
-    report.checks.append(
-        Check(
-            "two-block-uniformity",
-            f"max dev {worst:.6f}",
-            f"each of 9 blocks within {k} sigma of 1/9",
-            f"{k} sigma = {k * sigma:.2e}",
-            missing == 0 and worst <= k * sigma,
-            cfg["provenance"],
-        )
+    yield Check(
+        "two-block-uniformity",
+        f"max dev {worst:.6f}",
+        f"each of 9 blocks within {k} sigma of 1/9",
+        f"{k} sigma = {k * sigma:.2e}",
+        missing == 0 and worst <= k * sigma,
     )
 
 
 @_experiment("ca-switch-identity")
-def _ca_switch_identity(cfg: dict, report: ExperimentReport) -> None:
+def _ca_switch_identity(cfg: dict):
     N = 1 << cfg["prefix_log2"]
     digits = _xy_digits(N, cfg["guard_bits"])
     seq = SymbolicSequence.from_array(digits)
     ca_out = algsys.apply_ca(algsys.LinearCA(2, (1, 1)), seq, N - 1)
     ones = prefix_frequency(ca_out, Block.from_string("1"), N - 1)
     sw = analysis.switch_density(digits)
-    report.checks.append(
-        Check(
-            "ca-ones-equals-switch-density",
-            str(ones),
-            str(sw),
-            "exact rational equality",
-            ones == sw,
-            cfg["provenance"],
-        )
-    )
+    # str() of a Fraction is canonical, so equal strings mean equal rationals
+    yield exact("ca-ones-equals-switch-density", str(ones), str(sw), "exact rational equality")
 
 
 @_experiment("arithmetic-roundtrips")
-def _arithmetic_roundtrips(cfg: dict, report: ExperimentReport) -> None:
+def _arithmetic_roundtrips(cfg: dict):
     seed = cfg["seed"]
-    prov = cfg["provenance"]
     # (a) mod-1 negation inverse
     ok_neg = True
     for i in range(cfg["roundtrip_cases"]):
@@ -636,9 +508,7 @@ def _arithmetic_roundtrips(cfg: dict, report: ExperimentReport) -> None:
         x = FixedPointNumber(mant, 48, 8)
         if mod1(carry_add(x, neg(x))).fraction_mant() != 0:
             ok_neg = False
-    report.checks.append(
-        Check("neg-mod1-inverse", f"{cfg['roundtrip_cases']} cases", "sum of fraction digits = 0", "exact", ok_neg, prov)
-    )
+    yield Check("neg-mod1-inverse", f"{cfg['roundtrip_cases']} cases", "sum of fraction digits = 0", "exact", ok_neg)
     # (b) rational multiplication round trip
     N, G = 256, bitarith.DEFAULT_GUARD_BITS
     ok_rt = True
@@ -653,15 +523,12 @@ def _arithmetic_roundtrips(cfg: dict, report: ExperimentReport) -> None:
         worst = max(worst, diff * (1 << N))
         if diff > Fraction(2, 1 << N):
             ok_rt = False
-    report.checks.append(
-        Check(
-            "mul-rational-roundtrip",
-            f"worst dev {float(worst):.3g} certified-ulps",
-            "<= 2 ulps at the certified scale",
-            "exact rational",
-            ok_rt,
-            prov,
-        )
+    yield Check(
+        "mul-rational-roundtrip",
+        f"worst dev {float(worst):.3g} certified-ulps",
+        "<= 2 ulps at the certified scale",
+        "exact rational",
+        ok_rt,
     )
     # (c) stream vs batch carry agreement
     Nd = cfg["digits"]
@@ -678,20 +545,17 @@ def _arithmetic_roundtrips(cfg: dict, report: ExperimentReport) -> None:
         batch = mod1(carry_add(a, b)).fraction_digits(Nd, certified_only=False)
         if not bool((digits[~amb] == batch[~amb]).all()):
             ok_stream = False
-    report.checks.append(
-        Check(
-            "stream-vs-batch-carry",
-            f"{cfg['pairs']} pairs, {flagged_total} flagged digits",
-            "agreement on all unflagged digits",
-            "exact",
-            ok_stream,
-            prov,
-        )
+    yield Check(
+        "stream-vs-batch-carry",
+        f"{cfg['pairs']} pairs, {flagged_total} flagged digits",
+        "agreement on all unflagged digits",
+        "exact",
+        ok_stream,
     )
 
 
 @_experiment("zip-columns")
-def _zip_columns(cfg: dict, report: ExperimentReport) -> None:
+def _zip_columns(cfg: dict):
     N = cfg["n"]
     k = cfg["sigma_count"]
     rows = [
@@ -702,20 +566,17 @@ def _zip_columns(cfg: dict, report: ExperimentReport) -> None:
     measure = seqcore.empirical_measure(z, 1, N)
     sigma = _binom_sigma(0.25, N)
     worst = max(abs(float(measure.fraction((c,))) - 0.25) for c in range(4))
-    report.checks.append(
-        Check(
-            "column-uniformity",
-            f"max dev {worst:.6f}",
-            f"each of 4 columns within {k} sigma of 1/4",
-            f"{k} sigma = {k * sigma:.2e}",
-            worst <= k * sigma,
-            cfg["provenance"],
-        )
+    yield Check(
+        "column-uniformity",
+        f"max dev {worst:.6f}",
+        f"each of 4 columns within {k} sigma of 1/4",
+        f"{k} sigma = {k * sigma:.2e}",
+        worst <= k * sigma,
     )
 
 
 @_experiment("spr-obstruction")
-def _spr_obstruction(cfg: dict, report: ExperimentReport) -> None:
+def _spr_obstruction(cfg: dict):
     """With p > 1/2, the all-ones block over a periodic partner occurs in the
     carry sum strictly less often than product structure would demand."""
     p = Fraction(cfg["p"])
@@ -742,30 +603,24 @@ def _spr_obstruction(cfg: dict, report: ExperimentReport) -> None:
     product_demand = float(p) ** nb  # conditional ones-run frequency if product structure held
     forced_cap = float(1 - p)  # each occurrence forces a mirror prefix digit in x
     sigma = _binom_sigma(forced_cap, max(anchors, 1))
-    report.checks.append(
-        Check(
-            "obstruction-inequality",
-            f"measured {measured:.5f} over {anchors} anchors (l={l})",
-            f"measured + {k} sigma < product demand {product_demand:.5f}",
-            f"{k} sigma = {k * sigma:.2e}",
-            measured + k * sigma < product_demand,
-            cfg["provenance"],
-        )
+    yield Check(
+        "obstruction-inequality",
+        f"measured {measured:.5f} over {anchors} anchors (l={l})",
+        f"measured + {k} sigma < product demand {product_demand:.5f}",
+        f"{k} sigma = {k * sigma:.2e}",
+        measured + k * sigma < product_demand,
     )
-    report.checks.append(
-        Check(
-            "forced-pattern-cap",
-            round(measured, 6),
-            f"<= {forced_cap} + {k} sigma",
-            f"{k} sigma = {k * sigma:.2e}",
-            measured <= forced_cap + k * sigma,
-            cfg["provenance"],
-        )
+    yield Check(
+        "forced-pattern-cap",
+        round(measured, 6),
+        f"<= {forced_cap} + {k} sigma",
+        f"{k} sigma = {k * sigma:.2e}",
+        measured <= forced_cap + k * sigma,
     )
 
 
 @_experiment("toral-discrepancy")
-def _toral_discrepancy(cfg: dict, report: ExperimentReport) -> None:
+def _toral_discrepancy(cfg: dict):
     tmap = algsys.ToralMap.from_rows(cfg["matrix"])
     bits = cfg["precision_bits"]
     seed = cfg["seed"]
@@ -778,23 +633,12 @@ def _toral_discrepancy(cfg: dict, report: ExperimentReport) -> None:
     result = algsys.toral_orbit(
         tmap, x0, cfg["steps"], precision_bits=bits, grid_bits=cfg["grid_bits"]
     )
-    report.checks.append(
-        Check(
-            "ergodic-flag",
-            result.ergodic,
-            True,
-            "no root-of-unity eigenvalue (det(A^m - I) != 0 for m <= 2d^2 + 6)",
-            result.ergodic,
-            "closed-form",
-        )
+    yield exact(
+        "ergodic-flag",
+        result.ergodic,
+        True,
+        "no root-of-unity eigenvalue (det(A^m - I) != 0 for m <= 2d^2 + 6)",
+        "closed-form",
     )
-    report.checks.append(
-        Check(
-            "grid-discrepancy",
-            round(result.discrepancy, 6),
-            f"<= {cfg['bound']}",
-            f"{1 << cfg['grid_bits']}^d cells, {cfg['steps']} steps",
-            result.discrepancy <= cfg["bound"],
-            cfg["provenance"],
-        )
-    )
+    cells = f"{1 << cfg['grid_bits']}^d cells, {cfg['steps']} steps"
+    yield at_most("grid-discrepancy", result.discrepancy, cfg["bound"], cells)

@@ -2,14 +2,25 @@
 
 Every criterion runs through the experiment registry at the tolerances
 pinned in normlab/tolerances.json, so `pytest tests/test_acceptance.py -s`
-and `normlab verify --all` exercise the same checks.
+and `normlab verify --all` exercise the same checks.  Each check's
+[measured, passed] must also match the digest the benchmark pins for it in
+perfbench/pins.json, and each check carries its manifest entry's provenance
+unless it is one of OWN_PROVENANCE.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
 from normlab.experiments import run_experiment
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+OWN_PROVENANCE = {
+    ("figure1-kappa", "digit-access-runtime"): "recorded-run",
+    ("toral-discrepancy", "ergodic-flag"): "closed-form",
+}
 
 CRITERIA = [
     ("A01 kappa opening digits exact", ["figure1-kappa"], 1.0),
@@ -33,7 +44,11 @@ CRITERIA = [
 
 
 @pytest.mark.parametrize("label, experiments, budget_s", CRITERIA, ids=[c[0][:3] for c in CRITERIA])
-def test_criterion(label, experiments, budget_s):
+def test_criterion(label, experiments, budget_s, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    pins = json.loads((PERFBENCH / "pins.json").read_text())["full"]["verify-suite"]["manifest"]
     t0 = time.perf_counter()
     reports = [run_experiment(name) for name in experiments]
     elapsed = time.perf_counter() - t0
@@ -47,3 +62,12 @@ def test_criterion(label, experiments, budget_s):
         f"{r.name}:{[c.name for c in r.checks if not c.passed]}" for r in reports if not r.passed
     )
     assert elapsed <= budget_s, f"{label} exceeded its {budget_s}s budget ({elapsed:.2f}s)"
+    for rep in reports:
+        got = {
+            f"{rep.name}/{c.name}": workloads.digest([c.measured, c.passed])
+            for c in rep.checks
+            if (rep.name, c.name) not in workloads.TIMING_CHECKS
+        }
+        assert got == {k: v for k, v in pins.items() if k.startswith(f"{rep.name}/")}
+        for c in rep.checks:
+            assert c.provenance == OWN_PROVENANCE.get((rep.name, c.name), rep.parameters["provenance"])

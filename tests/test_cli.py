@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -118,8 +119,12 @@ def test_usage_error_exit_code():
         (["gray", "--n", "2", "--out", "f"], None, 2),
         (["generate", "--kind", "kappa", "--n", "8", "--format", "json"], None, 2),
         (["verify", "--name", "figure1-kappa", "--name", "z-prefix-digits"], "abc", 0),
+        (["algsys", "modp-add", "--in", "a.nseq", "--in2", "a.nseq", "--n", "8", "--format", "json",
+          "--out", "m.nseq"], None, 2),
+        (["algsys", "ca", "--matrix", "x"], None, 2),
     ],
-    ids=["threads", "verify-csv", "experiment-csv", "gray-out", "generate-format", "threads-env"],
+    ids=["threads", "verify-csv", "experiment-csv", "gray-out", "generate-format", "threads-env",
+         "algsys-modp-add-format", "algsys-ca-matrix"],
 )
 def test_only_read_flags_are_accepted(tmp_path, monkeypatch, capsys, argv, env, code):
     # a flag the command does not read is an argparse error; the
@@ -137,16 +142,33 @@ def test_only_read_flags_are_accepted(tmp_path, monkeypatch, capsys, argv, env, 
         assert "2/2 experiments passed" in capsys.readouterr().out
 
 
+def _commands(parser, path=(), inherited=frozenset()):
+    """Each command path, e.g. ("algsys", "orbit"), with the options it accepts."""
+    flags = inherited | {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, flags
+    for sub in subs:
+        for name, p in sub.choices.items():
+            yield from _commands(p, path + (name,), flags)
+
+
 def test_each_command_has_only_the_flags_it_reads():
     from normlab.cli import build_parser
 
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
-    flags = {name: {o for a in p._actions for o in a.option_strings} for name, p in sub.choices.items()}
+    flags = dict(_commands(build_parser()))
     assert not any("--threads" in f for f in flags.values())
-    assert {n for n, f in flags.items() if "--format" in f} == {
-        "analyze", "pnormal", "algsys", "verify", "experiment"
+    assert {c for c, f in flags.items() if "--format" in f} == {
+        ("analyze",), ("pnormal",), ("algsys", "orbit"), ("verify",), ("experiment",)
     }
-    assert {n for n, f in flags.items() if "--out" not in f} == {"gray"}
+    assert {c for c, f in flags.items() if "--out" not in f} == {("gray",)}
+    algsys = {c[1]: f for c, f in flags.items() if c[0] == "algsys"}
+    assert algsys == {
+        "modp-add": {"--out", "--in", "--in2", "--n"},
+        "ca": {"--out", "--in", "--n", "--p", "--coeffs"},
+        "orbit": {"--out", "--format", "--matrix", "--x0", "--steps", "--precision-bits", "--grid-bits"},
+    }
+    assert sum(map(len, algsys.values())) == 16
 
 
 def test_experiment_reports_reproduce():
@@ -293,3 +315,27 @@ def test_experiment_config_int_for_float(capsys):
         "--config", json.dumps({"prefix_log2": 12, "tolerance": 1}),
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["algsys", "orbit", "--matrix", "[[2,1],[1,1]]", "--x0", "1/5,2/5", "--grid-bits", "20"],
+         "orbit grid budget is d * grid_bits <= 20"),
+        (["algsys", "orbit", "--matrix", "[[2,1],[1,1]]", "--x0", "1/5,2/5", "--grid-bits", "40"],
+         "orbit grid budget is d * grid_bits <= 20"),
+        (["experiment", "--name", "toral-discrepancy", "--config", '{"steps": 400000}'],
+         "orbit storage budget is steps * d * bits(D) <= 2^28"),
+        (["experiment", "--name", "toral-discrepancy", "--config", '{"steps": 100000000000}'],
+         "orbit budget is steps <= 2^20"),
+    ],
+    ids=["grid-bits-20", "grid-bits-40", "steps-400000", "steps-1e11"],
+)
+def test_orbit_budget_is_usage_error(capsys, argv, message):
+    # each cap is checked before the orbit is iterated or its histogram allocated
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: {message}"

@@ -76,15 +76,11 @@ def epsilon_complexity(seq, eps, m: int, L: Optional[int] = None, r: Optional[in
     rr = r or _alphabet_size(seq)
     _, counts = block_histogram(_anchor_codes(digits, m, rr), rr**m)
     W = int(counts.sum())
-    allowed = epsf * W
-    outside = W
-    taken = 0
-    for c in np.sort(counts)[::-1]:
-        if outside <= allowed:
-            break
-        outside -= int(c)
-        taken += 1
-    return taken
+    # the head must hold at least W - floor(eps * W) anchors; head[t] is
+    # the number the t most frequent blocks hold
+    need = W - epsf.numerator * W // epsf.denominator
+    head = np.concatenate(([0], np.cumsum(np.sort(counts)[::-1])))
+    return int(np.searchsorted(head, need, side="left"))
 
 
 @dataclass

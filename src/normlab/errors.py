@@ -14,5 +14,10 @@ class BudgetError(ValueError):
     """A request beyond a fixed enumeration or verification budget."""
 
 
+# At most 2^26 digits are read at once: the int64 anchor codes of such a
+# prefix take 512 MiB.
+DIGITS_BUDGET_BITS = 26
+
+
 class DataQualityError(ValueError):
     """Sampled data too ambiguous to tally."""

@@ -8,6 +8,7 @@ deterministic: identical parameters yield identical digit functions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -67,24 +68,15 @@ class LevelSchedule:
             raise DomainError(f"n_{k} is too long to materialize (log2 = {e})")
         return 1 << e
 
-    def fits_level(self, p: int, k: int) -> bool:
-        """p <= n_k, comparing against the exact power of two."""
-        e = self.exponent(k)
-        bl = p.bit_length()
-        if bl <= e:
-            return True
-        if bl > e + 1:
-            return False
-        return p == (1 << e) if e <= self._VALUE_EXP_CAP else True
-
     def level_of(self, p: int) -> int:
         """The k with n_k < p <= n_{k+1}; requires p > n_1."""
         if p <= 2:
             raise DomainError("level_of is defined for positions beyond n_1 = 2")
-        for k in range(1, self.depth):
-            if self.fits_level(p, k + 1):
-                return k
-        raise DomainError("position beyond the materialized schedule")
+        # p <= 2^e exactly when p - 1 has at most e bits
+        k = bisect_left(self._exponents, (p - 1).bit_length())
+        if k == self.depth:
+            raise DomainError("position beyond the materialized schedule")
+        return k
 
     def finite_sum_contains(self, p: int) -> bool:
         """Membership of p in {0} union FS((n_k)): greedy subtraction of the
@@ -92,13 +84,9 @@ class LevelSchedule:
         if p < 0:
             return False
         v = p
-        for k in range(self.depth, 0, -1):
-            e = self.exponent(k)
-            if e >= v.bit_length() or e > self._VALUE_EXP_CAP:
-                continue
-            nk = 1 << e
-            if nk <= v:
-                v -= nk
+        for e in reversed(self._exponents):
+            if e < v.bit_length():  # then n_k = 2^e <= v
+                v -= 1 << e
         return v == 0
 
     def finite_sums(self, n: int) -> list[int]:
@@ -141,22 +129,24 @@ def _kappa_prefix_2048() -> np.ndarray:
     return level
 
 
+@lru_cache(maxsize=None)
+def _kappa_prefix_list() -> list[int]:
+    return _kappa_prefix_2048().tolist()
+
+
 def kappa_digit(p: int) -> int:
     """Digit p (1-indexed) of the sequence kappa."""
     if p < 1:
         raise DomainError("positions are 1-indexed")
-    prefix = _kappa_prefix_2048()
-    if p <= 2048:
-        return int(prefix[p - 1])
-    k = SCHEDULE.level_of(p)
-    e = SCHEDULE.exponent(k)
-    if e > SCHEDULE._VALUE_EXP_CAP:
-        raise DomainError("position beyond the materializable schedule")
-    l = ((p - 1) >> e) + 1              # chunk index within the level-(k+1) block
-    r = ((p - 1) & ((1 << e) - 1)) + 1  # position within the chunk
-    # chunk l is the l-th word of the alternated ordering started at the
-    # level-k prefix: prefix digit r XOR digit r of the ordering's offset
-    return kappa_digit(r) ^ offset_digit(1 << e, l, r, alternated=True)
+    bit = 0
+    while p > 2048:
+        e = SCHEDULE._exponents[SCHEDULE.level_of(p) - 1]
+        l = ((p - 1) >> e) + 1              # chunk index within the level-(k+1) block
+        p = ((p - 1) & ((1 << e) - 1)) + 1  # position within the chunk
+        # chunk l is the l-th word of the alternated ordering started at the
+        # level-k prefix: prefix digit p XOR digit p of the ordering's offset
+        bit ^= offset_digit(1 << e, l, p, alternated=True)
+    return bit ^ _kappa_prefix_list()[p - 1]
 
 
 def _kappa_bulk(start: int, count: int) -> np.ndarray:
@@ -236,10 +226,7 @@ def v_digit(p: int) -> int:
     if p < 1:
         raise DomainError("positions are 1-indexed")
     while p > 2:
-        k = SCHEDULE.level_of(p)
-        e = SCHEDULE.exponent(k)
-        if e > SCHEDULE._VALUE_EXP_CAP:
-            raise DomainError("position beyond the materializable schedule")
+        e = SCHEDULE._exponents[SCHEDULE.level_of(p) - 1]
         r = (p - 1) % (2 << e) + 1
         if r > (1 << e):
             return 0

@@ -13,6 +13,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .errors import DIGITS_BUDGET_BITS, BudgetError
+
 
 class AlphabetError(ValueError):
     pass
@@ -129,6 +131,8 @@ class SymbolicSequence:
             raise HorizonError(f"positions are 1-indexed, got {start}")
         if count < 0:
             raise HorizonError(f"negative digit count {count}")
+        if count > 1 << DIGITS_BUDGET_BITS:
+            raise BudgetError(f"digit budget is count <= 2^{DIGITS_BUDGET_BITS}")
         if self.horizon is not None and start + count - 1 > self.horizon:
             raise HorizonError(
                 f"positions up to {start + count - 1} exceed horizon {self.horizon}"
@@ -197,11 +201,31 @@ def _anchor_codes(digits: np.ndarray, m: int, r: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if r**m >= 2**62:
         raise LengthError(f"block codes for m={m}, r={r} exceed the 64-bit budget")
+    if r == 2 and 8 <= m <= 57:
+        return _packed_codes(digits, m, W)
     codes = np.zeros(W, dtype=np.int64)
     for j in range(m):
         codes *= r
         codes += digits[j : j + W]  # cast in buffered chunks, not one full-size copy
     return codes
+
+
+def _packed_codes(digits: np.ndarray, m: int, W: int) -> np.ndarray:
+    """Binary anchor codes from the bit-packed digits, in one pass at any m.
+
+    Word q is the big-endian uint64 of packed bytes q .. q+7, that is digits
+    8q .. 8q+63; the block anchored at digit 8q+s is its bits s .. s+m-1
+    from the top, which fit while s + m <= 64 for every phase s < 8.
+    """
+    rows = -(-W // 8)
+    packed = np.zeros(rows + 8, dtype=np.uint8)
+    bits = np.packbits(digits)
+    packed[: len(bits)] = bits
+    words = np.ndarray((rows,), dtype=">u8", buffer=packed, strides=(1,)).astype(np.uint64)
+    shifts = np.arange(64 - m, 56 - m, -1, dtype=np.uint64)
+    codes = words[:, None] >> shifts
+    codes &= np.uint64((1 << m) - 1)
+    return codes.view(np.int64).reshape(-1)[:W]
 
 
 def block_histogram(codes: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
@@ -265,6 +289,9 @@ class EmpiricalMeasure:
         )
 
 
+_DECODE_ROWS = 4096  # codes decoded at a time; int64 rows of m digits for every code would raise peak memory
+
+
 def empirical_measure(seq: SymbolicSequence, m: int, N: int) -> EmpiricalMeasure:
     """Count the m-blocks anchored at the prefix [1, N-m+1]."""
     if N < m:
@@ -274,9 +301,11 @@ def empirical_measure(seq: SymbolicSequence, m: int, N: int) -> EmpiricalMeasure
     total = len(at)
     observed, cnt = block_histogram(at, r**m)
     del at  # 8 bytes a window: freed before the per-block keys are built
-    counts = {
-        tuple(Block.from_code(int(c), m, r).digits): int(n) for c, n in zip(observed, cnt)
-    }
+    powers = r ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    counts = {}
+    for lo in range(0, len(observed), _DECODE_ROWS):
+        rows = (observed[lo : lo + _DECODE_ROWS, None] // powers) % r  # digits, first one MSB
+        counts.update(zip(map(tuple, rows.tolist()), cnt[lo : lo + _DECODE_ROWS].tolist()))
     return EmpiricalMeasure(m, f"prefix({N})", counts, total, seq.alphabet)
 
 

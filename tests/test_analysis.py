@@ -19,7 +19,14 @@ from normlab.analysis import (
 )
 from normlab.generators import bernoulli_stream, kappa_sequence, y_sequence
 from normlab.grayorder import GrayOrdering
-from normlab.seqcore import Block, LengthError, SymbolicSequence, prefix_frequency
+from normlab.seqcore import (
+    Block,
+    LengthError,
+    SymbolicSequence,
+    _anchor_codes,
+    block_histogram,
+    prefix_frequency,
+)
 
 B = Block.from_string
 
@@ -105,6 +112,47 @@ def brute_force_complexity(digits, eps, m):
 def test_greedy_matches_brute_force(digits, eps, m):
     got = epsilon_complexity(np.array(digits, dtype=np.uint8), eps, m)
     assert got == brute_force_complexity(digits, eps, m)
+
+
+def epsilon_complexity_by_heads(counts: np.ndarray, eps) -> int:
+    """Take the most frequent blocks one at a time until at most eps * W
+    anchors lie outside them."""
+    W = int(counts.sum())
+    allowed = Fraction(eps) * W
+    outside = W
+    taken = 0
+    for c in np.sort(counts)[::-1]:
+        if outside <= allowed:
+            break
+        outside -= int(c)
+        taken += 1
+    return taken
+
+
+eps_values = st.one_of(
+    st.integers(2, 10**15).flatmap(lambda q: st.integers(1, q - 1).map(lambda a: Fraction(a, q))),
+    st.floats(1e-12, 1 - 1e-12),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=400),
+    st.integers(1, 9),
+    eps_values,
+    st.integers(1, 400),
+)
+def test_complexity_head_count_matches_taking_heads(digits, m, eps, j):
+    arr = np.array(digits, dtype=np.uint8)
+    m = min(m, len(digits))
+    W = len(digits) - m + 1
+    _, counts = block_histogram(_anchor_codes(arr, m, 2), 1 << m)
+    # eps * W on an integer and 10^-20 to either side of it, where a float
+    # product would round across the integer
+    on = Fraction(j % W, W)
+    for e in (eps, on, on - Fraction(1, 10**20), on + Fraction(1, 10**20)):
+        if 0 < e < 1:
+            assert epsilon_complexity(arr, e, m) == epsilon_complexity_by_heads(counts, e)
 
 
 def test_complexity_curve_verdict():

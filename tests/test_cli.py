@@ -339,3 +339,23 @@ def test_orbit_budget_is_usage_error(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--kind", "kappa", "--n", "99999999999999"],
+        ["experiment", "--name", "kappa-goodness", "--config", '{"prefix_log2": 40}'],
+    ],
+    ids=["generate-kappa-1e14", "kappa-goodness-prefix-2^40"],
+)
+def test_digit_budget_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # the digit count is checked before any digit array is allocated
+    monkeypatch.chdir(tmp_path)
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: digit budget is count <= 2^26"
+    assert list(tmp_path.iterdir()) == []

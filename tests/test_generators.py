@@ -10,6 +10,7 @@ from normlab.generators import (
     DomainError,
     GeneratorInstance,
     LevelSchedule,
+    _kappa_prefix_2048,
     bernoulli_stream,
     champernowne_digits,
     derive_seed,
@@ -22,7 +23,7 @@ from normlab.generators import (
     y_digit,
     y_sequence,
 )
-from normlab.grayorder import GrayOrdering
+from normlab.grayorder import GrayOrdering, offset_digit
 from normlab.seqcore import Block
 
 KAPPA_PREFIX_56 = (
@@ -160,6 +161,116 @@ def test_v_digit_matches_bulk():
     seq = v_sequence()
     for p in (1, 7, 4096, 4097, 2**30 + 5):
         assert seq.digit(p) == int(seq.digits(p, 1)[0])
+
+
+# -- per-digit probes against their recursive definitions --------------------
+
+
+def fits_level(schedule: LevelSchedule, p: int, k: int) -> bool:
+    """p <= n_k, comparing against the exact power of two."""
+    e = schedule.exponent(k)
+    bl = p.bit_length()
+    if bl <= e:
+        return True
+    if bl > e + 1:
+        return False
+    return p == (1 << e) if e <= schedule._VALUE_EXP_CAP else True
+
+
+def level_of_by_levels(schedule: LevelSchedule, p: int) -> int:
+    """The k with n_k < p <= n_{k+1}, tried level by level."""
+    if p <= 2:
+        raise DomainError("level_of is defined for positions beyond n_1 = 2")
+    for k in range(1, schedule.depth):
+        if fits_level(schedule, p, k + 1):
+            return k
+    raise DomainError("position beyond the materialized schedule")
+
+
+def kappa_digit_by_recursion(p: int) -> int:
+    """Digit p of kappa: the prefix digit of the chunk position XOR the
+    Gray offset digit, recursing once per level."""
+    if p < 1:
+        raise DomainError("positions are 1-indexed")
+    if p <= 2048:
+        return int(_kappa_prefix_2048()[p - 1])
+    e = SCHEDULE.exponent(level_of_by_levels(SCHEDULE, p))
+    l = ((p - 1) >> e) + 1
+    r = ((p - 1) & ((1 << e) - 1)) + 1
+    return kappa_digit_by_recursion(r) ^ offset_digit(1 << e, l, r, alternated=True)
+
+
+def y_digit_by_levels(p: int) -> int:
+    """Finite-sums indicator by greedy subtraction, level by level."""
+    if p < 0:
+        raise DomainError("coordinates start at 0")
+    v = p
+    for k in range(SCHEDULE.depth, 0, -1):
+        e = SCHEDULE.exponent(k)
+        if e >= v.bit_length() or e > SCHEDULE._VALUE_EXP_CAP:
+            continue
+        if 1 << e <= v:
+            v -= 1 << e
+    return 1 if v == 0 else 0
+
+
+def v_digit_by_levels(p: int) -> int:
+    """Digit p of v, reduced along p -> ((p-1) mod 2 n_k) + 1."""
+    if p < 1:
+        raise DomainError("positions are 1-indexed")
+    while p > 2:
+        e = SCHEDULE.exponent(level_of_by_levels(SCHEDULE, p))
+        r = (p - 1) % (2 << e) + 1
+        if r > (1 << e):
+            return 0
+        p = r
+    return 1
+
+
+# positions on every scale up to 2^2100, past n_4 = 2^2059
+positions = st.integers(1, 2100).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+# sums of level values, one off or exact: where y and v change
+near_sums = st.builds(
+    lambda es, d: max(1, sum(1 << e for e in es) + d),
+    st.sets(st.sampled_from([1, 3, 11, 2059]), min_size=1),
+    st.integers(-1, 1),
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(positions, near_sums))
+def test_probes_match_their_recursions(p):
+    assert kappa_digit(p) == kappa_digit_by_recursion(p)
+    assert y_digit(p) == y_digit_by_levels(p)
+    assert v_digit(p) == v_digit_by_levels(p)
+    if p > 2:
+        assert SCHEDULE.level_of(p) == level_of_by_levels(SCHEDULE, p)
+
+
+def test_probes_at_the_level_edges():
+    edges = [1, 2, 3, 8, 9, 2048, 2049, 1 << 2059, (1 << 2059) + 1]
+    assert y_digit(0) == y_digit_by_levels(0) == 1
+    for p in edges:
+        assert kappa_digit(p) == kappa_digit_by_recursion(p)
+        assert y_digit(p) == y_digit_by_levels(p)
+        assert v_digit(p) == v_digit_by_levels(p)
+    assert [SCHEDULE.level_of(p) for p in edges[2:]] == [1, 1, 2, 2, 3, 3, 4]
+
+
+def test_probe_domain_errors():
+    for fn, p in ((kappa_digit, 0), (kappa_digit, -1), (v_digit, 0), (v_digit, -1), (y_digit, -1)):
+        with pytest.raises(DomainError):
+            fn(p)
+    small = LevelSchedule(exponent_bit_cap=4)  # levels 2, 8, 2048 only
+    for schedule in (SCHEDULE, small):
+        for p in (-1, 0, 1, 2):
+            with pytest.raises(DomainError):
+                schedule.level_of(p)
+    assert small.level_of(2048) == level_of_by_levels(small, 2048) == 2
+    with pytest.raises(DomainError):
+        small.level_of(2049)
+    with pytest.raises(DomainError):
+        level_of_by_levels(small, 2049)
 
 
 # -- pseudorandom streams ----------------------------------------------------

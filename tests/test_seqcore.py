@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normlab.errors import DIGITS_BUDGET_BITS, BudgetError
+from normlab.generators import bernoulli_stream
 from normlab.seqcore import (
     Alphabet,
     AlphabetError,
@@ -14,6 +16,7 @@ from normlab.seqcore import (
     HorizonError,
     LengthError,
     SymbolicSequence,
+    _anchor_codes,
     base4_split,
     block_histogram,
     empirical_measure,
@@ -45,6 +48,15 @@ def test_block_validation():
         Block((0, 2), Alphabet(2))
     with pytest.raises(LengthError):
         Block((), Alphabet(2))
+
+
+def test_digit_budget_is_checked_before_reading():
+    seq = SymbolicSequence(lambda start, count: count)  # reports what it would read
+    assert seq.digits(1, 1 << DIGITS_BUDGET_BITS) == 1 << DIGITS_BUDGET_BITS
+    with pytest.raises(BudgetError, match=f"count <= 2\\^{DIGITS_BUDGET_BITS}"):
+        seq.digits(1, (1 << DIGITS_BUDGET_BITS) + 1)
+    with pytest.raises(BudgetError):
+        seq.prefix(1 << 40)
 
 
 # -- block_density -----------------------------------------------------------
@@ -125,6 +137,51 @@ def test_block_histogram_matches_counter(case):
     assert list(zip(observed.tolist(), counts.tolist())) == sorted(Counter(codes).items())
 
 
+# -- anchor codes ------------------------------------------------------------
+
+
+def anchor_codes_by_passes(digits: np.ndarray, m: int, r: int) -> np.ndarray:
+    """The m-pass definition of the anchor codes, the reference for the
+    bit-packed binary path."""
+    W = len(digits) - m + 1
+    if W <= 0:
+        return np.zeros(0, dtype=np.int64)
+    codes = np.zeros(W, dtype=np.int64)
+    for j in range(m):
+        codes *= r
+        codes += digits[j : j + W]
+    return codes
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 57), st.lists(st.integers(0, 1), min_size=1, max_size=300))
+def test_packed_anchor_codes_match_the_passes(m, digits):
+    arr = np.array(digits, dtype=np.uint8)
+    got = _anchor_codes(arr, m, 2)
+    assert got.dtype == np.int64
+    assert got.tolist() == anchor_codes_by_passes(arr, m, 2).tolist()
+
+
+def test_packed_anchor_codes_every_length_and_phase():
+    # every m through the packed range and every length from W <= 0 to W =
+    # 20, so the last anchor falls on every bit of a packed byte
+    rng = np.random.default_rng(5)
+    for m in range(1, 58):
+        for n in range(max(1, m - 2), m + 20):
+            arr = rng.integers(0, 2, n, dtype=np.uint8)
+            assert _anchor_codes(arr, m, 2).tolist() == anchor_codes_by_passes(arr, m, 2).tolist()
+    ones = np.ones(300, dtype=np.uint8)
+    assert _anchor_codes(ones, 57, 2).tolist() == [(1 << 57) - 1] * 244
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 39), st.lists(st.integers(0, 2), min_size=1, max_size=300))
+def test_ternary_anchor_codes_unchanged(m, digits):
+    arr = np.array(digits, dtype=np.uint8)
+    assert _anchor_codes(arr, m, 3).tolist() == anchor_codes_by_passes(arr, m, 3).tolist()
+
+
+
 # -- empirical_measure -------------------------------------------------------
 
 
@@ -163,6 +220,35 @@ def test_empirical_measure_counts_windows(r, digits, m):
     assert em.counts == dict(windows)
     for key in em.counts:
         assert Block.from_code(Block(key, Alphabet(r)).encode(), m, r).digits == key
+
+
+def measure_counts_by_block(seq: SymbolicSequence, m: int, N: int) -> dict:
+    """The counts dict built key by key through Block.from_code, the
+    reference for the one-pass decode of `empirical_measure`."""
+    r = seq.alphabet.size
+    observed, cnt = block_histogram(_anchor_codes(seq.digits(1, N), m, r), r**m)
+    return {tuple(Block.from_code(int(c), m, r).digits): int(n) for c, n in zip(observed, cnt)}
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 5), st.lists(st.integers(0, 4), min_size=1, max_size=200), st.integers(1, 12))
+def test_measure_decode_matches_block_from_code(r, digits, m):
+    seq = SymbolicSequence.from_array([d % r for d in digits], r=r)
+    m = min(m, len(digits))
+    em = empirical_measure(seq, m, len(digits))
+    assert list(em.counts.items()) == list(measure_counts_by_block(seq, m, len(digits)).items())
+    assert all(type(d) is int for key in em.counts for d in key)
+    assert all(type(c) is int for c in em.counts.values())
+
+
+def test_measure_decode_across_chunks():
+    # about 11,000 distinct 14-blocks: three chunks of 4,096 decoded rows
+    seq = bernoulli_stream(Fraction(1, 2), 7, 1 << 14)
+    em = empirical_measure(seq, 14, 1 << 14)
+    want = measure_counts_by_block(seq, 14, 1 << 14)
+    assert len(want) > 2 * 4096
+    assert list(em.counts.items()) == list(want.items())
+
 
 
 def test_empirical_measure_merge_over_subwindows():

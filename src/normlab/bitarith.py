@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DIGITS_BUDGET_BITS, BudgetError, DomainError
 from .seqcore import HorizonError, SymbolicSequence
 
 DEFAULT_GUARD_BITS = 64
@@ -24,6 +24,13 @@ DEFAULT_GUARD_BITS = 64
 
 class PrecisionError(ValueError):
     pass
+
+
+def _frac_bits(N: int, G: int) -> int:
+    """N + G, checked against the digit budget before anything is allocated."""
+    if N + G > 1 << DIGITS_BUDGET_BITS:
+        raise BudgetError(f"fixed-point budget is N + G <= 2^{DIGITS_BUDGET_BITS} fractional bits")
+    return N + G
 
 
 def _bits_to_int(bits: np.ndarray) -> int:
@@ -75,7 +82,7 @@ class FixedPointNumber:
         sequence is zero beyond the horizon."""
         if seq.alphabet.size != 2:
             raise DomainError("fixed-point numbers are binary")
-        F = N + G
+        F = _frac_bits(N, G)
         take = F if seq.horizon is None else min(F, seq.horizon)
         bits = seq.digits(1, take)
         mant = _bits_to_int(bits)
@@ -271,7 +278,7 @@ def shifted_sum(
     the omitted shifts are distinct integers, so the dropped tail is below
     2^(1-(N+G)) and is covered by 2 ulps on top of the per-copy truncation.
     """
-    F = N + G
+    F = _frac_bits(N, G)
     svals = sorted(set(int(s) for s in shifts))
     if any(s < 0 for s in svals):
         raise DomainError("shifts must be >= 0")
@@ -279,23 +286,18 @@ def shifted_sum(
     omitted = len(svals) - len(kept)
     if not kept:
         return FixedPointNumber(0, F, G, 1, 2 if omitted else 0)
-    top = F - min(kept)
+    top = F - kept[0]
     bits = seq.digits(1, top) if (seq.horizon is None or seq.horizon >= top) else None
     if bits is None:
         bits = np.zeros(top, dtype=np.uint8)
         h = seq.horizon
         bits[:h] = seq.digits(1, h)
+    full = _bits_to_int(bits)  # the copy at shift s is its first F - s digits
     acc = 0
     err = 2 if omitted else 0
-    base_cache: dict[int, int] = {}
     for s in kept:
-        take = F - s
-        word = base_cache.get(take)
-        if word is None:
-            word = _bits_to_int(bits[:take])
-            base_cache[take] = word
-        acc += word
-        if seq.horizon is None or seq.horizon > take:
+        acc += full >> (s - kept[0])
+        if seq.horizon is None or seq.horizon > F - s:
             err += 1  # this copy was truncated; exact otherwise
     return FixedPointNumber(acc, F, G, 1, err)
 
@@ -331,15 +333,14 @@ def stream_carry_add(
     a = s1.digits(1, M).astype(np.int8)
     b = s2.digits(1, M).astype(np.int8)
     col = a + b  # 0, 1, or 2 per column
+    # nxt[i]: the first column >= i whose digit sum differs from 1 (M if
+    # none), by one reversed running minimum; position n scans from n+1.
+    # j - pos <= lookahead_cap implies j < M.
+    nxt = np.full(M + 1, M)
+    nxt[:M] = np.where(col != 1, np.arange(M), M)
+    j = np.minimum.accumulate(nxt[::-1])[::-1][1 : N + 1]
     pos = np.arange(N)
-    non1 = np.flatnonzero(col != 1)  # columns whose digit sum differs from 1
-    if len(non1) == 0:
-        ambiguous = np.ones(N, dtype=bool)
-        return (col[:N] % 2).astype(np.uint8), ambiguous
-    nxt = np.searchsorted(non1, pos, side="right")
-    has = nxt < len(non1)
-    j = np.where(has, non1[np.minimum(nxt, len(non1) - 1)], M)
-    within = has & (j - pos <= lookahead_cap)
+    within = j - pos <= lookahead_cap
     carry = np.zeros(N, dtype=np.int8)
     carry[within] = (col[j[within]] == 2).astype(np.int8)
     ambiguous = ~within

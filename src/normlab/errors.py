@@ -18,6 +18,10 @@ class BudgetError(ValueError):
 # prefix take 512 MiB.
 DIGITS_BUDGET_BITS = 26
 
+# rauzy_obstruction_l compares integer powers of about l * bits(n) bits; at
+# most 2^20 bits each (a few milliseconds per power).
+OBSTRUCTION_BUDGET_BITS = 20
+
 
 class DataQualityError(ValueError):
     """Sampled data too ambiguous to tally."""

@@ -332,24 +332,27 @@ def _carry_closed_forms(cfg: dict):
     exp = cfg["expected"]
     for name, got in (("P_at_1_5", P), ("pprime_at_1_5", pprime), ("Q0_at_1_5", Q0), ("pprime0_at_1_5", pprime0)):
         yield exact(name, str(got), exp[name], "exact rational")
+
+    # the comparisons below run on the integer (numerator, denominator) of
+    # p'(a/n); multiplying out positive denominators keeps them exact
+    def pprime_parts(a: int, n: int) -> tuple[int, int]:
+        return pnormal._carry_parts(a, n)[1]
+
     seed = cfg["seed"]
-
-    def random_rational(i: int) -> Fraction:
-        den = 2 + splitmix64(seed, 2 * i) % 9999
-        return Fraction(1 + splitmix64(seed, 2 * i + 1) % (den - 1), den)
-
-    sym_ok = all(
-        pnormal.carry_digit_prob(q)[1] + pnormal.carry_digit_prob(1 - q)[1] == 1
-        for q in map(random_rational, range(cfg["n_random"]))
-    )
+    sym_ok = True
+    for i in range(cfg["n_random"]):
+        n = 2 + splitmix64(seed, 2 * i) % 9999
+        a = 1 + splitmix64(seed, 2 * i + 1) % (n - 1)
+        (u, v), (w, x) = pprime_parts(a, n), pprime_parts(n - a, n)
+        sym_ok &= u * x + w * v == v * x
     yield Check(
         "pprime-symmetry", f"{cfg['n_random']} random rationals", "p'(p) + p'(1-p) = 1", "exact rational", sym_ok
     )
     G = cfg["grid_points"]
-    half = Fraction(1, 2)
-    grid_ok = all(
-        _sign(pnormal.carry_digit_prob(q)[1] - q) == _sign(half - q) for q in (Fraction(k, G) for k in range(1, G))
-    )
+    grid_ok = True
+    for k in range(1, G):
+        num, den = pprime_parts(k, G)  # sign(p' - k/G) against sign(1/2 - k/G)
+        grid_ok &= _sign(num * G - k * den) == _sign(G - 2 * k)
     yield Check(
         "fixed-point-only-at-half",
         f"grid of {G} points",

@@ -8,6 +8,7 @@ against seeded sampled streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Optional
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .bitarith import stream_carry_add
-from .errors import BudgetError, DataQualityError, DomainError
+from .errors import OBSTRUCTION_BUDGET_BITS, BudgetError, DataQualityError, DomainError
 from .generators import bernoulli_stream, derive_seed
 
 MC_BUDGET_BITS = 22  # Monte-Carlo samples cost about 63 bytes each
@@ -28,6 +29,23 @@ def _check_p(p) -> Fraction:
     return pf
 
 
+def _carry_parts(a: int, n: int):
+    """The closed forms at p = a/n as integer (numerator, denominator)
+    pairs, in the order P, p', Q0, P0, p0'; not reduced.
+
+    With b = n - a and s = a^2 + b^2: P = a^2 / s,
+    p' = (a^2 s + 2 a b^3) / (n^2 s), Q0 = b^3 / D0 with D0 = b s + 2 a^3,
+    P0 = (D0 - b^3) / D0 and p0' = (2 a b^4 + (D0 - b^3) s) / (n^2 D0).
+    """
+    b = n - a
+    a2, b3 = a * a, b * b * b
+    s = a2 + b * b
+    d0 = b * s + 2 * a2 * a
+    p0_num = d0 - b3
+    n2 = n * n
+    return (a2, s), (a2 * s + 2 * a * b3, n2 * s), (b3, d0), (p0_num, d0), (2 * a * b3 * b + p0_num * s, n2 * d0)
+
+
 def carry_digit_prob(p) -> tuple[Fraction, Fraction]:
     """(P, p') for the carry sum of two independent p-streams.
 
@@ -36,11 +54,8 @@ def carry_digit_prob(p) -> tuple[Fraction, Fraction]:
     sum digits, p' = 2 Q p q + P (p^2 + q^2) = p^2 + 2 p q^3 / (p^2 + q^2).
     """
     pf = _check_p(p)
-    q = 1 - pf
-    P = pf**2 / (pf**2 + q**2)
-    Q = 1 - P
-    p_prime = 2 * Q * pf * q + P * (pf**2 + q**2)
-    return P, p_prime
+    P, p_prime = _carry_parts(pf.numerator, pf.denominator)[:2]
+    return Fraction(*P), Fraction(*p_prime)
 
 
 def conditional_digit_prob(p) -> tuple[Fraction, Fraction, Fraction]:
@@ -52,23 +67,40 @@ def conditional_digit_prob(p) -> tuple[Fraction, Fraction, Fraction]:
     matters: p0' > p', which is what breaks product structure in the sum.
     """
     pf = _check_p(p)
-    q = 1 - pf
-    Q0 = q**2 / (pf**2 + q**2 + 2 * pf**3 / q)
-    P0 = 1 - Q0
-    p0_prime = 2 * Q0 * pf * q + P0 * (pf**2 + q**2)
-    return Q0, P0, p0_prime
+    Q0, P0, p0_prime = _carry_parts(pf.numerator, pf.denominator)[2:]
+    return Fraction(*Q0), Fraction(*P0), Fraction(*p0_prime)
 
 
 def rauzy_obstruction_l(p) -> int:
-    """Smallest positive l with ((1-p)/p)^l < p; defined for p > 1/2."""
+    """Smallest positive l with ((1-p)/p)^l < p; defined for p > 1/2.
+
+    With p = a/n and b = n - a the condition is b^l n < a^(l+1).  l is
+    estimated from logarithms and then confirmed exactly with integer
+    powers; BudgetError, before any power, when the estimate puts l * bits(n)
+    beyond 2^OBSTRUCTION_BUDGET_BITS.
+    """
     pf = Fraction(p)
     if not Fraction(1, 2) < pf < 1:
         raise DomainError(f"the obstruction length needs 1/2 < p < 1, got {p}")
-    ratio = (1 - pf) / pf
-    power = ratio
-    l = 1
-    while power >= pf:
-        power *= ratio
+    a, n = pf.numerator, pf.denominator
+    b = n - a
+
+    def below(l: int) -> bool:
+        return b**l * n < a ** (l + 1)
+
+    if below(1):  # every p >= 2/3 ends here, so (a - b) / b <= 1 below
+        return 1
+    max_l = (1 << OBSTRUCTION_BUDGET_BITS) // n.bit_length()
+    # l is the least integer above log(n/a) / log(a/b); (a - b) / b keeps
+    # log(a/b) accurate when p is within 2^-53 of 1/2
+    gap = math.log1p((a - b) / b)
+    estimate = math.log1p(b / a) / gap if gap > 0 else math.inf
+    if estimate >= max_l:
+        raise BudgetError(f"obstruction budget is l * bits(n) <= 2^{OBSTRUCTION_BUDGET_BITS}, p = {p}")
+    l = max(2, math.floor(estimate) + 1)
+    while l > 2 and below(l - 1):
+        l -= 1
+    while not below(l):
         l += 1
     return l
 

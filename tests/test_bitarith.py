@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normlab.bitarith import (
@@ -318,6 +318,51 @@ def test_stream_matches_batch_on_kappa_shift():
     ok = ~amb
     assert ok.sum() > 0.99 * N
     assert (digits[ok] == batch[ok]).all()
+
+
+def stream_carry_add_by_search(a: np.ndarray, b: np.ndarray, N: int, cap: int):
+    """The O(N log N) definition: each position's next column with digit sum
+    != 1, found by binary search over all such columns."""
+    M = N + cap
+    col = a[:M].astype(np.int8) + b[:M].astype(np.int8)
+    pos = np.arange(N)
+    non1 = np.flatnonzero(col != 1)
+    if len(non1) == 0:
+        return (col[:N] % 2).astype(np.uint8), np.ones(N, dtype=bool)
+    nxt = np.searchsorted(non1, pos, side="right")
+    has = nxt < len(non1)
+    j = np.where(has, non1[np.minimum(nxt, len(non1) - 1)], M)
+    within = has & (j - pos <= cap)
+    carry = np.zeros(N, dtype=np.int8)
+    carry[within] = (col[j[within]] == 2).astype(np.int8)
+    return ((col[:N] + carry) % 2).astype(np.uint8), ~within
+
+
+@st.composite
+def carry_columns(draw):
+    """Two digit rows of length N + cap built from runs of equal column sums;
+    the long runs of sum 1 exceed the cap and can reach the last column."""
+    N = draw(st.integers(1, 300))
+    cap = draw(st.integers(0, 70))
+    runs = draw(st.lists(st.tuples(st.sampled_from([0, 1, 1, 2]), st.integers(1, 120)), min_size=1))
+    sums = np.resize(np.repeat(*np.array(runs, dtype=np.uint8).T), N + cap)
+    pick = np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, 2, N + cap, dtype=np.uint8)
+    a = np.where(sums == 1, pick, sums // 2).astype(np.uint8)
+    return a, (sums - a).astype(np.uint8), N, cap
+
+
+@given(carry_columns())
+@example((np.ones(5, np.uint8), np.zeros(5, np.uint8), 5, 0))  # cap 0, no column != 1
+@example((np.ones(1, np.uint8), np.ones(1, np.uint8), 1, 0))  # N = 1, cap 0
+@example((np.array([1, 0, 0, 1], np.uint8), np.array([1, 1, 0, 0], np.uint8), 1, 3))  # N = 1, run reaches M
+@example((np.r_[np.zeros(3), np.ones(90)].astype(np.uint8), np.r_[np.ones(3), np.zeros(89), [1]].astype(np.uint8), 3, 90))
+@settings(max_examples=200, deadline=None)
+def test_stream_carry_add_matches_search(case):
+    a, b, N, cap = case
+    digits, amb = stream_carry_add(SymbolicSequence.from_array(a), SymbolicSequence.from_array(b), N, cap)
+    want_digits, want_amb = stream_carry_add_by_search(a, b, N, cap)
+    assert digits.dtype == want_digits.dtype and amb.dtype == want_amb.dtype
+    assert (digits == want_digits).all() and (amb == want_amb).all()
 
 
 def test_certified_digits_shrink_with_error():

@@ -359,3 +359,31 @@ def test_digit_budget_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert captured.out == ""
     assert captured.err.strip() == "error: digit budget is count <= 2^26"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("op", ["mulq", "neg", "shiftsum"])
+def test_arith_frac_bits_beyond_budget_is_usage_error(tmp_path, capsys, op):
+    src = tmp_path / "y.nseq"
+    main(["generate", "--kind", "y", "--n", "4160", "--out", str(src)])
+    capsys.readouterr()
+    out = tmp_path / "out.nseq"
+    argv = ["arith", "--op", op, "--in", str(src), "--frac-bits", "100000000000", "--out", str(out)]
+    argv += {"mulq": ["--int-part", "1", "--p", "4", "--q", "3"], "shiftsum": ["--shifts", "0,2"]}.get(op, [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: fixed-point budget is N + G <= 2^26 fractional bits"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["y.nseq"]
+
+
+@pytest.mark.parametrize("p", ["500001/1000000", "0.5000000000000000000001", "50001/100000"])
+def test_pnormal_near_half_ends_quickly(capsys, p):
+    start = time.perf_counter()
+    code = main(["pnormal", "--p", p, "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["l"] == 17329
+    else:
+        assert code == 2
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: obstruction budget is l * bits(n) <= 2^20")

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from normlab.errors import OBSTRUCTION_BUDGET_BITS, BudgetError
 from normlab.pnormal import (
     DomainError,
+    _carry_parts,
     carry_digit_prob,
     carry_sum_stats,
     conditional_digit_prob,
@@ -15,6 +17,39 @@ from normlab.pnormal import (
 )
 
 fractions_in_unit = st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000))
+
+
+def carry_digit_prob_by_fractions(p: Fraction):
+    q = 1 - p
+    P = p**2 / (p**2 + q**2)
+    return P, 2 * (1 - P) * p * q + P * (p**2 + q**2)
+
+
+def conditional_digit_prob_by_fractions(p: Fraction):
+    q = 1 - p
+    Q0 = q**2 / (p**2 + q**2 + 2 * p**3 / q)
+    P0 = 1 - Q0
+    return Q0, P0, 2 * Q0 * p * q + P0 * (p**2 + q**2)
+
+
+def rauzy_obstruction_l_by_loop(p: Fraction) -> int:
+    ratio = (1 - p) / p
+    power, l = ratio, 1
+    while power >= p:
+        power *= ratio
+        l += 1
+    return l
+
+
+@given(st.integers(2, 10**12), st.data(), st.integers(1, 1000))
+def test_integer_parts_match_fraction_definitions(n, data, k):
+    a = data.draw(st.integers(1, n - 1))
+    p = Fraction(a, n)
+    parts = [Fraction(num, den) for num, den in _carry_parts(k * a, k * n)]
+    assert tuple(parts) == carry_digit_prob_by_fractions(p) + conditional_digit_prob_by_fractions(p)
+    assert carry_digit_prob(p) == tuple(parts[:2])
+    assert conditional_digit_prob(p) == tuple(parts[2:])
+    assert all(den > 0 for _, den in _carry_parts(k * a, k * n))
 
 
 def test_half_is_fixed():
@@ -73,7 +108,7 @@ def test_probability_sanity(p):
 
 @pytest.mark.parametrize(
     "p, want",
-    [(Fraction(9, 10), 1), (Fraction(3, 5), 2), (Fraction(51, 100), 17)],
+    [(Fraction(9, 10), 1), (Fraction(3, 5), 2), (Fraction(51, 100), 17), (1 - Fraction(1, 10**400), 1)],
 )
 def test_obstruction_lengths(p, want):
     l = rauzy_obstruction_l(p)
@@ -81,6 +116,28 @@ def test_obstruction_lengths(p, want):
     assert ((1 - p) / p) ** l < p
     if l > 1:
         assert ((1 - p) / p) ** (l - 1) >= p
+
+
+@given(st.integers(3, 400), st.data())
+def test_obstruction_length_matches_loop(n, data):
+    p = Fraction(data.draw(st.integers(n // 2 + 1, n - 1)), n)
+    assert rauzy_obstruction_l(p) == rauzy_obstruction_l_by_loop(p)
+
+
+def test_obstruction_length_near_half():
+    # 50001/100000: l = 17329, the smallest l with 49999^l * 10^5 < 50001^(l+1)
+    assert rauzy_obstruction_l(Fraction(50001, 100000)) == 17329
+    n = 1 << 60  # p = 1/2 + 2^-60: the float ratio (1 - p) / p rounds to 1.0
+    assert (n // 2 - 1) / (n // 2 + 1) == 1.0
+    for p in (Fraction(n // 2 + 1, n), Fraction("0.5000000000000000000001"), Fraction(500001, 10**6)):
+        with pytest.raises(BudgetError, match=f"2\\^{OBSTRUCTION_BUDGET_BITS}"):
+            rauzy_obstruction_l(p)
+    # just inside the budget: l * bits(n) <= 2^20 with p = 125001/250000
+    p = Fraction(125001, 250000)
+    l = rauzy_obstruction_l(p)
+    assert l * p.denominator.bit_length() <= 1 << OBSTRUCTION_BUDGET_BITS
+    b, a, n = p.denominator - p.numerator, p.numerator, p.denominator
+    assert b**l * n < a ** (l + 1) and b ** (l - 1) * n >= a**l
 
 
 def test_grid_scan_unique_fixed_point():

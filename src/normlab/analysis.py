@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError
-from .seqcore import Block, LengthError, SymbolicSequence, _anchor_codes, block_histogram
+from .seqcore import Block, LengthError, SymbolicSequence, _anchor_codes, _check_code_bits, block_histogram
 
 ENUM_BUDGET_BITS = 24
 
@@ -49,9 +49,19 @@ def combinatorial_entropy(B, n: int, r: Optional[int] = None) -> float:
     else:
         digits = np.asarray(B, dtype=np.uint8)
         r = r or 2
-    if n > len(digits):
-        raise LengthError(f"n={n} exceeds block length {len(digits)}")
+    _check_block_length(n, len(digits))
     _, counts = block_histogram(_anchor_codes(digits, n, r), r**n)
+    return _entropy(counts, n)
+
+
+def _check_block_length(n: int, length: int) -> None:
+    if n > length:
+        raise LengthError(f"n={n} exceeds block length {length}")
+
+
+def _entropy(counts: np.ndarray, n: int) -> float:
+    """Per-symbol entropy in bits of n-block counts in ascending code order
+    (the order fixes the float sum)."""
     if len(counts) == 1:
         return 0.0
     p = counts / counts.sum()
@@ -169,14 +179,42 @@ class EntropyProfile:
 
 
 def entropy_profile(seq, window_lengths: Sequence[int], n_range: Iterable[int]) -> EntropyProfile:
+    """H_n of each prefix window for each n, as `combinatorial_entropy` of
+    the window would give it, from one count per window.
+
+    The blocks of the largest n, `top`, are anchored once over the longest
+    window; a window counts the prefix of those codes that fits in it.  An
+    n-block's code is its top-block's code // r^(top - n), which keeps the
+    codes ascending, so equal ones are adjacent; the top - n anchors at the
+    window's end that start no top-block are read off its last top-block.
+    """
     ns = list(n_range)
-    top = max(window_lengths)
-    digits = _digits_of(seq, top)
+    digits = np.asarray(_digits_of(seq, max(window_lengths)), dtype=np.uint8)
     r = _alphabet_size(seq)
-    profile = EntropyProfile()
-    for w in window_lengths:
+    windows = [digits[:w] for w in window_lengths]
+    for window in windows:  # the errors of the per-window rule, in its order
         for n in ns:
-            profile.rows.append((w, n, combinatorial_entropy(digits[:w], n, r=r)))
+            _check_block_length(n, len(window))
+            _check_code_bits(n, r)
+    profile = EntropyProfile()
+    if not ns:
+        return profile
+    top = max(ns)
+    codes = _anchor_codes(digits, top, r)
+    for w, window in zip(window_lengths, windows):
+        head = len(window) - top + 1  # top-blocks inside the window
+        observed, counts = block_histogram(codes[:head], r**top)
+        last = int(codes[head - 1])
+        for n in ns:
+            drop = top - n
+            # the n-block at anchor head + j is digits j + 1 .. j + n of `last`
+            tail = np.array(sorted(last // r ** (drop - 1 - j) % r**n for j in range(drop)), dtype=np.int64)
+            coarse = observed // r**drop
+            at = np.searchsorted(coarse, tail)
+            merged = np.insert(coarse, at, tail)
+            starts = np.flatnonzero(np.diff(merged, prepend=-1))
+            grouped = np.add.reduceat(np.insert(counts, at, 1), starts)
+            profile.rows.append((w, n, _entropy(grouped, n)))
     return profile
 
 

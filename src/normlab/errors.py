@@ -22,6 +22,13 @@ DIGITS_BUDGET_BITS = 26
 # most 2^20 bits each (a few milliseconds per power).
 OBSTRUCTION_BUDGET_BITS = 20
 
+# The carry-sum closed forms at p = a/n have numerators and denominators
+# below 10 n^5 (the largest, p0' = (2ab^4 + (D0 - b^3) s) / (n^2 D0), has
+# s <= 2n^2 and D0 <= 4n^3).  With bits(n) <= 2^11 that is at most
+# 5 * 2048 + 4 = 10,244 bits, 3,084 decimal digits, so every form prints
+# under Python's 4,300-digit int-to-str limit.
+P_DENOMINATOR_BUDGET_BITS = 11
+
 
 class DataQualityError(ValueError):
     """Sampled data too ambiguous to tally."""

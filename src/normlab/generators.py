@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .grayorder import GrayOrdering, offset, offset_digit
+from .grayorder import GrayOrdering, offset
 from .seqcore import BINARY, Alphabet, Block, SymbolicSequence
 
 
@@ -78,22 +78,11 @@ class LevelSchedule:
             raise DomainError("position beyond the materialized schedule")
         return k
 
-    def finite_sum_contains(self, p: int) -> bool:
-        """Membership of p in {0} union FS((n_k)): greedy subtraction of the
-        largest level value, valid because the schedule is superincreasing."""
-        if p < 0:
-            return False
-        v = p
-        for e in reversed(self._exponents):
-            if e < v.bit_length():  # then n_k = 2^e <= v
-                v -= 1 << e
-        return v == 0
-
     def finite_sums(self, n: int) -> list[int]:
         """The positive elements up to n of S = {0} union FS((n_k)), ascending.
 
-        (0 belongs to the set but is not a 1-indexed position; membership
-        queries at 0 still answer True via `finite_sum_contains`.)
+        (0 belongs to the set but is not a 1-indexed position; `y_digit(0)`
+        still answers 1.)
         Sums of the materializable levels cover every element below
         n_{depth}; superincreasing levels make subset-mask numeric order
         equal to sum order, so the enumeration stops at the first sum above n.
@@ -134,19 +123,35 @@ def _kappa_prefix_list() -> list[int]:
     return _kappa_prefix_2048().tolist()
 
 
+# (e, 2^e - 1) of the levels whose chunks are longer than the prefix, top
+# first; no position reaches a level whose n_k cannot be materialized
+_KAPPA_LEVELS = tuple(
+    (e, (1 << e) - 1) for e in reversed(SCHEDULE._exponents) if 11 <= e <= LevelSchedule._VALUE_EXP_CAP
+)
+
+
 def kappa_digit(p: int) -> int:
-    """Digit p (1-indexed) of the sequence kappa."""
+    """Digit p (1-indexed) of the sequence kappa.
+
+    At a level with chunk length 2^e, position q = p - 1 lies at offset
+    i = q & (2^e - 1) of chunk l = (q >> e) + 1, the l-th word of the
+    alternated ordering started at the level prefix: prefix digit i XOR bit
+    2^e - 1 - i of reflected-gray(l - 1), complemented for even l.  That
+    bit is bit s = e + 2^e - 1 - i of q XOR bit s + 1, so one shift
+    t = q >> s gives it, and l is even when bit e of q is 1; for e = 2059
+    the shift is astronomically large and t = 0.
+    """
     if p < 1:
         raise DomainError("positions are 1-indexed")
+    q = p - 1
     bit = 0
-    while p > 2048:
-        e = SCHEDULE._exponents[SCHEDULE.level_of(p) - 1]
-        l = ((p - 1) >> e) + 1              # chunk index within the level-(k+1) block
-        p = ((p - 1) & ((1 << e) - 1)) + 1  # position within the chunk
-        # chunk l is the l-th word of the alternated ordering started at the
-        # level-k prefix: prefix digit p XOR digit p of the ordering's offset
-        bit ^= offset_digit(1 << e, l, p, alternated=True)
-    return bit ^ _kappa_prefix_list()[p - 1]
+    for e, mask in _KAPPA_LEVELS:
+        if q > mask:  # p > n_k = 2^e
+            i = q & mask
+            t = q >> (e + mask - i) & 3
+            bit ^= t ^ (t >> 1) ^ (q >> e & 1)
+            q = i
+    return (bit & 1) ^ _kappa_prefix_list()[q]
 
 
 def _kappa_bulk(start: int, count: int) -> np.ndarray:
@@ -188,6 +193,13 @@ def kappa_sequence() -> SymbolicSequence:
 Y_INTEGER_PART = 1  # 0 is in the sum set, so the integer bit of y is 1
 
 
+# The level values are distinct powers of two, so a finite sum of them is a
+# number whose binary digits all sit on level exponents.  Every
+# representable p is below n_5 = 2^(2059 + 2^2059), so the bits of the
+# materializable levels decide membership.
+_SUMS_MASK = sum(1 << e for e in SCHEDULE._exponents if e <= LevelSchedule._VALUE_EXP_CAP)
+
+
 def y_digit(p: int) -> int:
     """Indicator digit of the sparse number y at coordinate p >= 0.
 
@@ -196,7 +208,7 @@ def y_digit(p: int) -> int:
     """
     if p < 0:
         raise DomainError("coordinates start at 0")
-    return 1 if SCHEDULE.finite_sum_contains(p) else 0
+    return 1 if p | _SUMS_MASK == _SUMS_MASK else 0
 
 
 def _y_bulk(start: int, count: int) -> np.ndarray:
@@ -217,23 +229,6 @@ def y_sequence() -> SymbolicSequence:
 # v: the reciprocal partner of y
 
 
-def v_digit(p: int) -> int:
-    """Digit p (1-indexed) of the block-doubling sequence v.
-
-    The level-(k+1) block is (B_k 0^{n_k}) repeated, starting from B_1 = 11,
-    so the digit reduces along p -> ((p-1) mod 2 n_k) + 1 until p <= 2.
-    """
-    if p < 1:
-        raise DomainError("positions are 1-indexed")
-    while p > 2:
-        e = SCHEDULE._exponents[SCHEDULE.level_of(p) - 1]
-        r = (p - 1) % (2 << e) + 1
-        if r > (1 << e):
-            return 0
-        p = r
-    return 1
-
-
 @lru_cache(maxsize=None)
 def _v_pattern_4096() -> np.ndarray:
     pat = np.array([1, 1], dtype=np.uint8)
@@ -244,6 +239,32 @@ def _v_pattern_4096() -> np.ndarray:
     pat = np.concatenate([pat, np.zeros(2048, dtype=np.uint8)])
     pat.setflags(write=False)
     return pat  # (B_3 0^2048): the tile of the level-4 block, length 4096
+
+
+@lru_cache(maxsize=None)
+def _v_pattern_list() -> list[int]:
+    return _v_pattern_4096().tolist()
+
+
+_V_TILED = SCHEDULE.value(4)  # positions up to n_4 read the 4096-digit tile
+
+
+def v_digit(p: int) -> int:
+    """Digit p (1-indexed) of the block-doubling sequence v.
+
+    The level-(k+1) block is (B_k 0^{n_k}) repeated, starting from B_1 = 11,
+    so the digit reduces along p -> ((p-1) mod 2 n_k) + 1 until p <= n_4,
+    where the level-4 block, which tiles (B_3 0^2048), gives it.
+    """
+    if p < 1:
+        raise DomainError("positions are 1-indexed")
+    while p > _V_TILED:
+        e = SCHEDULE._exponents[SCHEDULE.level_of(p) - 1]
+        r = (p - 1) % (2 << e) + 1
+        if r > (1 << e):
+            return 0
+        p = r
+    return _v_pattern_list()[(p - 1) & 4095]
 
 
 def _v_bulk(start: int, count: int) -> np.ndarray:

@@ -47,13 +47,6 @@ def offset(n: int, l, alternated: bool = False):
     return g
 
 
-def offset_digit(n: int, l: int, i: int, alternated: bool = False) -> int:
-    """Digit i (1 = most significant) of offset(n, l, alternated), without
-    building the n-bit word, so n may be astronomically large."""
-    bit = (reflected_gray(l - 1) >> (n - i)) & 1
-    return bit ^ (~l & 1) if alternated else bit
-
-
 @dataclass(frozen=True)
 class GrayOrdering:
     """One ordering of the binary blocks of length n, random access by index.

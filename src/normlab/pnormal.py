@@ -16,7 +16,13 @@ from typing import Optional
 import numpy as np
 
 from .bitarith import stream_carry_add
-from .errors import OBSTRUCTION_BUDGET_BITS, BudgetError, DataQualityError, DomainError
+from .errors import (
+    OBSTRUCTION_BUDGET_BITS,
+    P_DENOMINATOR_BUDGET_BITS,
+    BudgetError,
+    DataQualityError,
+    DomainError,
+)
 from .generators import bernoulli_stream, derive_seed
 
 MC_BUDGET_BITS = 22  # Monte-Carlo samples cost about 63 bytes each
@@ -26,6 +32,9 @@ def _check_p(p) -> Fraction:
     pf = Fraction(p)
     if not 0 < pf < 1:
         raise DomainError(f"p must lie strictly between 0 and 1, got {p}")
+    bits = pf.denominator.bit_length()
+    if bits > 1 << P_DENOMINATOR_BUDGET_BITS:
+        raise BudgetError(f"p's denominator has {bits} bits; the budget is 2^{P_DENOMINATOR_BUDGET_BITS}")
     return pf
 
 

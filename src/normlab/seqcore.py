@@ -139,7 +139,10 @@ class SymbolicSequence:
             )
 
     def digit(self, p: int) -> int:
-        self._check_range(p, 1)
+        # one digit is always within the digit budget: only the position
+        # can be out of range, and _check_range then raises its error
+        if p < 1 or (self.horizon is not None and p > self.horizon):
+            self._check_range(p, 1)
         return self._digit_fn(p)
 
     def digits(self, start: int, count: int) -> np.ndarray:
@@ -199,15 +202,19 @@ def _anchor_codes(digits: np.ndarray, m: int, r: int) -> np.ndarray:
     W = len(digits) - m + 1
     if W <= 0:
         return np.zeros(0, dtype=np.int64)
-    if r**m >= 2**62:
-        raise LengthError(f"block codes for m={m}, r={r} exceed the 64-bit budget")
-    if r == 2 and 8 <= m <= 57:
+    _check_code_bits(m, r)
+    if r == 2 and 3 <= m <= 57:  # the m-pass loop is faster only for m <= 2
         return _packed_codes(digits, m, W)
     codes = np.zeros(W, dtype=np.int64)
     for j in range(m):
         codes *= r
         codes += digits[j : j + W]  # cast in buffered chunks, not one full-size copy
     return codes
+
+
+def _check_code_bits(m: int, r: int) -> None:
+    if r**m >= 2**62:
+        raise LengthError(f"block codes for m={m}, r={r} exceed the 64-bit budget")
 
 
 def _packed_codes(digits: np.ndarray, m: int, W: int) -> np.ndarray:

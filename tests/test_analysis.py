@@ -288,6 +288,53 @@ def test_profile_min_max():
     assert lo <= hi
 
 
+def profile_by_windows(seq, windows, ns):
+    """The rows of entropy_profile by definition: combinatorial_entropy of
+    each window for each n, counted afresh every time."""
+    digits = seq.digits(1, max(windows))
+    return [(w, n, combinatorial_entropy(digits[:w], n, r=seq.alphabet.size)) for w in windows for n in ns]
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def profile_inputs(draw):
+    r = draw(st.sampled_from([2, 3]))
+    digits = draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=300))
+    # any order, duplicates, windows shorter than the largest n
+    windows = draw(st.lists(st.integers(1, len(digits)), min_size=1, max_size=5))
+    # not contiguous, not from 1, possibly empty; n > 8 (binary) or n > 5
+    # (ternary) puts the largest n past the dense table of every window
+    ns = draw(st.lists(st.integers(1, 20), max_size=5))
+    return r, digits, windows, ns
+
+
+@settings(max_examples=300)
+@given(profile_inputs())
+@example((2, [0, 1, 1] * 40, [120, 50], [62, 3]))  # code budget before a short window
+@example((2, [0, 1, 1] * 40, [50, 120], [3, 62]))  # a short window before the budget
+@example((3, [0, 1, 2, 2] * 30, [120, 7], [40, 2]))
+@example((2, [1] * 300, [300, 299, 1], [1]))
+def test_profile_matches_per_window_entropy(inputs):
+    r, digits, windows, ns = inputs
+    seq = SymbolicSequence.from_array(digits, r=r)
+    got = outcome(lambda: entropy_profile(seq, windows, ns).rows)
+    assert got == outcome(lambda: profile_by_windows(seq, windows, ns))
+    assert entropy_profile(seq, windows, range(1, 1)).rows == []
+
+
+def test_profile_matches_per_window_entropy_at_scale():
+    # 2^16 digits: dense tables at the largest n, thousands of codes each
+    for seq in (kappa_sequence(), bernoulli_stream(Fraction(1, 3), 7, 1 << 16)):
+        windows, ns = [1 << 16, 1000, 1 << 12, 1000], range(3, 13, 2)
+        assert entropy_profile(seq, windows, ns).rows == profile_by_windows(seq, windows, ns)
+
+
 # -- census ------------------------------------------------------------------
 
 

@@ -387,3 +387,12 @@ def test_pnormal_near_half_ends_quickly(capsys, p):
         assert code == 2
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: obstruction budget is l * bits(n) <= 2^20")
+
+
+@pytest.mark.parametrize("p", ["1e-100000", "1e-1000000"])
+def test_pnormal_long_denominator_ends_quickly(capsys, p):
+    start = time.perf_counter()
+    assert main(["pnormal", "--p", p]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: p's denominator has ")

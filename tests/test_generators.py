@@ -23,7 +23,7 @@ from normlab.generators import (
     y_digit,
     y_sequence,
 )
-from normlab.grayorder import GrayOrdering, offset_digit
+from normlab.grayorder import GrayOrdering, reflected_gray
 from normlab.seqcore import Block
 
 KAPPA_PREFIX_56 = (
@@ -50,15 +50,28 @@ def test_schedule_value_refuses_monsters():
         SCHEDULE.value(5)
 
 
+def finite_sum_contains(schedule: LevelSchedule, p: int) -> bool:
+    """Membership of p in {0} union FS((n_k)): greedy subtraction of the
+    largest level value, valid because the schedule is superincreasing (the
+    loop y_digit used before its bit mask)."""
+    if p < 0:
+        return False
+    v = p
+    for e in reversed(schedule._exponents):
+        if e < v.bit_length():  # then n_k = 2^e <= v
+            v -= 1 << e
+    return v == 0
+
+
 def test_finite_sums_membership():
     members = {2, 8, 10, 2048, 2050, 2056, 2058}
-    assert {p for p in range(1, 2060) if SCHEDULE.finite_sum_contains(p)} == members
+    assert {p for p in range(1, 2060) if finite_sum_contains(SCHEDULE, p)} == members
     assert set(SCHEDULE.finite_sums(2059)) == members
-    assert SCHEDULE.finite_sum_contains(0)
+    assert finite_sum_contains(SCHEDULE, 0)
     n4 = 1 << 2059
-    assert SCHEDULE.finite_sum_contains(n4)
-    assert SCHEDULE.finite_sum_contains(n4 + 2058)
-    assert not SCHEDULE.finite_sum_contains(n4 + 1)
+    assert finite_sum_contains(SCHEDULE, n4)
+    assert finite_sum_contains(SCHEDULE, n4 + 2058)
+    assert not finite_sum_contains(SCHEDULE, n4 + 1)
 
 
 def test_finite_sums_enumeration_sorted():
@@ -187,6 +200,12 @@ def level_of_by_levels(schedule: LevelSchedule, p: int) -> int:
     raise DomainError("position beyond the materialized schedule")
 
 
+def offset_digit_alternated(n: int, l: int, i: int) -> int:
+    """Digit i (1 = most significant) of the alternated ordering's offset
+    of word l: reflected-gray(l - 1), complemented for even l."""
+    return ((reflected_gray(l - 1) >> (n - i)) & 1) ^ (~l & 1)
+
+
 def kappa_digit_by_recursion(p: int) -> int:
     """Digit p of kappa: the prefix digit of the chunk position XOR the
     Gray offset digit, recursing once per level."""
@@ -197,7 +216,21 @@ def kappa_digit_by_recursion(p: int) -> int:
     e = SCHEDULE.exponent(level_of_by_levels(SCHEDULE, p))
     l = ((p - 1) >> e) + 1
     r = ((p - 1) & ((1 << e) - 1)) + 1
-    return kappa_digit_by_recursion(r) ^ offset_digit(1 << e, l, r, alternated=True)
+    return kappa_digit_by_recursion(r) ^ offset_digit_alternated(1 << e, l, r)
+
+
+def kappa_digit_by_offsets(p: int) -> int:
+    """The loop kappa_digit used before its one-shift closed form: one
+    Gray offset digit per level, from reflected-gray of the chunk index."""
+    if p < 1:
+        raise DomainError("positions are 1-indexed")
+    bit = 0
+    while p > 2048:
+        e = SCHEDULE._exponents[SCHEDULE.level_of(p) - 1]
+        l = ((p - 1) >> e) + 1
+        p = ((p - 1) & ((1 << e) - 1)) + 1
+        bit ^= offset_digit_alternated(1 << e, l, p)
+    return bit ^ int(_kappa_prefix_2048()[p - 1])
 
 
 def y_digit_by_levels(p: int) -> int:
@@ -215,7 +248,8 @@ def y_digit_by_levels(p: int) -> int:
 
 
 def v_digit_by_levels(p: int) -> int:
-    """Digit p of v, reduced along p -> ((p-1) mod 2 n_k) + 1."""
+    """Digit p of v, reduced along p -> ((p-1) mod 2 n_k) + 1 down to
+    p <= 2 (the loop v_digit used before it read the level-4 tile)."""
     if p < 1:
         raise DomainError("positions are 1-indexed")
     while p > 2:
@@ -227,8 +261,24 @@ def v_digit_by_levels(p: int) -> int:
     return 1
 
 
+def assert_probes_match(p: int) -> None:
+    assert kappa_digit(p) == kappa_digit_by_recursion(p) == kappa_digit_by_offsets(p)
+    assert y_digit(p) == y_digit_by_levels(p) == int(finite_sum_contains(SCHEDULE, p))
+    assert v_digit(p) == v_digit_by_levels(p)
+
+
+def bits_exactly(b: int):
+    return st.integers(1 << (b - 1), (1 << b) - 1)
+
+
+N4 = 1 << 2059
 # positions on every scale up to 2^2100, past n_4 = 2^2059
-positions = st.integers(1, 2100).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+positions = st.integers(1, 2100).flatmap(bits_exactly)
+# around n_4: q = p - 1 with exactly 2059 or 2060 bits, and (2^2059, 2^2061]
+near_n4 = st.one_of(
+    st.sampled_from([2059, 2060]).flatmap(bits_exactly).map(lambda q: q + 1),
+    st.integers(N4 + 1, 1 << 2061),
+)
 # sums of level values, one off or exact: where y and v change
 near_sums = st.builds(
     lambda es, d: max(1, sum(1 << e for e in es) + d),
@@ -238,23 +288,30 @@ near_sums = st.builds(
 
 
 @settings(max_examples=300)
-@given(st.one_of(positions, near_sums))
+@given(st.one_of(positions, near_n4, near_sums))
 def test_probes_match_their_recursions(p):
-    assert kappa_digit(p) == kappa_digit_by_recursion(p)
-    assert y_digit(p) == y_digit_by_levels(p)
-    assert v_digit(p) == v_digit_by_levels(p)
+    assert_probes_match(p)
     if p > 2:
         assert SCHEDULE.level_of(p) == level_of_by_levels(SCHEDULE, p)
 
 
 def test_probes_at_the_level_edges():
-    edges = [1, 2, 3, 8, 9, 2048, 2049, 1 << 2059, (1 << 2059) + 1]
+    edges = [1, 2, 3, 8, 9, 2048, 2049, N4, N4 + 1]
     assert y_digit(0) == y_digit_by_levels(0) == 1
     for p in edges:
-        assert kappa_digit(p) == kappa_digit_by_recursion(p)
-        assert y_digit(p) == y_digit_by_levels(p)
-        assert v_digit(p) == v_digit_by_levels(p)
+        assert_probes_match(p)
     assert [SCHEDULE.level_of(p) for p in edges[2:]] == [1, 1, 2, 2, 3, 3, 4]
+    # every offset i = 0..2047 of a 2048-digit chunk far inside the level-4
+    # block and of its last chunk, then the first and last 2048 positions of
+    # chunk 2 of the level-5 block (chunk 1 is the level-4 block) and the
+    # first 2048 of chunk 3
+    for first in ((1 << 2058) + (12345 << 11), N4 - 2048, N4, 2 * N4 - 2048, 2 * N4):
+        for i in range(2048):
+            assert_probes_match(first + i + 1)
+    # the last position of each scale and the first past it, around n_4
+    for b in (2058, 2059, 2060, 2061):
+        for p in ((1 << b) - 1, 1 << b, (1 << b) + 1, (1 << b) + 2):
+            assert_probes_match(p)
 
 
 def test_probe_domain_errors():

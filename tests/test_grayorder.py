@@ -10,7 +10,7 @@ from normlab.grayorder import (
     ParityError,
     _check_words,
     offset,
-    offset_digit,
+    reflected_gray,
     verify_ordering,
 )
 from normlab.seqcore import Block, LengthError
@@ -195,6 +195,13 @@ def test_verify_ordering_reports_a_broken_ordering():
         "neighbors 000, 011 differ in != 1 place",
         "suffix structure broken at i=1, group 0",
     ]
+
+
+def offset_digit(n: int, l: int, i: int, alternated: bool = False) -> int:
+    """Digit i (1 = most significant) of offset(n, l, alternated), without
+    building the n-bit word; kappa's per-digit rule follows it."""
+    bit = (reflected_gray(l - 1) >> (n - i)) & 1
+    return bit ^ (~l & 1) if alternated else bit
 
 
 @settings(max_examples=200)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from normlab.errors import OBSTRUCTION_BUDGET_BITS, BudgetError
+from normlab.errors import OBSTRUCTION_BUDGET_BITS, P_DENOMINATOR_BUDGET_BITS, BudgetError
 from normlab.pnormal import (
     DomainError,
     _carry_parts,
@@ -82,6 +82,20 @@ def test_domain_checks():
             carry_digit_prob(bad)
     with pytest.raises(DomainError):
         rauzy_obstruction_l(Fraction(1, 2))
+
+
+def test_denominator_budget():
+    cap = 1 << P_DENOMINATOR_BUDGET_BITS
+    largest = (1 << cap) - 1  # the longest denominator within the budget
+    for a in (1, largest // 2, largest - 1):
+        stats = carry_sum_stats(Fraction(a, largest)).as_dict()
+        # every closed form prints, so each part stays under str()'s limit
+        assert all(len(part) < 4300 for v in stats.values() if isinstance(v, str) for part in v.split("/"))
+    for fn in (carry_digit_prob, conditional_digit_prob, carry_sum_stats):
+        with pytest.raises(BudgetError, match=f"has {cap + 1} bits; the budget is 2\\^{P_DENOMINATOR_BUDGET_BITS}"):
+            fn(Fraction(1, 1 << cap))
+    with pytest.raises(BudgetError):
+        monte_carlo_carry_sum(Fraction(1, 10**1000), 0, 1000)
 
 
 @given(fractions_in_unit)

@@ -59,6 +59,19 @@ def test_digit_budget_is_checked_before_reading():
         seq.prefix(1 << 40)
 
 
+def test_digit_range_errors_match_digits():
+    # digit(p) checks only the position; its errors are those of digits(p, 1)
+    bounded = SymbolicSequence.from_array([0, 1, 1])
+    unbounded = SymbolicSequence.periodic([0, 1])
+    for seq, p in ((bounded, 0), (bounded, -2), (bounded, 4), (unbounded, 0)):
+        with pytest.raises(HorizonError) as via_digits:
+            seq.digits(p, 1)
+        with pytest.raises(HorizonError, match=str(via_digits.value)):
+            seq.digit(p)
+    assert [bounded.digit(p) for p in (1, 2, 3)] == [0, 1, 1]
+    assert unbounded.digit(1 << 40) == 1
+
+
 # -- block_density -----------------------------------------------------------
 
 

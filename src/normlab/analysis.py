@@ -55,6 +55,8 @@ def combinatorial_entropy(B, n: int, r: Optional[int] = None) -> float:
 
 
 def _check_block_length(n: int, length: int) -> None:
+    if n < 0:
+        raise LengthError(f"block length n={n} is negative")
     if n > length:
         raise LengthError(f"n={n} exceeds block length {length}")
 

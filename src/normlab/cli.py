@@ -155,7 +155,7 @@ def _cmd_arith(args) -> int:
 
 
 def _cmd_pnormal(args) -> int:
-    stats = pnormal.carry_sum_stats(Fraction(args.p), mc_n=args.mc, seed=args.seed)
+    stats = pnormal.carry_sum_stats(args.p, mc_n=args.mc, seed=args.seed)
     _emit(args, stats.as_dict())
     return 0
 

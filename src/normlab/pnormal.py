@@ -9,6 +9,7 @@ against seeded sampled streams.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Optional
@@ -28,7 +29,16 @@ from .generators import bernoulli_stream, derive_seed
 MC_BUDGET_BITS = 22  # Monte-Carlo samples cost about 63 bytes each
 
 
+_EXPONENT = re.compile(r"[eE]([+-]?\d+)\s*$")
+
+
 def _check_p(p) -> Fraction:
+    # Fraction("1e-100000000") builds 10^100000000 before any check.  A
+    # decimal with d digits and exponent k, |k| > d + 2048, has a
+    # denominator above 10^2048 (k < 0) or is above 1 (k > 0, unless 0).
+    m = _EXPONENT.search(p) if isinstance(p, str) else None
+    if m and abs(int(m[1])) > len(p) + (1 << P_DENOMINATOR_BUDGET_BITS):
+        raise BudgetError(f"p's exponent {m[1]} is beyond the 2^{P_DENOMINATOR_BUDGET_BITS}-bit denominator budget")
     pf = Fraction(p)
     if not 0 < pf < 1:
         raise DomainError(f"p must lie strictly between 0 and 1, got {p}")

@@ -309,8 +309,9 @@ def profile_inputs(draw):
     # any order, duplicates, windows shorter than the largest n
     windows = draw(st.lists(st.integers(1, len(digits)), min_size=1, max_size=5))
     # not contiguous, not from 1, possibly empty; n > 8 (binary) or n > 5
-    # (ternary) puts the largest n past the dense table of every window
-    ns = draw(st.lists(st.integers(1, 20), max_size=5))
+    # (ternary) puts the largest n past the dense table of every window;
+    # n = 0 gives 0.0 and a negative n a LengthError
+    ns = draw(st.lists(st.integers(-1, 20), max_size=5))
     return r, digits, windows, ns
 
 

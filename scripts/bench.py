@@ -91,21 +91,15 @@ def earlier(number: int | None, out: Path) -> Path | None:
 
 
 def diff(old: dict, new: dict) -> list[str]:
-    lines = []
-    for field in ("git_sha", "src_lines"):
-        lines.append(f"{field:58} {old.get(field)!s:>14} -> {new.get(field)!s:>14}")
+    lines = [f"{f:58} {old.get(f)!s:>14} -> {new.get(f)!s:>14}" for f in ("git_sha", "src_lines")]
     for section in ("end_to_end", "layers"):
         for workload in WORKLOADS:
             a, b = old.get(section, {}).get(workload, {}), new.get(section, {}).get(workload, {})
             for name in sorted(set(a) | set(b)):
                 x, y = a.get(name), b.get(name)
-                if not x and not y:
-                    continue
-                change = ""
-                if isinstance(x, (int, float)) and isinstance(y, (int, float)) and x and not isinstance(x, bool):
-                    change = f"{(y - x) / abs(x):+.1%}"
-                lines.append(f"{section}.{workload}.{name:<{max(1, 44 - len(section) - len(workload))}} "
-                             f"{_fmt(x):>14} -> {_fmt(y):>14} {change:>8}")
+                if x or y:
+                    key = f"{section}.{workload}.{name}"
+                    lines.append(f"{key:58} {_fmt(x):>14} -> {_fmt(y):>14} {_change(x, y):>8}")
     return lines
 
 
@@ -113,6 +107,11 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.6g}"
     return "-" if v is None else str(v)
+
+
+def _change(x, y) -> str:
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+    return f"{(y - x) / abs(x):+.1%}" if numbers and x else ""
 
 
 def main() -> int:

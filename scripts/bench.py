@@ -14,7 +14,7 @@ below n, skipping metrics that read 0 on both sides (layers a workload does
 not use).  Exits 1 when a field is missing or a run reports "correct": false.
 perfbench does all the timing; this script only drives it and collects.
 
-Usage: python3 scripts/bench.py (--pr N | --out PATH) [--seed 3] [--seconds 30]
+Usage: python3 scripts/bench.py (--number N | --out PATH) [--seed 3] [--seconds 30]
                                 [--size full|tiny]
 """
 
@@ -116,19 +116,19 @@ def _change(x, y) -> str:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--pr", type=int, help="number n of the change: writes BENCH_<n>.json at the repository root")
+    ap.add_argument("--number", type=int, help="number n of the change: writes BENCH_<n>.json at the repository root")
     ap.add_argument("--out", type=Path, help="write here instead of BENCH_<n>.json")
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--size", choices=("full", "tiny"), default="full")
     args = ap.parse_args()
-    if args.pr is None and args.out is None:
-        ap.error("give --pr or --out")
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    if args.number is None and args.out is None:
+        ap.error("give --number or --out")
+    out = args.out or ROOT / f"BENCH_{args.number}.json"
     bench = collect(args)
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out}")
-    base = earlier(args.pr, out)
+    base = earlier(args.number, out)
     if base is not None:
         old = json.loads(base.read_text())
         if (old.get("size"), old.get("seed")) != (bench["size"], bench["seed"]):

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Record the benchmark trajectory: one BENCH_<n>.json per change.
 
-Runs perfbench/run.py on each workload at one seed, once with --trace 0
-(end-to-end metrics) and once with --trace 1 (per-layer metrics), reads the
-result files it leaves in .perfbench_out/, and writes
+Runs perfbench/run.py on each workload at the pinned seed SEED, once with
+--trace 0 (end-to-end metrics) and once with --trace 1 (per-layer metrics),
+reads the result files it leaves in .perfbench_out/, and writes
 
     {"env", "git_sha", "src_lines", "seed", "size", "seconds",
      "end_to_end": {workload: {"correct", "attempted", "failed", metric: value}},
@@ -14,8 +14,7 @@ below n, skipping metrics that read 0 on both sides (layers a workload does
 not use).  Exits 1 when a field is missing or a run reports "correct": false.
 perfbench does all the timing; this script only drives it and collects.
 
-Usage: python3 scripts/bench.py (--number N | --out PATH) [--seed 3] [--seconds 30]
-                                [--size full|tiny]
+Usage: python3 scripts/bench.py (--number N | --out PATH) [--seconds 30] [--size full|tiny]
 """
 
 from __future__ import annotations
@@ -31,11 +30,12 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("verify-suite", "cli-session", "block-stats")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mib", "ok_ops_ratio")
 ENV_FIELDS = ("python", "numpy", "platform", "nproc", "cpu_model", "src_sha256")
+SEED = 3  # every BENCH file is measured at this seed, so any two of them compare
 
 
 def run(workload: str, trace: int, args) -> dict:
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--size", args.size,
+           "--seed", str(SEED), "--seconds", str(args.seconds), "--size", args.size,
            "--trace", str(trace)]
     subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
     path = ROOT / ".perfbench_out" / f"result-{workload}-trace{trace}.json"
@@ -57,7 +57,7 @@ def collect(args) -> dict:
         "env": {k: prov.get(k) for k in ENV_FIELDS},
         "git_sha": prov.get("git_sha"),
         "src_lines": prov.get("src_lines"),
-        "seed": args.seed,
+        "seed": SEED,
         "size": args.size,
         "seconds": args.seconds,
         **bench,
@@ -118,7 +118,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--number", type=int, help="number n of the change: writes BENCH_<n>.json at the repository root")
     ap.add_argument("--out", type=Path, help="write here instead of BENCH_<n>.json")
-    ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--size", choices=("full", "tiny"), default="full")
     args = ap.parse_args()
@@ -131,8 +130,8 @@ def main() -> int:
     base = earlier(args.number, out)
     if base is not None:
         old = json.loads(base.read_text())
-        if (old.get("size"), old.get("seed")) != (bench["size"], bench["seed"]):
-            print(f"{base.name} ran at size {old.get('size')}, seed {old.get('seed')}: no diff")
+        if old.get("size") != bench["size"]:
+            print(f"{base.name} ran at size {old.get('size')}: no diff")
         else:
             print(f"diff against {base.name}:")
             print("\n".join(diff(old, bench)))

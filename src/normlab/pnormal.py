@@ -29,7 +29,8 @@ from .generators import bernoulli_stream, derive_seed
 MC_BUDGET_BITS = 22  # Monte-Carlo samples cost about 63 bytes each
 
 
-_EXPONENT = re.compile(r"[eE]([+-]?\d+)\s*$")
+# Fraction's own exponent grammar: PEP 515 underscores between digits
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*$")
 
 
 def _check_p(p) -> Fraction:

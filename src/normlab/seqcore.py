@@ -127,6 +127,8 @@ class SymbolicSequence:
         self.name = name
 
     def _check_range(self, start: int, count: int) -> None:
+        # digit() repeats the two position tests inline: a rule added here
+        # that can reject count == 1 must be added there too
         if start < 1:
             raise HorizonError(f"positions are 1-indexed, got {start}")
         if count < 0:
@@ -140,7 +142,10 @@ class SymbolicSequence:
 
     def digit(self, p: int) -> int:
         # one digit is always within the digit budget: only the position
-        # can be out of range, and _check_range then raises its error
+        # can be out of range, and _check_range then raises its error.
+        # Calling _check_range on every probe instead costs about 0.17 us a
+        # probe (10^5 probes at up to 2^2058: kappa 116 -> 135 ms, y 32 ->
+        # 49 ms, v 51 -> 65 ms), 25 % more time on block-stats' probes.
         if p < 1 or (self.horizon is not None and p > self.horizon):
             self._check_range(p, 1)
         return self._digit_fn(p)

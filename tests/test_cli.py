@@ -390,7 +390,9 @@ def test_pnormal_near_half_ends_quickly(capsys, p):
         assert len(err) == 1 and err[0].startswith("error: obstruction budget is l * bits(n) <= 2^20")
 
 
-@pytest.mark.parametrize("p", ["1e-100000", "1e-1000000", "1e-100000000", "3e+100000000", "1/" + "7" * 1000])
+@pytest.mark.parametrize(
+    "p", ["1e-100000", "1e-1000000", "1e-100000000", "1e-100_000_000", "3e+100000000", "1/" + "7" * 1000]
+)
 def test_pnormal_long_denominator_ends_quickly(capsys, p):
     start = time.perf_counter()
     assert main(["pnormal", "--p", p]) == 2

@@ -23,8 +23,9 @@ from normlab.generators import (
     y_digit,
     y_sequence,
 )
-from normlab.grayorder import GrayOrdering, reflected_gray
+from normlab.grayorder import GrayOrdering
 from normlab.seqcore import Block
+from test_grayorder import offset_digit  # the one reference for Gray offset digits
 
 KAPPA_PREFIX_56 = (
     "01111000" "10000110" "01111011" "10000101" "01111110" "10000000" "01111101"
@@ -50,28 +51,15 @@ def test_schedule_value_refuses_monsters():
         SCHEDULE.value(5)
 
 
-def finite_sum_contains(schedule: LevelSchedule, p: int) -> bool:
-    """Membership of p in {0} union FS((n_k)): greedy subtraction of the
-    largest level value, valid because the schedule is superincreasing (the
-    loop y_digit used before its bit mask)."""
-    if p < 0:
-        return False
-    v = p
-    for e in reversed(schedule._exponents):
-        if e < v.bit_length():  # then n_k = 2^e <= v
-            v -= 1 << e
-    return v == 0
-
-
 def test_finite_sums_membership():
     members = {2, 8, 10, 2048, 2050, 2056, 2058}
-    assert {p for p in range(1, 2060) if finite_sum_contains(SCHEDULE, p)} == members
+    assert {p for p in range(1, 2060) if y_digit(p)} == members
     assert set(SCHEDULE.finite_sums(2059)) == members
-    assert finite_sum_contains(SCHEDULE, 0)
+    assert y_digit(0) == 1
     n4 = 1 << 2059
-    assert finite_sum_contains(SCHEDULE, n4)
-    assert finite_sum_contains(SCHEDULE, n4 + 2058)
-    assert not finite_sum_contains(SCHEDULE, n4 + 1)
+    assert y_digit(n4) == 1
+    assert y_digit(n4 + 2058) == 1
+    assert y_digit(n4 + 1) == 0
 
 
 def test_finite_sums_enumeration_sorted():
@@ -200,12 +188,6 @@ def level_of_by_levels(schedule: LevelSchedule, p: int) -> int:
     raise DomainError("position beyond the materialized schedule")
 
 
-def offset_digit_alternated(n: int, l: int, i: int) -> int:
-    """Digit i (1 = most significant) of the alternated ordering's offset
-    of word l: reflected-gray(l - 1), complemented for even l."""
-    return ((reflected_gray(l - 1) >> (n - i)) & 1) ^ (~l & 1)
-
-
 def kappa_digit_by_recursion(p: int) -> int:
     """Digit p of kappa: the prefix digit of the chunk position XOR the
     Gray offset digit, recursing once per level."""
@@ -216,7 +198,7 @@ def kappa_digit_by_recursion(p: int) -> int:
     e = SCHEDULE.exponent(level_of_by_levels(SCHEDULE, p))
     l = ((p - 1) >> e) + 1
     r = ((p - 1) & ((1 << e) - 1)) + 1
-    return kappa_digit_by_recursion(r) ^ offset_digit_alternated(1 << e, l, r)
+    return kappa_digit_by_recursion(r) ^ offset_digit(1 << e, l, r, alternated=True)
 
 
 def kappa_digit_by_offsets(p: int) -> int:
@@ -229,8 +211,21 @@ def kappa_digit_by_offsets(p: int) -> int:
         e = SCHEDULE._exponents[SCHEDULE.level_of(p) - 1]
         l = ((p - 1) >> e) + 1
         p = ((p - 1) & ((1 << e) - 1)) + 1
-        bit ^= offset_digit_alternated(1 << e, l, p)
+        bit ^= offset_digit(1 << e, l, p, alternated=True)
     return bit ^ int(_kappa_prefix_2048()[p - 1])
+
+
+def finite_sum_contains(schedule: LevelSchedule, p: int) -> bool:
+    """Membership of p in {0} union FS((n_k)): greedy subtraction of the
+    largest level value, valid because the schedule is superincreasing (the
+    loop y_digit used before its bit mask)."""
+    if p < 0:
+        return False
+    v = p
+    for e in reversed(schedule._exponents):
+        if e < v.bit_length():  # then n_k = 2^e <= v
+            v -= 1 << e
+    return v == 0
 
 
 def y_digit_by_levels(p: int) -> int:

@@ -199,7 +199,8 @@ def test_verify_ordering_reports_a_broken_ordering():
 
 def offset_digit(n: int, l: int, i: int, alternated: bool = False) -> int:
     """Digit i (1 = most significant) of offset(n, l, alternated), without
-    building the n-bit word; kappa's per-digit rule follows it."""
+    building the n-bit word; the kappa_digit references in
+    test_generators.py read their Gray offset digits from it."""
     bit = (reflected_gray(l - 1) >> (n - i)) & 1
     return bit ^ (~l & 1) if alternated else bit
 

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -60,14 +61,19 @@ def test_digit_budget_is_checked_before_reading():
 
 
 def test_digit_range_errors_match_digits():
-    # digit(p) checks only the position; its errors are those of digits(p, 1)
+    # digit(p) tests the position inline; it must accept and reject exactly
+    # the positions digits(p, 1) does, with the same error
     bounded = SymbolicSequence.from_array([0, 1, 1])
     unbounded = SymbolicSequence.periodic([0, 1])
-    for seq, p in ((bounded, 0), (bounded, -2), (bounded, 4), (unbounded, 0)):
-        with pytest.raises(HorizonError) as via_digits:
-            seq.digits(p, 1)
-        with pytest.raises(HorizonError, match=str(via_digits.value)):
-            seq.digit(p)
+    for seq, positions in ((bounded, range(-2, 6)), (unbounded, (-1, 0, 1, 2, 1 << 40))):
+        for p in positions:
+            try:
+                expected = int(seq.digits(p, 1)[0])
+            except HorizonError as e:
+                with pytest.raises(HorizonError, match=f"^{re.escape(str(e))}$"):
+                    seq.digit(p)
+            else:
+                assert seq.digit(p) == expected
     assert [bounded.digit(p) for p in (1, 2, 3)] == [0, 1, 1]
     assert unbounded.digit(1 << 40) == 1
 

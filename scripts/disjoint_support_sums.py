@@ -24,7 +24,7 @@ from normlab.seqcore import SymbolicSequence
 def main() -> int:
     N = int(sys.argv[1]) if len(sys.argv) > 1 else 100000
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 9
-    rand = bernoulli_stream(Fraction(1, 2), derive_seed(seed, "half"), N).prefix(N)
+    rand = bernoulli_stream(Fraction(1, 2), derive_seed(seed, "half"), N).digits(1, N)
 
     a = np.zeros(N, dtype=np.uint8)
     b = np.zeros(N, dtype=np.uint8)

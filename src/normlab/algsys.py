@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import DIGITS_BUDGET_BITS, BudgetError
 from .seqcore import HorizonError, SymbolicSequence
 
 # toral_orbit caps, checked before iterating: the cell histogram has
@@ -225,6 +225,26 @@ class OrbitResult:
         }
 
 
+def _certified_steps(err: int, growth: int, cap: int, steps: int) -> int:
+    """The largest k <= steps with err * growth^k <= cap (k = 0 always).
+
+    Binary lifting over growth^(2^i) takes O(log steps) products of at most
+    bits(cap) bits, where stepping k one at a time takes O(steps^2) bits.
+    """
+    if growth <= 1:
+        return steps if growth == 0 or err <= cap else 0
+    lim = cap // err  # err * x <= cap exactly when x <= lim
+    pows = [growth]  # growth^(2^i) <= lim, for 2^i <= steps
+    while 1 << len(pows) <= steps and pows[-1] ** 2 <= lim:
+        pows.append(pows[-1] ** 2)
+    k, acc = 0, 1
+    for i in reversed(range(len(pows))):
+        if k + (1 << i) <= steps and acc * pows[i] <= lim:
+            acc *= pows[i]
+            k += 1 << i
+    return k
+
+
 def toral_orbit(
     tmap: ToralMap,
     x0: Sequence[Union[Fraction, str, int]],
@@ -245,7 +265,8 @@ def toral_orbit(
     `certified_steps` is how many steps stay within 2^-output_bits.  Exact
     rational inputs (precision_bits=None) certify every step.
 
-    Raises BudgetError, before iterating, beyond the ORBIT_*_BUDGET_BITS caps.
+    Raises BudgetError, before iterating, beyond the ORBIT_*_BUDGET_BITS caps
+    or for precision_bits > 2^DIGITS_BUDGET_BITS.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -254,6 +275,10 @@ def toral_orbit(
         raise BudgetError(f"orbit grid budget is d * grid_bits <= {ORBIT_GRID_BUDGET_BITS}")
     if steps > 1 << ORBIT_STEPS_BUDGET_BITS:
         raise BudgetError(f"orbit budget is steps <= 2^{ORBIT_STEPS_BUDGET_BITS}")
+    if precision_bits is not None and precision_bits < 0:
+        raise ValueError(f"precision_bits must be >= 0, got {precision_bits}")
+    if precision_bits is not None and precision_bits > 1 << DIGITS_BUDGET_BITS:
+        raise BudgetError(f"precision budget is precision_bits <= 2^{DIGITS_BUDGET_BITS}")
     x = [Fraction(c) for c in x0]
     if len(x) != d:
         raise MatrixError("dimension mismatch between x0 and the matrix")
@@ -269,13 +294,9 @@ def toral_orbit(
     if precision_bits is None:
         certified = steps
     else:
-        growth = tmap.induced_one_norm()
-        err = Fraction(d, 1 << precision_bits)
-        cap = Fraction(1, 1 << output_bits)
-        certified = 0
-        while certified < steps and err * growth <= cap:
-            err *= growth
-            certified += 1
+        # the error after k steps, d * growth^k / 2^precision_bits, in
+        # integers scaled by 2^(precision_bits + output_bits)
+        certified = _certified_steps(d << output_bits, tmap.induced_one_norm(), 1 << precision_bits, steps)
     cells = 1 << grid_bits
     flat = []
     for v in nums:

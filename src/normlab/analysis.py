@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError
-from .seqcore import Block, LengthError, SymbolicSequence, _anchor_codes, _check_code_bits, block_histogram
+from .seqcore import Block, LengthError, SymbolicSequence, _anchor_codes, _check_code_bits, block_counts, block_histogram
 
 ENUM_BUDGET_BITS = 24
 
@@ -50,13 +50,12 @@ def combinatorial_entropy(B, n: int, r: Optional[int] = None) -> float:
         digits = np.asarray(B, dtype=np.uint8)
         r = r or 2
     _check_block_length(n, len(digits))
-    _, counts = block_histogram(_anchor_codes(digits, n, r), r**n)
-    return _entropy(counts, n)
+    return _entropy(block_counts(digits, n, r).counts, n)
 
 
 def _check_block_length(n: int, length: int) -> None:
-    if n < 0:
-        raise LengthError(f"block length n={n} is negative")
+    if n < 1:
+        raise LengthError(f"block length n={n} must be >= 1")
     if n > length:
         raise LengthError(f"n={n} exceeds block length {length}")
 
@@ -85,13 +84,12 @@ def epsilon_complexity(seq, eps, m: int, L: Optional[int] = None, r: Optional[in
     digits = _digits_of(seq, L)
     if m > len(digits):
         raise LengthError(f"m={m} exceeds prefix length {len(digits)}")
-    rr = r or _alphabet_size(seq)
-    _, counts = block_histogram(_anchor_codes(digits, m, rr), rr**m)
-    W = int(counts.sum())
+    bc = block_counts(digits, m, r or _alphabet_size(seq))
+    W = bc.total
     # the head must hold at least W - floor(eps * W) anchors; head[t] is
     # the number the t most frequent blocks hold
     need = W - epsf.numerator * W // epsf.denominator
-    head = np.concatenate(([0], np.cumsum(np.sort(counts)[::-1])))
+    head = np.concatenate(([0], np.cumsum(np.sort(bc.counts)[::-1])))
     return int(np.searchsorted(head, need, side="left"))
 
 
@@ -140,11 +138,10 @@ def eps_m_goodness(seq, m: int, L: Optional[int] = None) -> Fraction:
         raise ValueError("goodness is defined against the binary uniform weights")
     if m > len(digits):
         raise LengthError(f"m={m} exceeds prefix length {len(digits)}")
-    codes = _anchor_codes(digits, m, 2)
-    W = len(codes)
-    _, counts = block_histogram(codes, 1 << m)
-    lo = int(counts.min()) if len(counts) == 1 << m else 0
-    hi = int(counts.max())
+    bc = block_counts(digits, m, 2)
+    W = bc.total
+    lo = int(bc.counts.min()) if len(bc.counts) == 1 << m else 0
+    hi = int(bc.counts.max())
     return Fraction(max(abs((lo << m) - W), abs((hi << m) - W)), W << m)
 
 
@@ -191,6 +188,9 @@ def entropy_profile(seq, window_lengths: Sequence[int], n_range: Iterable[int]) 
     window's end that start no top-block are read off its last top-block.
     """
     ns = list(n_range)
+    for w in window_lengths:
+        if w < 1:  # a slice end below 1 would read all but the last digits
+            raise LengthError(f"window length {w} must be >= 1")
     digits = np.asarray(_digits_of(seq, max(window_lengths)), dtype=np.uint8)
     r = _alphabet_size(seq)
     windows = [digits[:w] for w in window_lengths]

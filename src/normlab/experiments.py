@@ -321,7 +321,7 @@ def _goodness_checks(digits: np.ndarray, cfg: dict, label: str):
 
 @_experiment("kappa-goodness")
 def _kappa_goodness(cfg: dict):
-    yield from _goodness_checks(kappa_sequence().prefix(1 << cfg["prefix_log2"]), cfg, "goodness-")
+    yield from _goodness_checks(kappa_sequence().digits(1, 1 << cfg["prefix_log2"]), cfg, "goodness-")
 
 
 @_experiment("carry-closed-forms")
@@ -389,7 +389,7 @@ def _low_entropy_census(cfg: dict):
 @_experiment("complexity-contrast")
 def _complexity_contrast(cfg: dict):
     eps = cfg["eps"]
-    ydig = y_sequence().prefix(cfg["sparse_prefix"])
+    ydig = y_sequence().digits(1, cfg["sparse_prefix"])
     curve = analysis.complexity_curve(ydig, eps, range(1, cfg["sparse_m_max"] + 1))
     worst = max(c for _, c, _ in curve.rows)
     yield Check(
@@ -399,7 +399,7 @@ def _complexity_contrast(cfg: dict):
         "greedy-exact on prefix",
         worst <= cfg["sparse_c_max"] and curve.verdict,
     )
-    kdig = kappa_sequence().prefix(1 << cfg["kappa_prefix_log2"])
+    kdig = kappa_sequence().digits(1, 1 << cfg["kappa_prefix_log2"])
     c_kappa = analysis.epsilon_complexity(kdig, eps, cfg["kappa_m"])
     yield Check(
         "kappa-complexity", c_kappa, f">= {cfg['kappa_c_min']}", "greedy-exact on prefix", c_kappa >= cfg["kappa_c_min"]

@@ -7,6 +7,7 @@ rationals (`fractions.Fraction`); callers convert to float only for display.
 from __future__ import annotations
 
 import struct
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -110,6 +111,11 @@ class SymbolicSequence:
     sequences need whose positions reach far beyond any array (p > 2^62).
     Positions run over 1 <= p <= horizon (horizon None = unbounded), and the
     same position always yields the same digit.
+
+    `digits()` returns read-only arrays and keeps a weak reference to the
+    last one: asked again for the same range while that array lives, it
+    returns the same object, so the block counts memoised on that array are
+    shared by every statistic that reads it, and no array outlives its users.
     """
 
     def __init__(
@@ -125,6 +131,7 @@ class SymbolicSequence:
         self.alphabet = alphabet
         self.horizon = horizon
         self.name = name
+        self._last: tuple = (None, None, None)  # (start, count, weakref to the digits)
 
     def _check_range(self, start: int, count: int) -> None:
         # digit() repeats the two position tests inline: a rule added here
@@ -151,12 +158,14 @@ class SymbolicSequence:
         return self._digit_fn(p)
 
     def digits(self, start: int, count: int) -> np.ndarray:
-        """Digits at positions start .. start+count-1 as an array."""
+        """Digits at positions start .. start+count-1 as a read-only array."""
         self._check_range(start, count)
-        return self._bulk_fn(start, count)
-
-    def prefix(self, n: int) -> np.ndarray:
-        return self.digits(1, n)
+        out = self._last[2]() if self._last[:2] == (start, count) else None
+        if out is None:
+            out = np.asarray(self._bulk_fn(start, count))
+            out.setflags(write=False)
+            self._last = (start, count, weakref.ref(out))
+        return out
 
     def block(self, start: int, length: int) -> Block:
         return Block(tuple(int(d) for d in self.digits(start, length)), self.alphabet)
@@ -192,10 +201,6 @@ class SymbolicSequence:
             horizon=None,
             name=name or f"periodic({''.join(map(str, pat.tolist()))})",
         )
-
-    @classmethod
-    def constant(cls, digit: int, r: int = 2, name: str = "") -> "SymbolicSequence":
-        return cls.periodic([digit], r=r, name=name or f"constant({digit})")
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +259,67 @@ def block_histogram(codes: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.nd
     return np.unique(codes, return_counts=True)
 
 
+@dataclass(frozen=True, eq=False)
+class BlockCounts:
+    """The m-blocks anchored in a digit array: the base-r codes that occur,
+    ascending and read-only, their `counts`, and the number of anchors."""
+
+    m: int
+    r: int
+    total: int
+    codes: np.ndarray
+    counts: np.ndarray
+
+
+# block_counts' memo, oldest first: statistics read one prefix at one m after
+# another, so a few entries catch every repeat.  Entries go by pop, since a
+# weakref callback may drop one at any allocation (normlab is one thread).
+_COUNTS_KEPT = 4
+_counts_memo: dict[tuple[int, int, int], tuple[weakref.ref, BlockCounts]] = {}
+
+
+def _frozen(digits: np.ndarray) -> bool:
+    """Whether `digits` and every base up to its owner are read-only arrays."""
+    while isinstance(digits, np.ndarray):
+        if digits.flags.writeable:
+            return False
+        digits = digits.base
+    return digits is None
+
+
+def _forget(key, ref) -> None:
+    if _counts_memo.get(key, (None,))[0] is ref:
+        _counts_memo.pop(key, None)
+
+
+def block_counts(digits: np.ndarray, m: int, r: int) -> BlockCounts:
+    """Count the m-blocks anchored in `digits`, once per read-only array.
+
+    The count of an array that is read-only up to its owner, as
+    `SymbolicSequence.digits` returns them, is memoised on (id, m, r): a hit
+    must still be that same array, and the entry is dropped when the array
+    dies.  A writeable array is counted every time.
+    """
+    if m < 1:
+        raise LengthError(f"block length m={m} must be >= 1")
+    key = (id(digits), m, r)
+    frozen = _frozen(digits)
+    if frozen:
+        ref, hit = _counts_memo.get(key, (None, None))
+        if ref is not None and ref() is digits:
+            return hit
+    at = _anchor_codes(digits, m, r)
+    codes, counts = block_histogram(at, r**m)
+    codes.setflags(write=False)
+    counts.setflags(write=False)
+    bc = BlockCounts(m, r, len(at), codes, counts)
+    if frozen:
+        while len(_counts_memo) >= _COUNTS_KEPT:
+            _counts_memo.pop(next(iter(_counts_memo)), None)
+        _counts_memo[key] = (weakref.ref(digits, lambda ref: _forget(key, ref)), bc)
+    return bc
+
+
 def prefix_frequency(seq: SymbolicSequence, B: Block, N: int) -> Fraction:
     """Fraction of anchors n in [1, N-|B|+1] where B occurs in seq."""
     if N < len(B):
@@ -309,16 +375,13 @@ def empirical_measure(seq: SymbolicSequence, m: int, N: int) -> EmpiricalMeasure
     if N < m:
         raise EmptyWindowError(f"prefix {N} shorter than block length {m}")
     r = seq.alphabet.size
-    at = _anchor_codes(seq.digits(1, N), m, r)
-    total = len(at)
-    observed, cnt = block_histogram(at, r**m)
-    del at  # 8 bytes a window: freed before the per-block keys are built
+    bc = block_counts(seq.digits(1, N), m, r)
     powers = r ** np.arange(m - 1, -1, -1, dtype=np.int64)
     counts = {}
-    for lo in range(0, len(observed), _DECODE_ROWS):
-        rows = (observed[lo : lo + _DECODE_ROWS, None] // powers) % r  # digits, first one MSB
-        counts.update(zip(map(tuple, rows.tolist()), cnt[lo : lo + _DECODE_ROWS].tolist()))
-    return EmpiricalMeasure(m, f"prefix({N})", counts, total, seq.alphabet)
+    for lo in range(0, len(bc.codes), _DECODE_ROWS):
+        rows = (bc.codes[lo : lo + _DECODE_ROWS, None] // powers) % r  # digits, first one MSB
+        counts.update(zip(map(tuple, rows.tolist()), bc.counts[lo : lo + _DECODE_ROWS].tolist()))
+    return EmpiricalMeasure(m, f"prefix({N})", counts, bc.total, seq.alphabet)
 
 
 def zip_product(seqs: Sequence[SymbolicSequence]) -> SymbolicSequence:

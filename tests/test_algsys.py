@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +13,15 @@ from normlab.algsys import (
     MatrixError,
     ModulusError,
     ToralMap,
+    _certified_steps,
     apply_ca,
     modp_add,
     toral_orbit,
 )
+from normlab.errors import BudgetError
 from normlab.seqcore import SymbolicSequence
+
+from helpers import constant
 
 
 def seq3(digits):
@@ -34,18 +39,18 @@ def apply_map(tm: ToralMap, x) -> list[Fraction]:
 
 def test_modp_add_example():
     out = modp_add(seq3([0, 1, 2, 2]), seq3([1, 2, 2, 1]), 4)
-    assert out.prefix(4).tolist() == [1, 0, 1, 0]
+    assert out.digits(1, 4).tolist() == [1, 0, 1, 0]
 
 
 def test_modp_add_identity():
     s = seq3([2, 0, 1, 1, 2])
-    zero = SymbolicSequence.constant(0, r=3)
-    assert modp_add(s, zero, 5).prefix(5).tolist() == s.prefix(5).tolist()
+    zero = constant(0, r=3)
+    assert modp_add(s, zero, 5).digits(1, 5).tolist() == s.digits(1, 5).tolist()
 
 
 def test_modp_modulus_mismatch():
     with pytest.raises(ModulusError):
-        modp_add(seq3([0]), SymbolicSequence.constant(0, r=5), 1)
+        modp_add(seq3([0]), constant(0, r=5), 1)
 
 
 @settings(max_examples=30)
@@ -57,27 +62,27 @@ def test_modp_modulus_mismatch():
 def test_modp_group_laws(a, b, c):
     n = min(len(a), len(b), len(c))
     sa, sb, sc = seq3(a[:n]), seq3(b[:n]), seq3(c[:n])
-    ab_c = modp_add(modp_add(sa, sb, n), sc, n).prefix(n).tolist()
-    a_bc = modp_add(sa, modp_add(sb, sc, n), n).prefix(n).tolist()
+    ab_c = modp_add(modp_add(sa, sb, n), sc, n).digits(1, n).tolist()
+    a_bc = modp_add(sa, modp_add(sb, sc, n), n).digits(1, n).tolist()
     assert ab_c == a_bc
     assert (
-        modp_add(sa, sb, n).prefix(n).tolist() == modp_add(sb, sa, n).prefix(n).tolist()
+        modp_add(sa, sb, n).digits(1, n).tolist() == modp_add(sb, sa, n).digits(1, n).tolist()
     )
     neg_a = seq3([(-d) % 3 for d in a[:n]])
-    assert modp_add(sa, neg_a, n).prefix(n).tolist() == [0] * n
+    assert modp_add(sa, neg_a, n).digits(1, n).tolist() == [0] * n
 
 
 def test_ca_switch_map():
     # adjacent-sum map marks the switch positions of 0110 0110 ...
     s = SymbolicSequence.periodic([0, 1, 1, 0])
     out = apply_ca(LinearCA(2, (1, 1)), s, 6)
-    assert out.prefix(6).tolist() == [1, 0, 1, 0, 1, 0]
+    assert out.digits(1, 6).tolist() == [1, 0, 1, 0, 1, 0]
 
 
 def test_ca_identity_coeffs():
     s = SymbolicSequence.periodic([0, 1, 1, 0])
     out = apply_ca(LinearCA(2, (1,)), s, 8)
-    assert out.prefix(8).tolist() == s.prefix(8).tolist()
+    assert out.digits(1, 8).tolist() == s.digits(1, 8).tolist()
 
 
 def test_ca_requires_prime_modulus():
@@ -88,9 +93,9 @@ def test_ca_requires_prime_modulus():
 def test_ca_shift_dependence_flag():
     # the output reads in[n + j] only through coefficients nonzero mod p
     s = SymbolicSequence.periodic([0, 1, 1, 0])
-    same = s.prefix(8).tolist()
-    assert apply_ca(LinearCA(2, (1, 2)), s, 8).prefix(8).tolist() == same  # 2 = 0 mod 2
-    assert apply_ca(LinearCA(2, (1, 1)), s, 8).prefix(8).tolist() != same
+    same = s.digits(1, 8).tolist()
+    assert apply_ca(LinearCA(2, (1, 2)), s, 8).digits(1, 8).tolist() == same  # 2 = 0 mod 2
+    assert apply_ca(LinearCA(2, (1, 1)), s, 8).digits(1, 8).tolist() != same
 
 
 @settings(max_examples=25)
@@ -102,8 +107,8 @@ def test_ca_commutes_with_shift(bits):
     if n < 1:
         return
     shifted_then_ca = apply_ca(ca, SymbolicSequence.from_array(bits[1:]), n)
-    ca_then_shifted = apply_ca(ca, s, n + 1).prefix(n + 1).tolist()[1:]
-    assert shifted_then_ca.prefix(n).tolist() == ca_then_shifted
+    ca_then_shifted = apply_ca(ca, s, n + 1).digits(1, n + 1).tolist()[1:]
+    assert shifted_then_ca.digits(1, n).tolist() == ca_then_shifted
 
 
 # -- toral maps --------------------------------------------------------------
@@ -210,6 +215,44 @@ def test_certified_steps_budget():
     # error multiplies by the induced 1-norm (3) per step
     assert 0 < r.certified_steps < 100
     assert r.certified_steps <= (64 - 32) / np.log2(3) + 1
+
+
+def certified_by_steps(d, growth, precision_bits, output_bits, steps):
+    """Certified steps by the definition: grow the error bound step by step."""
+    err, cap, k = Fraction(d, 1 << precision_bits), Fraction(1, 1 << output_bits), 0
+    while k < steps and err * growth <= cap:
+        err *= growth
+        k += 1
+    return k
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 4),
+    st.one_of(st.integers(0, 9), st.integers(0, 10**30)),
+    st.integers(0, 400),
+    st.integers(0, 64),
+    st.integers(0, 300),
+)
+def test_certified_steps_match_the_stepwise_bound(d, growth, precision_bits, output_bits, steps):
+    got = _certified_steps(d << output_bits, growth, 1 << precision_bits, steps)
+    assert got == certified_by_steps(d, growth, precision_bits, output_bits, steps)
+
+
+@pytest.mark.parametrize("bits, error", [(-1, ValueError), ((1 << 26) + 1, BudgetError), (99999999999, BudgetError)])
+def test_precision_bits_are_bounded_before_use(bits, error):
+    tm = ToralMap.from_rows([[2, 1], [1, 1]])
+    with pytest.raises(error, match="precision"):
+        toral_orbit(tm, [Fraction(1, 5), Fraction(2, 5)], 10, precision_bits=bits)
+
+
+def test_certified_steps_at_the_precision_cap_are_quick():
+    # a 2^26-bit error denominator: stepping it in Fractions takes minutes
+    tm = ToralMap.from_rows([[2, 1], [1, 1]])
+    t0 = time.perf_counter()
+    r = toral_orbit(tm, [Fraction(1, 5), Fraction(2, 5)], 20000, precision_bits=1 << 26)
+    assert time.perf_counter() - t0 < 5.0
+    assert r.certified_steps == 20000
 
 
 def test_diagonal_product_map_orbit():

@@ -25,8 +25,11 @@ from normlab.seqcore import (
     SymbolicSequence,
     _anchor_codes,
     block_histogram,
+    empirical_measure,
     prefix_frequency,
 )
+
+from helpers import constant
 
 B = Block.from_string
 
@@ -55,6 +58,23 @@ def test_entropy_length_check():
         combinatorial_entropy(B("01"), 3)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+@pytest.mark.parametrize(
+    "statistic",
+    [
+        lambda d, m: combinatorial_entropy(d, m),
+        lambda d, m: eps_m_goodness(d, m),
+        lambda d, m: epsilon_complexity(d, 0.1, m),
+        lambda d, m: empirical_measure(SymbolicSequence.from_array(d), m, len(d)),
+        lambda d, m: entropy_profile(d, [len(d)], [m]),
+    ],
+    ids=["entropy", "goodness", "complexity", "measure", "profile"],
+)
+def test_block_length_below_one_is_named(statistic, m):
+    with pytest.raises(LengthError, match=f"block length [mn]={m} must be >= 1"):
+        statistic(np.array([0, 1, 1, 0], dtype=np.uint8), m)
+
+
 @settings(max_examples=50)
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=32), st.integers(1, 3))
 def test_entropy_bounds(digits, n):
@@ -72,7 +92,7 @@ def test_entropy_bounds(digits, n):
 def test_complexity_periodic():
     seq = SymbolicSequence.periodic([0, 1])
     assert epsilon_complexity(seq, 0.4, 3, L=500) == 2
-    assert epsilon_complexity(SymbolicSequence.constant(0), 0.4, 3, L=500) == 1
+    assert epsilon_complexity(constant(0), 0.4, 3, L=500) == 1
 
 
 def test_complexity_fair_coin_half_eps():
@@ -166,14 +186,14 @@ def test_complexity_curve_verdict():
 
 
 def test_complexity_kappa_near_saturation():
-    digits = kappa_sequence().prefix(1 << 20)
+    digits = kappa_sequence().digits(1, 1 << 20)
     c = epsilon_complexity(digits, 0.1, 4)
     assert c == 15  # nearly all 16 four-blocks are needed to cover 90 percent
     assert c > 2 ** (0.1 * 4)
 
 
 def test_complexity_curve_sparse_sequence():
-    rep = complexity_curve(y_sequence().prefix(20000), 0.1, range(1, 13))
+    rep = complexity_curve(y_sequence().digits(1, 20000), 0.1, range(1, 13))
     assert all(c <= 4 for _, c, _ in rep.rows)
     assert rep.verdict
 
@@ -182,7 +202,7 @@ def test_complexity_curve_sparse_sequence():
 
 
 def test_goodness_constant():
-    assert eps_m_goodness(SymbolicSequence.constant(0), 1, L=64) == Fraction(1, 2)
+    assert eps_m_goodness(constant(0), 1, L=64) == Fraction(1, 2)
 
 
 def test_goodness_gray_concatenation():
@@ -196,13 +216,13 @@ def test_goodness_gray_concatenation():
 
 def test_goodness_mirror_invariant():
     seq = bernoulli_stream(Fraction(1, 3), 5, 4000)
-    digits = seq.prefix(4000)
+    digits = seq.digits(1, 4000)
     for m in (1, 2, 3):
         assert eps_m_goodness(digits, m) == eps_m_goodness(1 - digits, m)
 
 
 def test_goodness_kappa_prefix():
-    digits = kappa_sequence().prefix(1 << 20)
+    digits = kappa_sequence().digits(1, 1 << 20)
     for m in range(1, 7):
         assert eps_m_goodness(digits, m) <= Fraction(1, 4) / 2**m
 
@@ -246,12 +266,12 @@ def test_entropy_matches_dense_bincount(digits, n):
 
 def test_switch_density_extremes():
     assert switch_density(SymbolicSequence.periodic([0, 1]), L=100) == 1
-    assert switch_density(SymbolicSequence.constant(0), L=100) == 0
+    assert switch_density(constant(0), L=100) == 0
 
 
 def test_switch_density_length_check():
     with pytest.raises(LengthError):
-        switch_density(SymbolicSequence.constant(0), L=1)
+        switch_density(constant(0), L=1)
 
 
 @settings(max_examples=40)
@@ -310,7 +330,7 @@ def profile_inputs(draw):
     windows = draw(st.lists(st.integers(1, len(digits)), min_size=1, max_size=5))
     # not contiguous, not from 1, possibly empty; n > 8 (binary) or n > 5
     # (ternary) puts the largest n past the dense table of every window;
-    # n = 0 gives 0.0 and a negative n a LengthError
+    # n < 1 gives a LengthError
     ns = draw(st.lists(st.integers(-1, 20), max_size=5))
     return r, digits, windows, ns
 

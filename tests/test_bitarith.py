@@ -21,6 +21,8 @@ from normlab.bitarith import (
 from normlab.generators import kappa_sequence, splitmix64, y_sequence
 from normlab.seqcore import SymbolicSequence
 
+from helpers import constant
+
 
 def fp(value, N=32, G=8) -> FixedPointNumber:
     """Round a rational toward zero at N+G fractional bits (err <= 1 ulp,
@@ -253,7 +255,7 @@ def test_shifted_sum_simple():
 def test_shifted_sum_of_ones_gives_sum_of_powers():
     # each copy of 0.111... is within 1 ulp of 2^-s, so the sum tracks the
     # plain power sum over the shift set
-    ones = SymbolicSequence.constant(1)
+    ones = constant(1)
     shifts = [0, 2, 8, 10]
     s = shifted_sum(ones, shifts, 64, 16)
     want = sum(Fraction(1, 2**k) for k in shifts)
@@ -283,7 +285,7 @@ def test_shifted_sum_matches_mul_for_sparse_multipliers():
 
 
 def test_shifted_sum_drops_far_shifts():
-    seq = SymbolicSequence.constant(1)
+    seq = constant(1)
     s = shifted_sum(seq, [10**6], 32, 8)
     assert s.mant == 0 and s.err_ulps == 2
 
@@ -300,16 +302,16 @@ def test_stream_all_ambiguous():
 
 def test_stream_add_zero_identity():
     s1 = kappa_sequence()
-    zero = SymbolicSequence.constant(0)
+    zero = constant(0)
     digits, amb = stream_carry_add(s1, zero, 100, 16)
     assert not amb.any()
-    assert (digits == s1.prefix(100)).all()
+    assert (digits == s1.digits(1, 100)).all()
 
 
 def test_stream_matches_batch_on_kappa_shift():
     N, cap = 10**4, 64
     kap = kappa_sequence()
-    arr = np.concatenate([np.zeros(2, dtype=np.uint8), kap.prefix(N + cap - 2)])
+    arr = np.concatenate([np.zeros(2, dtype=np.uint8), kap.digits(1, N + cap - 2)])
     shifted = SymbolicSequence.from_array(arr)
     digits, amb = stream_carry_add(kap, shifted, N, cap)
     a = FixedPointNumber.from_sequence(kap, N + cap, 0, exact=True)

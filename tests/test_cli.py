@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import time
 
 import pytest
@@ -54,7 +55,7 @@ def test_arith_mulq_sidecar(tmp_path, capsys):
     ])
     assert code == 0
     digits = read_nseq(out)
-    assert digits.prefix(10).tolist() == [1, 0, 1, 0, 1, 1, 0, 0, 0, 1]
+    assert digits.digits(1, 10).tolist() == [1, 0, 1, 0, 1, 1, 0, 0, 0, 1]
     sidecar = json.loads((tmp_path / "z.nseq.json").read_text())
     assert sidecar["integer_part"] == 1
     assert sidecar["certified_digits"] > 4000
@@ -221,7 +222,7 @@ def test_generate_periodic_sparse_is_not_a_kind(tmp_path, capsys):
         GeneratorInstance(kind="periodic-sparse", pattern="01").build()
 
 
-@pytest.mark.parametrize("op", ["entropy", "goodness", "profile"])
+@pytest.mark.parametrize("op", ["entropy", "complexity", "goodness", "profile"])
 def test_analyze_long_blocks_on_short_file(tmp_path, capsys, op):
     # block lengths far beyond log2 of the window: counting stays linear in
     # the window; lengths whose codes overflow 64 bits are a usage error
@@ -232,10 +233,37 @@ def test_analyze_long_blocks_on_short_file(tmp_path, capsys, op):
     assert main(["analyze", "--op", op, "--in", str(src), "--n-max", "40", "--format", "json"]) == 0
     assert time.perf_counter() - t0 < 5.0
     assert len(json.loads(capsys.readouterr().out)["rows"]) == 40
-    for bad in (["--n-max", "62"], ["--n-min", "-1", "--n-max", "2"]):
+    for bad, length in (
+        (["--n-max", "62"], 62),
+        (["--n-min", "-1", "--n-max", "2"], -1),
+        (["--n-min", "0", "--n-max", "2"], 0),
+    ):
         assert main(["analyze", "--op", op, "--in", str(src), *bad]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert re.search(rf"\b[mn]={length}\b", err[0]), err[0]  # names the block length
+
+
+@pytest.mark.parametrize("windows", ["-5,4096", "0", "4096,-1"])
+def test_analyze_profile_rejects_windows_below_one(tmp_path, capsys, windows):
+    src = tmp_path / "k.nseq"
+    main(["generate", "--kind", "kappa", "--n", "4096", "--out", str(src)])
+    capsys.readouterr()
+    assert main(["analyze", "--op", "profile", "--in", str(src), f"--windows={windows}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: window length ")
+
+
+@pytest.mark.parametrize("bits", ["99999999999", "-1"])
+def test_algsys_orbit_precision_bits_are_bounded(capsys, bits):
+    argv = ["algsys", "orbit", "--matrix", "[[2,1],[1,1]]", "--x0", "1/5,2/5", "--precision-bits", bits]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "precision" in err[0]
 
 
 def test_data_quality_error_is_usage_error(monkeypatch, capsys):

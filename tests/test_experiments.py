@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from normlab.experiments import _pair_block_counts, load_manifest, run_experiment
 from normlab.seqcore import Block, SymbolicSequence, _anchor_codes, prefix_frequency
 
+from helpers import constant
+
 
 def joint_frequency(seq1, seq2, B1: Block, B2: Block, N: int) -> Fraction:
     """Fraction of common anchors where B1 occurs in seq1 and B2 in seq2.
@@ -28,7 +30,7 @@ def test_joint_frequency_diagonal():
 
 
 def test_joint_frequency_constant_left():
-    zeros = SymbolicSequence.constant(0)
+    zeros = constant(0)
     seq = SymbolicSequence.periodic([0, 1, 1, 0])
     B = Block.from_string
     assert joint_frequency(zeros, seq, B("00"), B("11"), 60) == prefix_frequency(seq, B("11"), 60)

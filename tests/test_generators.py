@@ -82,19 +82,19 @@ def test_schedule_rebuild_is_identical():
 
 def test_kappa_opening_digits():
     seq = kappa_sequence()
-    assert "".join(map(str, seq.prefix(56))) == KAPPA_PREFIX_56
+    assert "".join(map(str, seq.digits(1, 56))) == KAPPA_PREFIX_56
     assert [kappa_digit(p) for p in range(9, 17)] == [1, 0, 0, 0, 0, 1, 1, 0]
     assert [kappa_digit(p) for p in range(49, 57)] == [0, 1, 1, 1, 1, 1, 0, 1]
 
 
 def test_kappa_prefix_is_alternated_concatenation():
     # level-2 block: chunks l = 1..2^{n_1} of length n_1 over the level-1 seed
-    got = kappa_sequence().prefix(8).tolist()
+    got = kappa_sequence().digits(1, 8).tolist()
     level2 = GrayOrdering(2, Block.from_string("01"), "alternated")
     chunks = [level2.block(l).digits for l in range(1, 5)]
     assert got == [d for ch in chunks for d in ch]
     # level-3 block: chunks l = 1..2^{n_2} of length n_2 over the level-2 prefix
-    got = kappa_sequence().prefix(2048).tolist()
+    got = kappa_sequence().digits(1, 2048).tolist()
     start = Block(tuple(got[:8]))
     chunks = [GrayOrdering(8, start, "alternated").block(l).digits for l in range(1, 257)]
     assert got == [d for ch in chunks for d in ch]
@@ -103,7 +103,7 @@ def test_kappa_prefix_is_alternated_concatenation():
 def test_kappa_level3_chunks_match_recursion():
     # spot-check random chunks of the level-4 block against the ordering rule
     seq = kappa_sequence()
-    start = Block(tuple(seq.prefix(2048).tolist()))
+    start = Block(tuple(seq.digits(1, 2048).tolist()))
     for l in (2, 3, 117, 256, 54321):
         lo = (l - 1) * 2048 + 1
         got = seq.digits(lo, 2048).tolist()
@@ -140,7 +140,7 @@ def test_y_digit_examples():
 def test_y_ones_positions():
     ones = [p for p in range(1, 2060) if y_digit(p)]
     assert ones == [2, 8, 10, 2048, 2050, 2056, 2058]
-    bulk = y_sequence().prefix(2059)
+    bulk = y_sequence().digits(1, 2059)
     assert np.flatnonzero(bulk).tolist() == [p - 1 for p in ones]
 
 
@@ -148,13 +148,13 @@ def test_v_prefix_blocks():
     assert [v_digit(p) for p in (1, 2)] == [1, 1]
     assert [v_digit(p) for p in range(3, 9)] == [0, 0, 1, 1, 0, 0]
     assert all(v_digit(p) == 0 for p in range(9, 17))
-    assert "".join(map(str, v_sequence().prefix(8))) == "11001100"
+    assert "".join(map(str, v_sequence().digits(1, 8))) == "11001100"
 
 
 def test_v_prefix_2048_is_tiled():
-    tile = np.concatenate([v_sequence().prefix(8), np.zeros(8, dtype=np.uint8)])
+    tile = np.concatenate([v_sequence().digits(1, 8), np.zeros(8, dtype=np.uint8)])
     want = np.tile(tile, 128)
-    got = v_sequence().prefix(2048)
+    got = v_sequence().digits(1, 2048)
     assert (got == want).all()
 
 
@@ -338,16 +338,16 @@ def test_splitmix_reference_stability():
 def test_bernoulli_deterministic_and_calibrated():
     a = bernoulli_stream(Fraction(1, 2), 42, 10**6)
     b = bernoulli_stream(Fraction(1, 2), 42, 10**6)
-    da, db = a.prefix(10**6), b.prefix(10**6)
+    da, db = a.digits(1, 10**6), b.digits(1, 10**6)
     assert (da == db).all()
     assert abs(da.mean() - 0.5) <= 0.002
     c = bernoulli_stream(Fraction(1, 5), 42, 10**6)
-    assert abs(c.prefix(10**6).mean() - 0.2) <= 3 * np.sqrt(0.2 * 0.8 / 10**6)
+    assert abs(c.digits(1, 10**6).mean() - 0.2) <= 3 * np.sqrt(0.2 * 0.8 / 10**6)
 
 
 def test_bernoulli_bulk_matches_digit():
     seq = bernoulli_stream(Fraction(3, 7), 99, 1000)
-    assert seq.prefix(50).tolist() == [seq.digit(p) for p in range(1, 51)]
+    assert seq.digits(1, 50).tolist() == [seq.digit(p) for p in range(1, 51)]
 
 
 def test_bernoulli_domain_errors():
@@ -359,7 +359,7 @@ def test_bernoulli_domain_errors():
 
 def test_uniform_stream_matches_digit():
     seq = uniform_stream(3, 7, 500)
-    assert seq.prefix(60).tolist() == [seq.digit(p) for p in range(1, 61)]
+    assert seq.digits(1, 60).tolist() == [seq.digit(p) for p in range(1, 61)]
 
 
 # The scalar rules below are the per-digit functions these generators had
@@ -397,19 +397,19 @@ def test_derive_seed_changes_stream():
 
 def test_champernowne_base2_prefix():
     seq = champernowne_digits(2, 64)
-    assert seq.prefix(11).tolist() == [1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]
+    assert seq.digits(1, 11).tolist() == [1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]
 
 
 def test_champernowne_base10_prefix():
     seq = champernowne_digits(10, 32)
-    assert seq.prefix(12).tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 0, 1]
+    assert seq.digits(1, 12).tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 0, 1]
 
 
 def test_champernowne_base2_balance():
     # leading-digit bias decays slowly: the direct count at 10^6 digits
     # still shows a ~3% excess of ones, shrinking with the window
     seq = champernowne_digits(2, 10**6)
-    digits = seq.prefix(10**6)
+    digits = seq.digits(1, 10**6)
     dev_small = abs(digits[: 10**4].mean() - 0.5)
     dev_large = abs(digits.mean() - 0.5)
     assert dev_large <= 0.04
@@ -421,6 +421,6 @@ def test_champernowne_base2_balance():
 
 def test_generator_instance_dispatch():
     inst = GeneratorInstance(kind="bernoulli", p="1/2", seed=5, n=100)
-    assert inst.build().prefix(100).shape == (100,)
+    assert inst.build().digits(1, 100).shape == (100,)
     with pytest.raises(DomainError):
         GeneratorInstance(kind="nope").build()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normlab import seqcore
 from normlab.errors import DIGITS_BUDGET_BITS, BudgetError
 from normlab.generators import bernoulli_stream
 from normlab.seqcore import (
@@ -19,6 +20,7 @@ from normlab.seqcore import (
     SymbolicSequence,
     _anchor_codes,
     base4_split,
+    block_counts,
     block_histogram,
     empirical_measure,
     prefix_frequency,
@@ -26,6 +28,8 @@ from normlab.seqcore import (
     write_nseq,
     zip_product,
 )
+
+from helpers import constant
 
 B = Block.from_string
 
@@ -57,7 +61,7 @@ def test_digit_budget_is_checked_before_reading():
     with pytest.raises(BudgetError, match=f"count <= 2\\^{DIGITS_BUDGET_BITS}"):
         seq.digits(1, (1 << DIGITS_BUDGET_BITS) + 1)
     with pytest.raises(BudgetError):
-        seq.prefix(1 << 40)
+        seq.digits(1, 1 << 40)
 
 
 def test_digit_range_errors_match_digits():
@@ -127,12 +131,12 @@ def test_prefix_frequency_periodic():
 
 
 def test_prefix_frequency_zeros():
-    assert prefix_frequency(SymbolicSequence.constant(0), B("1"), 10) == 0
+    assert prefix_frequency(constant(0), B("1"), 10) == 0
 
 
 def test_prefix_frequency_length_error():
     with pytest.raises(LengthError):
-        prefix_frequency(SymbolicSequence.constant(0), B("11"), 1)
+        prefix_frequency(constant(0), B("11"), 1)
 
 
 def test_prefix_frequency_horizon_error():
@@ -213,7 +217,7 @@ def test_empirical_measure_periodic():
 
 
 def test_empirical_measure_constant():
-    em = empirical_measure(SymbolicSequence.constant(0), 3, 50)
+    em = empirical_measure(constant(0), 3, 50)
     assert em.fraction(B("000")) == 1
 
 
@@ -226,7 +230,7 @@ def test_empirical_measure_balanced_block():
 
 def test_empirical_measure_empty_window():
     with pytest.raises(EmptyWindowError):
-        empirical_measure(SymbolicSequence.constant(0), 2, 1)
+        empirical_measure(constant(0), 2, 1)
 
 
 @settings(max_examples=60)
@@ -273,7 +277,7 @@ def test_measure_decode_across_chunks():
 def test_empirical_measure_merge_over_subwindows():
     # anchors 1..40 split at 17: each part carries the m - 1 digits its last
     # anchored block reaches past it
-    digits = SymbolicSequence.periodic([0, 1, 1, 0, 1]).prefix(41)
+    digits = SymbolicSequence.periodic([0, 1, 1, 0, 1]).digits(1, 41)
     whole = empirical_measure(SymbolicSequence.from_array(digits), 2, 41)
     left = empirical_measure(SymbolicSequence.from_array(digits[:18]), 2, 18)
     right = empirical_measure(SymbolicSequence.from_array(digits[17:]), 2, 24)
@@ -297,6 +301,107 @@ def test_prefix_frequency_matches_measure_refinement():
         assert prefix_frequency(seq, b, W + len(b) - 1) == extending
 
 
+# -- shared block counts -----------------------------------------------------
+
+
+def frozen(digits, dtype=np.uint8) -> np.ndarray:
+    arr = np.array(digits, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def fresh_counts(digits, m, r):
+    return block_histogram(_anchor_codes(digits, m, r), r**m)
+
+
+def assert_counts(bc, digits, m, r):
+    codes, counts = fresh_counts(digits, m, r)
+    assert (bc.m, bc.r, bc.total) == (m, r, len(digits) - m + 1)
+    assert bc.codes.tolist() == codes.tolist() and bc.counts.tolist() == counts.tolist()
+
+
+@st.composite
+def digits_and_block_length(draw):
+    r = draw(st.sampled_from([2, 3, 4]))
+    digits = draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=300))
+    return r, digits, draw(st.integers(1, min(len(digits), 20)))
+
+
+@settings(max_examples=100)
+@given(digits_and_block_length())
+def test_memoised_block_counts_equal_a_fresh_count(inputs):
+    r, digits, m = inputs
+    arr = frozen(digits)
+    first = block_counts(arr, m, r)
+    assert block_counts(arr, m, r) is first  # the second call is a memo hit
+    assert_counts(first, arr, m, r)
+    assert not (first.codes.flags.writeable or first.counts.flags.writeable)
+
+
+@settings(max_examples=50)
+@given(digits_and_block_length(), st.randoms(use_true_random=False))
+def test_writeable_array_is_counted_every_time(inputs, rnd):
+    r, digits, m = inputs
+    arr = np.array(digits, dtype=np.uint8)
+    assert_counts(block_counts(arr, m, r), arr, m, r)
+    arr[:] = [rnd.randrange(r) for _ in digits]
+    assert_counts(block_counts(arr, m, r), arr, m, r)
+
+
+@settings(max_examples=50)
+@given(digits_and_block_length(), st.randoms(use_true_random=False))
+def test_read_only_view_of_writeable_base_is_never_memoised(inputs, rnd):
+    r, digits, m = inputs
+    base = np.array(digits, dtype=np.uint8)
+    view = base[:]
+    view.setflags(write=False)
+    first = block_counts(view, m, r)
+    base[:] = [rnd.randrange(r) for _ in digits]
+    second = block_counts(view, m, r)
+    assert second is not first
+    assert_counts(second, view, m, r)
+
+
+def test_reused_id_never_hits_the_memo():
+    arr = frozen([0, 1] * 50)
+    block_counts(arr, 3, 2)
+    key = (id(arr), 3, 2)
+    assert key in seqcore._counts_memo
+    del arr  # the weakref callback drops the entry with the array
+    assert key not in seqcore._counts_memo
+    reused = 0
+    for trial in range(200):
+        other = frozen([trial % 2] * 100)
+        if id(other) == key[0]:
+            reused += 1
+            assert_counts(block_counts(other, 3, 2), other, 3, 2)
+        del other
+    assert reused  # CPython hands a freed array's slot to the next array
+
+
+def test_memo_holds_a_few_entries():
+    arr = frozen([0, 1, 1] * 40)
+    for m in range(1, 11):
+        block_counts(arr, m, 2)
+    assert len(seqcore._counts_memo) <= seqcore._COUNTS_KEPT
+    assert_counts(block_counts(arr, 1, 2), arr, 1, 2)  # evicted, counted again
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 500), st.integers(0, 200), st.integers(1, 500), st.integers(0, 200))
+def test_digits_repeat_returns_the_same_read_only_array(s1, c1, s2, c2):
+    seq = bernoulli_stream(Fraction(1, 3), 5, 1000)
+    bulk = seq._bulk_fn
+    first = seq.digits(s1, c1)
+    assert seq.digits(s1, c1) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[:1] = 1
+    other = seq.digits(s2, c2)
+    assert other.tolist() == bulk(s2, c2).tolist()
+    assert (other is first) == ((s1, c1) == (s2, c2))
+
+
 # -- zip / split -------------------------------------------------------------
 
 
@@ -305,7 +410,7 @@ def test_zip_product_codes():
     r2 = SymbolicSequence.from_array([0, 1, 0, 1])
     z = zip_product([r1, r2])
     assert z.alphabet.size == 4
-    assert z.prefix(4).tolist() == [0, 1, 2, 3]
+    assert z.digits(1, 4).tolist() == [0, 1, 2, 3]
 
 
 def test_zip_product_single_row_identity():
@@ -316,27 +421,27 @@ def test_zip_product_single_row_identity():
 def test_base4_split_formula():
     seq = SymbolicSequence.from_array([0, 1, 2, 3], r=4)
     hi, lo = base4_split(seq)
-    assert hi.prefix(4).tolist() == [0, 0, 1, 1]
-    assert lo.prefix(4).tolist() == [0, 1, 0, 1]
+    assert hi.digits(1, 4).tolist() == [0, 0, 1, 1]
+    assert lo.digits(1, 4).tolist() == [0, 1, 0, 1]
 
 
 def test_base4_split_threes():
     seq = SymbolicSequence.from_array([3] * 8, r=4)
     hi, lo = base4_split(seq)
-    assert hi.prefix(8).tolist() == [1] * 8
-    assert lo.prefix(8).tolist() == [1] * 8
+    assert hi.digits(1, 8).tolist() == [1] * 8
+    assert lo.digits(1, 8).tolist() == [1] * 8
 
 
 def test_base4_split_needs_base4():
     with pytest.raises(AlphabetError):
-        base4_split(SymbolicSequence.constant(0))
+        base4_split(constant(0))
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=100))
 def test_zip_inverts_split(digits):
     seq = SymbolicSequence.from_array(digits, r=4)
     z = zip_product(list(base4_split(seq)))
-    assert z.prefix(len(digits)).tolist() == digits
+    assert z.digits(1, len(digits)).tolist() == digits
 
 
 @settings(max_examples=25)
@@ -349,9 +454,9 @@ def test_zip_projection_recovers_rows(bits, trits):
     r1 = SymbolicSequence.from_array(bits[:n], r=2)
     r2 = SymbolicSequence.from_array(trits[:n], r=3)
     z = zip_product([r1, r2])
-    codes = z.prefix(n)
-    assert (codes // 3 == r1.prefix(n)).all()
-    assert (codes % 3 == r2.prefix(n)).all()
+    codes = z.digits(1, n)
+    assert (codes // 3 == r1.digits(1, n)).all()
+    assert (codes % 3 == r2.digits(1, n)).all()
 
 
 @settings(max_examples=30)
@@ -384,7 +489,7 @@ def test_nseq_roundtrip_binary(tmp_path):
     back = read_nseq(path)
     assert back.alphabet.size == 2
     assert back.horizon == len(digits)
-    assert back.prefix(len(digits)).tolist() == digits
+    assert back.digits(1, len(digits)).tolist() == digits
 
 
 def test_nseq_roundtrip_bytes(tmp_path):
@@ -393,7 +498,7 @@ def test_nseq_roundtrip_bytes(tmp_path):
     write_nseq(path, digits, r=10)
     back = read_nseq(path)
     assert back.alphabet.size == 10
-    assert back.prefix(5).tolist() == digits
+    assert back.digits(1, 5).tolist() == digits
 
 
 def test_nseq_header_layout(tmp_path):

@@ -1,4 +1,5 @@
 import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -304,18 +305,15 @@ def test_prefix_frequency_matches_measure_refinement():
 # -- shared block counts -----------------------------------------------------
 
 
-def frozen(digits, dtype=np.uint8) -> np.ndarray:
-    arr = np.array(digits, dtype=dtype)
+def frozen(digits) -> np.ndarray:
+    arr = np.array(digits, dtype=np.uint8)
     arr.setflags(write=False)
     return arr
 
 
-def fresh_counts(digits, m, r):
-    return block_histogram(_anchor_codes(digits, m, r), r**m)
-
-
 def assert_counts(bc, digits, m, r):
-    codes, counts = fresh_counts(digits, m, r)
+    """`bc` equals a fresh count of `digits`."""
+    codes, counts = block_histogram(_anchor_codes(digits, m, r), r**m)
     assert (bc.m, bc.r, bc.total) == (m, r, len(digits) - m + 1)
     assert bc.codes.tolist() == codes.tolist() and bc.counts.tolist() == counts.tolist()
 
@@ -400,6 +398,9 @@ def test_digits_repeat_returns_the_same_read_only_array(s1, c1, s2, c2):
     other = seq.digits(s2, c2)
     assert other.tolist() == bulk(s2, c2).tolist()
     assert (other is first) == ((s1, c1) == (s2, c2))
+    gone = weakref.ref(first)
+    del first, other
+    assert gone() is None  # the sequence keeps no array alive
 
 
 # -- zip / split -------------------------------------------------------------

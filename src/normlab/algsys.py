@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DIGITS_BUDGET_BITS, BudgetError
+from .errors import BudgetError
 from .seqcore import HorizonError, SymbolicSequence
 
 # toral_orbit caps, checked before iterating: the cell histogram has
@@ -24,6 +24,9 @@ from .seqcore import HorizonError, SymbolicSequence
 ORBIT_GRID_BUDGET_BITS = 20  # d * grid_bits
 ORBIT_STEPS_BUDGET_BITS = 20  # steps, about 80 bytes each for a 2-torus with a small D
 ORBIT_STORE_BUDGET_BITS = 28  # steps * d * D.bit_length(), the bits of the stored orbit
+# precision_bits, which bounds the error powers of certified_steps at about
+# 2^20 bits: 0.2 s for 2^20 steps of a growth near 10^20, 19 s at 2^24 bits
+ORBIT_PRECISION_BUDGET_BITS = 20
 
 
 class ModulusError(ValueError):
@@ -245,6 +248,14 @@ def _certified_steps(err: int, growth: int, cap: int, steps: int) -> int:
     return k
 
 
+def check_precision_bits(precision_bits: int) -> None:
+    """Raise unless 0 <= precision_bits <= 2^ORBIT_PRECISION_BUDGET_BITS."""
+    if precision_bits < 0:
+        raise ValueError(f"precision_bits must be >= 0, got {precision_bits}")
+    if precision_bits > 1 << ORBIT_PRECISION_BUDGET_BITS:
+        raise BudgetError(f"precision budget is precision_bits <= 2^{ORBIT_PRECISION_BUDGET_BITS}")
+
+
 def toral_orbit(
     tmap: ToralMap,
     x0: Sequence[Union[Fraction, str, int]],
@@ -265,8 +276,7 @@ def toral_orbit(
     `certified_steps` is how many steps stay within 2^-output_bits.  Exact
     rational inputs (precision_bits=None) certify every step.
 
-    Raises BudgetError, before iterating, beyond the ORBIT_*_BUDGET_BITS caps
-    or for precision_bits > 2^DIGITS_BUDGET_BITS.
+    Raises BudgetError, before iterating, beyond the ORBIT_*_BUDGET_BITS caps.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -275,10 +285,8 @@ def toral_orbit(
         raise BudgetError(f"orbit grid budget is d * grid_bits <= {ORBIT_GRID_BUDGET_BITS}")
     if steps > 1 << ORBIT_STEPS_BUDGET_BITS:
         raise BudgetError(f"orbit budget is steps <= 2^{ORBIT_STEPS_BUDGET_BITS}")
-    if precision_bits is not None and precision_bits < 0:
-        raise ValueError(f"precision_bits must be >= 0, got {precision_bits}")
-    if precision_bits is not None and precision_bits > 1 << DIGITS_BUDGET_BITS:
-        raise BudgetError(f"precision budget is precision_bits <= 2^{DIGITS_BUDGET_BITS}")
+    if precision_bits is not None:
+        check_precision_bits(precision_bits)
     x = [Fraction(c) for c in x0]
     if len(x) != d:
         raise MatrixError("dimension mismatch between x0 and the matrix")

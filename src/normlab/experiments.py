@@ -626,6 +626,7 @@ def _spr_obstruction(cfg: dict):
 def _toral_discrepancy(cfg: dict):
     tmap = algsys.ToralMap.from_rows(cfg["matrix"])
     bits = cfg["precision_bits"]
+    algsys.check_precision_bits(bits)  # before x0 spends bits / 64 words on it
     seed = cfg["seed"]
     x0 = []
     for i in range(tmap.dimension):

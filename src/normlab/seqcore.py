@@ -264,18 +264,15 @@ class BlockCounts:
     """The m-blocks anchored in a digit array: the base-r codes that occur,
     ascending and read-only, their `counts`, and the number of anchors."""
 
-    m: int
-    r: int
     total: int
     codes: np.ndarray
     counts: np.ndarray
 
 
-# block_counts' memo, oldest first: statistics read one prefix at one m after
-# another, so a few entries catch every repeat.  Entries go by pop, since a
-# weakref callback may drop one at any allocation (normlab is one thread).
-_COUNTS_KEPT = 4
-_counts_memo: dict[tuple[int, int, int], tuple[weakref.ref, BlockCounts]] = {}
+# block_counts' memo, one entry as in SymbolicSequence.digits: the statistics
+# read one prefix at one m after another, so only the last count is asked for
+# again.  (key, weakref to the digit array, BlockCounts)
+_counts_last: tuple = (None, None, None)
 
 
 def _frozen(digits: np.ndarray) -> bool:
@@ -287,36 +284,27 @@ def _frozen(digits: np.ndarray) -> bool:
     return digits is None
 
 
-def _forget(key, ref) -> None:
-    if _counts_memo.get(key, (None,))[0] is ref:
-        _counts_memo.pop(key, None)
-
-
 def block_counts(digits: np.ndarray, m: int, r: int) -> BlockCounts:
-    """Count the m-blocks anchored in `digits`, once per read-only array.
+    """Count the m-blocks anchored in `digits`.
 
-    The count of an array that is read-only up to its owner, as
-    `SymbolicSequence.digits` returns them, is memoised on (id, m, r): a hit
-    must still be that same array, and the entry is dropped when the array
-    dies.  A writeable array is counted every time.
+    The last count of an array that is read-only up to its owner, as
+    `SymbolicSequence.digits` returns them, is memoised on (id, m, r); a hit
+    must still be that same array.  A writeable array is counted every time.
     """
+    global _counts_last
     if m < 1:
         raise LengthError(f"block length m={m} must be >= 1")
     key = (id(digits), m, r)
     frozen = _frozen(digits)
-    if frozen:
-        ref, hit = _counts_memo.get(key, (None, None))
-        if ref is not None and ref() is digits:
-            return hit
+    if frozen and _counts_last[0] == key and _counts_last[1]() is digits:
+        return _counts_last[2]
     at = _anchor_codes(digits, m, r)
     codes, counts = block_histogram(at, r**m)
     codes.setflags(write=False)
     counts.setflags(write=False)
-    bc = BlockCounts(m, r, len(at), codes, counts)
+    bc = BlockCounts(len(at), codes, counts)
     if frozen:
-        while len(_counts_memo) >= _COUNTS_KEPT:
-            _counts_memo.pop(next(iter(_counts_memo)), None)
-        _counts_memo[key] = (weakref.ref(digits, lambda ref: _forget(key, ref)), bc)
+        _counts_last = (key, weakref.ref(digits), bc)
     return bc
 
 

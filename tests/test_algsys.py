@@ -1,6 +1,5 @@
 import itertools
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normlab.algsys import (
+    ORBIT_PRECISION_BUDGET_BITS,
     LinearCA,
     MatrixError,
     ModulusError,
@@ -239,20 +239,24 @@ def test_certified_steps_match_the_stepwise_bound(d, growth, precision_bits, out
     assert got == certified_by_steps(d, growth, precision_bits, output_bits, steps)
 
 
-@pytest.mark.parametrize("bits, error", [(-1, ValueError), ((1 << 26) + 1, BudgetError), (99999999999, BudgetError)])
+@pytest.mark.parametrize(
+    "bits, error",
+    [(-1, ValueError), ((1 << ORBIT_PRECISION_BUDGET_BITS) + 1, BudgetError), (99999999999, BudgetError)],
+)
 def test_precision_bits_are_bounded_before_use(bits, error):
     tm = ToralMap.from_rows([[2, 1], [1, 1]])
     with pytest.raises(error, match="precision"):
         toral_orbit(tm, [Fraction(1, 5), Fraction(2, 5)], 10, precision_bits=bits)
 
 
-def test_certified_steps_at_the_precision_cap_are_quick():
-    # a 2^26-bit error denominator: stepping it in Fractions takes minutes
-    tm = ToralMap.from_rows([[2, 1], [1, 1]])
-    t0 = time.perf_counter()
-    r = toral_orbit(tm, [Fraction(1, 5), Fraction(2, 5)], 20000, precision_bits=1 << 26)
-    assert time.perf_counter() - t0 < 5.0
-    assert r.certified_steps == 20000
+def test_certified_steps_at_the_precision_cap():
+    # induced 1-norm 10^20: the largest k with 2 * 2^32 * 10^(20k) <= 2^(2^20)
+    tm = ToralMap.from_rows([[10**20 - 1, 1], [1, 1]])
+    bits = 1 << ORBIT_PRECISION_BUDGET_BITS
+    r = toral_orbit(tm, [Fraction(1, 5), Fraction(2, 5)], 20000, precision_bits=bits)
+    k = r.certified_steps
+    assert 0 < k < 20000
+    assert (2 << 32) * 10 ** (20 * k) <= 1 << bits < (2 << 32) * 10 ** (20 * (k + 1))
 
 
 def test_diagonal_product_map_orbit():

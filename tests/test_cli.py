@@ -256,14 +256,31 @@ def test_analyze_profile_rejects_windows_below_one(tmp_path, capsys, windows):
     assert len(err) == 1 and err[0].startswith("error: window length ")
 
 
-@pytest.mark.parametrize("bits", ["99999999999", "-1"])
-def test_algsys_orbit_precision_bits_are_bounded(capsys, bits):
-    argv = ["algsys", "orbit", "--matrix", "[[2,1],[1,1]]", "--x0", "1/5,2/5", "--precision-bits", bits]
+@pytest.mark.parametrize(
+    "matrix, steps, bits",
+    [
+        ("[[2,1],[1,1]]", "20", "99999999999"),
+        ("[[2,1],[1,1]]", "20", "-1"),
+        # a large induced norm lifts the error powers to about precision_bits
+        ("[[99999999999999999999,1],[1,1]]", "1048576", "67108864"),
+    ],
+)
+def test_algsys_orbit_precision_bits_are_bounded(capsys, matrix, steps, bits):
+    argv = ["algsys", "orbit", "--matrix", matrix, "--x0", "1/5,2/5", "--steps", steps, "--precision-bits", bits]
+    t0 = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0  # rejected before the orbit is iterated
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "precision" in err[0]
+
+
+def test_toral_experiment_bounds_precision_before_building_x0(capsys):
+    config = json.dumps({"precision_bits": 100000000000})
+    assert main(["experiment", "--name", "toral-discrepancy", "--config", config]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: precision budget")
 
 
 def test_data_quality_error_is_usage_error(monkeypatch, capsys):

@@ -27,6 +27,7 @@ ORBIT_STORE_BUDGET_BITS = 28  # steps * d * D.bit_length(), the bits of the stor
 # precision_bits, which bounds the error powers of certified_steps at about
 # 2^20 bits: 0.2 s for 2^20 steps of a growth near 10^20, 19 s at 2^24 bits
 ORBIT_PRECISION_BUDGET_BITS = 20
+OUTPUT_BITS = 32  # certified_steps counts the steps whose error stays within 2^-OUTPUT_BITS
 
 
 class ModulusError(ValueError):
@@ -261,7 +262,6 @@ def toral_orbit(
     x0: Sequence[Union[Fraction, str, int]],
     steps: int,
     precision_bits: Optional[int] = None,
-    output_bits: int = 32,
     grid_bits: int = 4,
 ) -> OrbitResult:
     """Orbit of x0 under x -> Ax mod 1, computed exactly, plus a
@@ -273,7 +273,7 @@ def toral_orbit(
 
     `precision_bits` declares how many bits of x0 are trusted; the error of
     the true orbit grows by at most the induced 1-norm of A per step, and
-    `certified_steps` is how many steps stay within 2^-output_bits.  Exact
+    `certified_steps` is how many steps stay within 2^-OUTPUT_BITS.  Exact
     rational inputs (precision_bits=None) certify every step.
 
     Raises BudgetError, before iterating, beyond the ORBIT_*_BUDGET_BITS caps.
@@ -303,8 +303,8 @@ def toral_orbit(
         certified = steps
     else:
         # the error after k steps, d * growth^k / 2^precision_bits, in
-        # integers scaled by 2^(precision_bits + output_bits)
-        certified = _certified_steps(d << output_bits, tmap.induced_one_norm(), 1 << precision_bits, steps)
+        # integers scaled by 2^(precision_bits + OUTPUT_BITS)
+        certified = _certified_steps(d << OUTPUT_BITS, tmap.induced_one_norm(), 1 << precision_bits, steps)
     cells = 1 << grid_bits
     flat = []
     for v in nums:

@@ -4,6 +4,9 @@ All quantities are prefix-scale: they are computed exactly on a finite
 window and labeled as such.  The infinite-limit quantities they estimate
 are not computable, so curves over a ladder of window lengths stand in for
 lower/upper limits.
+
+Every statistic reads a digit array and its alphabet size r (binary by
+default); `seqcore.block_counts` checks the block lengths against it.
 """
 
 from __future__ import annotations
@@ -11,53 +14,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import BudgetError
-from .seqcore import Block, LengthError, SymbolicSequence, _anchor_codes, _check_code_bits, block_counts, block_histogram
+from .seqcore import LengthError, _anchor_codes, _check_code_bits, block_counts, block_histogram, check_block_length
 
 ENUM_BUDGET_BITS = 24
 
 
-def _digits_of(seq, L: Optional[int] = None) -> np.ndarray:
-    if isinstance(seq, np.ndarray):
-        return seq if L is None else seq[:L]
-    if isinstance(seq, SymbolicSequence):
-        if L is None:
-            if seq.horizon is None:
-                raise LengthError("prefix length required for an unbounded sequence")
-            L = seq.horizon
-        return seq.digits(1, L)
-    arr = np.asarray(seq, dtype=np.uint8)
-    return arr if L is None else arr[:L]
-
-
-def _alphabet_size(seq, default: int = 2) -> int:
-    return seq.alphabet.size if isinstance(seq, SymbolicSequence) else default
-
-
-def combinatorial_entropy(B, n: int, r: Optional[int] = None) -> float:
-    """Per-symbol entropy of the empirical n-block distribution of B, in bits.
-
-    Accepts a Block or a digit array; ranges over the anchored n-windows.
-    """
-    if isinstance(B, Block):
-        digits = B.as_array()
-        r = B.alphabet.size
-    else:
-        digits = np.asarray(B, dtype=np.uint8)
-        r = r or 2
-    _check_block_length(n, len(digits))
+def combinatorial_entropy(digits: np.ndarray, n: int, r: int = 2) -> float:
+    """Per-symbol entropy in bits of the empirical distribution of the
+    n-blocks anchored in `digits`."""
     return _entropy(block_counts(digits, n, r).counts, n)
-
-
-def _check_block_length(n: int, length: int) -> None:
-    if n < 1:
-        raise LengthError(f"block length n={n} must be >= 1")
-    if n > length:
-        raise LengthError(f"n={n} exceeds block length {length}")
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -69,7 +39,7 @@ def _entropy(counts: np.ndarray, n: int) -> float:
     return float(-(p * np.log2(p)).sum() / n)
 
 
-def epsilon_complexity(seq, eps, m: int, L: Optional[int] = None, r: Optional[int] = None) -> int:
+def epsilon_complexity(digits: np.ndarray, eps, m: int, r: int = 2) -> int:
     """Minimal number of m-blocks needed to cover all but an eps-fraction of
     the anchored positions of the prefix.
 
@@ -81,10 +51,7 @@ def epsilon_complexity(seq, eps, m: int, L: Optional[int] = None, r: Optional[in
     epsf = Fraction(eps)
     if not 0 < epsf < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    digits = _digits_of(seq, L)
-    if m > len(digits):
-        raise LengthError(f"m={m} exceeds prefix length {len(digits)}")
-    bc = block_counts(digits, m, r or _alphabet_size(seq))
+    bc = block_counts(digits, m, r)
     W = bc.total
     # the head must hold at least W - floor(eps * W) anchors; head[t] is
     # the number the t most frequent blocks hold
@@ -113,19 +80,17 @@ class ComplexityReport:
         }
 
 
-def complexity_curve(seq, eps, m_range: Iterable[int], L: Optional[int] = None) -> ComplexityReport:
-    digits = _digits_of(seq, L)
-    rr = _alphabet_size(seq)
+def complexity_curve(digits: np.ndarray, eps, m_range: Iterable[int], r: int = 2) -> ComplexityReport:
     report = ComplexityReport(eps=float(eps), prefix_length=len(digits))
     for m in m_range:
-        C = epsilon_complexity(digits, eps, m, r=rr)
+        C = epsilon_complexity(digits, eps, m, r)
         threshold = 2.0 ** (float(eps) * m)
         report.rows.append((m, C, threshold))
     report.verdict = any(c < t for _, c, t in report.rows)
     return report
 
 
-def eps_m_goodness(seq, m: int, L: Optional[int] = None) -> Fraction:
+def eps_m_goodness(digits: np.ndarray, m: int, r: int = 2) -> Fraction:
     """Max over all binary m-blocks of |anchored frequency - 2^-m|.
 
     The prefix is (eps, m)-good exactly when the result is <= eps.  Over the
@@ -133,11 +98,8 @@ def eps_m_goodness(seq, m: int, L: Optional[int] = None) -> Fraction:
     count c, so the maximum sits at the smallest or the largest count, and
     the smallest is 0 when some m-block does not occur.
     """
-    digits = _digits_of(seq, L)
-    if _alphabet_size(seq) != 2:
+    if r != 2:
         raise ValueError("goodness is defined against the binary uniform weights")
-    if m > len(digits):
-        raise LengthError(f"m={m} exceeds prefix length {len(digits)}")
     bc = block_counts(digits, m, 2)
     W = bc.total
     lo = int(bc.counts.min()) if len(bc.counts) == 1 << m else 0
@@ -145,9 +107,8 @@ def eps_m_goodness(seq, m: int, L: Optional[int] = None) -> Fraction:
     return Fraction(max(abs((lo << m) - W), abs((hi << m) - W)), W << m)
 
 
-def switch_density(seq, L: Optional[int] = None) -> Fraction:
+def switch_density(digits: np.ndarray) -> Fraction:
     """Fraction of adjacent positions n with digit(n) != digit(n+1)."""
-    digits = _digits_of(seq, L)
     if len(digits) < 2:
         raise LengthError("switch density needs at least two digits")
     switches = int(np.count_nonzero(digits[1:] != digits[:-1]))
@@ -177,7 +138,9 @@ class EntropyProfile:
         }
 
 
-def entropy_profile(seq, window_lengths: Sequence[int], n_range: Iterable[int]) -> EntropyProfile:
+def entropy_profile(
+    digits: np.ndarray, window_lengths: Sequence[int], n_range: Iterable[int], r: int = 2
+) -> EntropyProfile:
     """H_n of each prefix window for each n, as `combinatorial_entropy` of
     the window would give it, from one count per window.
 
@@ -191,12 +154,13 @@ def entropy_profile(seq, window_lengths: Sequence[int], n_range: Iterable[int]) 
     for w in window_lengths:
         if w < 1:  # a slice end below 1 would read all but the last digits
             raise LengthError(f"window length {w} must be >= 1")
-    digits = np.asarray(_digits_of(seq, max(window_lengths)), dtype=np.uint8)
-    r = _alphabet_size(seq)
+        if w > len(digits):
+            raise LengthError(f"window length {w} exceeds the {len(digits)} digits")
+    digits = digits[: max(window_lengths)]
     windows = [digits[:w] for w in window_lengths]
     for window in windows:  # the errors of the per-window rule, in its order
         for n in ns:
-            _check_block_length(n, len(window))
+            check_block_length(n, len(window))
             _check_code_bits(n, r)
     profile = EntropyProfile()
     if not ns:

@@ -164,12 +164,8 @@ def _signed(x: FixedPointNumber) -> int:
     return x.sign * x.mant
 
 
-def _aligned(a: FixedPointNumber, b: FixedPointNumber, auto_align: bool):
+def _aligned(a: FixedPointNumber, b: FixedPointNumber):
     F = max(a.frac_bits, b.frac_bits)
-    if a.frac_bits != b.frac_bits and not auto_align:
-        raise PrecisionError(
-            f"precision mismatch: {a.frac_bits} vs {b.frac_bits} fractional bits"
-        )
     G = max(a.guard_bits, b.guard_bits)
     am = _signed(a) << (F - a.frac_bits)
     bm = _signed(b) << (F - b.frac_bits)
@@ -178,9 +174,10 @@ def _aligned(a: FixedPointNumber, b: FixedPointNumber, auto_align: bool):
     return F, G, am, bm, ae, be
 
 
-def carry_add(a: FixedPointNumber, b: FixedPointNumber, auto_align: bool = True) -> FixedPointNumber:
-    """Exact sum as big-integer addition of the aligned digit strings."""
-    F, G, am, bm, ae, be = _aligned(a, b, auto_align)
+def carry_add(a: FixedPointNumber, b: FixedPointNumber) -> FixedPointNumber:
+    """Exact sum as big-integer addition of the digit strings, aligned to
+    the larger precision of the two."""
+    F, G, am, bm, ae, be = _aligned(a, b)
     v = am + bm
     sign = 1 if v >= 0 else -1
     return FixedPointNumber(abs(v), F, G, sign, ae + be)

@@ -77,19 +77,19 @@ def _cmd_analyze(args) -> int:
     L = len(digits)
     if args.op == "entropy":
         rows = [
-            {"n": n, "H_bits_per_symbol": analysis.combinatorial_entropy(digits, n, r=r)}
+            {"n": n, "H_bits_per_symbol": analysis.combinatorial_entropy(digits, n, r)}
             for n in range(args.n_min, args.n_max + 1)
         ]
         _emit(args, {"op": "entropy", "L": L, "rows": rows}, rows)
     elif args.op == "complexity":
-        rep = analysis.complexity_curve(digits, args.eps, range(args.n_min, args.n_max + 1))
+        rep = analysis.complexity_curve(digits, args.eps, range(args.n_min, args.n_max + 1), r)
         rows = [{"m": m, "C": c, "threshold": t, "below": c < t} for m, c, t in rep.rows]
         _emit(args, rep.as_dict(), rows)
     elif args.op == "goodness":
         rows = [
             {
                 "m": m,
-                "max_deviation": float(analysis.eps_m_goodness(digits, m)),
+                "max_deviation": float(analysis.eps_m_goodness(digits, m, r)),
                 "uniform_target": 2.0**-m,
             }
             for m in range(args.n_min, args.n_max + 1)
@@ -101,11 +101,7 @@ def _cmd_analyze(args) -> int:
         _emit(args, row, [row])
     elif args.op == "profile":
         windows = [int(w) for w in args.windows.split(",")] if args.windows else [L]
-        prof = analysis.entropy_profile(
-            SymbolicSequence.from_array(digits, r=r),
-            windows,
-            range(args.n_min, args.n_max + 1),
-        )
+        prof = analysis.entropy_profile(digits, windows, range(args.n_min, args.n_max + 1), r)
         rows = [{"window": w, "n": n, "H": h} for w, n, h in prof.rows]
         _emit(args, prof.as_dict(), rows)
     return 0

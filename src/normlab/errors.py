@@ -29,6 +29,14 @@ OBSTRUCTION_BUDGET_BITS = 20
 # under Python's 4,300-digit int-to-str limit.
 P_DENOMINATOR_BUDGET_BITS = 11
 
+# The loops of the experiments whose sizes a config override sets are
+# bounded before the first one runs; each cap is far above the manifest
+# size and keeps the largest allowed run to a few seconds.
+CLOSED_FORM_BUDGET_BITS = 20  # carry-closed-forms: n_random + grid_points, about 5 us each
+GRAY_WORDS_BUDGET_BITS = 24  # gray-invariants: words verified, about 0.5 us each
+ROUNDTRIP_BUDGET_BITS = 14  # arithmetic-roundtrips: roundtrip_cases and pairs, up to 0.3 ms each
+STREAM_DIGITS_BUDGET_BITS = 24  # arithmetic-roundtrips: pairs * (digits + lookahead_cap), about 0.15 us each
+
 
 class DataQualityError(ValueError):
     """Sampled data too ambiguous to tally."""

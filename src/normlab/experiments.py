@@ -24,8 +24,9 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from . import algsys, analysis, bitarith, grayorder, pnormal, seqcore
+from . import algsys, analysis, bitarith, errors, grayorder, pnormal, seqcore
 from .bitarith import FixedPointNumber, carry_add, mod1, mul, mul_rational, neg, shifted_sum, stream_carry_add
+from .errors import BudgetError
 from .generators import (
     SCHEDULE,
     bernoulli_stream,
@@ -221,6 +222,12 @@ def _figure1_kappa(cfg: dict):
 
 @_experiment("gray-invariants")
 def _gray_invariants(cfg: dict):
+    if cfg["n_max"] > grayorder.VERIFY_BUDGET_BITS:
+        raise BudgetError(f"gray-invariants budget is n_max <= {grayorder.VERIFY_BUDGET_BITS}")
+    # every start verifies 2^n words per variant, two variants at even n
+    words = cfg["starts_per_n"] * sum(2**n * (2 - n % 2) for n in range(1, cfg["n_max"] + 1))
+    if words > 1 << errors.GRAY_WORDS_BUDGET_BITS:
+        raise BudgetError(f"gray-invariants budget is 2^{errors.GRAY_WORDS_BUDGET_BITS} words, not {words}")
     seed = cfg["seed"]
     bad = []
     total = 0
@@ -326,6 +333,8 @@ def _kappa_goodness(cfg: dict):
 
 @_experiment("carry-closed-forms")
 def _carry_closed_forms(cfg: dict):
+    if cfg["n_random"] + cfg["grid_points"] > 1 << errors.CLOSED_FORM_BUDGET_BITS:
+        raise BudgetError(f"carry-closed-forms budget is n_random + grid_points <= 2^{errors.CLOSED_FORM_BUDGET_BITS}")
     p = Fraction(1, 5)
     P, pprime = pnormal.carry_digit_prob(p)
     Q0, P0, pprime0 = pnormal.conditional_digit_prob(p)
@@ -503,6 +512,12 @@ def _ca_switch_identity(cfg: dict):
 
 @_experiment("arithmetic-roundtrips")
 def _arithmetic_roundtrips(cfg: dict):
+    if max(cfg["roundtrip_cases"], cfg["pairs"]) > 1 << errors.ROUNDTRIP_BUDGET_BITS:
+        raise BudgetError(f"arithmetic-roundtrips budget is roundtrip_cases, pairs <= 2^{errors.ROUNDTRIP_BUDGET_BITS}")
+    if cfg["pairs"] * (cfg["digits"] + cfg["lookahead_cap"]) > 1 << errors.STREAM_DIGITS_BUDGET_BITS:
+        raise BudgetError(
+            f"arithmetic-roundtrips budget is pairs * (digits + lookahead_cap) <= 2^{errors.STREAM_DIGITS_BUDGET_BITS}"
+        )
     seed = cfg["seed"]
     # (a) mod-1 negation inverse
     ok_neg = True

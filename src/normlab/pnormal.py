@@ -27,6 +27,7 @@ from .errors import (
 from .generators import bernoulli_stream, derive_seed
 
 MC_BUDGET_BITS = 22  # Monte-Carlo samples cost about 63 bytes each
+MAX_AMBIGUITY = 0.01  # the largest share of carry-ambiguous digits a Monte-Carlo run tallies
 
 
 # Fraction's own exponent grammar: PEP 515 underscores between digits
@@ -150,7 +151,6 @@ def monte_carlo_carry_sum(
     seed: int,
     N: int,
     lookahead_cap: int = 64,
-    max_ambiguity: float = 0.01,
 ) -> MonteCarloCarrySum:
     """Sample two independent p-streams, add them with carry, and tally the
     digit statistics of the sum.  Carry-ambiguous positions are excluded
@@ -165,10 +165,8 @@ def monte_carlo_carry_sum(
     s2 = bernoulli_stream(pf, derive_seed(seed, "carry-sum/right"), M)
     digits, ambiguous = stream_carry_add(s1, s2, N, lookahead_cap)
     amb_rate = float(ambiguous.mean())
-    if amb_rate > max_ambiguity:
-        raise DataQualityError(
-            f"ambiguity rate {amb_rate:.4f} exceeds {max_ambiguity:.4f}"
-        )
+    if amb_rate > MAX_AMBIGUITY:
+        raise DataQualityError(f"ambiguity rate {amb_rate:.4f} exceeds {MAX_AMBIGUITY:.4f}")
     ok = ~ambiguous
     tallied = int(ok.sum())
     if tallied == 0:

@@ -284,16 +284,23 @@ def _frozen(digits: np.ndarray) -> bool:
     return digits is None
 
 
+def check_block_length(m: int, length: int) -> None:
+    """Raise LengthError, naming m, unless 1 <= m <= length."""
+    if m < 1:
+        raise LengthError(f"block length m={m} must be >= 1")
+    if m > length:
+        raise LengthError(f"block length m={m} exceeds the {length} digits")
+
+
 def block_counts(digits: np.ndarray, m: int, r: int) -> BlockCounts:
-    """Count the m-blocks anchored in `digits`.
+    """Count the m-blocks anchored in `digits`; 1 <= m <= len(digits).
 
     The last count of an array that is read-only up to its owner, as
     `SymbolicSequence.digits` returns them, is memoised on (id, m, r); a hit
     must still be that same array.  A writeable array is counted every time.
     """
     global _counts_last
-    if m < 1:
-        raise LengthError(f"block length m={m} must be >= 1")
+    check_block_length(m, len(digits))
     key = (id(digits), m, r)
     frozen = _frozen(digits)
     if frozen and _counts_last[0] == key and _counts_last[1]() is digits:
@@ -310,10 +317,11 @@ def block_counts(digits: np.ndarray, m: int, r: int) -> BlockCounts:
 
 def prefix_frequency(seq: SymbolicSequence, B: Block, N: int) -> Fraction:
     """Fraction of anchors n in [1, N-|B|+1] where B occurs in seq."""
-    if N < len(B):
-        raise LengthError(f"window N={N} shorter than block length {len(B)}")
-    codes = _anchor_codes(seq.digits(1, N), len(B), seq.alphabet.size)
-    return Fraction(int(np.count_nonzero(codes == B.encode())), N - len(B) + 1)
+    bc = block_counts(seq.digits(1, N), len(B), seq.alphabet.size)
+    code = B.encode()
+    at = int(np.searchsorted(bc.codes, code))
+    hits = int(bc.counts[at]) if at < len(bc.codes) and bc.codes[at] == code else 0
+    return Fraction(hits, bc.total)
 
 
 @dataclass(frozen=True)
@@ -321,7 +329,6 @@ class EmpiricalMeasure:
     """Occurrence fractions of the m-blocks anchored at a finite window."""
 
     m: int
-    window: str
     counts: dict[tuple[int, ...], int]
     total: int
     alphabet: Alphabet = BINARY
@@ -339,21 +346,6 @@ class EmpiricalMeasure:
     def fractions(self) -> dict[tuple[int, ...], Fraction]:
         return {k: Fraction(v, self.total) for k, v in self.counts.items()}
 
-    def merge(self, other: "EmpiricalMeasure") -> "EmpiricalMeasure":
-        """Associative merge of counts from disjoint sub-windows."""
-        if self.m != other.m or self.alphabet != other.alphabet:
-            raise ValueError("can only merge measures of the same block length")
-        counts = dict(self.counts)
-        for k, v in other.counts.items():
-            counts[k] = counts.get(k, 0) + v
-        return EmpiricalMeasure(
-            self.m,
-            f"{self.window}+{other.window}",
-            counts,
-            self.total + other.total,
-            self.alphabet,
-        )
-
 
 _DECODE_ROWS = 4096  # codes decoded at a time; int64 rows of m digits for every code would raise peak memory
 
@@ -369,7 +361,7 @@ def empirical_measure(seq: SymbolicSequence, m: int, N: int) -> EmpiricalMeasure
     for lo in range(0, len(bc.codes), _DECODE_ROWS):
         rows = (bc.codes[lo : lo + _DECODE_ROWS, None] // powers) % r  # digits, first one MSB
         counts.update(zip(map(tuple, rows.tolist()), bc.counts[lo : lo + _DECODE_ROWS].tolist()))
-    return EmpiricalMeasure(m, f"prefix({N})", counts, bc.total, seq.alphabet)
+    return EmpiricalMeasure(m, counts, bc.total, seq.alphabet)
 
 
 def zip_product(seqs: Sequence[SymbolicSequence]) -> SymbolicSequence:

@@ -211,7 +211,7 @@ def test_singular_matrix_rejected():
 
 def test_certified_steps_budget():
     tm = ToralMap.from_rows([[2, 1], [1, 1]])
-    r = toral_orbit(tm, [Fraction(1, 3), Fraction(1, 7)], 100, precision_bits=64, output_bits=32)
+    r = toral_orbit(tm, [Fraction(1, 3), Fraction(1, 7)], 100, precision_bits=64)
     # error multiplies by the induced 1-norm (3) per step
     assert 0 < r.certified_steps < 100
     assert r.certified_steps <= (64 - 32) / np.log2(3) + 1

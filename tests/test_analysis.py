@@ -38,8 +38,8 @@ B = Block.from_string
 
 
 def test_entropy_trivial_cases():
-    assert combinatorial_entropy(B("00000000"), 2) == 0.0
-    assert combinatorial_entropy(B("0011"), 1) == 1.0
+    assert combinatorial_entropy(B("00000000").as_array(), 2) == 0.0
+    assert combinatorial_entropy(B("0011").as_array(), 1) == 1.0
 
 
 def test_entropy_alternating_block():
@@ -47,15 +47,15 @@ def test_entropy_alternating_block():
     want = -(
         Fraction(4, 7) * math.log2(4 / 7) + Fraction(3, 7) * math.log2(3 / 7)
     ) / 2
-    got = combinatorial_entropy(B("01010101"), 2)
+    got = combinatorial_entropy(B("01010101").as_array(), 2)
     assert abs(got - 0.4926) <= 1e-4
     assert abs(got - float(want)) <= 1e-12
-    assert combinatorial_entropy(B("01010101"), 2) <= 1.0
+    assert combinatorial_entropy(B("01010101").as_array(), 2) <= 1.0
 
 
 def test_entropy_length_check():
     with pytest.raises(LengthError):
-        combinatorial_entropy(B("01"), 3)
+        combinatorial_entropy(B("01").as_array(), 3)
 
 
 @pytest.mark.parametrize("m", [0, -1])
@@ -75,12 +75,27 @@ def test_block_length_below_one_is_named(statistic, m):
         statistic(np.array([0, 1, 1, 0], dtype=np.uint8), m)
 
 
+@pytest.mark.parametrize(
+    "statistic",
+    [
+        combinatorial_entropy,
+        eps_m_goodness,
+        lambda d, m: epsilon_complexity(d, 0.1, m),
+        lambda d, m: entropy_profile(d, [len(d)], [m]),
+    ],
+    ids=["entropy", "goodness", "complexity", "profile"],
+)
+def test_block_longer_than_the_digits_is_named(statistic):
+    with pytest.raises(LengthError, match="block length m=5 exceeds the 4 digits"):
+        statistic(np.array([0, 1, 1, 0], dtype=np.uint8), 5)
+
+
 @settings(max_examples=50)
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=32), st.integers(1, 3))
 def test_entropy_bounds(digits, n):
     if n > len(digits):
         n = len(digits)
-    h = combinatorial_entropy(Block(tuple(digits)), n)
+    h = combinatorial_entropy(np.array(digits, dtype=np.uint8), n)
     assert -1e-12 <= h <= 1.0 + 1e-12
     distinct = {tuple(digits[i : i + n]) for i in range(len(digits) - n + 1)}
     assert (h == 0.0) == (len(distinct) == 1)
@@ -91,18 +106,18 @@ def test_entropy_bounds(digits, n):
 
 def test_complexity_periodic():
     seq = SymbolicSequence.periodic([0, 1])
-    assert epsilon_complexity(seq, 0.4, 3, L=500) == 2
-    assert epsilon_complexity(constant(0), 0.4, 3, L=500) == 1
+    assert epsilon_complexity(seq.digits(1, 500), 0.4, 3) == 2
+    assert epsilon_complexity(constant(0).digits(1, 500), 0.4, 3) == 1
 
 
 def test_complexity_fair_coin_half_eps():
     seq = bernoulli_stream(Fraction(1, 2), 20250811, 10**6)
-    assert epsilon_complexity(seq, 0.5, 4) == 8
+    assert epsilon_complexity(seq.digits(1, 10**6), 0.5, 4) == 8
 
 
 def test_complexity_monotone_in_eps():
     seq = bernoulli_stream(Fraction(1, 3), 17, 5000)
-    values = [epsilon_complexity(seq, e, 5) for e in (0.05, 0.1, 0.2, 0.4)]
+    values = [epsilon_complexity(seq.digits(1, 5000), e, 5) for e in (0.05, 0.1, 0.2, 0.4)]
     assert values == sorted(values, reverse=True)
     assert values[0] <= 2**5
 
@@ -178,10 +193,10 @@ def test_complexity_head_count_matches_taking_heads(digits, m, eps, j):
 def test_complexity_curve_verdict():
     # the alternating sequence has C = 2 at every m; the 2^(eps m) threshold
     # overtakes it at m = 4 for eps = 0.4 and at m = 11 for eps = 0.1
-    seq = SymbolicSequence.periodic([0, 1])
-    assert complexity_curve(seq, 0.4, range(1, 5), L=2000).verdict
-    assert not complexity_curve(seq, 0.1, range(1, 11), L=2000).verdict
-    rep = complexity_curve(seq, 0.1, range(1, 12), L=2000)
+    digits = SymbolicSequence.periodic([0, 1]).digits(1, 2000)
+    assert complexity_curve(digits, 0.4, range(1, 5)).verdict
+    assert not complexity_curve(digits, 0.1, range(1, 11)).verdict
+    rep = complexity_curve(digits, 0.1, range(1, 12))
     assert rep.verdict and rep.rows[-1][1] == 2
 
 
@@ -202,7 +217,7 @@ def test_complexity_curve_sparse_sequence():
 
 
 def test_goodness_constant():
-    assert eps_m_goodness(constant(0), 1, L=64) == Fraction(1, 2)
+    assert eps_m_goodness(constant(0).digits(1, 64), 1) == Fraction(1, 2)
 
 
 def test_goodness_gray_concatenation():
@@ -265,13 +280,13 @@ def test_entropy_matches_dense_bincount(digits, n):
 
 
 def test_switch_density_extremes():
-    assert switch_density(SymbolicSequence.periodic([0, 1]), L=100) == 1
-    assert switch_density(constant(0), L=100) == 0
+    assert switch_density(SymbolicSequence.periodic([0, 1]).digits(1, 100)) == 1
+    assert switch_density(constant(0).digits(1, 100)) == 0
 
 
 def test_switch_density_length_check():
     with pytest.raises(LengthError):
-        switch_density(constant(0), L=1)
+        switch_density(constant(0).digits(1, 1))
 
 
 @settings(max_examples=40)
@@ -280,39 +295,46 @@ def test_switch_equals_01_plus_10_frequency(digits):
     seq = SymbolicSequence.from_array(digits)
     L = len(digits)
     total = prefix_frequency(seq, B("01"), L) + prefix_frequency(seq, B("10"), L)
-    assert switch_density(seq) == total
+    assert switch_density(seq.digits(1, L)) == total
 
 
 # -- entropy profile ---------------------------------------------------------
 
 
 def test_profile_bernoulli_near_one():
-    prof = entropy_profile(bernoulli_stream(Fraction(1, 2), 11, 10**6), [10**6], [8])
+    prof = entropy_profile(bernoulli_stream(Fraction(1, 2), 11, 10**6).digits(1, 10**6), [10**6], [8])
     h = prof.rows[0][2]
     assert 0.99 <= h <= 1.0
 
 
 def test_profile_sparse_low():
-    prof = entropy_profile(y_sequence(), [20000], [8])
+    prof = entropy_profile(y_sequence().digits(1, 20000), [20000], [8])
     assert prof.rows[0][2] <= 0.05
 
 
 def test_profile_periodic_eighth():
-    prof = entropy_profile(SymbolicSequence.periodic([0, 1]), [4096], [8])
+    prof = entropy_profile(SymbolicSequence.periodic([0, 1]).digits(1, 4096), [4096], [8])
     assert abs(prof.rows[0][2] - 0.125) <= 0.01
 
 
 def test_profile_min_max():
-    prof = entropy_profile(bernoulli_stream(Fraction(1, 2), 3, 4096), [256, 4096], [2])
+    prof = entropy_profile(bernoulli_stream(Fraction(1, 2), 3, 4096).digits(1, 4096), [256, 4096], [2])
     lo, hi = prof.per_n()[2]
     assert lo <= hi
 
 
-def profile_by_windows(seq, windows, ns):
+def test_profile_rejects_a_window_longer_than_the_digits():
+    # a longer window is an error, not a row labeled with a window never read
+    digits = np.array([0, 1, 1, 0], dtype=np.uint8)
+    with pytest.raises(LengthError, match="window length 5 exceeds the 4 digits"):
+        entropy_profile(digits, [4, 5], [1])
+    assert entropy_profile(digits, [4, 2], [2]).rows == [(4, 2, combinatorial_entropy(digits, 2)), (2, 2, 0.0)]
+
+
+def profile_by_windows(digits, windows, ns, r=2):
     """The rows of entropy_profile by definition: combinatorial_entropy of
     each window for each n, counted afresh every time."""
-    digits = seq.digits(1, max(windows))
-    return [(w, n, combinatorial_entropy(digits[:w], n, r=seq.alphabet.size)) for w in windows for n in ns]
+    return [(w, n, combinatorial_entropy(digits[:w], n, r)) for w in windows for n in ns]
 
 
 def outcome(fn):
@@ -343,17 +365,18 @@ def profile_inputs(draw):
 @example((2, [1] * 300, [300, 299, 1], [1]))
 def test_profile_matches_per_window_entropy(inputs):
     r, digits, windows, ns = inputs
-    seq = SymbolicSequence.from_array(digits, r=r)
-    got = outcome(lambda: entropy_profile(seq, windows, ns).rows)
-    assert got == outcome(lambda: profile_by_windows(seq, windows, ns))
-    assert entropy_profile(seq, windows, range(1, 1)).rows == []
+    arr = np.array(digits, dtype=np.uint8)
+    got = outcome(lambda: entropy_profile(arr, windows, ns, r).rows)
+    assert got == outcome(lambda: profile_by_windows(arr, windows, ns, r))
+    assert entropy_profile(arr, windows, range(1, 1), r).rows == []
 
 
 def test_profile_matches_per_window_entropy_at_scale():
     # 2^16 digits: dense tables at the largest n, thousands of codes each
     for seq in (kappa_sequence(), bernoulli_stream(Fraction(1, 3), 7, 1 << 16)):
+        digits = seq.digits(1, 1 << 16)
         windows, ns = [1 << 16, 1000, 1 << 12, 1000], range(3, 13, 2)
-        assert entropy_profile(seq, windows, ns).rows == profile_by_windows(seq, windows, ns)
+        assert entropy_profile(digits, windows, ns).rows == profile_by_windows(digits, windows, ns)
 
 
 # -- census ------------------------------------------------------------------
@@ -376,7 +399,7 @@ def test_census_matches_direct_enumeration():
     direct = 0
     for code in range(1 << m):
         block = Block.from_code(code, m, 2)
-        if combinatorial_entropy(block, n) <= c:
+        if combinatorial_entropy(block.as_array(), n) <= c:
             direct += 1
     assert count_low_entropy_blocks(m, n, c) == direct
 

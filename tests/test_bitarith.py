@@ -64,8 +64,6 @@ def test_add_alignment():
     s = carry_add(a, b)
     assert s.value() == Fraction(3, 8)
     assert s.frac_bits == 20
-    with pytest.raises(PrecisionError):
-        carry_add(a, b, auto_align=False)
 
 
 def test_regular_tail_pattern():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from normlab import pnormal
+from normlab import analysis, pnormal
 from normlab.cli import main
 from normlab.errors import DataQualityError, DomainError
 from normlab.generators import GeneratorInstance
@@ -244,6 +244,45 @@ def test_analyze_long_blocks_on_short_file(tmp_path, capsys, op):
         assert re.search(rf"\b[mn]={length}\b", err[0]), err[0]  # names the block length
 
 
+@pytest.fixture
+def ternary_file(tmp_path, capsys):
+    """4,000 uniform base-3 digits in an .nseq file, and the digits."""
+    src = tmp_path / "u3.nseq"
+    assert main(["generate", "--kind", "uniform", "--r", "3", "--seed", "1", "--n", "4000", "--out", str(src)]) == 0
+    capsys.readouterr()
+    return str(src), read_nseq(src).digits(1, 4000)
+
+
+def test_analyze_complexity_reads_the_files_alphabet(ternary_file, capsys):
+    src, digits = ternary_file
+    argv = ["analyze", "--op", "complexity", "--in", src, "--eps", "0.1", "--n-max", "3", "--format", "json"]
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["C"] for row in rows] == [3, 9, 24]
+    assert [row["C"] for row in rows] == [analysis.epsilon_complexity(digits, 0.1, m, r=3) for m in (1, 2, 3)]
+
+
+def test_analyze_goodness_rejects_a_ternary_file(ternary_file, capsys):
+    src, _ = ternary_file
+    assert main(["analyze", "--op", "goodness", "--in", src]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: goodness is defined against the binary uniform weights"]
+
+
+def test_analyze_entropy_and_profile_read_the_files_alphabet(ternary_file, capsys):
+    src, digits = ternary_file
+    assert main(["analyze", "--op", "entropy", "--in", src, "--n-max", "3", "--format", "json"]) == 0
+    got = [row["H_bits_per_symbol"] for row in json.loads(capsys.readouterr().out)["rows"]]
+    assert got == [analysis.combinatorial_entropy(digits, n, r=3) for n in (1, 2, 3)]
+    assert got[0] > 1.5  # near log2(3); read as binary it would be at most 1
+    assert main(["analyze", "--op", "profile", "--in", src, "--windows", "1000,4000", "--n-max", "3",
+                 "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    want = analysis.entropy_profile(digits, [1000, 4000], range(1, 4), r=3).rows
+    assert [(row["window"], row["n"], row["H"]) for row in rows] == want
+
+
 @pytest.mark.parametrize("windows", ["-5,4096", "0", "4096,-1"])
 def test_analyze_profile_rejects_windows_below_one(tmp_path, capsys, windows):
     src = tmp_path / "k.nseq"
@@ -385,6 +424,30 @@ def test_orbit_budget_is_usage_error(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "name, config, message",
+    [
+        ("carry-closed-forms", {"grid_points": 10**10}, "n_random + grid_points <= 2^20"),
+        ("carry-closed-forms", {"n_random": 10**10}, "n_random + grid_points <= 2^20"),
+        ("gray-invariants", {"n_max": 40}, "n_max <= 20"),
+        ("gray-invariants", {"starts_per_n": 10**9}, "2^24 words"),
+        ("arithmetic-roundtrips", {"pairs": 10**9}, "roundtrip_cases, pairs <= 2^14"),
+        ("arithmetic-roundtrips", {"roundtrip_cases": 10**10}, "roundtrip_cases, pairs <= 2^14"),
+        ("arithmetic-roundtrips", {"digits": 10**10}, "pairs * (digits + lookahead_cap) <= 2^24"),
+    ],
+    ids=["grid-points", "n-random", "n-max", "starts-per-n", "pairs", "roundtrip-cases", "digits"],
+)
+def test_experiment_loop_budget_is_usage_error(capsys, name, config, message):
+    # the total loop work is checked before the first loop runs
+    t0 = time.perf_counter()
+    assert main(["experiment", "--name", name, "--config", json.dumps(config)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name} budget") and message in err[0]
 
 
 @pytest.mark.parametrize(

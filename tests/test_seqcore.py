@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normlab import seqcore
@@ -276,17 +276,6 @@ def test_measure_decode_across_chunks():
 
 
 
-def test_empirical_measure_merge_over_subwindows():
-    # anchors 1..40 split at 17: each part carries the m - 1 digits its last
-    # anchored block reaches past it
-    digits = SymbolicSequence.periodic([0, 1, 1, 0, 1]).digits(1, 41)
-    whole = empirical_measure(SymbolicSequence.from_array(digits), 2, 41)
-    left = empirical_measure(SymbolicSequence.from_array(digits[:18]), 2, 18)
-    right = empirical_measure(SymbolicSequence.from_array(digits[17:]), 2, 24)
-    merged = left.merge(right)
-    assert merged.counts == whole.counts and merged.total == whole.total
-
-
 def test_prefix_frequency_matches_measure_refinement():
     # aligned windows: anchors [1, W] with W = N - m + 1 on both sides
     seq = SymbolicSequence.periodic([0, 1, 1, 0, 1])
@@ -301,6 +290,28 @@ def test_prefix_frequency_matches_measure_refinement():
             if blk[: len(b)] == tuple(b.digits)
         )
         assert prefix_frequency(seq, b, W + len(b) - 1) == extending
+
+
+@st.composite
+def prefix_and_block(draw):
+    r = draw(st.sampled_from([2, 3]))
+    digits = draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=60))
+    block = draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=min(len(digits), 4)))
+    return r, digits, block, draw(st.integers(len(block), len(digits)))
+
+
+@settings(max_examples=200)
+@given(prefix_and_block())
+@example((2, [0, 0, 0], [1, 1], 3))  # absent, above every code that occurs
+@example((2, [1, 1, 1], [0], 3))  # absent, below every code that occurs
+@example((3, [0, 2, 0, 2], [1, 2], 4))  # absent, between two codes that occur
+@example((3, [2, 1, 0, 2], [2, 1, 0, 2], 4))  # N = len(B)
+def test_prefix_frequency_matches_an_occurrence_count(inputs):
+    r, digits, block, N = inputs
+    W = N - len(block) + 1
+    hits = sum(digits[i : i + len(block)] == block for i in range(W))
+    seq = SymbolicSequence.from_array(digits, r=r)
+    assert prefix_frequency(seq, Block(tuple(block), Alphabet(r)), N) == Fraction(hits, W)
 
 
 # -- shared block counts -----------------------------------------------------
@@ -369,6 +380,16 @@ def test_reused_id_never_hits_the_memo(monkeypatch):
     fresh = block_counts(arr, 3, 2)
     assert fresh is not stale
     assert_counts(fresh, arr, 3, 2)
+
+
+@pytest.mark.parametrize("read_only", [False, True])
+def test_block_counts_rejects_a_block_longer_than_the_digits(read_only):
+    arr = frozen([0, 1, 1]) if read_only else np.array([0, 1, 1], dtype=np.uint8)
+    assert block_counts(arr, 3, 2).total == 1  # memoised when read-only
+    with pytest.raises(LengthError, match="block length m=4 exceeds the 3 digits"):
+        block_counts(arr, 4, 2)
+    with pytest.raises(LengthError, match="block length m=1 exceeds the 0 digits"):
+        block_counts(arr[:0], 1, 2)
 
 
 def test_memo_keeps_the_last_count():

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import algsys, analysis, bitarith, errors, grayorder, pnormal, seqcore
 from .bitarith import FixedPointNumber, carry_add, mod1, mul, mul_rational, neg, shifted_sum, stream_carry_add
-from .errors import BudgetError
+from .errors import DIGITS_BUDGET_BITS, BudgetError
 from .generators import (
     SCHEDULE,
     bernoulli_stream,
@@ -145,9 +145,21 @@ def experiment_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
+# Parameters that are base-2 exponents, each with its allowed range.  The
+# experiments build 1 << key (1 << -key for tolerance_log2), so the range
+# keeps that integer within the 2^DIGITS_BUDGET_BITS digit budget.
+_LOG2_RANGES = {
+    "prefix_log2": (0, DIGITS_BUDGET_BITS),
+    "prefix_log2s": (0, DIGITS_BUDGET_BITS),  # each entry
+    "kappa_prefix_log2": (0, DIGITS_BUDGET_BITS),
+    "tolerance_log2": (-(1 << DIGITS_BUDGET_BITS), 0),
+}
+
+
 def _check_overrides(name: str, config: dict, overrides) -> None:
     """Each override must name a manifest parameter of the experiment and
-    keep its JSON type; an integer may stand where the manifest has a float."""
+    keep its JSON type; an integer may stand where the manifest has a float.
+    An exponent must lie in its `_LOG2_RANGES` range."""
     if not isinstance(overrides, dict):
         raise ConfigError(f"config overrides must be a JSON object, got {overrides!r}")
     for key, value in overrides.items():
@@ -156,6 +168,12 @@ def _check_overrides(name: str, config: dict, overrides) -> None:
         want, got = type(config[key]), type(value)
         if got is not want and not (want is float and got is int):
             raise ConfigError(f"{name} parameter {key!r} must be {want.__name__}, got {value!r}")
+        if key in _LOG2_RANGES:
+            lo, hi = _LOG2_RANGES[key]
+            exps = value if isinstance(value, list) else [value]
+            if not exps or not all(type(e) is int and lo <= e <= hi for e in exps):
+                each = " for each of a non-empty list" if isinstance(value, list) else ""
+                raise BudgetError(f"{name} budget is {lo} <= {key} <= {hi}{each}, got {value!r}")
 
 
 def run_experiment(name: str, overrides: Optional[dict] = None) -> ExperimentReport:

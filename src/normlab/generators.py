@@ -306,13 +306,21 @@ def splitmix64(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _vec_words(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 over an array of word indices."""
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed & _MASK64) + (indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_SM_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_M2)
-        return z ^ (z >> np.uint64(31))
+def _vec_words(seed: int, first: int, count: int) -> np.ndarray:
+    """splitmix64 words first .. first + count - 1 of the stream, computed in
+    place in one uint64 buffer (uint64 arithmetic wraps mod 2^64)."""
+    z = np.arange(first, first + count, dtype=np.uint64)
+    t = np.empty_like(z)
+    z += np.uint64(1)
+    z *= np.uint64(_SM_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    for shift, mult in ((30, _SM_M1), (27, _SM_M2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -337,8 +345,7 @@ def bernoulli_stream(p, seed: int, N: int) -> SymbolicSequence:
     threshold = (pf.numerator << 64) // pf.denominator
 
     def bulk(start: int, count: int) -> np.ndarray:
-        idx = np.arange(start - 1, start - 1 + count, dtype=np.uint64)
-        return (_vec_words(seed, idx) < np.uint64(threshold)).astype(np.uint8)
+        return (_vec_words(seed, start - 1, count) < np.uint64(threshold)).astype(np.uint8)
 
     return SymbolicSequence(bulk, BINARY, horizon=N, name=f"bernoulli(p={pf}, seed={seed})")
 
@@ -352,8 +359,8 @@ def uniform_stream(r: int, seed: int, N: int) -> SymbolicSequence:
         raise DomainError("N must be >= 1")
 
     def bulk(start: int, count: int) -> np.ndarray:
-        idx = np.arange(start - 1, start - 1 + count, dtype=np.uint64)
-        return (_vec_words(seed, idx) % np.uint64(r)).astype(np.uint8)
+        z = _vec_words(seed, start - 1, count)
+        return np.remainder(z, np.uint64(r), out=z).astype(np.uint8)
 
     return SymbolicSequence(bulk, Alphabet(r), horizon=N, name=f"uniform(r={r}, seed={seed})")
 

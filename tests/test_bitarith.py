@@ -10,6 +10,8 @@ from normlab.bitarith import (
     DomainError,
     FixedPointNumber,
     PrecisionError,
+    _fft_error_bound,
+    _product,
     carry_add,
     mod1,
     mul,
@@ -18,7 +20,7 @@ from normlab.bitarith import (
     shifted_sum,
     stream_carry_add,
 )
-from normlab.generators import kappa_sequence, splitmix64, y_sequence
+from normlab.generators import bernoulli_stream, kappa_sequence, splitmix64, y_sequence
 from normlab.seqcore import SymbolicSequence
 
 from helpers import constant
@@ -240,6 +242,67 @@ def test_mul_error_envelope():
     assert prod.err_ulps <= 3
 
 
+@st.composite
+def product_operands(draw):
+    """Nonnegative integers of 0 .. 2^17 + 3 bits: random, all-ones (every
+    limb 0xFF, the largest limb norm) or a power of two."""
+    bits = draw(st.sampled_from([0, 1, 7, 64, 1 << 12, (1 << 14) - 1, 1 << 14, 3 << 13, 1 << 16, (1 << 17) + 3]))
+    kind = draw(st.sampled_from(["random", "ones", "power"]))
+    if kind == "ones":
+        return (1 << bits) - 1
+    if kind == "power":
+        return 1 << bits >> 1
+    raw = np.random.default_rng(draw(st.integers(0, 2**32))).bytes((bits + 7) // 8)
+    return int.from_bytes(raw, "little") >> ((-bits) % 8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands(), product_operands())
+@example((1 << (1 << 17)) - 1, (1 << (1 << 17)) - 1)
+@example((1 << (1 << 17)) - 1, (1 << (1 << 14)) - 1)  # lopsided: Karatsuba
+@example(0, (1 << (1 << 17)) - 1)
+def test_product_matches_python_multiplication(a, b):
+    calls = []
+    irfft = np.fft.irfft
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.fft, "irfft", lambda *args: calls.append(1) or irfft(*args))
+        assert _product(a, b) == a * b
+    small, big = sorted((a.bit_length(), b.bit_length()))
+    # the FFT runs exactly when the smaller operand has 2^14 bits and 1/16 of the larger's
+    assert len(calls) == (small >= max(1 << 14, big >> 4))
+
+
+def test_fft_error_bound_at_the_budget_edge():
+    # two all-ones operands of 2^26 bits: 2^23 limbs of 0xFF each, a
+    # convolution of length 2^24; rounding is exact while the bound is < 1/2
+    norm2 = (1 << 23) * 255**2
+    edge = _fft_error_bound(24, norm2, norm2)
+    assert edge < 0.05
+    assert _fft_error_bound(18, (1 << 17) * 255**2, (1 << 17) * 255**2) < 1e-3 < edge
+
+
+def mul_by_formula(x: FixedPointNumber, y: FixedPointNumber, N: int, G: int):
+    """mant * mant shifted to N + G bits, and the error radius
+    |x| err_y + |y| err_x + err_x err_y rounded up, plus one ulp when bits are dropped."""
+    shift = x.frac_bits + y.frac_bits - (N + G)
+    prod = x.mant * y.mant
+    err_scaled = x.mant * y.err_ulps + y.mant * x.err_ulps + x.err_ulps * y.err_ulps
+    return prod >> shift, -((-err_scaled) >> shift) + (1 if prod & ((1 << shift) - 1) else 0)
+
+
+@pytest.mark.parametrize("err_bits", [0, 1, 40, 1 << 15])
+def test_mul_above_the_fft_crossover_matches_formula(err_bits):
+    N, G = 1 << 16, 64
+    rng = np.random.default_rng(err_bits)
+    mants = [int.from_bytes(rng.bytes((N + G) // 8 + 1), "little") for _ in range(2)]
+    errs = [int.from_bytes(rng.bytes(err_bits // 8 + 1), "little") >> ((-err_bits) % 8) for _ in range(2)]
+    x = FixedPointNumber(mants[0], N + G + 3, G, -1, errs[0])
+    y = FixedPointNumber(mants[1], N + G, G, 1, errs[1])
+    prod = mul(x, y, N, G)
+    assert (prod.mant, prod.err_ulps) == mul_by_formula(x, y, N, G)
+    assert (prod.frac_bits, prod.guard_bits, prod.sign) == (N + G, G, -1)
+
+
 # -- shifted_sum -------------------------------------------------------------
 
 
@@ -361,6 +424,41 @@ def test_stream_carry_add_matches_search(case):
     a, b, N, cap = case
     digits, amb = stream_carry_add(SymbolicSequence.from_array(a), SymbolicSequence.from_array(b), N, cap)
     want_digits, want_amb = stream_carry_add_by_search(a, b, N, cap)
+    assert digits.dtype == want_digits.dtype and amb.dtype == want_amb.dtype
+    assert (digits == want_digits).all() and (amb == want_amb).all()
+
+
+def stream_carry_add_by_running_minimum(a: np.ndarray, b: np.ndarray, N: int, cap: int):
+    """The numpy carry resolution stream_carry_add had before it added the
+    rows as integers: each position's next column with digit sum != 1 from
+    one reversed running minimum."""
+    M = N + cap
+    col = a[:M].astype(np.int8) + b[:M].astype(np.int8)
+    nxt = np.full(M + 1, M)
+    nxt[:M] = np.where(col != 1, np.arange(M), M)
+    j = np.minimum.accumulate(nxt[::-1])[::-1][1 : N + 1]
+    within = j - np.arange(N) <= cap
+    carry = np.zeros(N, dtype=np.int8)
+    carry[within] = (col[j[within]] == 2).astype(np.int8)
+    return ((col[:N] + carry) % 2).astype(np.uint8), ~within
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda f: 0 < f < 1)
+    | st.integers(8, 1000).map(lambda n: Fraction(1, n)),
+    st.integers(1, 3000),
+    st.integers(0, 70),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+)
+def test_stream_carry_add_matches_running_minimum(p, N, cap, seed1, seed2):
+    # a p-stream against a (1 - p)-stream: for p near 0 or 1 almost every
+    # column has digit sum 1, so long runs exceed the cap
+    s1 = bernoulli_stream(p, seed1, N + cap)
+    s2 = bernoulli_stream(1 - p, seed2, N + cap)
+    digits, amb = stream_carry_add(s1, s2, N, cap)
+    want_digits, want_amb = stream_carry_add_by_running_minimum(s1.digits(1, N + cap), s2.digits(1, N + cap), N, cap)
     assert digits.dtype == want_digits.dtype and amb.dtype == want_amb.dtype
     assert (digits == want_digits).all() and (amb == want_amb).all()
 

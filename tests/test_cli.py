@@ -451,14 +451,15 @@ def test_experiment_loop_budget_is_usage_error(capsys, name, config, message):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["generate", "--kind", "kappa", "--n", "99999999999999"],
-        ["experiment", "--name", "kappa-goodness", "--config", '{"prefix_log2": 40}'],
+        (["generate", "--kind", "kappa", "--n", "99999999999999"], "digit budget is count <= 2^26"),
+        (["experiment", "--name", "kappa-goodness", "--config", '{"prefix_log2": 40}'],
+         "kappa-goodness budget is 0 <= prefix_log2 <= 26, got 40"),
     ],
     ids=["generate-kappa-1e14", "kappa-goodness-prefix-2^40"],
 )
-def test_digit_budget_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+def test_digit_budget_is_usage_error(tmp_path, monkeypatch, capsys, argv, message):
     # the digit count is checked before any digit array is allocated
     monkeypatch.chdir(tmp_path)
     t0 = time.perf_counter()
@@ -466,8 +467,44 @@ def test_digit_budget_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.strip() == "error: digit budget is count <= 2^26"
+    assert captured.err.strip() == f"error: {message}"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, config, message",
+    [
+        ("z-switch-half", {"prefix_log2": 10**10}, "0 <= prefix_log2 <= 26, got 10000000000"),
+        ("rational-multiple-goodness", {"prefix_log2": 10**10}, "0 <= prefix_log2 <= 26, got 10000000000"),
+        ("ca-switch-identity", {"prefix_log2": 10**10}, "0 <= prefix_log2 <= 26, got 10000000000"),
+        ("kappa-goodness", {"prefix_log2": -1}, "0 <= prefix_log2 <= 26, got -1"),
+        ("complexity-contrast", {"kappa_prefix_log2": 27}, "0 <= kappa_prefix_log2 <= 26, got 27"),
+        ("xy-switch-decay", {"prefix_log2s": [12, 10**10]}, "0 <= prefix_log2s <= 26 for each of a non-empty list"),
+        ("xy-switch-decay", {"prefix_log2s": []}, "0 <= prefix_log2s <= 26 for each of a non-empty list, got []"),
+        ("vy-identity", {"tolerance_log2": 1}, "-67108864 <= tolerance_log2 <= 0, got 1"),
+        ("vy-identity", {"tolerance_log2": -(2**26) - 1}, "-67108864 <= tolerance_log2 <= 0, got -67108865"),
+        ("vy-identity", {"tolerance_log2": -(10**10)}, "-67108864 <= tolerance_log2 <= 0, got -10000000000"),
+    ],
+    ids=["z-switch-half", "rational-multiple-goodness", "ca-switch-identity", "kappa-goodness-negative",
+         "complexity-contrast", "xy-switch-decay", "xy-switch-decay-empty", "vy-identity-positive",
+         "vy-identity-below-budget", "vy-identity-1e10"],
+)
+def test_experiment_exponent_beyond_budget_is_usage_error(capsys, name, config, message):
+    # an exponent key is checked before any 1 << key is built
+    t0 = time.perf_counter()
+    assert main(["experiment", "--name", name, "--config", json.dumps(config)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name} budget is ") and message in err[0]
+
+
+@pytest.mark.parametrize("tolerance_log2, code", [(0, 0), (-(2**26), 1)])
+def test_vy_identity_tolerance_ends_are_accepted(capsys, tolerance_log2, code):
+    # 2^0 holds |v*y - 1|; 2^-(2^26) is far below it, so the check fails
+    assert main(["experiment", "--name", "vy-identity", "--config", json.dumps({"tolerance_log2": tolerance_log2})]) == code
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("op", ["mulq", "neg", "shiftsum"])

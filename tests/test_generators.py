@@ -11,6 +11,7 @@ from normlab.generators import (
     GeneratorInstance,
     LevelSchedule,
     _kappa_prefix_2048,
+    _vec_words,
     bernoulli_stream,
     champernowne_digits,
     derive_seed,
@@ -24,7 +25,7 @@ from normlab.generators import (
     y_sequence,
 )
 from normlab.grayorder import GrayOrdering
-from normlab.seqcore import Block
+from normlab.seqcore import Block, _frozen
 from test_grayorder import offset_digit  # the one reference for Gray offset digits
 
 KAPPA_PREFIX_56 = (
@@ -335,6 +336,19 @@ def test_splitmix_reference_stability():
     assert splitmix64(12345, 0) == 2454886589211414944
 
 
+@settings(max_examples=200)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1) | st.integers(2**64 - 400, 2**64 - 1),
+    st.integers(1, 300),
+)
+def test_vec_words_match_scalar_splitmix(seed, first, count):
+    first = min(first, 2**64 - count)  # the last index is at most 2^64 - 1
+    words = _vec_words(seed, first, count)
+    assert words.dtype == np.uint64
+    assert words.tolist() == [splitmix64(seed, i) for i in range(first, first + count)]
+
+
 def test_bernoulli_deterministic_and_calibrated():
     a = bernoulli_stream(Fraction(1, 2), 42, 10**6)
     b = bernoulli_stream(Fraction(1, 2), 42, 10**6)
@@ -386,6 +400,18 @@ def test_uniform_digit_rule(r, seed, positions):
     seq = uniform_stream(r, seed, 10**6)
     for pos in positions:
         assert seq.digit(pos) == splitmix64(seed, pos - 1) % r == int(seq.digits(pos, 1)[0])
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [bernoulli_stream(Fraction(1, 3), 5, 4096), uniform_stream(3, 5, 4096), kappa_sequence(), y_sequence(),
+     v_sequence(), champernowne_digits(2, 4096)],
+    ids=["bernoulli", "uniform", "kappa", "y", "v", "champernowne"],
+)
+def test_bulk_digits_are_frozen_to_their_owner(seq):
+    # block_counts memoises only arrays read-only up to their owner; a bulk
+    # path returning a view of a writeable array would turn the memo off
+    assert _frozen(seq.digits(1, 4096))
 
 
 def test_derive_seed_changes_stream():

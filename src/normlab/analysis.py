@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetError
-from .seqcore import LengthError, _anchor_codes, _check_code_bits, block_counts, block_histogram, check_block_length
+from .seqcore import LengthError, _anchor_codes, _check_code_bits, _counts_from_table, block_counts, check_block_length
 
 ENUM_BUDGET_BITS = 24
 
@@ -145,10 +145,10 @@ def entropy_profile(
     the window would give it, from one count per window.
 
     The blocks of the largest n, `top`, are anchored once over the longest
-    window; a window counts the prefix of those codes that fits in it.  An
-    n-block's code is its top-block's code // r^(top - n), which keeps the
-    codes ascending, so equal ones are adjacent; the top - n anchors at the
-    window's end that start no top-block are read off its last top-block.
+    window.  A window whose table of top-blocks is dense, as
+    `block_histogram` counts it, counts its prefix of those codes into that
+    table and derives every n from it as `block_counts` derives its ladder;
+    a shorter window takes each n from `block_counts`.
     """
     ns = list(n_range)
     for w in window_lengths:
@@ -166,21 +166,17 @@ def entropy_profile(
     if not ns:
         return profile
     top = max(ns)
-    codes = _anchor_codes(digits, top, r)
+    codes = None
     for w, window in zip(window_lengths, windows):
-        head = len(window) - top + 1  # top-blocks inside the window
-        observed, counts = block_histogram(codes[:head], r**top)
-        last = int(codes[head - 1])
-        for n in ns:
-            drop = top - n
-            # the n-block at anchor head + j is digits j + 1 .. j + n of `last`
-            tail = np.array(sorted(last // r ** (drop - 1 - j) % r**n for j in range(drop)), dtype=np.int64)
-            coarse = observed // r**drop
-            at = np.searchsorted(coarse, tail)
-            merged = np.insert(coarse, at, tail)
-            starts = np.flatnonzero(np.diff(merged, prepend=-1))
-            grouped = np.add.reduceat(np.insert(counts, at, 1), starts)
-            profile.rows.append((w, n, _entropy(grouped, n)))
+        head = w - top + 1  # top-blocks inside the window
+        if r**top <= head:
+            if codes is None:
+                codes = _anchor_codes(digits, top, r)
+            table = np.bincount(codes[:head], minlength=r**top)
+            counts = [_counts_from_table(table, window, top, n, r)[1] for n in ns]
+        else:
+            counts = [block_counts(window, n, r).counts for n in ns]
+        profile.rows += [(w, n, _entropy(c, n)) for n, c in zip(ns, counts)]
     return profile
 
 

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -118,15 +118,12 @@ def _kappa_prefix_2048() -> np.ndarray:
     return level
 
 
-@lru_cache(maxsize=None)
-def _kappa_prefix_list() -> list[int]:
-    return _kappa_prefix_2048().tolist()
+_KAPPA_PREFIX = _kappa_prefix_2048().tolist()  # bound once: kappa_digit reads one entry per probe
 
-
-# (e, 2^e - 1) of the levels whose chunks are longer than the prefix, top
-# first; no position reaches a level whose n_k cannot be materialized
+# (e, 2^e - 1, 2^e) of the levels whose chunks are longer than the prefix,
+# top first; no position reaches a level whose n_k cannot be materialized
 _KAPPA_LEVELS = tuple(
-    (e, (1 << e) - 1) for e in reversed(SCHEDULE._exponents) if 11 <= e <= LevelSchedule._VALUE_EXP_CAP
+    (e, (1 << e) - 1, 1 << e) for e in reversed(SCHEDULE._exponents) if 11 <= e <= LevelSchedule._VALUE_EXP_CAP
 )
 
 
@@ -138,20 +135,21 @@ def kappa_digit(p: int) -> int:
     alternated ordering started at the level prefix: prefix digit i XOR bit
     2^e - 1 - i of reflected-gray(l - 1), complemented for even l.  That
     bit is bit s = e + 2^e - 1 - i of q XOR bit s + 1, so one shift
-    t = q >> s gives it, and l is even when bit e of q is 1; for e = 2059
-    the shift is astronomically large and t = 0.
+    t = q >> s gives it, and l is even when bit e of q is 1, read as
+    q & 2^e without shifting all of q; for e = 2059 the shift is
+    astronomically large and t = 0.
     """
     if p < 1:
         raise DomainError("positions are 1-indexed")
     q = p - 1
     bit = 0
-    for e, mask in _KAPPA_LEVELS:
+    for e, mask, high in _KAPPA_LEVELS:
         if q > mask:  # p > n_k = 2^e
             i = q & mask
             t = q >> (e + mask - i) & 3
-            bit ^= t ^ (t >> 1) ^ (q >> e & 1)
+            bit ^= t ^ (t >> 1) ^ ((q & high) != 0)
             q = i
-    return (bit & 1) ^ _kappa_prefix_list()[q]
+    return (bit & 1) ^ _KAPPA_PREFIX[q]
 
 
 def _kappa_bulk(start: int, count: int) -> np.ndarray:
@@ -306,21 +304,30 @@ def splitmix64(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _vec_words(seed: int, first: int, count: int) -> np.ndarray:
-    """splitmix64 words first .. first + count - 1 of the stream, computed in
-    place in one uint64 buffer (uint64 arithmetic wraps mod 2^64)."""
-    z = np.arange(first, first + count, dtype=np.uint64)
-    t = np.empty_like(z)
-    z += np.uint64(1)
-    z *= np.uint64(_SM_GAMMA)
-    z += np.uint64(seed & _MASK64)
-    for shift, mult in ((30, _SM_M1), (27, _SM_M2)):
-        np.right_shift(z, np.uint64(shift), out=t)
-        z ^= t
-        z *= np.uint64(mult)
-    np.right_shift(z, np.uint64(31), out=t)
-    z ^= t
-    return z
+_WORD_CHUNK = 1 << 15  # words per chunk: its two 256 KiB uint64 buffers stay in L2 cache
+
+
+def _vec_words(seed: int, first: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """splitmix64 words first .. first + count - 1 of the stream, in chunks.
+
+    Yields (i, z) with z the words first + i .. first + i + len(z) - 1,
+    computed in place in one uint64 buffer (uint64 arithmetic wraps mod
+    2^64) that the next chunk overwrites: reduce z before asking for more.
+    """
+    steps = np.arange(min(count, _WORD_CHUNK), dtype=np.uint64)
+    steps *= np.uint64(_SM_GAMMA)  # word k of a chunk starts from k * gamma past its first
+    z, t = np.empty_like(steps), np.empty_like(steps)
+    for i in range(0, count, _WORD_CHUNK):
+        n = min(_WORD_CHUNK, count - i)
+        zi, ti = z[:n], t[:n]
+        np.add(steps[:n], np.uint64((seed + (first + i + 1) * _SM_GAMMA) & _MASK64), out=zi)
+        for shift, mult in ((30, _SM_M1), (27, _SM_M2)):
+            np.right_shift(zi, np.uint64(shift), out=ti)
+            zi ^= ti
+            zi *= np.uint64(mult)
+        np.right_shift(zi, np.uint64(31), out=ti)
+        zi ^= ti
+        yield i, zi
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -342,10 +349,13 @@ def bernoulli_stream(p, seed: int, N: int) -> SymbolicSequence:
         raise DomainError(f"p must lie strictly between 0 and 1, got {p}")
     if N < 1:
         raise DomainError("N must be >= 1")
-    threshold = (pf.numerator << 64) // pf.denominator
+    threshold = np.uint64((pf.numerator << 64) // pf.denominator)
 
     def bulk(start: int, count: int) -> np.ndarray:
-        return (_vec_words(seed, start - 1, count) < np.uint64(threshold)).astype(np.uint8)
+        out = np.empty(count, dtype=np.uint8)
+        for i, z in _vec_words(seed, start - 1, count):
+            np.less(z, threshold, out=out[i : i + len(z)].view(bool))
+        return out
 
     return SymbolicSequence(bulk, BINARY, horizon=N, name=f"bernoulli(p={pf}, seed={seed})")
 
@@ -359,8 +369,10 @@ def uniform_stream(r: int, seed: int, N: int) -> SymbolicSequence:
         raise DomainError("N must be >= 1")
 
     def bulk(start: int, count: int) -> np.ndarray:
-        z = _vec_words(seed, start - 1, count)
-        return np.remainder(z, np.uint64(r), out=z).astype(np.uint8)
+        out = np.empty(count, dtype=np.uint8)
+        for i, z in _vec_words(seed, start - 1, count):
+            np.remainder(z, np.uint64(r), out=out[i : i + len(z)], casting="unsafe")
+        return out
 
     return SymbolicSequence(bulk, Alphabet(r), horizon=N, name=f"uniform(r={r}, seed={seed})")
 

@@ -112,8 +112,9 @@ class SymbolicSequence:
     Positions run over 1 <= p <= horizon (horizon None = unbounded), and the
     same position always yields the same digit.
 
-    `digits()` returns read-only arrays and keeps a weak reference to the
-    last one: asked again for the same range while that array lives, it
+    `digits()` returns arrays that are read-only up to their owner (a view
+    of a writeable array is copied) and keeps a weak reference to the last
+    one: asked again for the same range while that array lives, it
     returns the same object, so the block counts memoised on that array are
     shared by every statistic that reads it, and no array outlives its users.
     """
@@ -163,6 +164,8 @@ class SymbolicSequence:
         out = self._last[2]() if self._last[:2] == (start, count) else None
         if out is None:
             out = np.asarray(self._bulk_fn(start, count))
+            if out.base is not None and not _frozen(out.base):
+                out = out.copy()  # a view of a writeable array: block_counts would never memoise it
             out.setflags(write=False)
             self._last = (start, count, weakref.ref(out))
         return out
@@ -269,10 +272,15 @@ class BlockCounts:
     counts: np.ndarray
 
 
-# block_counts' memo, one entry as in SymbolicSequence.digits: the statistics
-# read one prefix at one m after another, so only the last count is asked for
-# again.  (key, weakref to the digit array, BlockCounts)
+# block_counts' memos, one entry each as in SymbolicSequence.digits: the
+# statistics read one prefix at one m after another, so only the last count
+# is asked for again, and every m <= M of that prefix comes from its table.
+# An entry dies with its digit array.
+# (key, weakref to the digit array, BlockCounts or M-block table)
 _counts_last: tuple = (None, None, None)
+_table_last: tuple = (None, None, None)
+
+_TABLE_BITS = 16  # the top-length table holds at most 2^16 int64 counts, 512 KiB
 
 
 def _frozen(digits: np.ndarray) -> bool:
@@ -292,26 +300,70 @@ def check_block_length(m: int, length: int) -> None:
         raise LengthError(f"block length m={m} exceeds the {length} digits")
 
 
+def _forget(ref: weakref.ref) -> None:
+    """Drop the memo entries of a digit array that died."""
+    global _counts_last, _table_last
+    if _counts_last[1] is ref:
+        _counts_last = (None, None, None)
+    if _table_last[1] is ref:
+        _table_last = (None, None, None)
+
+
+def _top_length(n: int) -> int:
+    """The largest M with 2^M <= min(2^16, n - M + 1), or 0: the length at
+    which a table of the M-blocks of n binary digits is dense, as
+    `block_histogram` counts it, and at most 512 KiB."""
+    M = min(_TABLE_BITS, n.bit_length() - 1)
+    while M > 0 and (1 << M) > n - M + 1:
+        M -= 1
+    return M
+
+
+def _counts_from_table(table: np.ndarray, digits: np.ndarray, M: int, m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-blocks of `digits` as `block_histogram` gives them, for m <= M,
+    from `table`, the dense counts of the first len(digits) - M + 1 of its
+    M-blocks by code.
+
+    An m-block's code is the code of the M-block at its anchor // r^(M - m),
+    so the table summed over runs of r^(M - m) codes counts every anchor but
+    the last M - m, which start no M-block and are counted from the digits.
+    """
+    counts = table.reshape(r**m, -1).sum(1)
+    np.add.at(counts, _anchor_codes(digits[len(digits) - M + 1 :], m, r), 1)
+    codes = np.flatnonzero(counts)
+    return codes, counts[codes]
+
+
 def block_counts(digits: np.ndarray, m: int, r: int) -> BlockCounts:
     """Count the m-blocks anchored in `digits`; 1 <= m <= len(digits).
 
     The last count of an array that is read-only up to its owner, as
     `SymbolicSequence.digits` returns them, is memoised on (id, m, r); a hit
-    must still be that same array.  A writeable array is counted every time.
+    must still be that same array.  Such an array, when binary, is counted
+    once at its top length M (`_top_length`) into a table memoised the same
+    way, and every m <= M is derived from it.  A writeable array, an
+    alphabet above 2 (where the table would cost M multiply-add passes, not
+    m) and m > M are counted at m, a writeable array every time.
     """
-    global _counts_last
+    global _counts_last, _table_last
     check_block_length(m, len(digits))
     key = (id(digits), m, r)
     frozen = _frozen(digits)
     if frozen and _counts_last[0] == key and _counts_last[1]() is digits:
         return _counts_last[2]
-    at = _anchor_codes(digits, m, r)
-    codes, counts = block_histogram(at, r**m)
+    M = _top_length(len(digits)) if frozen and r == 2 else 0
+    if m <= M:
+        if not (_table_last[0] == id(digits) and _table_last[1]() is digits):
+            table = np.bincount(_anchor_codes(digits, M, 2), minlength=1 << M)
+            _table_last = (id(digits), weakref.ref(digits, _forget), table)
+        codes, counts = _counts_from_table(_table_last[2], digits, M, m, 2)
+    else:
+        codes, counts = block_histogram(_anchor_codes(digits, m, r), r**m)
     codes.setflags(write=False)
     counts.setflags(write=False)
-    bc = BlockCounts(len(at), codes, counts)
+    bc = BlockCounts(len(digits) - m + 1, codes, counts)
     if frozen:
-        _counts_last = (key, weakref.ref(digits), bc)
+        _counts_last = (key, weakref.ref(digits, _forget), bc)
     return bc
 
 
@@ -347,20 +399,34 @@ class EmpiricalMeasure:
         return {k: Fraction(v, self.total) for k, v in self.counts.items()}
 
 
-_DECODE_ROWS = 4096  # codes decoded at a time; int64 rows of m digits for every code would raise peak memory
+_DECODE_ROWS = 4096  # codes decoded at a time; decoding every code at once would raise peak memory
+
+
+def _code_tuples(codes: np.ndarray, m: int, r: int) -> list[tuple[int, ...]]:
+    """The m digits of each base-r code as a tuple of ints, first one MSB."""
+    powers = r ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    return list(map(tuple, ((codes[:, None] // powers) % r).tolist()))
 
 
 def empirical_measure(seq: SymbolicSequence, m: int, N: int) -> EmpiricalMeasure:
-    """Count the m-blocks anchored at the prefix [1, N-m+1]."""
+    """Count the m-blocks anchored at the prefix [1, N-m+1].
+
+    A key is the tuple of its code's high m - m // 2 digits joined with the
+    tuple of its low m // 2 digits; only the halves that occur are decoded.
+    """
     if N < m:
         raise EmptyWindowError(f"prefix {N} shorter than block length {m}")
     r = seq.alphabet.size
     bc = block_counts(seq.digits(1, N), m, r)
-    powers = r ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    low = m // 2
     counts = {}
-    for lo in range(0, len(bc.codes), _DECODE_ROWS):
-        rows = (bc.codes[lo : lo + _DECODE_ROWS, None] // powers) % r  # digits, first one MSB
-        counts.update(zip(map(tuple, rows.tolist()), bc.counts[lo : lo + _DECODE_ROWS].tolist()))
+    for start in range(0, len(bc.codes), _DECODE_ROWS):
+        highs, lows = np.divmod(bc.codes[start : start + _DECODE_ROWS], r**low)
+        high_codes, high_at = np.unique(highs, return_inverse=True)
+        low_codes, low_at = np.unique(lows, return_inverse=True)
+        high_t, low_t = _code_tuples(high_codes, m - low, r), _code_tuples(low_codes, low, r)
+        keys = [high_t[a] + low_t[b] for a, b in zip(high_at.tolist(), low_at.tolist())]
+        counts.update(zip(keys, bc.counts[start : start + _DECODE_ROWS].tolist()))
     return EmpiricalMeasure(m, counts, bc.total, seq.alphabet)
 
 

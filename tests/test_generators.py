@@ -10,6 +10,7 @@ from normlab.generators import (
     DomainError,
     GeneratorInstance,
     LevelSchedule,
+    _WORD_CHUNK,
     _kappa_prefix_2048,
     _vec_words,
     bernoulli_stream,
@@ -216,6 +217,22 @@ def kappa_digit_by_offsets(p: int) -> int:
     return bit ^ int(_kappa_prefix_2048()[p - 1])
 
 
+def kappa_digit_by_shift(p: int) -> int:
+    """The rule kappa_digit had before it read bit e as q & 2^e: the same
+    closed form with q >> e & 1, and the prefix list fetched per digit."""
+    if p < 1:
+        raise DomainError("positions are 1-indexed")
+    q, bit = p - 1, 0
+    for e in (2059, 11):
+        mask = (1 << e) - 1
+        if q > mask:
+            i = q & mask
+            t = q >> (e + mask - i) & 3
+            bit ^= t ^ (t >> 1) ^ (q >> e & 1)
+            q = i
+    return (bit & 1) ^ _kappa_prefix_2048().tolist()[q]
+
+
 def finite_sum_contains(schedule: LevelSchedule, p: int) -> bool:
     """Membership of p in {0} union FS((n_k)): greedy subtraction of the
     largest level value, valid because the schedule is superincreasing (the
@@ -258,7 +275,7 @@ def v_digit_by_levels(p: int) -> int:
 
 
 def assert_probes_match(p: int) -> None:
-    assert kappa_digit(p) == kappa_digit_by_recursion(p) == kappa_digit_by_offsets(p)
+    assert kappa_digit(p) == kappa_digit_by_recursion(p) == kappa_digit_by_offsets(p) == kappa_digit_by_shift(p)
     assert y_digit(p) == y_digit_by_levels(p) == int(finite_sum_contains(SCHEDULE, p))
     assert v_digit(p) == v_digit_by_levels(p)
 
@@ -336,17 +353,39 @@ def test_splitmix_reference_stability():
     assert splitmix64(12345, 0) == 2454886589211414944
 
 
+def vec_words(seed: int, first: int, count: int) -> list[int]:
+    """The chunks of _vec_words joined, each copied before the next overwrites it."""
+    chunks = [(i, z.copy()) for i, z in _vec_words(seed, first, count)]
+    assert [i for i, _ in chunks] == list(range(0, count, _WORD_CHUNK))
+    assert all(z.dtype == np.uint64 for _, z in chunks)
+    return [w for _, z in chunks for w in z.tolist()]
+
+
 @settings(max_examples=200)
 @given(
     st.integers(0, 2**64 - 1),
     st.integers(0, 2**64 - 1) | st.integers(2**64 - 400, 2**64 - 1),
-    st.integers(1, 300),
+    st.integers(0, 300),
 )
 def test_vec_words_match_scalar_splitmix(seed, first, count):
     first = min(first, 2**64 - count)  # the last index is at most 2^64 - 1
-    words = _vec_words(seed, first, count)
-    assert words.dtype == np.uint64
-    assert words.tolist() == [splitmix64(seed, i) for i in range(first, first + count)]
+    assert vec_words(seed, first, count) == [splitmix64(seed, i) for i in range(first, first + count)]
+
+
+@pytest.mark.parametrize("count", [0, _WORD_CHUNK - 1, _WORD_CHUNK, _WORD_CHUNK + 1, 2 * _WORD_CHUNK + 7])
+@pytest.mark.parametrize("first", [0, 12345, 2**64 - 2 * _WORD_CHUNK - 7])
+def test_vec_words_across_chunks(first, count):
+    seed = 0x5EED + count
+    assert vec_words(seed, first, count) == [splitmix64(seed, i) for i in range(first, first + count)]
+
+
+@pytest.mark.parametrize("count", [0, 1, _WORD_CHUNK + 1])
+def test_streams_reduce_every_chunk(count):
+    b = bernoulli_stream(Fraction(2, 5), 17, 10**6)
+    u = uniform_stream(7, 17, 10**6)
+    threshold = (2 << 64) // 5
+    assert b._bulk_fn(3, count).tolist() == [int(splitmix64(17, i) < threshold) for i in range(2, 2 + count)]
+    assert u._bulk_fn(3, count).tolist() == [splitmix64(17, i) % 7 for i in range(2, 2 + count)]
 
 
 def test_bernoulli_deterministic_and_calibrated():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from normlab import seqcore
 from normlab.errors import DIGITS_BUDGET_BITS, BudgetError
-from normlab.generators import bernoulli_stream
+from normlab.generators import bernoulli_stream, uniform_stream
 from normlab.seqcore import (
     Alphabet,
     AlphabetError,
@@ -255,13 +255,30 @@ def measure_counts_by_block(seq: SymbolicSequence, m: int, N: int) -> dict:
     return {tuple(Block.from_code(int(c), m, r).digits): int(n) for c, n in zip(observed, cnt)}
 
 
+def measure_counts_by_rows(seq: SymbolicSequence, m: int, N: int) -> dict:
+    """The counts dict decoded one row of m digits per code, as
+    `(codes // powers) % r`, the decode empirical_measure had before it
+    joined half-length tuples."""
+    r = seq.alphabet.size
+    bc = block_counts(seq.digits(1, N), m, r)
+    rows = (bc.codes[:, None] // r ** np.arange(m - 1, -1, -1, dtype=np.int64)) % r
+    return dict(zip(map(tuple, rows.tolist()), bc.counts.tolist()))
+
+
 @settings(max_examples=60)
 @given(st.integers(2, 5), st.lists(st.integers(0, 4), min_size=1, max_size=200), st.integers(1, 12))
+@example(2, [0, 1, 1, 0, 1], 1)
+@example(3, [0, 1, 2, 2, 1, 0, 0, 2], 1)
+@example(4, [3, 0, 1, 2, 2, 1, 3, 0, 0], 1)
+@example(2, [0, 1, 1, 0, 1, 0, 0, 1, 1, 1], 5)
+@example(3, [0, 1, 2, 2, 1, 0, 0, 2, 1, 1], 3)
+@example(4, [3, 0, 1, 2, 2, 1, 3, 0, 0, 3, 2], 7)
 def test_measure_decode_matches_block_from_code(r, digits, m):
     seq = SymbolicSequence.from_array([d % r for d in digits], r=r)
     m = min(m, len(digits))
     em = empirical_measure(seq, m, len(digits))
     assert list(em.counts.items()) == list(measure_counts_by_block(seq, m, len(digits)).items())
+    assert list(em.counts.items()) == list(measure_counts_by_rows(seq, m, len(digits)).items())
     assert all(type(d) is int for key in em.counts for d in key)
     assert all(type(c) is int for c in em.counts.values())
 
@@ -271,6 +288,16 @@ def test_measure_decode_across_chunks():
     seq = bernoulli_stream(Fraction(1, 2), 7, 1 << 14)
     em = empirical_measure(seq, 14, 1 << 14)
     want = measure_counts_by_block(seq, 14, 1 << 14)
+    assert len(want) > 2 * 4096
+    assert list(em.counts.items()) == list(want.items()) == list(measure_counts_by_rows(seq, 14, 1 << 14).items())
+
+
+@pytest.mark.parametrize("r, m", [(2, 15), (3, 9), (4, 7)])
+def test_measure_decode_across_chunks_odd_m(r, m):
+    # odd m: the high half is one digit longer than the low half
+    seq = bernoulli_stream(Fraction(1, 2), 7, 1 << 14) if r == 2 else uniform_stream(r, 7, 1 << 14)
+    em = empirical_measure(seq, m, 1 << 14)
+    want = measure_counts_by_rows(seq, m, 1 << 14)
     assert len(want) > 2 * 4096
     assert list(em.counts.items()) == list(want.items())
 
@@ -373,13 +400,15 @@ def test_read_only_view_of_writeable_base_is_never_memoised(inputs, rnd):
 
 
 def test_reused_id_never_hits_the_memo(monkeypatch):
-    # an entry left by an array that died, under the id a new array now has
+    # entries left by an array that died, under the id a new array now has
     arr, dead = frozen([0, 1] * 50), frozen([1] * 100)
     stale = BlockCounts(98, np.array([7]), np.array([98]))
     monkeypatch.setattr(seqcore, "_counts_last", ((id(arr), 3, 2), weakref.ref(dead), stale))
+    monkeypatch.setattr(seqcore, "_table_last", (id(arr), weakref.ref(dead), np.arange(1 << 6)))
     fresh = block_counts(arr, 3, 2)
     assert fresh is not stale
     assert_counts(fresh, arr, 3, 2)
+    assert seqcore._table_last[1]() is arr
 
 
 @pytest.mark.parametrize("read_only", [False, True])
@@ -401,6 +430,48 @@ def test_memo_keeps_the_last_count():
     again = block_counts(arr, 1, 2)  # replaced by m=2, counted again
     assert again is not first
     assert_counts(again, arr, 1, 2)
+
+
+def top_length_by_definition(n: int) -> int:
+    return max(M for M in range(17) if 2**M <= min(2**16, n - M + 1))
+
+
+# every length where the top length M steps up, one below it, and past the 2^16 cap
+STEP_LENGTHS = sorted({2**M + M - 1 + d for M in range(1, 17) for d in (-1, 0)} - {0} | {2**17 + 7})
+
+
+def test_ladder_derived_from_the_top_length_table():
+    rng = np.random.default_rng(11)
+    for n in STEP_LENGTHS:
+        M = seqcore._top_length(n)
+        assert M == top_length_by_definition(n)
+        arr = rng.integers(0, 2, n, dtype=np.uint8)
+        arr.setflags(write=False)
+        for m in range(1, min(M + 1, n) + 1):  # m = M + 1 is counted at m
+            bc = block_counts(arr, m, 2)
+            assert (seqcore._table_last[1] is not None and seqcore._table_last[1]() is arr) == (M > 0)
+            assert_counts(bc, arr, m, 2)
+            assert bc.codes.dtype == bc.counts.dtype == np.int64
+
+
+def test_digits_copy_a_view_of_a_writeable_buffer():
+    buf = np.array([0, 1, 1, 0, 1] * 800, dtype=np.uint8)
+    seq = SymbolicSequence(lambda s, c: buf[s - 1 : s - 1 + c], horizon=len(buf))
+    d = seq.digits(1, 4000)
+    assert seqcore._frozen(d)
+    first = block_counts(d, 3, 2)
+    assert block_counts(d, 3, 2) is first  # a memo hit
+    buf[:] = 0
+    assert d.tolist() == [0, 1, 1, 0, 1] * 800
+    assert_counts(block_counts(d, 3, 2), d, 3, 2)
+
+
+def test_memo_entries_die_with_their_array():
+    arr = frozen([0, 1, 1, 0] * 100)
+    bc = block_counts(arr, 2, 2)
+    assert seqcore._counts_last[2] is bc and seqcore._table_last[1]() is arr
+    del arr
+    assert seqcore._counts_last == seqcore._table_last == (None, None, None)
 
 
 @settings(max_examples=50)

@@ -16,26 +16,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import BudgetError
-from .seqcore import HorizonError, SymbolicSequence
+from .errors import DomainError, rational, within
+from .seqcore import SymbolicSequence
 
-# toral_orbit caps, checked before iterating: the cell histogram has
-# 2^(d * grid_bits) entries, and every orbit vector (d integers below D) is kept.
-ORBIT_GRID_BUDGET_BITS = 20  # d * grid_bits
-ORBIT_STEPS_BUDGET_BITS = 20  # steps, about 80 bytes each for a 2-torus with a small D
-ORBIT_STORE_BUDGET_BITS = 28  # steps * d * D.bit_length(), the bits of the stored orbit
-# precision_bits, which bounds the error powers of certified_steps at about
-# 2^20 bits: 0.2 s for 2^20 steps of a growth near 10^20, 19 s at 2^24 bits
-ORBIT_PRECISION_BUDGET_BITS = 20
 OUTPUT_BITS = 32  # certified_steps counts the steps whose error stays within 2^-OUTPUT_BITS
-
-
-class ModulusError(ValueError):
-    pass
-
-
-class MatrixError(ValueError):
-    pass
 
 
 def _is_prime(p: int) -> bool:
@@ -57,7 +41,7 @@ def modp_add(s1: SymbolicSequence, s2: SymbolicSequence, N: int) -> SymbolicSequ
     """Digit-wise (a + b) mod p; no carry."""
     p = s1.alphabet.size
     if s2.alphabet.size != p:
-        raise ModulusError(
+        raise DomainError(
             f"modulus mismatch: {p} vs {s2.alphabet.size}"
         )
     a = s1.digits(1, N).astype(np.int64)
@@ -78,7 +62,7 @@ class LinearCA:
 
     def __post_init__(self):
         if not _is_prime(self.p):
-            raise ModulusError(f"modulus must be prime, got {self.p}")
+            raise DomainError(f"modulus must be prime, got {self.p}")
         if not self.coeffs:
             raise ValueError("need at least one coefficient")
 
@@ -90,10 +74,10 @@ class LinearCA:
 def apply_ca(ca: LinearCA, s: SymbolicSequence, N: int) -> SymbolicSequence:
     """Apply the automaton to the first N + reach input digits."""
     if s.alphabet.size != ca.p:
-        raise ModulusError(f"stream alphabet {s.alphabet.size} != modulus {ca.p}")
+        raise DomainError(f"stream alphabet {s.alphabet.size} != modulus {ca.p}")
     k = ca.reach
     if s.horizon is not None and s.horizon < N + k:
-        raise HorizonError(f"need {N + k} digits, horizon is {s.horizon}")
+        raise DomainError(f"need {N + k} digits, horizon is {s.horizon}")
     arr = s.digits(1, N + k).astype(np.int64)
     out = np.zeros(N, dtype=np.int64)
     for j, c in enumerate(ca.coeffs):
@@ -139,9 +123,9 @@ class ToralMap:
     def __post_init__(self):
         d = len(self.matrix)
         if d < 1 or any(len(row) != d for row in self.matrix):
-            raise MatrixError("matrix must be square")
+            raise DomainError("matrix must be square")
         if self.determinant() == 0:
-            raise MatrixError("matrix must be nonsingular")
+            raise DomainError("matrix must be nonsingular")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "ToralMap":
@@ -151,7 +135,7 @@ class ToralMap:
             and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
             for row in rows
         ):
-            raise MatrixError(f"matrix must be a list of rows of integers, got {rows!r}")
+            raise DomainError(f"matrix must be a list of rows of integers, got {rows!r}")
         return cls(tuple(tuple(row) for row in rows))
 
     @property
@@ -250,11 +234,10 @@ def _certified_steps(err: int, growth: int, cap: int, steps: int) -> int:
 
 
 def check_precision_bits(precision_bits: int) -> None:
-    """Raise unless 0 <= precision_bits <= 2^ORBIT_PRECISION_BUDGET_BITS."""
+    """Raise unless 0 <= precision_bits, within the orbit precision budget."""
     if precision_bits < 0:
-        raise ValueError(f"precision_bits must be >= 0, got {precision_bits}")
-    if precision_bits > 1 << ORBIT_PRECISION_BUDGET_BITS:
-        raise BudgetError(f"precision budget is precision_bits <= 2^{ORBIT_PRECISION_BUDGET_BITS}")
+        raise DomainError(f"precision_bits must be >= 0, got {precision_bits}")
+    within("orbit precision", precision_bits)
 
 
 def toral_orbit(
@@ -276,23 +259,22 @@ def toral_orbit(
     `certified_steps` is how many steps stay within 2^-OUTPUT_BITS.  Exact
     rational inputs (precision_bits=None) certify every step.
 
-    Raises BudgetError, before iterating, beyond the ORBIT_*_BUDGET_BITS caps.
+    Raises BudgetError, before iterating, beyond the orbit budgets: the cell
+    histogram has 2^(d * grid_bits) entries, and every orbit vector (d
+    integers below D) is kept.
     """
     if steps < 0:
-        raise ValueError("steps must be >= 0")
+        raise DomainError("steps must be >= 0")
     d = tmap.dimension
-    if d * grid_bits > ORBIT_GRID_BUDGET_BITS:
-        raise BudgetError(f"orbit grid budget is d * grid_bits <= {ORBIT_GRID_BUDGET_BITS}")
-    if steps > 1 << ORBIT_STEPS_BUDGET_BITS:
-        raise BudgetError(f"orbit budget is steps <= 2^{ORBIT_STEPS_BUDGET_BITS}")
+    within("orbit grid", d * grid_bits)
+    within("orbit steps", steps)
     if precision_bits is not None:
         check_precision_bits(precision_bits)
-    x = [Fraction(c) for c in x0]
+    x = [rational(c) for c in x0]
     if len(x) != d:
-        raise MatrixError("dimension mismatch between x0 and the matrix")
+        raise DomainError("dimension mismatch between x0 and the matrix")
     D = lcm(*(c.denominator for c in x))
-    if steps * d * D.bit_length() > 1 << ORBIT_STORE_BUDGET_BITS:
-        raise BudgetError(f"orbit storage budget is steps * d * bits(D) <= 2^{ORBIT_STORE_BUDGET_BITS}")
+    within("orbit storage", steps * d * D.bit_length())
     v = tuple(c.numerator * (D // c.denominator) % D for c in x)
     A = tmap.matrix
     nums = [v]

@@ -18,10 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError
-from .seqcore import LengthError, _anchor_codes, _check_code_bits, _counts_from_table, block_counts, check_block_length
-
-ENUM_BUDGET_BITS = 24
+from .errors import DomainError, within
+from .seqcore import _anchor_codes, _check_code_bits, _counts_from_table, block_counts, check_block_length
 
 
 def combinatorial_entropy(digits: np.ndarray, n: int, r: int = 2) -> float:
@@ -110,7 +108,7 @@ def eps_m_goodness(digits: np.ndarray, m: int, r: int = 2) -> Fraction:
 def switch_density(digits: np.ndarray) -> Fraction:
     """Fraction of adjacent positions n with digit(n) != digit(n+1)."""
     if len(digits) < 2:
-        raise LengthError("switch density needs at least two digits")
+        raise DomainError("switch density needs at least two digits")
     switches = int(np.count_nonzero(digits[1:] != digits[:-1]))
     return Fraction(switches, len(digits) - 1)
 
@@ -153,9 +151,9 @@ def entropy_profile(
     ns = list(n_range)
     for w in window_lengths:
         if w < 1:  # a slice end below 1 would read all but the last digits
-            raise LengthError(f"window length {w} must be >= 1")
+            raise DomainError(f"window length {w} must be >= 1")
         if w > len(digits):
-            raise LengthError(f"window length {w} exceeds the {len(digits)} digits")
+            raise DomainError(f"window length {w} exceeds the {len(digits)} digits")
     digits = digits[: max(window_lengths)]
     windows = [digits[:w] for w in window_lengths]
     for window in windows:  # the errors of the per-window rule, in its order
@@ -182,10 +180,9 @@ def entropy_profile(
 
 def count_low_entropy_blocks(m: int, n: int, c: float) -> int:
     """Exhaustive count of binary blocks B of length m with H_n(B) <= c."""
-    if m > ENUM_BUDGET_BITS:
-        raise BudgetError(f"enumeration budget is m <= {ENUM_BUDGET_BITS}")
+    within("enumeration", m)
     if n > m:
-        raise LengthError(f"n={n} exceeds m={m}")
+        raise DomainError(f"n={n} exceeds m={m}")
     W = m - n + 1
     total = 1 << m
     nmask = (1 << n) - 1

@@ -17,20 +17,15 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DIGITS_BUDGET_BITS, BudgetError, DomainError
-from .seqcore import HorizonError, SymbolicSequence
+from .errors import DomainError, within
+from .seqcore import SymbolicSequence
 
 DEFAULT_GUARD_BITS = 64
 
 
-class PrecisionError(ValueError):
-    pass
-
-
 def _frac_bits(N: int, G: int) -> int:
-    """N + G, checked against the digit budget before anything is allocated."""
-    if N + G > 1 << DIGITS_BUDGET_BITS:
-        raise BudgetError(f"fixed-point budget is N + G <= 2^{DIGITS_BUDGET_BITS} fractional bits")
+    """N + G, checked against the fixed-point budget before anything is allocated."""
+    within("fixed-point", N + G)
     return N + G
 
 
@@ -141,7 +136,7 @@ class FixedPointNumber:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.guard_bits < 0 or self.guard_bits > self.frac_bits:
-            raise PrecisionError("need 0 <= guard_bits <= frac_bits")
+            raise DomainError("need 0 <= guard_bits <= frac_bits")
         if self.err_ulps < 0:
             raise ValueError("error bound cannot be negative")
 
@@ -223,11 +218,11 @@ class FixedPointNumber:
     def fraction_digits(self, count: int, certified_only: bool = True) -> np.ndarray:
         """First `count` fractional digits of the magnitude, MSB first."""
         if certified_only and count > self.certified_digit_count():
-            raise PrecisionError(
+            raise DomainError(
                 f"asked for {count} digits, certified {self.certified_digit_count()}"
             )
         if count > self.frac_bits:
-            raise PrecisionError("beyond stored precision")
+            raise DomainError("beyond stored precision")
         return _int_to_bits(self.fraction_mant() >> (self.frac_bits - count), count)
 
     def __repr__(self) -> str:
@@ -329,7 +324,7 @@ def mul(x: FixedPointNumber, y: FixedPointNumber, N: int, G: Optional[int] = Non
     Gout = max(x.guard_bits, y.guard_bits) if G is None else G
     F = N + Gout
     if x.frac_bits < F or y.frac_bits < F:
-        raise PrecisionError(
+        raise DomainError(
             f"operands carry {x.frac_bits} and {y.frac_bits} fractional bits, need >= {F}"
         )
     shift = x.frac_bits + y.frac_bits - F
@@ -406,7 +401,7 @@ def stream_carry_add(
     M = N + lookahead_cap
     for s in (s1, s2):
         if s.horizon is not None and s.horizon < M:
-            raise HorizonError(
+            raise DomainError(
                 f"need digits up to {M} (= N + lookahead), horizon is {s.horizon}"
             )
     a = _bits_to_int(s1.digits(1, M))

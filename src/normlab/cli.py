@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,12 +23,9 @@ from .bitarith import (
     neg,
     shifted_sum,
 )
+from .errors import DomainError
 from .generators import GeneratorInstance
 from .seqcore import Block, SymbolicSequence, read_nseq, write_nseq
-
-
-class UsageError(ValueError):
-    """A missing or inconsistent option; main() reports it and exits 2."""
 
 
 def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
@@ -120,7 +116,7 @@ def _cmd_arith(args) -> int:
         result = shifted_sum(seq, shifts, N, G)
     else:
         if args.op in ("add", "mul") and args.infile2 is None:
-            raise UsageError(f"arith --op {args.op} needs --in2")
+            raise DomainError(f"arith --op {args.op} needs --in2")
         x = _fixed_from_file(args.infile, N, G, args.int_part)
         if args.op == "add":
             y = _fixed_from_file(args.infile2, N, G, args.int_part2)
@@ -159,7 +155,7 @@ def _cmd_pnormal(args) -> int:
 def _require(args, *needs: tuple[str, str]) -> None:
     for dest, flag in needs:
         if getattr(args, dest) is None:
-            raise UsageError(f"algsys {args.op} needs {flag}")
+            raise DomainError(f"algsys {args.op} needs {flag}")
 
 
 def _write_stream(args, seq: SymbolicSequence) -> int:
@@ -183,10 +179,9 @@ def _cmd_ca(args) -> int:
 def _cmd_orbit(args) -> int:
     _require(args, ("matrix", "--matrix"), ("x0", "--x0"))
     tmap = algsys.ToralMap.from_rows(json.loads(args.matrix))
-    x0 = [Fraction(c) for c in args.x0.split(",")]
     result = algsys.toral_orbit(
         tmap,
-        x0,
+        args.x0.split(","),
         args.steps,
         precision_bits=args.precision_bits,
         grid_bits=args.grid_bits,
@@ -209,11 +204,7 @@ def _cmd_verify(args) -> int:
     names = args.names or None
     if args.all:
         names = None
-    try:
-        reports = experiments.verify(names)
-    except experiments.UnknownExperimentError as exc:
-        print(f"unknown experiment: {exc}", file=sys.stderr)
-        return 2
+    reports = experiments.verify(names)
     payload = [r.as_dict() for r in reports]
     n_fail = sum(not r.passed for r in reports)
     if args.format == "json":
@@ -230,12 +221,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_experiment(args) -> int:
     overrides = json.loads(args.config) if args.config else None
-    try:
-        rep = experiments.run_experiment(args.name, overrides)
-    except experiments.UnknownExperimentError:
-        print(f"unknown experiment: {args.name}", file=sys.stderr)
-        print("known:", ", ".join(experiments.experiment_names()), file=sys.stderr)
-        return 2
+    rep = experiments.run_experiment(args.name, overrides)
     if args.format == "json":
         _emit(args, rep.as_dict())
     else:

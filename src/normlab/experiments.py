@@ -24,9 +24,9 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from . import algsys, analysis, bitarith, errors, grayorder, pnormal, seqcore
+from . import algsys, analysis, bitarith, grayorder, pnormal, seqcore
 from .bitarith import FixedPointNumber, carry_add, mod1, mul, mul_rational, neg, shifted_sum, stream_carry_add
-from .errors import DIGITS_BUDGET_BITS, BudgetError
+from .errors import DomainError, rational, within
 from .generators import (
     SCHEDULE,
     bernoulli_stream,
@@ -40,15 +40,6 @@ from .generators import (
 from .seqcore import Block, SymbolicSequence, prefix_frequency
 
 SCHEMA_VERSION = 1
-
-
-class UnknownExperimentError(KeyError):
-    pass
-
-
-class ConfigError(ValueError):
-    """An override that is no parameter of the experiment's manifest entry,
-    or that changes the JSON type of one."""
 
 
 def load_manifest() -> dict:
@@ -145,40 +136,44 @@ def experiment_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-# Parameters that are base-2 exponents, each with its allowed range.  The
-# experiments build 1 << key (1 << -key for tolerance_log2), so the range
-# keeps that integer within the 2^DIGITS_BUDGET_BITS digit budget.
-_LOG2_RANGES = {
-    "prefix_log2": (0, DIGITS_BUDGET_BITS),
-    "prefix_log2s": (0, DIGITS_BUDGET_BITS),  # each entry
-    "kappa_prefix_log2": (0, DIGITS_BUDGET_BITS),
-    "tolerance_log2": (-(1 << DIGITS_BUDGET_BITS), 0),
-}
+# Parameters that are base-2 exponents.  The experiments read 2^key digits
+# (prefix_log2s: 2^e for each entry e) and compare against a tolerance of
+# 2^tolerance_log2, -tolerance_log2 binary digits, so each is held to the
+# digit budget before any 1 << key is built.
+_LOG2_KEYS = ("prefix_log2", "prefix_log2s", "kappa_prefix_log2")
 
 
 def _check_overrides(name: str, config: dict, overrides) -> None:
     """Each override must name a manifest parameter of the experiment and
     keep its JSON type; an integer may stand where the manifest has a float.
-    An exponent must lie in its `_LOG2_RANGES` range."""
+    An exponent must be within the digit budget."""
     if not isinstance(overrides, dict):
-        raise ConfigError(f"config overrides must be a JSON object, got {overrides!r}")
+        raise DomainError(f"config overrides must be a JSON object, got {overrides!r}")
     for key, value in overrides.items():
         if key not in config:
-            raise ConfigError(f"{name} has no parameter {key!r}; known: {', '.join(sorted(config))}")
+            raise DomainError(f"{name} has no parameter {key!r}; known: {', '.join(sorted(config))}")
         want, got = type(config[key]), type(value)
         if got is not want and not (want is float and got is int):
-            raise ConfigError(f"{name} parameter {key!r} must be {want.__name__}, got {value!r}")
-        if key in _LOG2_RANGES:
-            lo, hi = _LOG2_RANGES[key]
+            raise DomainError(f"{name} parameter {key!r} must be {want.__name__}, got {value!r}")
+        if key in _LOG2_KEYS:
             exps = value if isinstance(value, list) else [value]
-            if not exps or not all(type(e) is int and lo <= e <= hi for e in exps):
+            if not exps or not all(type(e) is int and e >= 0 for e in exps):
                 each = " for each of a non-empty list" if isinstance(value, list) else ""
-                raise BudgetError(f"{name} budget is {lo} <= {key} <= {hi}{each}, got {value!r}")
+                raise DomainError(f"{name} parameter {key!r} must be >= 0{each}, got {value!r}")
+            within("digit", max(exps), log2=True)
+        if key == "tolerance_log2":
+            if value > 0:
+                raise DomainError(f"{name} parameter {key!r} must be <= 0, got {value!r}")
+            within("digit", -value)
+
+
+def _unknown(name: str) -> DomainError:
+    return DomainError(f"unknown experiment {name!r}; known: {', '.join(experiment_names())}")
 
 
 def run_experiment(name: str, overrides: Optional[dict] = None) -> ExperimentReport:
     if name not in _REGISTRY:
-        raise UnknownExperimentError(name)
+        raise _unknown(name)
     manifest = load_manifest()
     config = dict(manifest["experiments"].get(name, {}))
     if overrides is not None:
@@ -205,7 +200,7 @@ def verify(names: Optional[list[str]] = None, threads: int = 1) -> list[Experime
     todo = names if names is not None else experiment_names()
     for n in todo:
         if n not in _REGISTRY:
-            raise UnknownExperimentError(n)
+            raise _unknown(n)
     return [run_experiment(n) for n in todo]
 
 
@@ -240,12 +235,9 @@ def _figure1_kappa(cfg: dict):
 
 @_experiment("gray-invariants")
 def _gray_invariants(cfg: dict):
-    if cfg["n_max"] > grayorder.VERIFY_BUDGET_BITS:
-        raise BudgetError(f"gray-invariants budget is n_max <= {grayorder.VERIFY_BUDGET_BITS}")
+    within("exhaustive check", cfg["n_max"])
     # every start verifies 2^n words per variant, two variants at even n
-    words = cfg["starts_per_n"] * sum(2**n * (2 - n % 2) for n in range(1, cfg["n_max"] + 1))
-    if words > 1 << errors.GRAY_WORDS_BUDGET_BITS:
-        raise BudgetError(f"gray-invariants budget is 2^{errors.GRAY_WORDS_BUDGET_BITS} words, not {words}")
+    within("gray words", cfg["starts_per_n"] * sum(2**n * (2 - n % 2) for n in range(1, cfg["n_max"] + 1)))
     seed = cfg["seed"]
     bad = []
     total = 0
@@ -335,7 +327,7 @@ def _xy_switch_decay(cfg: dict):
 def _goodness_checks(digits: np.ndarray, cfg: dict, label: str):
     """One check per block length m <= m_max: the exact eps_m-goodness
     deviation against bound_factor * 2^-m."""
-    factor = Fraction(cfg["bound_factor"])
+    factor = rational(cfg["bound_factor"])
     for m in range(1, cfg["m_max"] + 1):
         dev = analysis.eps_m_goodness(digits, m)
         bound = factor * Fraction(1, 1 << m)
@@ -351,8 +343,7 @@ def _kappa_goodness(cfg: dict):
 
 @_experiment("carry-closed-forms")
 def _carry_closed_forms(cfg: dict):
-    if cfg["n_random"] + cfg["grid_points"] > 1 << errors.CLOSED_FORM_BUDGET_BITS:
-        raise BudgetError(f"carry-closed-forms budget is n_random + grid_points <= 2^{errors.CLOSED_FORM_BUDGET_BITS}")
+    within("closed-form points", cfg["n_random"] + cfg["grid_points"])
     p = Fraction(1, 5)
     P, pprime = pnormal.carry_digit_prob(p)
     Q0, P0, pprime0 = pnormal.conditional_digit_prob(p)
@@ -391,7 +382,7 @@ def _carry_closed_forms(cfg: dict):
 
 @_experiment("carry-monte-carlo")
 def _carry_monte_carlo(cfg: dict):
-    p = Fraction(cfg["p"])
+    p = rational(cfg["p"])
     mc = pnormal.monte_carlo_carry_sum(p, cfg["seed"], cfg["n"], cfg["lookahead_cap"])
     pprime = float(pnormal.carry_digit_prob(p)[1])
     pprime0 = float(pnormal.conditional_digit_prob(p)[2])
@@ -440,11 +431,9 @@ def _pair_block_counts(d1: np.ndarray, d2: np.ndarray, blen: int):
     nb = 1 << blen
     c1 = seqcore._anchor_codes(d1, blen, 2)
     c2 = seqcore._anchor_codes(d2, blen, 2)
-    return (
-        np.bincount(c1 * nb + c2, minlength=nb * nb),
-        np.bincount(c1, minlength=nb),
-        np.bincount(c2, minlength=nb),
-    )
+    joint = np.bincount(c1 * nb + c2, minlength=nb * nb)
+    table = joint.reshape(nb, nb)
+    return joint, table.sum(1), table.sum(0)
 
 
 @_experiment("base4-independence")
@@ -530,12 +519,8 @@ def _ca_switch_identity(cfg: dict):
 
 @_experiment("arithmetic-roundtrips")
 def _arithmetic_roundtrips(cfg: dict):
-    if max(cfg["roundtrip_cases"], cfg["pairs"]) > 1 << errors.ROUNDTRIP_BUDGET_BITS:
-        raise BudgetError(f"arithmetic-roundtrips budget is roundtrip_cases, pairs <= 2^{errors.ROUNDTRIP_BUDGET_BITS}")
-    if cfg["pairs"] * (cfg["digits"] + cfg["lookahead_cap"]) > 1 << errors.STREAM_DIGITS_BUDGET_BITS:
-        raise BudgetError(
-            f"arithmetic-roundtrips budget is pairs * (digits + lookahead_cap) <= 2^{errors.STREAM_DIGITS_BUDGET_BITS}"
-        )
+    within("roundtrip cases", max(cfg["roundtrip_cases"], cfg["pairs"]))
+    within("roundtrip stream digits", cfg["pairs"] * (cfg["digits"] + cfg["lookahead_cap"]))
     seed = cfg["seed"]
     # (a) mod-1 negation inverse
     ok_neg = True
@@ -615,7 +600,7 @@ def _zip_columns(cfg: dict):
 def _spr_obstruction(cfg: dict):
     """With p > 1/2, the all-ones block over a periodic partner occurs in the
     carry sum strictly less often than product structure would demand."""
-    p = Fraction(cfg["p"])
+    p = rational(cfg["p"])
     N = cfg["n"]
     k = cfg["sigma_count"]
     l = pnormal.rauzy_obstruction_l(p)

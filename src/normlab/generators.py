@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, rational
 from .grayorder import GrayOrdering, offset
 from .seqcore import BINARY, Alphabet, Block, SymbolicSequence
 
@@ -239,11 +238,7 @@ def _v_pattern_4096() -> np.ndarray:
     return pat  # (B_3 0^2048): the tile of the level-4 block, length 4096
 
 
-@lru_cache(maxsize=None)
-def _v_pattern_list() -> list[int]:
-    return _v_pattern_4096().tolist()
-
-
+_V_PATTERN = _v_pattern_4096().tolist()  # bound once: v_digit reads one entry per probe
 _V_TILED = SCHEDULE.value(4)  # positions up to n_4 read the 4096-digit tile
 
 
@@ -262,7 +257,7 @@ def v_digit(p: int) -> int:
         if r > (1 << e):
             return 0
         p = r
-    return _v_pattern_list()[(p - 1) & 4095]
+    return _V_PATTERN[(p - 1) & 4095]
 
 
 def _v_bulk(start: int, count: int) -> np.ndarray:
@@ -344,7 +339,7 @@ def bernoulli_stream(p, seed: int, N: int) -> SymbolicSequence:
     Digit i is 1 iff the (i-1)-th 64-bit word is below floor(p * 2^64);
     exact, branch-simple, reproducible per (p, seed).
     """
-    pf = Fraction(p)  # floats are exact binary rationals
+    pf = rational(p)  # floats are exact binary rationals
     if not 0 < pf < 1:
         raise DomainError(f"p must lie strictly between 0 and 1, got {p}")
     if N < 1:
@@ -440,7 +435,7 @@ class GeneratorInstance:
         if self.kind == "bernoulli":
             if self.p is None or self.seed is None or self.n is None:
                 raise DomainError("bernoulli needs p, seed, and n")
-            return bernoulli_stream(Fraction(self.p), self.seed, self.n)
+            return bernoulli_stream(self.p, self.seed, self.n)
         if self.kind == "uniform":
             if self.seed is None or self.n is None:
                 raise DomainError("uniform needs seed and n")

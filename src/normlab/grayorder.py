@@ -17,18 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetError
-from .seqcore import AlphabetError, Block, LengthError
-
-VERIFY_BUDGET_BITS = 20
-
-
-class ParityError(ValueError):
-    pass
-
-
-class IndexRangeError(ValueError):
-    pass
+from .errors import DomainError, within
+from .seqcore import Block
 
 
 def reflected_gray(j):
@@ -65,14 +55,14 @@ class GrayOrdering:
         if self.variant not in ("gray", "alternated"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.n < 1:
-            raise LengthError("block length must be >= 1")
+            raise DomainError("block length must be >= 1")
         if self.alternated and self.n % 2 != 0:
-            raise ParityError(f"alternated ordering needs even block length, got {self.n}")
+            raise DomainError(f"alternated ordering needs even block length, got {self.n}")
         if self.start is not None:
             if len(self.start) != self.n:
-                raise LengthError(f"start block has length {len(self.start)}, expected {self.n}")
+                raise DomainError(f"start block has length {len(self.start)}, expected {self.n}")
             if self.start.alphabet.size != 2:
-                raise AlphabetError("start block must be binary")
+                raise DomainError("start block must be binary")
 
     @property
     def alternated(self) -> bool:
@@ -87,13 +77,12 @@ class GrayOrdering:
 
     def word(self, l: int) -> int:
         if not 1 <= l <= 2**self.n:
-            raise IndexRangeError(f"index {l} outside [1, 2^{self.n}]")
+            raise DomainError(f"index {l} outside [1, 2^{self.n}]")
         return self.start_word ^ offset(self.n, l, self.alternated)
 
     def words(self) -> np.ndarray:
-        """All 2^n words in order as int64; n <= VERIFY_BUDGET_BITS."""
-        if self.n > VERIFY_BUDGET_BITS:
-            raise BudgetError(f"exhaustive check budget is n <= {VERIFY_BUDGET_BITS}")
+        """All 2^n words in order as int64, within the exhaustive check budget."""
+        within("exhaustive check", self.n)
         index = np.arange(1, 2**self.n + 1, dtype=np.int64)
         return self.start_word ^ offset(self.n, index, self.alternated)
 

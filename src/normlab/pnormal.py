@@ -9,7 +9,6 @@ against seeded sampled streams.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Optional
@@ -17,36 +16,17 @@ from typing import Optional
 import numpy as np
 
 from .bitarith import stream_carry_add
-from .errors import (
-    OBSTRUCTION_BUDGET_BITS,
-    P_DENOMINATOR_BUDGET_BITS,
-    BudgetError,
-    DataQualityError,
-    DomainError,
-)
+from .errors import DataQualityError, DomainError, rational, within
 from .generators import bernoulli_stream, derive_seed
 
-MC_BUDGET_BITS = 22  # Monte-Carlo samples cost about 63 bytes each
 MAX_AMBIGUITY = 0.01  # the largest share of carry-ambiguous digits a Monte-Carlo run tallies
 
 
-# Fraction's own exponent grammar: PEP 515 underscores between digits
-_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*$")
-
-
 def _check_p(p) -> Fraction:
-    # Fraction("1e-100000000") builds 10^100000000 before any check.  A
-    # decimal with d digits and exponent k, |k| > d + 2048, has a
-    # denominator above 10^2048 (k < 0) or is above 1 (k > 0, unless 0).
-    m = _EXPONENT.search(p) if isinstance(p, str) else None
-    if m and abs(int(m[1])) > len(p) + (1 << P_DENOMINATOR_BUDGET_BITS):
-        raise BudgetError(f"p's exponent {m[1]} is beyond the 2^{P_DENOMINATOR_BUDGET_BITS}-bit denominator budget")
-    pf = Fraction(p)
+    pf = rational(p)
     if not 0 < pf < 1:
         raise DomainError(f"p must lie strictly between 0 and 1, got {p}")
-    bits = pf.denominator.bit_length()
-    if bits > 1 << P_DENOMINATOR_BUDGET_BITS:
-        raise BudgetError(f"p's denominator has {bits} bits; the budget is 2^{P_DENOMINATOR_BUDGET_BITS}")
+    within("p-denominator", pf.denominator.bit_length())
     return pf
 
 
@@ -98,9 +78,9 @@ def rauzy_obstruction_l(p) -> int:
     With p = a/n and b = n - a the condition is b^l n < a^(l+1).  l is
     estimated from logarithms and then confirmed exactly with integer
     powers; BudgetError, before any power, when the estimate puts l * bits(n)
-    beyond 2^OBSTRUCTION_BUDGET_BITS.
+    beyond the obstruction budget.
     """
-    pf = Fraction(p)
+    pf = rational(p)
     if not Fraction(1, 2) < pf < 1:
         raise DomainError(f"the obstruction length needs 1/2 < p < 1, got {p}")
     a, n = pf.numerator, pf.denominator
@@ -111,14 +91,11 @@ def rauzy_obstruction_l(p) -> int:
 
     if below(1):  # every p >= 2/3 ends here, so (a - b) / b <= 1 below
         return 1
-    max_l = (1 << OBSTRUCTION_BUDGET_BITS) // n.bit_length()
     # l is the least integer above log(n/a) / log(a/b); (a - b) / b keeps
     # log(a/b) accurate when p is within 2^-53 of 1/2
     gap = math.log1p((a - b) / b)
-    estimate = math.log1p(b / a) / gap if gap > 0 else math.inf
-    if estimate >= max_l:
-        raise BudgetError(f"obstruction budget is l * bits(n) <= 2^{OBSTRUCTION_BUDGET_BITS}, p = {p}")
-    l = max(2, math.floor(estimate) + 1)
+    l = max(2, math.floor(math.log1p(b / a) / gap) + 1) if gap > 0 else math.inf
+    within("obstruction", l * n.bit_length())
     while l > 2 and below(l - 1):
         l -= 1
     while not below(l):
@@ -158,8 +135,7 @@ def monte_carlo_carry_sum(
     pf = _check_p(p)
     if N < 10**3:
         raise DomainError("need at least 10^3 digits for the tallies")
-    if N > 1 << MC_BUDGET_BITS:
-        raise BudgetError(f"Monte-Carlo budget is N <= 2^{MC_BUDGET_BITS}")
+    within("Monte-Carlo", N)
     M = N + lookahead_cap
     s1 = bernoulli_stream(pf, derive_seed(seed, "carry-sum/left"), M)
     s2 = bernoulli_stream(pf, derive_seed(seed, "carry-sum/right"), M)

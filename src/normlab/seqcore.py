@@ -14,23 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DIGITS_BUDGET_BITS, BudgetError
-
-
-class AlphabetError(ValueError):
-    pass
-
-
-class LengthError(ValueError):
-    pass
-
-
-class HorizonError(ValueError):
-    pass
-
-
-class EmptyWindowError(ValueError):
-    pass
+from .errors import DomainError, within
 
 
 @dataclass(frozen=True)
@@ -41,7 +25,7 @@ class Alphabet:
 
     def __post_init__(self):
         if self.size < 2:
-            raise AlphabetError(f"alphabet size must be >= 2, got {self.size}")
+            raise DomainError(f"alphabet size must be >= 2, got {self.size}")
 
     def __contains__(self, digit: int) -> bool:
         return 0 <= digit < self.size
@@ -63,10 +47,10 @@ class Block:
 
     def __post_init__(self):
         if len(self.digits) < 1:
-            raise LengthError("block must have length >= 1")
+            raise DomainError("block must have length >= 1")
         for d in self.digits:
             if d not in self.alphabet:
-                raise AlphabetError(
+                raise DomainError(
                     f"digit {d} outside alphabet of size {self.alphabet.size}"
                 )
 
@@ -138,13 +122,12 @@ class SymbolicSequence:
         # digit() repeats the two position tests inline: a rule added here
         # that can reject count == 1 must be added there too
         if start < 1:
-            raise HorizonError(f"positions are 1-indexed, got {start}")
+            raise DomainError(f"positions are 1-indexed, got {start}")
         if count < 0:
-            raise HorizonError(f"negative digit count {count}")
-        if count > 1 << DIGITS_BUDGET_BITS:
-            raise BudgetError(f"digit budget is count <= 2^{DIGITS_BUDGET_BITS}")
+            raise DomainError(f"negative digit count {count}")
+        within("digit", count)
         if self.horizon is not None and start + count - 1 > self.horizon:
-            raise HorizonError(
+            raise DomainError(
                 f"positions up to {start + count - 1} exceed horizon {self.horizon}"
             )
 
@@ -177,7 +160,7 @@ class SymbolicSequence:
     def from_array(cls, arr, r: int = 2, name: str = "") -> "SymbolicSequence":
         data = np.asarray(arr, dtype=_dtype_for(r))
         if data.size and int(data.max()) >= r:
-            raise AlphabetError("array contains digits outside the alphabet")
+            raise DomainError("array contains digits outside the alphabet")
         return cls(
             lambda s, c: data[s - 1 : s - 1 + c].copy(),
             Alphabet(r),
@@ -227,7 +210,7 @@ def _anchor_codes(digits: np.ndarray, m: int, r: int) -> np.ndarray:
 
 def _check_code_bits(m: int, r: int) -> None:
     if r**m >= 2**62:
-        raise LengthError(f"block codes for m={m}, r={r} exceed the 64-bit budget")
+        raise DomainError(f"block codes for m={m}, r={r} exceed the 64-bit budget")
 
 
 def _packed_codes(digits: np.ndarray, m: int, W: int) -> np.ndarray:
@@ -293,11 +276,11 @@ def _frozen(digits: np.ndarray) -> bool:
 
 
 def check_block_length(m: int, length: int) -> None:
-    """Raise LengthError, naming m, unless 1 <= m <= length."""
+    """Raise DomainError, naming m, unless 1 <= m <= length."""
     if m < 1:
-        raise LengthError(f"block length m={m} must be >= 1")
+        raise DomainError(f"block length m={m} must be >= 1")
     if m > length:
-        raise LengthError(f"block length m={m} exceeds the {length} digits")
+        raise DomainError(f"block length m={m} exceeds the {length} digits")
 
 
 def _forget(ref: weakref.ref) -> None:
@@ -387,7 +370,7 @@ class EmpiricalMeasure:
 
     def __post_init__(self):
         if self.total < 1:
-            raise EmptyWindowError("empty window")
+            raise DomainError("empty window")
         if sum(self.counts.values()) != self.total:
             raise ValueError("block counts do not add up to the window size")
 
@@ -415,7 +398,7 @@ def empirical_measure(seq: SymbolicSequence, m: int, N: int) -> EmpiricalMeasure
     tuple of its low m // 2 digits; only the halves that occur are decoded.
     """
     if N < m:
-        raise EmptyWindowError(f"prefix {N} shorter than block length {m}")
+        raise DomainError(f"prefix {N} shorter than block length {m}")
     r = seq.alphabet.size
     bc = block_counts(seq.digits(1, N), m, r)
     low = m // 2
@@ -459,7 +442,7 @@ def zip_product(seqs: Sequence[SymbolicSequence]) -> SymbolicSequence:
 def base4_split(seq: SymbolicSequence) -> tuple[SymbolicSequence, SymbolicSequence]:
     """Split a base-4 stream into its two binary rows (floor(d/2), d mod 2)."""
     if seq.alphabet.size != 4:
-        raise AlphabetError("base4_split needs an alphabet of size 4")
+        raise DomainError("base4_split needs an alphabet of size 4")
     row1 = SymbolicSequence(
         lambda s, c: (seq.digits(s, c) // 2).astype(np.uint8),
         BINARY,
@@ -492,7 +475,7 @@ def write_nseq(path, seq_or_array, r: Optional[int] = None, count: Optional[int]
     if isinstance(seq_or_array, SymbolicSequence):
         if count is None:
             if seq_or_array.horizon is None:
-                raise HorizonError("digit count required for an unbounded sequence")
+                raise DomainError("digit count required for an unbounded sequence")
             count = seq_or_array.horizon
         digits = seq_or_array.digits(1, count)
         r = seq_or_array.alphabet.size
@@ -503,7 +486,7 @@ def write_nseq(path, seq_or_array, r: Optional[int] = None, count: Optional[int]
         if count is not None:
             digits = digits[:count]
     if r > 256:
-        raise AlphabetError(".nseq supports alphabets up to size 256")
+        raise DomainError(".nseq supports alphabets up to size 256")
     header = _NSEQ_MAGIC + struct.pack("<BHQ", _NSEQ_VERSION, r, len(digits))
     if r == 2:
         payload = np.packbits(digits.astype(np.uint8), bitorder="little").tobytes()

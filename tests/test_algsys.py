@@ -8,17 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normlab.algsys import (
-    ORBIT_PRECISION_BUDGET_BITS,
     LinearCA,
-    MatrixError,
-    ModulusError,
     ToralMap,
     _certified_steps,
     apply_ca,
     modp_add,
     toral_orbit,
 )
-from normlab.errors import BudgetError
+from normlab.errors import BUDGETS, BudgetError, DomainError
 from normlab.seqcore import SymbolicSequence
 
 from helpers import constant
@@ -49,7 +46,7 @@ def test_modp_add_identity():
 
 
 def test_modp_modulus_mismatch():
-    with pytest.raises(ModulusError):
+    with pytest.raises(DomainError, match="modulus mismatch: 3 vs 5"):
         modp_add(seq3([0]), constant(0, r=5), 1)
 
 
@@ -86,7 +83,7 @@ def test_ca_identity_coeffs():
 
 
 def test_ca_requires_prime_modulus():
-    with pytest.raises(ModulusError):
+    with pytest.raises(DomainError, match="modulus must be prime, got 4"):
         LinearCA(4, (1, 1))
 
 
@@ -205,7 +202,7 @@ def test_determinant_and_ergodicity_match_charpoly_reference(data):
 
 
 def test_singular_matrix_rejected():
-    with pytest.raises(MatrixError):
+    with pytest.raises(DomainError, match="matrix must be nonsingular"):
         ToralMap.from_rows([[1, 1], [1, 1]])
 
 
@@ -241,7 +238,7 @@ def test_certified_steps_match_the_stepwise_bound(d, growth, precision_bits, out
 
 @pytest.mark.parametrize(
     "bits, error",
-    [(-1, ValueError), ((1 << ORBIT_PRECISION_BUDGET_BITS) + 1, BudgetError), (99999999999, BudgetError)],
+    [(-1, ValueError), (BUDGETS["orbit precision"].limit + 1, BudgetError), (99999999999, BudgetError)],
 )
 def test_precision_bits_are_bounded_before_use(bits, error):
     tm = ToralMap.from_rows([[2, 1], [1, 1]])
@@ -252,7 +249,7 @@ def test_precision_bits_are_bounded_before_use(bits, error):
 def test_certified_steps_at_the_precision_cap():
     # induced 1-norm 10^20: the largest k with 2 * 2^32 * 10^(20k) <= 2^(2^20)
     tm = ToralMap.from_rows([[10**20 - 1, 1], [1, 1]])
-    bits = 1 << ORBIT_PRECISION_BUDGET_BITS
+    bits = BUDGETS["orbit precision"].limit
     r = toral_orbit(tm, [Fraction(1, 5), Fraction(2, 5)], 20000, precision_bits=bits)
     k = r.certified_steps
     assert 0 < k < 20000
@@ -270,7 +267,7 @@ def test_diagonal_product_map_orbit():
 def _nonsingular(rows):
     try:
         return ToralMap.from_rows(rows)
-    except MatrixError:
+    except DomainError:
         return None
 
 

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normlab.analysis import (
-    BudgetError,
     combinatorial_entropy,
     complexity_curve,
     count_low_entropy_blocks,
@@ -17,11 +16,11 @@ from normlab.analysis import (
     epsilon_complexity,
     switch_density,
 )
+from normlab.errors import BudgetError, DomainError
 from normlab.generators import bernoulli_stream, kappa_sequence, y_sequence
 from normlab.grayorder import GrayOrdering
 from normlab.seqcore import (
     Block,
-    LengthError,
     SymbolicSequence,
     _anchor_codes,
     block_histogram,
@@ -54,7 +53,7 @@ def test_entropy_alternating_block():
 
 
 def test_entropy_length_check():
-    with pytest.raises(LengthError):
+    with pytest.raises(DomainError, match="block length m=3 exceeds the 2 digits"):
         combinatorial_entropy(B("01").as_array(), 3)
 
 
@@ -71,7 +70,7 @@ def test_entropy_length_check():
     ids=["entropy", "goodness", "complexity", "measure", "profile"],
 )
 def test_block_length_below_one_is_named(statistic, m):
-    with pytest.raises(LengthError, match=f"block length [mn]={m} must be >= 1"):
+    with pytest.raises(DomainError, match=f"block length [mn]={m} must be >= 1"):
         statistic(np.array([0, 1, 1, 0], dtype=np.uint8), m)
 
 
@@ -86,7 +85,7 @@ def test_block_length_below_one_is_named(statistic, m):
     ids=["entropy", "goodness", "complexity", "profile"],
 )
 def test_block_longer_than_the_digits_is_named(statistic):
-    with pytest.raises(LengthError, match="block length m=5 exceeds the 4 digits"):
+    with pytest.raises(DomainError, match="block length m=5 exceeds the 4 digits"):
         statistic(np.array([0, 1, 1, 0], dtype=np.uint8), 5)
 
 
@@ -285,7 +284,7 @@ def test_switch_density_extremes():
 
 
 def test_switch_density_length_check():
-    with pytest.raises(LengthError):
+    with pytest.raises(DomainError, match="switch density needs at least two digits"):
         switch_density(constant(0).digits(1, 1))
 
 
@@ -326,7 +325,7 @@ def test_profile_min_max():
 def test_profile_rejects_a_window_longer_than_the_digits():
     # a longer window is an error, not a row labeled with a window never read
     digits = np.array([0, 1, 1, 0], dtype=np.uint8)
-    with pytest.raises(LengthError, match="window length 5 exceeds the 4 digits"):
+    with pytest.raises(DomainError, match="window length 5 exceeds the 4 digits"):
         entropy_profile(digits, [4, 5], [1])
     assert entropy_profile(digits, [4, 2], [2]).rows == [(4, 2, combinatorial_entropy(digits, 2)), (2, 2, 0.0)]
 
@@ -352,7 +351,7 @@ def profile_inputs(draw):
     windows = draw(st.lists(st.integers(1, len(digits)), min_size=1, max_size=5))
     # not contiguous, not from 1, possibly empty; n > 8 (binary) or n > 5
     # (ternary) puts the largest n past the dense table of every window;
-    # n < 1 gives a LengthError
+    # n < 1 gives a DomainError
     ns = draw(st.lists(st.integers(-1, 20), max_size=5))
     return r, digits, windows, ns
 
@@ -405,5 +404,5 @@ def test_census_matches_direct_enumeration():
 
 
 def test_census_budget():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="enumeration budget is block length m <= 24, got 30"):
         count_low_entropy_blocks(30, 1, 0.5)

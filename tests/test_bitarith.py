@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from normlab.bitarith import (
     DomainError,
     FixedPointNumber,
-    PrecisionError,
     _fft_error_bound,
     _product,
     carry_add,
@@ -229,7 +228,7 @@ def test_mul_identity():
 
 
 def test_mul_precision_check():
-    with pytest.raises(PrecisionError):
+    with pytest.raises(DomainError, match="operands carry 12 and 12 fractional bits, need >= 48"):
         mul(fp(Fraction(1, 2), 8, 4), fp(Fraction(1, 2), 8, 4), 32, 16)
 
 

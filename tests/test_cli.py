@@ -1,15 +1,16 @@
 import argparse
 import json
+import os
 import re
 import time
 
 import pytest
 
-from normlab import analysis, pnormal
+from normlab import analysis, experiments, pnormal
 from normlab.cli import main
-from normlab.errors import DataQualityError, DomainError
-from normlab.generators import GeneratorInstance
-from normlab.seqcore import read_nseq
+from normlab.errors import BUDGETS, DataQualityError, DomainError
+from normlab.generators import GeneratorInstance, y_sequence
+from normlab.seqcore import read_nseq, write_nseq
 
 
 def test_generate_roundtrip(tmp_path, capsys):
@@ -93,7 +94,13 @@ def test_verify_single_experiment(capsys):
 
 
 def test_experiment_unknown_name(capsys):
-    assert main(["experiment", "--name", "does-not-exist"]) == 2
+    for argv in (["experiment", "--name", "does-not-exist"], ["verify", "--name", "does-not-exist"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: unknown experiment 'does-not-exist'; known: " + ", ".join(experiments.experiment_names())
+        ]
 
 
 def test_experiment_failure_exit_code(capsys):
@@ -319,7 +326,7 @@ def test_toral_experiment_bounds_precision_before_building_x0(capsys):
     config = json.dumps({"precision_bits": 100000000000})
     assert main(["experiment", "--name", "toral-discrepancy", "--config", config]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: precision budget")
+    assert len(err) == 1 and err[0].startswith("error: orbit precision budget")
 
 
 def test_data_quality_error_is_usage_error(monkeypatch, capsys):
@@ -346,17 +353,12 @@ def test_seed_only_where_it_is_read(capsys):
     assert main(["pnormal", "--p", "1/5", "--seed", "5"]) == 0
 
 
-def test_pnormal_mc_budget(capsys):
-    assert main(["pnormal", "--p", "1/5", "--mc", "100000000"]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0] == "error: Monte-Carlo budget is N <= 2^22"
+def test_pnormal_mc_budget(budget_dir, capsys):
+    assert_beyond_budget(capsys, "Monte-Carlo", ["pnormal", "--p", "1/5", "--mc", "100000000"])
 
 
-def test_gray_listing_beyond_budget_is_usage_error(capsys):
-    assert main(["gray", "--n", "21"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip() == "error: exhaustive check budget is n <= 20"
+def test_gray_listing_beyond_budget_is_usage_error(budget_dir, capsys):
+    assert_beyond_budget(capsys, "exhaustive check", ["gray", "--n", "21"])
     assert main(["gray", "--n", "70", "--l", "3"]) == 0  # random access needs no budget
     assert capsys.readouterr().out.strip() == "0" * 68 + "11"
 
@@ -402,88 +404,130 @@ def test_experiment_config_int_for_float(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["algsys", "orbit", "--matrix", "[[2,1],[1,1]]", "--x0", "1/5,2/5", "--grid-bits", "20"],
-         "orbit grid budget is d * grid_bits <= 20"),
-        (["algsys", "orbit", "--matrix", "[[2,1],[1,1]]", "--x0", "1/5,2/5", "--grid-bits", "40"],
-         "orbit grid budget is d * grid_bits <= 20"),
-        (["experiment", "--name", "toral-discrepancy", "--config", '{"steps": 400000}'],
-         "orbit storage budget is steps * d * bits(D) <= 2^28"),
-        (["experiment", "--name", "toral-discrepancy", "--config", '{"steps": 100000000000}'],
-         "orbit budget is steps <= 2^20"),
-    ],
-    ids=["grid-bits-20", "grid-bits-40", "steps-400000", "steps-1e11"],
-)
-def test_orbit_budget_is_usage_error(capsys, argv, message):
-    # each cap is checked before the orbit is iterated or its histogram allocated
-    t0 = time.perf_counter()
-    assert main(argv) == 2
-    assert time.perf_counter() - t0 < 1.0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip() == f"error: {message}"
+def _experiment(name: str, **config) -> list[str]:
+    return ["experiment", "--name", name, "--config", json.dumps(config)]
 
 
-@pytest.mark.parametrize(
-    "name, config, message",
-    [
-        ("carry-closed-forms", {"grid_points": 10**10}, "n_random + grid_points <= 2^20"),
-        ("carry-closed-forms", {"n_random": 10**10}, "n_random + grid_points <= 2^20"),
-        ("gray-invariants", {"n_max": 40}, "n_max <= 20"),
-        ("gray-invariants", {"starts_per_n": 10**9}, "2^24 words"),
-        ("arithmetic-roundtrips", {"pairs": 10**9}, "roundtrip_cases, pairs <= 2^14"),
-        ("arithmetic-roundtrips", {"roundtrip_cases": 10**10}, "roundtrip_cases, pairs <= 2^14"),
-        ("arithmetic-roundtrips", {"digits": 10**10}, "pairs * (digits + lookahead_cap) <= 2^24"),
-    ],
-    ids=["grid-points", "n-random", "n-max", "starts-per-n", "pairs", "roundtrip-cases", "digits"],
-)
-def test_experiment_loop_budget_is_usage_error(capsys, name, config, message):
-    # the total loop work is checked before the first loop runs
-    t0 = time.perf_counter()
-    assert main(["experiment", "--name", name, "--config", json.dumps(config)]) == 2
-    assert time.perf_counter() - t0 < 1.0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {name} budget") and message in err[0]
+ORBIT = ["algsys", "orbit", "--matrix", "[[2,1],[1,1]]", "--x0", "1/5,2/5"]
+ARITH = ["arith", "--in", "y.nseq", "--frac-bits", "100000000000", "--out", "out.nseq"]
+
+# Command lines that go beyond each budget in errors.BUDGETS, by budget name
+# and row id.  Each runs in a directory that holds only y.nseq, 4,160 digits
+# of y.
+BEYOND_BUDGET = {
+    "digit": {
+        "generate-kappa-1e14": ["generate", "--kind", "kappa", "--n", "99999999999999"],
+        "kappa-goodness-prefix-2^40": _experiment("kappa-goodness", prefix_log2=40),
+    },
+    "fixed-point": {
+        "mulq": [*ARITH, "--op", "mulq", "--int-part", "1", "--p", "4", "--q", "3"],
+        "neg": [*ARITH, "--op", "neg"],
+        "shiftsum": [*ARITH, "--op", "shiftsum", "--shifts", "0,2"],
+    },
+    "obstruction": {"spr-obstruction-near-half": _experiment("spr-obstruction", p="500001/1000000")},
+    "p-denominator": {"carry-monte-carlo-long-p": _experiment("carry-monte-carlo", p="1/" + "7" * 1000)},
+    "decimal exponent": {
+        "x0-3e+100000000": ["algsys", "orbit", "--matrix", "[[2,1],[1,1]]", "--x0", "3e+100000000,1/5"],
+    },
+    "Monte-Carlo": {"carry-monte-carlo-n": _experiment("carry-monte-carlo", n=10**9)},
+    "enumeration": {"census-m-40": _experiment("low-entropy-census", cases=[{"m": 40, "n": 1, "c": 0.5, "expected": 0}])},
+    "exhaustive check": {"n-max": _experiment("gray-invariants", n_max=40)},
+    "orbit grid": {
+        "grid-bits-20": [*ORBIT, "--grid-bits", "20"],
+        "grid-bits-40": [*ORBIT, "--grid-bits", "40"],
+    },
+    "orbit steps": {"steps-1e11": _experiment("toral-discrepancy", steps=100000000000)},
+    "orbit storage": {"steps-400000": _experiment("toral-discrepancy", steps=400000)},
+    "orbit precision": {"precision-bits-2e6": [*ORBIT, "--precision-bits", "2000000"]},
+    "closed-form points": {
+        "grid-points": _experiment("carry-closed-forms", grid_points=10**10),
+        "n-random": _experiment("carry-closed-forms", n_random=10**10),
+    },
+    "gray words": {"starts-per-n": _experiment("gray-invariants", starts_per_n=10**9)},
+    "roundtrip cases": {
+        "pairs": _experiment("arithmetic-roundtrips", pairs=10**9),
+        "roundtrip-cases": _experiment("arithmetic-roundtrips", roundtrip_cases=10**10),
+    },
+    "roundtrip stream digits": {"digits": _experiment("arithmetic-roundtrips", digits=10**10)},
+}
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["generate", "--kind", "kappa", "--n", "99999999999999"], "digit budget is count <= 2^26"),
-        (["experiment", "--name", "kappa-goodness", "--config", '{"prefix_log2": 40}'],
-         "kappa-goodness budget is 0 <= prefix_log2 <= 26, got 40"),
-    ],
-    ids=["generate-kappa-1e14", "kappa-goodness-prefix-2^40"],
-)
-def test_digit_budget_is_usage_error(tmp_path, monkeypatch, capsys, argv, message):
-    # the digit count is checked before any digit array is allocated
+def beyond_budget(*names: str) -> list:
+    return [pytest.param(name, argv, id=i) for name in names for i, argv in BEYOND_BUDGET[name].items()]
+
+
+@pytest.fixture
+def budget_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    write_nseq("y.nseq", y_sequence(), count=4160)
+
+
+def assert_beyond_budget(capsys, name: str, argv: list[str]) -> None:
+    """The budget is checked before the work it bounds: exit 2 at once with
+    one error line naming it, and nothing printed or written."""
     t0 = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.strip() == f"error: {message}"
-    assert list(tmp_path.iterdir()) == []
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name} budget is {BUDGETS[name].what} <= ")
+    assert os.listdir() == ["y.nseq"]
+
+
+def test_every_budget_has_rows():
+    assert BEYOND_BUDGET.keys() == BUDGETS.keys()
+
+
+# The rows of some budgets run under the names of the tests they came from.
+ORBIT_BUDGETS = ("orbit grid", "orbit steps", "orbit storage")
+LOOP_BUDGETS = ("closed-form points", "exhaustive check", "gray words", "roundtrip cases", "roundtrip stream digits")
+OWN_TESTS = {*ORBIT_BUDGETS, *LOOP_BUDGETS, "digit", "fixed-point"}
+
+
+@pytest.mark.parametrize("name, argv", beyond_budget(*(n for n in BEYOND_BUDGET if n not in OWN_TESTS)))
+def test_budget_is_usage_error(budget_dir, capsys, name, argv):
+    assert_beyond_budget(capsys, name, argv)
+
+
+@pytest.mark.parametrize("name, argv", beyond_budget(*ORBIT_BUDGETS))
+def test_orbit_budget_is_usage_error(budget_dir, capsys, name, argv):
+    assert_beyond_budget(capsys, name, argv)
+
+
+@pytest.mark.parametrize("name, argv", beyond_budget(*LOOP_BUDGETS))
+def test_experiment_loop_budget_is_usage_error(budget_dir, capsys, name, argv):
+    assert_beyond_budget(capsys, name, argv)
+
+
+@pytest.mark.parametrize("name, argv", beyond_budget("digit"))
+def test_digit_budget_is_usage_error(budget_dir, capsys, name, argv):
+    assert_beyond_budget(capsys, name, argv)
+
+
+@pytest.mark.parametrize("name, argv", beyond_budget("fixed-point"))
+def test_arith_frac_bits_beyond_budget_is_usage_error(budget_dir, capsys, name, argv):
+    assert_beyond_budget(capsys, name, argv)
+
+
+DIGIT_BUDGET = "digit budget is digits read at once <= 67108864, got "
 
 
 @pytest.mark.parametrize(
     "name, config, message",
     [
-        ("z-switch-half", {"prefix_log2": 10**10}, "0 <= prefix_log2 <= 26, got 10000000000"),
-        ("rational-multiple-goodness", {"prefix_log2": 10**10}, "0 <= prefix_log2 <= 26, got 10000000000"),
-        ("ca-switch-identity", {"prefix_log2": 10**10}, "0 <= prefix_log2 <= 26, got 10000000000"),
-        ("kappa-goodness", {"prefix_log2": -1}, "0 <= prefix_log2 <= 26, got -1"),
-        ("complexity-contrast", {"kappa_prefix_log2": 27}, "0 <= kappa_prefix_log2 <= 26, got 27"),
-        ("xy-switch-decay", {"prefix_log2s": [12, 10**10]}, "0 <= prefix_log2s <= 26 for each of a non-empty list"),
-        ("xy-switch-decay", {"prefix_log2s": []}, "0 <= prefix_log2s <= 26 for each of a non-empty list, got []"),
-        ("vy-identity", {"tolerance_log2": 1}, "-67108864 <= tolerance_log2 <= 0, got 1"),
-        ("vy-identity", {"tolerance_log2": -(2**26) - 1}, "-67108864 <= tolerance_log2 <= 0, got -67108865"),
-        ("vy-identity", {"tolerance_log2": -(10**10)}, "-67108864 <= tolerance_log2 <= 0, got -10000000000"),
+        ("z-switch-half", {"prefix_log2": 10**10}, DIGIT_BUDGET + "2^10000000000"),
+        ("rational-multiple-goodness", {"prefix_log2": 10**10}, DIGIT_BUDGET + "2^10000000000"),
+        ("ca-switch-identity", {"prefix_log2": 10**10}, DIGIT_BUDGET + "2^10000000000"),
+        ("kappa-goodness", {"prefix_log2": -1},
+         "kappa-goodness parameter 'prefix_log2' must be >= 0, got -1"),
+        ("complexity-contrast", {"kappa_prefix_log2": 27}, DIGIT_BUDGET + "2^27"),
+        ("xy-switch-decay", {"prefix_log2s": [12, 10**10]}, DIGIT_BUDGET + "2^10000000000"),
+        ("xy-switch-decay", {"prefix_log2s": []},
+         "xy-switch-decay parameter 'prefix_log2s' must be >= 0 for each of a non-empty list, got []"),
+        ("vy-identity", {"tolerance_log2": 1}, "vy-identity parameter 'tolerance_log2' must be <= 0, got 1"),
+        ("vy-identity", {"tolerance_log2": -(2**26) - 1}, DIGIT_BUDGET + "67108865"),
+        ("vy-identity", {"tolerance_log2": -(10**10)}, DIGIT_BUDGET + "10000000000"),
     ],
     ids=["z-switch-half", "rational-multiple-goodness", "ca-switch-identity", "kappa-goodness-negative",
          "complexity-contrast", "xy-switch-decay", "xy-switch-decay-empty", "vy-identity-positive",
@@ -496,8 +540,7 @@ def test_experiment_exponent_beyond_budget_is_usage_error(capsys, name, config, 
     assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {name} budget is ") and message in err[0]
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("tolerance_log2, code", [(0, 0), (-(2**26), 1)])
@@ -505,20 +548,6 @@ def test_vy_identity_tolerance_ends_are_accepted(capsys, tolerance_log2, code):
     # 2^0 holds |v*y - 1|; 2^-(2^26) is far below it, so the check fails
     assert main(["experiment", "--name", "vy-identity", "--config", json.dumps({"tolerance_log2": tolerance_log2})]) == code
     assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("op", ["mulq", "neg", "shiftsum"])
-def test_arith_frac_bits_beyond_budget_is_usage_error(tmp_path, capsys, op):
-    src = tmp_path / "y.nseq"
-    main(["generate", "--kind", "y", "--n", "4160", "--out", str(src)])
-    capsys.readouterr()
-    out = tmp_path / "out.nseq"
-    argv = ["arith", "--op", op, "--in", str(src), "--frac-bits", "100000000000", "--out", str(out)]
-    argv += {"mulq": ["--int-part", "1", "--p", "4", "--q", "3"], "shiftsum": ["--shifts", "0,2"]}.get(op, [])
-    assert main(argv) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: fixed-point budget is N + G <= 2^26 fractional bits"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["y.nseq"]
 
 
 @pytest.mark.parametrize("p", ["500001/1000000", "0.5000000000000000000001", "50001/100000"])
@@ -532,7 +561,7 @@ def test_pnormal_near_half_ends_quickly(capsys, p):
     else:
         assert code == 2
         err = captured.err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: obstruction budget is l * bits(n) <= 2^20")
+        assert len(err) == 1 and err[0].startswith("error: obstruction budget is l * bits(n) <= 1048576, got ")
 
 
 @pytest.mark.parametrize(
@@ -543,4 +572,31 @@ def test_pnormal_long_denominator_ends_quickly(capsys, p):
     assert main(["pnormal", "--p", p]) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: p's ")
+    assert len(err) == 1 and err[0].startswith(("error: p-denominator budget", "error: decimal exponent budget"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pnormal", "--p", "1/0"],
+        ["generate", "--kind", "bernoulli", "--p", "1/0", "--n", "10"],
+        ["generate", "--kind", "bernoulli", "--p", "1e-99999999", "--n", "10"],
+        ["algsys", "orbit", "--matrix", "[[2,1],[1,1]]", "--x0", "1/0,1/5"],
+        ["algsys", "orbit", "--matrix", "[[2,1],[1,1]]", "--x0", "1e-99999999,1/5"],
+        *(_experiment(name, p=p) for name in ("carry-monte-carlo", "spr-obstruction") for p in ("1/0", "1e-99999999")),
+        _experiment("kappa-goodness", bound_factor=float("inf")),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_outside_rationals_are_read_exactly_or_refused(tmp_path, monkeypatch, capsys, argv):
+    # a zero denominator or a decimal exponent far beyond its digits is
+    # refused before any power of ten is built
+    monkeypatch.chdir(tmp_path)
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []

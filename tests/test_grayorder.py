@@ -3,17 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normlab.errors import BudgetError, DomainError
 from normlab.grayorder import (
-    BudgetError,
     GrayOrdering,
-    IndexRangeError,
-    ParityError,
     _check_words,
     offset,
     reflected_gray,
     verify_ordering,
 )
-from normlab.seqcore import Block, LengthError
+from normlab.seqcore import Block
 
 B = Block.from_string
 
@@ -36,14 +34,14 @@ def test_level_two_ordering_blocks():
 
 
 def test_index_range_checked():
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(DomainError, match=r"index 9 outside \[1, 2\^3\]"):
         GrayOrdering(3, B("000")).block(9)
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(DomainError, match=r"index 0 outside \[1, 2\^3\]"):
         GrayOrdering(3, B("000")).block(0)
 
 
 def test_start_length_checked():
-    with pytest.raises(LengthError):
+    with pytest.raises(DomainError, match="start block has length 2, expected 3"):
         GrayOrdering(3, B("01")).block(1)
 
 
@@ -60,9 +58,9 @@ def test_alternated_ordering_blocks():
 
 
 def test_alternated_needs_even_length():
-    with pytest.raises(ParityError):
+    with pytest.raises(DomainError, match="alternated ordering needs even block length, got 1"):
         GrayOrdering(1, B("0"), "alternated").block(1)
-    with pytest.raises(ParityError):
+    with pytest.raises(DomainError, match="alternated ordering needs even block length, got 3"):
         verify_ordering(3, B("000"), "alternated")
 
 
@@ -78,7 +76,7 @@ def test_verify_alternated_bijection():
 
 
 def test_verify_budget():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="exhaustive check budget is block length n <= 20, got 21"):
         verify_ordering(21, None)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from normlab.errors import OBSTRUCTION_BUDGET_BITS, P_DENOMINATOR_BUDGET_BITS, BudgetError
+from normlab.errors import BUDGETS, BudgetError
 from normlab.pnormal import (
     DomainError,
     _carry_parts,
@@ -85,16 +85,16 @@ def test_domain_checks():
 
 
 def test_denominator_budget():
-    cap = 1 << P_DENOMINATOR_BUDGET_BITS
+    cap = BUDGETS["p-denominator"].limit
     largest = (1 << cap) - 1  # the longest denominator within the budget
     for a in (1, largest // 2, largest - 1):
         stats = carry_sum_stats(Fraction(a, largest)).as_dict()
         # every closed form prints, so each part stays under str()'s limit
         assert all(len(part) < 4300 for v in stats.values() if isinstance(v, str) for part in v.split("/"))
     for fn in (carry_digit_prob, conditional_digit_prob, carry_sum_stats):
-        with pytest.raises(BudgetError, match=f"has {cap + 1} bits; the budget is 2\\^{P_DENOMINATOR_BUDGET_BITS}"):
+        with pytest.raises(BudgetError, match=f"p-denominator budget is bits of p's denominator <= {cap}, got {cap + 1}$"):
             fn(Fraction(1, 1 << cap))
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="p-denominator budget"):
         monte_carlo_carry_sum(Fraction(1, 10**1000), 0, 1000)
 
 
@@ -144,12 +144,12 @@ def test_obstruction_length_near_half():
     n = 1 << 60  # p = 1/2 + 2^-60: the float ratio (1 - p) / p rounds to 1.0
     assert (n // 2 - 1) / (n // 2 + 1) == 1.0
     for p in (Fraction(n // 2 + 1, n), Fraction("0.5000000000000000000001"), Fraction(500001, 10**6)):
-        with pytest.raises(BudgetError, match=f"2\\^{OBSTRUCTION_BUDGET_BITS}"):
+        with pytest.raises(BudgetError, match=f"obstruction budget is l \\* bits\\(n\\) <= {BUDGETS['obstruction'].limit}, got "):
             rauzy_obstruction_l(p)
     # just inside the budget: l * bits(n) <= 2^20 with p = 125001/250000
     p = Fraction(125001, 250000)
     l = rauzy_obstruction_l(p)
-    assert l * p.denominator.bit_length() <= 1 << OBSTRUCTION_BUDGET_BITS
+    assert l * p.denominator.bit_length() <= BUDGETS["obstruction"].limit
     b, a, n = p.denominator - p.numerator, p.numerator, p.denominator
     assert b**l * n < a ** (l + 1) and b ** (l - 1) * n >= a**l
 

@@ -9,16 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normlab import seqcore
-from normlab.errors import DIGITS_BUDGET_BITS, BudgetError
+from normlab.errors import BUDGETS, BudgetError, DomainError
 from normlab.generators import bernoulli_stream, uniform_stream
 from normlab.seqcore import (
     Alphabet,
-    AlphabetError,
     Block,
     BlockCounts,
-    EmptyWindowError,
-    HorizonError,
-    LengthError,
     SymbolicSequence,
     _anchor_codes,
     base4_split,
@@ -46,23 +42,24 @@ def complement(b: Block) -> Block:
 
 
 def test_alphabet_rejects_small():
-    with pytest.raises(AlphabetError):
+    with pytest.raises(DomainError, match="alphabet size must be >= 2, got 1"):
         Alphabet(1)
 
 
 def test_block_validation():
-    with pytest.raises(AlphabetError):
+    with pytest.raises(DomainError, match="digit 2 outside alphabet of size 2"):
         Block((0, 2), Alphabet(2))
-    with pytest.raises(LengthError):
+    with pytest.raises(DomainError, match="block must have length >= 1"):
         Block((), Alphabet(2))
 
 
 def test_digit_budget_is_checked_before_reading():
     seq = SymbolicSequence(lambda start, count: count)  # reports what it would read
-    assert seq.digits(1, 1 << DIGITS_BUDGET_BITS) == 1 << DIGITS_BUDGET_BITS
-    with pytest.raises(BudgetError, match=f"count <= 2\\^{DIGITS_BUDGET_BITS}"):
-        seq.digits(1, (1 << DIGITS_BUDGET_BITS) + 1)
-    with pytest.raises(BudgetError):
+    limit = BUDGETS["digit"].limit
+    assert seq.digits(1, limit) == limit
+    with pytest.raises(BudgetError, match=f"digit budget is digits read at once <= {limit}, got {limit + 1}$"):
+        seq.digits(1, limit + 1)
+    with pytest.raises(BudgetError, match="digit budget"):
         seq.digits(1, 1 << 40)
 
 
@@ -75,8 +72,8 @@ def test_digit_range_errors_match_digits():
         for p in positions:
             try:
                 expected = int(seq.digits(p, 1)[0])
-            except HorizonError as e:
-                with pytest.raises(HorizonError, match=f"^{re.escape(str(e))}$"):
+            except DomainError as e:
+                with pytest.raises(DomainError, match=f"^{re.escape(str(e))}$"):
                     seq.digit(p)
             else:
                 assert seq.digit(p) == expected
@@ -100,7 +97,7 @@ def test_block_density(b, c, want):
 
 
 def test_block_density_length_error():
-    with pytest.raises(LengthError):
+    with pytest.raises(DomainError, match="block length m=3 exceeds the 2 digits"):
         block_density(B("01"), B("011"))
 
 
@@ -137,13 +134,13 @@ def test_prefix_frequency_zeros():
 
 
 def test_prefix_frequency_length_error():
-    with pytest.raises(LengthError):
+    with pytest.raises(DomainError, match="block length m=2 exceeds the 1 digits"):
         prefix_frequency(constant(0), B("11"), 1)
 
 
 def test_prefix_frequency_horizon_error():
     seq = SymbolicSequence.from_array([0, 1, 0])
-    with pytest.raises(HorizonError):
+    with pytest.raises(DomainError, match="positions up to 4 exceed horizon 3"):
         prefix_frequency(seq, B("1"), 4)
 
 
@@ -231,7 +228,7 @@ def test_empirical_measure_balanced_block():
 
 
 def test_empirical_measure_empty_window():
-    with pytest.raises(EmptyWindowError):
+    with pytest.raises(DomainError, match="prefix 1 shorter than block length 2"):
         empirical_measure(constant(0), 2, 1)
 
 
@@ -415,9 +412,9 @@ def test_reused_id_never_hits_the_memo(monkeypatch):
 def test_block_counts_rejects_a_block_longer_than_the_digits(read_only):
     arr = frozen([0, 1, 1]) if read_only else np.array([0, 1, 1], dtype=np.uint8)
     assert block_counts(arr, 3, 2).total == 1  # memoised when read-only
-    with pytest.raises(LengthError, match="block length m=4 exceeds the 3 digits"):
+    with pytest.raises(DomainError, match="block length m=4 exceeds the 3 digits"):
         block_counts(arr, 4, 2)
-    with pytest.raises(LengthError, match="block length m=1 exceeds the 0 digits"):
+    with pytest.raises(DomainError, match="block length m=1 exceeds the 0 digits"):
         block_counts(arr[:0], 1, 2)
 
 
@@ -523,7 +520,7 @@ def test_base4_split_threes():
 
 
 def test_base4_split_needs_base4():
-    with pytest.raises(AlphabetError):
+    with pytest.raises(DomainError, match="base4_split needs an alphabet of size 4"):
         base4_split(constant(0))
 
 

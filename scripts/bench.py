@@ -5,13 +5,17 @@ Runs perfbench/run.py on each workload at the pinned seed SEED, once with
 --trace 0 (end-to-end metrics) and once with --trace 1 (per-layer metrics),
 reads the result files it leaves in .perfbench_out/, and writes
 
-    {"env", "git_sha", "src_lines", "seed", "size", "seconds",
+    {"env", "git_sha", "dirty", "src_lines", "seed", "size", "seconds",
      "end_to_end": {workload: {"correct", "attempted", "failed", metric: value}},
      "layers": {workload: {"correct", metric: value}}}
 
 Then it prints a field-by-field diff against the newest BENCH file numbered
 below n, skipping metrics that read 0 on both sides (layers a workload does
-not use).  Exits 1 when a field is missing or a run reports "correct": false.
+not use).  "dirty" says whether the tree held changes besides BENCH files
+when the runs started, so that git_sha names the measured code only when it
+is false.  trace.overhead_s is a traced wall minus an untraced wall from
+another run, so its diff is printed in seconds, not as a percentage.  Exits
+1 when a field is missing or a run reports "correct": false.
 perfbench does all the timing; this script only drives it and collects.
 
 Usage: python3 scripts/bench.py (--number N | --out PATH) [--seconds 30] [--size full|tiny]
@@ -31,6 +35,7 @@ WORKLOADS = ("verify-suite", "cli-session", "block-stats")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mib", "ok_ops_ratio")
 ENV_FIELDS = ("python", "numpy", "platform", "nproc", "cpu_model", "src_sha256")
 SEED = 3  # every BENCH file is measured at this seed, so any two of them compare
+OVERHEAD_NOISE_S = 0.2  # trace.overhead_s moves by about this much between runs of the same code
 
 
 def run(workload: str, trace: int, args) -> dict:
@@ -42,7 +47,19 @@ def run(workload: str, trace: int, args) -> dict:
     return json.loads(path.read_text())
 
 
+def dirty() -> bool | None:
+    """Whether `git status --porcelain` lists a change outside BENCH_*.json
+    (None outside a git checkout)."""
+    try:
+        status = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, check=True,
+                                capture_output=True, text=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return any(not re.fullmatch(r'"?BENCH_\d+\.json"?', line[3:]) for line in status.splitlines())
+
+
 def collect(args) -> dict:
+    tree_dirty = dirty()
     bench = {"end_to_end": {}, "layers": {}}
     for workload in WORKLOADS:
         for trace, section in ((0, "end_to_end"), (1, "layers")):
@@ -56,6 +73,7 @@ def collect(args) -> dict:
     return {
         "env": {k: prov.get(k) for k in ENV_FIELDS},
         "git_sha": prov.get("git_sha"),
+        "dirty": tree_dirty,
         "src_lines": prov.get("src_lines"),
         "seed": SEED,
         "size": args.size,
@@ -91,7 +109,7 @@ def earlier(number: int | None, out: Path) -> Path | None:
 
 
 def diff(old: dict, new: dict) -> list[str]:
-    lines = [f"{f:58} {old.get(f)!s:>14} -> {new.get(f)!s:>14}" for f in ("git_sha", "src_lines")]
+    lines = [f"{f:58} {old.get(f)!s:>14} -> {new.get(f)!s:>14}" for f in ("git_sha", "dirty", "src_lines")]
     for section in ("end_to_end", "layers"):
         for workload in WORKLOADS:
             a, b = old.get(section, {}).get(workload, {}), new.get(section, {}).get(workload, {})
@@ -99,7 +117,7 @@ def diff(old: dict, new: dict) -> list[str]:
                 x, y = a.get(name), b.get(name)
                 if x or y:
                     key = f"{section}.{workload}.{name}"
-                    lines.append(f"{key:58} {_fmt(x):>14} -> {_fmt(y):>14} {_change(x, y):>8}")
+                    lines.append(f"{key:58} {_fmt(x):>14} -> {_fmt(y):>14} {_change(name, x, y):>8}")
     return lines
 
 
@@ -109,8 +127,10 @@ def _fmt(v) -> str:
     return "-" if v is None else str(v)
 
 
-def _change(x, y) -> str:
+def _change(name: str, x, y) -> str:
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+    if numbers and name == "trace.overhead_s":
+        return f"{y - x:+.3f} s (noise below ~{OVERHEAD_NOISE_S} s)"
     return f"{(y - x) / abs(x):+.1%}" if numbers and x else ""
 
 

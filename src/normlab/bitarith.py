@@ -398,6 +398,8 @@ def stream_carry_add(
         raise DomainError("carry addition is defined for binary sequences")
     if N < 1:
         raise DomainError("N must be >= 1")
+    if lookahead_cap < 0:
+        raise DomainError(f"lookahead_cap must be >= 0, got {lookahead_cap}")
     M = N + lookahead_cap
     for s in (s1, s2):
         if s.horizon is not None and s.horizon < M:

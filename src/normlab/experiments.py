@@ -439,6 +439,8 @@ def _pair_block_counts(d1: np.ndarray, d2: np.ndarray, blen: int):
 @_experiment("base4-independence")
 def _base4_independence(cfg: dict):
     N = cfg["n"]
+    if N < 2:
+        raise DomainError(f"base4-independence needs n >= 2 for a 2-block, got {N}")
     k = cfg["sigma_count"]
     stream = uniform_stream(4, derive_seed(cfg["seed"], "base4"), N + 2)
     row1, row2 = seqcore.base4_split(stream)
@@ -521,6 +523,8 @@ def _ca_switch_identity(cfg: dict):
 def _arithmetic_roundtrips(cfg: dict):
     within("roundtrip cases", max(cfg["roundtrip_cases"], cfg["pairs"]))
     within("roundtrip stream digits", cfg["pairs"] * (cfg["digits"] + cfg["lookahead_cap"]))
+    if cfg["max_pq"] < 1:
+        raise DomainError(f"arithmetic-roundtrips needs max_pq >= 1, got {cfg['max_pq']}")
     seed = cfg["seed"]
     # (a) mod-1 negation inverse
     ok_neg = True

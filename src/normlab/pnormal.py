@@ -123,6 +123,37 @@ class MonteCarloCarrySum:
         return asdict(self)
 
 
+def _tallies(digits: np.ndarray, ambiguous: np.ndarray) -> dict:
+    """The digit statistics of a carry sum over its unambiguous positions,
+    from integer counts of the 0/1 uint8 `digits`.
+
+    Each frequency is a quotient of two counts, which is also what the
+    float64 mean of 0/1 digits rounds to, since its sum is exact.  The
+    next-digit-zero frequency is NaN when no tallied pair ends in 0, and the
+    correlation is 0 when either side of the pairs is constant.  The
+    correlation stays np.corrcoef on the two uint8 rows: a closed form from
+    the 2x2 pair counts differs from it in the last bits.
+    """
+    ok = ~ambiguous
+    tallied = int(np.count_nonzero(ok))
+    if tallied == 0:
+        raise DataQualityError("no unambiguous digits to tally")
+    pair_ok = ok[:-1] & ok[1:]
+    rows = np.stack((digits[:-1][pair_ok], digits[1:][pair_ok]))  # lead, next
+    pairs = rows.shape[1]
+    n00, n01, n10, n11 = np.bincount(2 * rows[0] + rows[1], minlength=4).tolist()
+    ones_lead, ones_next = n10 + n11, n01 + n11
+    return dict(
+        freq_one=int(np.count_nonzero(digits[ok])) / tallied,
+        freq_one_given_next_zero=n10 / (n00 + n10) if n00 + n10 else float("nan"),
+        # np.cov stacks two arguments into this 2 x pairs array, so passing it whole is the same
+        # computation without two float64 copies
+        correlation=float(np.corrcoef(rows)[0, 1]) if 0 < ones_lead < pairs and 0 < ones_next < pairs else 0.0,
+        tallied=tallied,
+        tallied_pairs=pairs,
+    )
+
+
 def monte_carlo_carry_sum(
     p,
     seed: int,
@@ -143,35 +174,15 @@ def monte_carlo_carry_sum(
     amb_rate = float(ambiguous.mean())
     if amb_rate > MAX_AMBIGUITY:
         raise DataQualityError(f"ambiguity rate {amb_rate:.4f} exceeds {MAX_AMBIGUITY:.4f}")
-    ok = ~ambiguous
-    tallied = int(ok.sum())
-    if tallied == 0:
-        raise DataQualityError("no unambiguous digits to tally")
-    d = digits.astype(np.float64)
-    freq1 = float(d[ok].mean())
-
-    pair_ok = ok[:-1] & ok[1:]
-    lead = d[:-1][pair_ok]
-    nxt = d[1:][pair_ok]
-    tallied_pairs = int(pair_ok.sum())
-    next_zero = nxt == 0
-    freq1_cond = float(lead[next_zero].mean()) if next_zero.any() else float("nan")
-    if tallied_pairs > 1 and lead.std() > 0 and nxt.std() > 0:
-        corr = float(np.corrcoef(lead, nxt)[0, 1])
-    else:
-        corr = 0.0
+    t = _tallies(digits, ambiguous)
     return MonteCarloCarrySum(
         p=str(pf),
         seed=seed,
         n_digits=N,
         lookahead_cap=lookahead_cap,
-        freq_one=freq1,
-        freq_one_given_next_zero=freq1_cond,
-        dependence=freq1_cond - freq1,
-        correlation=corr,
-        tallied=tallied,
-        tallied_pairs=tallied_pairs,
+        dependence=t["freq_one_given_next_zero"] - t["freq_one"],
         ambiguity_rate=amb_rate,
+        **t,
     )
 
 

@@ -360,6 +360,13 @@ def test_stream_all_ambiguous():
     assert amb.all()
 
 
+def test_stream_negative_lookahead_is_refused():
+    # checked before the doubling loop, which would never end below 0
+    s = SymbolicSequence.periodic([0, 1])
+    with pytest.raises(DomainError, match="lookahead_cap must be >= 0, got -1"):
+        stream_carry_add(s, s, 32, -1)
+
+
 def test_stream_add_zero_identity():
     s1 = kappa_sequence()
     zero = constant(0)

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import signal
 import time
 
 import pytest
@@ -573,6 +574,34 @@ def test_pnormal_long_denominator_ends_quickly(capsys, p):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(("error: p-denominator budget", "error: decimal exponent budget"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_experiment("carry-monte-carlo", lookahead_cap=-5), "lookahead_cap must be >= 0, got -5"),
+        (_experiment("arithmetic-roundtrips", lookahead_cap=-1), "lookahead_cap must be >= 0, got -1"),
+        (_experiment("base4-independence", n=0), "base4-independence needs n >= 2 for a 2-block, got 0"),
+        (_experiment("base4-independence", n=1), "base4-independence needs n >= 2 for a 2-block, got 1"),
+        (_experiment("arithmetic-roundtrips", max_pq=0), "arithmetic-roundtrips needs max_pq >= 1, got 0"),
+    ],
+    ids=["carry-monte-carlo-cap", "arithmetic-roundtrips-cap", "base4-n-0", "base4-n-1", "max-pq-0"],
+)
+def test_experiment_value_outside_its_domain_is_usage_error(capsys, argv, message):
+    # the alarm turns a hang, such as an endless carry-scan loop, into a failure of this row
+    def hung(signum, frame):
+        raise TimeoutError(" ".join(argv))
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from normlab.errors import BUDGETS, BudgetError
+from normlab.errors import BUDGETS, BudgetError, DataQualityError
 from normlab.pnormal import (
     DomainError,
     _carry_parts,
+    _tallies,
     carry_digit_prob,
     carry_sum_stats,
     conditional_digit_prob,
@@ -193,6 +195,58 @@ def test_monte_carlo_convergence_rate(n):
     mc = monte_carlo_carry_sum(Fraction(1, 5), seed=7, N=n)
     _, pprime = carry_digit_prob(Fraction(1, 5))
     assert abs(mc.freq_one - float(pprime)) <= 4 / math.sqrt(n)
+
+
+def tallies_by_float_means(digits: np.ndarray, ambiguous: np.ndarray) -> dict:
+    """The tallies as float64 means of the digits, as they were first defined."""
+    ok = ~ambiguous
+    tallied = int(ok.sum())
+    if tallied == 0:
+        raise DataQualityError("no unambiguous digits to tally")
+    d = digits.astype(np.float64)
+    pair_ok = ok[:-1] & ok[1:]
+    lead, nxt = d[:-1][pair_ok], d[1:][pair_ok]
+    tallied_pairs = int(pair_ok.sum())
+    next_zero = nxt == 0
+    if tallied_pairs > 1 and lead.std() > 0 and nxt.std() > 0:
+        corr = float(np.corrcoef(lead, nxt)[0, 1])
+    else:
+        corr = 0.0
+    return dict(
+        freq_one=float(d[ok].mean()),
+        freq_one_given_next_zero=float(lead[next_zero].mean()) if next_zero.any() else float("nan"),
+        correlation=corr,
+        tallied=tallied,
+        tallied_pairs=tallied_pairs,
+    )
+
+
+# (digit, ambiguous) cells; about one in four is ambiguous, so runs of pairs are common
+cells = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3).map(lambda v: v == 0)), min_size=1, max_size=400)
+
+
+@given(cells)
+@example([(1, True), (0, False), (1, True)])  # all digits ambiguous but one
+@example([(0, True), (1, True)])  # no digit to tally
+@example([(0, False), (1, False), (1, False), (1, False)])  # no pair whose next digit is 0; constant next
+@example([(1, False), (1, False), (1, False), (0, False)])  # constant lead
+@example([(0, False), (1, False), (0, True)])  # exactly one tallied pair
+@example([(1, False), (0, False), (1, False), (0, False), (0, False), (1, False)])
+def test_tallies_match_float_means(cells):
+    digits = np.array([d for d, _ in cells], dtype=np.uint8)
+    ambiguous = np.array([a for _, a in cells], dtype=bool)
+    try:
+        want = tallies_by_float_means(digits, ambiguous)
+    except DataQualityError:
+        with pytest.raises(DataQualityError, match="no unambiguous digits"):
+            _tallies(digits, ambiguous)
+        return
+    got = _tallies(digits, ambiguous)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        # the same type keeps repr() of the report, and so its digest, unchanged
+        assert type(got[key]) is type(value), key
+        assert got[key] == value or (math.isnan(got[key]) and math.isnan(value)), key
 
 
 def test_stats_bundle():

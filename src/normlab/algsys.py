@@ -46,7 +46,7 @@ def modp_add(s1: SymbolicSequence, s2: SymbolicSequence, N: int) -> SymbolicSequ
         )
     a = s1.digits(1, N).astype(np.int64)
     b = s2.digits(1, N).astype(np.int64)
-    return SymbolicSequence.from_array(((a + b) % p), r=p, name="modp-add")
+    return SymbolicSequence.from_array(((a + b) % p), r=p)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def apply_ca(ca: LinearCA, s: SymbolicSequence, N: int) -> SymbolicSequence:
     for j, c in enumerate(ca.coeffs):
         if c % ca.p:
             out += (c % ca.p) * arr[j : j + N]
-    return SymbolicSequence.from_array(out % ca.p, r=ca.p, name="ca")
+    return SymbolicSequence.from_array(out % ca.p, r=ca.p)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +265,8 @@ def toral_orbit(
     """
     if steps < 0:
         raise DomainError("steps must be >= 0")
+    if grid_bits < 0:
+        raise DomainError(f"grid_bits must be >= 0, got {grid_bits}")
     d = tmap.dimension
     within("orbit grid", d * grid_bits)
     within("orbit steps", steps)

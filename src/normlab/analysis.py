@@ -179,8 +179,11 @@ def entropy_profile(
 
 
 def count_low_entropy_blocks(m: int, n: int, c: float) -> int:
-    """Exhaustive count of binary blocks B of length m with H_n(B) <= c."""
+    """Exhaustive count of binary blocks B of length m with H_n(B) <= c;
+    1 <= n <= m."""
     within("enumeration", m)
+    if n < 1:
+        raise DomainError(f"block length n={n} must be >= 1")
     if n > m:
         raise DomainError(f"n={n} exceeds m={m}")
     W = m - n + 1

@@ -143,10 +143,6 @@ class FixedPointNumber:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def zero(cls, N: int, G: int = DEFAULT_GUARD_BITS) -> "FixedPointNumber":
-        return cls(0, N + G, G)
-
-    @classmethod
     def from_sequence(
         cls,
         seq: SymbolicSequence,

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import algsys, analysis, experiments, grayorder, pnormal
+from . import algsys, analysis, experiments, generators, grayorder, pnormal
 from .bitarith import (
     DEFAULT_GUARD_BITS,
     FixedPointNumber,
@@ -24,7 +24,6 @@ from .bitarith import (
     shifted_sum,
 )
 from .errors import DomainError
-from .generators import GeneratorInstance
 from .seqcore import Block, SymbolicSequence, read_nseq, write_nseq
 
 
@@ -46,16 +45,32 @@ def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
         print(text)
 
 
+def _bernoulli(args) -> SymbolicSequence:
+    if args.p is None:
+        raise DomainError("bernoulli needs p, seed, and n")
+    return generators.bernoulli_stream(args.p, args.seed, args.n)
+
+
+def _periodic(args) -> SymbolicSequence:
+    if not args.pattern:
+        raise DomainError("periodic needs a pattern")
+    return SymbolicSequence.periodic(Block.from_string(args.pattern, args.r))
+
+
+# generate's kinds (--kind's choices), each built from the parsed arguments
+_KINDS = {
+    "kappa": lambda args: generators.kappa_sequence(),
+    "y": lambda args: generators.y_sequence(),
+    "v": lambda args: generators.v_sequence(),
+    "bernoulli": _bernoulli,
+    "uniform": lambda args: generators.uniform_stream(args.r, args.seed, args.n),
+    "champernowne": lambda args: generators.champernowne_digits(args.r, args.n),
+    "periodic": _periodic,
+}
+
+
 def _cmd_generate(args) -> int:
-    inst = GeneratorInstance(
-        kind=args.kind,
-        p=args.p,
-        seed=args.seed,
-        r=args.r,
-        n=args.n,
-        pattern=args.pattern,
-    )
-    seq = inst.build()
+    seq = _KINDS[args.kind](args)
     out = args.out or f"{args.kind}.nseq"
     write_nseq(out, seq, count=args.n)
     print(f"wrote {args.n} base-{seq.alphabet.size} digits to {out}")
@@ -241,13 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a generated digit sequence as .nseq")
     p.add_argument("--out", help="output path (default: KIND.nseq)")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=(
-            "kappa", "y", "v", "bernoulli", "uniform", "champernowne", "periodic",
-        ),
-    )
+    p.add_argument("--kind", required=True, choices=tuple(_KINDS))
     p.add_argument("--n", type=int, required=True, help="number of digits")
     p.add_argument("--p", help="ones probability for bernoulli, e.g. 0.2 or 1/5")
     p.add_argument("--r", type=int, default=2, help="alphabet size")

@@ -145,19 +145,17 @@ _LOG2_KEYS = ("prefix_log2", "prefix_log2s", "kappa_prefix_log2")
 
 def _check_overrides(name: str, config: dict, overrides) -> None:
     """Each override must name a manifest parameter of the experiment and
-    keep its JSON type; an integer may stand where the manifest has a float.
-    An exponent must be within the digit budget."""
+    have its shape (`_check_shape`).  An exponent must be within the digit
+    budget."""
     if not isinstance(overrides, dict):
         raise DomainError(f"config overrides must be a JSON object, got {overrides!r}")
     for key, value in overrides.items():
         if key not in config:
             raise DomainError(f"{name} has no parameter {key!r}; known: {', '.join(sorted(config))}")
-        want, got = type(config[key]), type(value)
-        if got is not want and not (want is float and got is int):
-            raise DomainError(f"{name} parameter {key!r} must be {want.__name__}, got {value!r}")
+        _check_shape(name, key, config[key], value)
         if key in _LOG2_KEYS:
             exps = value if isinstance(value, list) else [value]
-            if not exps or not all(type(e) is int and e >= 0 for e in exps):
+            if not exps or min(exps) < 0:
                 each = " for each of a non-empty list" if isinstance(value, list) else ""
                 raise DomainError(f"{name} parameter {key!r} must be >= 0{each}, got {value!r}")
             within("digit", max(exps), log2=True)
@@ -165,6 +163,23 @@ def _check_overrides(name: str, config: dict, overrides) -> None:
             if value > 0:
                 raise DomainError(f"{name} parameter {key!r} must be <= 0, got {value!r}")
             within("digit", -value)
+
+
+def _check_shape(name: str, key: str, want, got) -> None:
+    """Raise DomainError unless `got` is shaped like the manifest value
+    `want`: the same JSON type (an integer may stand where the manifest has
+    a float), an object with the same keys, each list entry shaped like the
+    manifest list's first entry."""
+    if type(got) is not type(want) and not (type(want) is float and type(got) is int):
+        raise DomainError(f"{name} parameter {key!r} must be {type(want).__name__}, got {got!r}")
+    if isinstance(want, dict):
+        if got.keys() != want.keys():
+            raise DomainError(f"{name} parameter {key!r} must have the keys {', '.join(want)}, got {got!r}")
+        for k in want:
+            _check_shape(name, f"{key}.{k}", want[k], got[k])
+    elif isinstance(want, list) and want:
+        for i, entry in enumerate(got):
+            _check_shape(name, f"{key}[{i}]", want[0], entry)
 
 
 def _unknown(name: str) -> DomainError:

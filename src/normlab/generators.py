@@ -9,9 +9,8 @@ deterministic: identical parameters yield identical digit functions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -28,27 +27,16 @@ class LevelSchedule:
     """The doubling-tower level lengths n_1=2, n_{k+1} = n_k * 2^{n_k}.
 
     Every n_k is a power of two, so levels are stored as exact exponents
-    e_k = log2(n_k), with e_{k+1} = e_k + n_k.  Exponents are materialized
-    while they fit in `exponent_bit_cap` bits; with the default cap the
-    first five are exact: 1, 3, 11, 2059, 2059 + 2^2059.  Level values are
+    e_k = log2(n_k), with e_{k+1} = e_k + n_k: the five levels 1, 3, 11,
+    2059, 2059 + 2^2059.  No Python int has the 2059 + 2^2059 bits of a
+    position beyond n_5, so no position needs a sixth level.  Level values are
     produced on demand while their bit length is sane; desk-scale work
     never materializes n_5.  The schedule is superincreasing
     (n_{k+1} > n_1 + ... + n_k), so finite-sum representations are unique.
     """
 
     _VALUE_EXP_CAP = 1 << 24  # refuse to materialize 2^e for e beyond this
-
-    def __init__(self, exponent_bit_cap: int = 4096):
-        exps = [1]
-        while True:
-            e = exps[-1]
-            if e >= exponent_bit_cap:
-                break
-            nxt = e + (1 << e)
-            if nxt.bit_length() > exponent_bit_cap:
-                break
-            exps.append(nxt)
-        self._exponents = exps
+    _exponents = (1, 3, 11, 2059, 2059 + (1 << 2059))
 
     @property
     def depth(self) -> int:
@@ -71,11 +59,8 @@ class LevelSchedule:
         """The k with n_k < p <= n_{k+1}; requires p > n_1."""
         if p <= 2:
             raise DomainError("level_of is defined for positions beyond n_1 = 2")
-        # p <= 2^e exactly when p - 1 has at most e bits
-        k = bisect_left(self._exponents, (p - 1).bit_length())
-        if k == self.depth:
-            raise DomainError("position beyond the materialized schedule")
-        return k
+        # p <= 2^e exactly when p - 1 has at most e bits; every p is <= n_5
+        return bisect_left(self._exponents, (p - 1).bit_length())
 
     def finite_sums(self, n: int) -> list[int]:
         """The positive elements up to n of S = {0} union FS((n_k)), ascending.
@@ -181,7 +166,7 @@ def _kappa_bulk(start: int, count: int) -> np.ndarray:
 
 
 def kappa_sequence() -> SymbolicSequence:
-    return SymbolicSequence(_kappa_bulk, BINARY, name="kappa", digit_fn=kappa_digit)
+    return SymbolicSequence(_kappa_bulk, BINARY, digit_fn=kappa_digit)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +204,7 @@ def _y_bulk(start: int, count: int) -> np.ndarray:
 
 def y_sequence() -> SymbolicSequence:
     """Fractional digits of y (positions >= 1)."""
-    return SymbolicSequence(_y_bulk, BINARY, name="y", digit_fn=y_digit)
+    return SymbolicSequence(_y_bulk, BINARY, digit_fn=y_digit)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +258,7 @@ def _v_bulk(start: int, count: int) -> np.ndarray:
 
 
 def v_sequence() -> SymbolicSequence:
-    return SymbolicSequence(_v_bulk, BINARY, name="v", digit_fn=v_digit)
+    return SymbolicSequence(_v_bulk, BINARY, digit_fn=v_digit)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +337,7 @@ def bernoulli_stream(p, seed: int, N: int) -> SymbolicSequence:
             np.less(z, threshold, out=out[i : i + len(z)].view(bool))
         return out
 
-    return SymbolicSequence(bulk, BINARY, horizon=N, name=f"bernoulli(p={pf}, seed={seed})")
+    return SymbolicSequence(bulk, BINARY, horizon=N)
 
 
 def uniform_stream(r: int, seed: int, N: int) -> SymbolicSequence:
@@ -369,7 +354,7 @@ def uniform_stream(r: int, seed: int, N: int) -> SymbolicSequence:
             np.remainder(z, np.uint64(r), out=out[i : i + len(z)], casting="unsafe")
         return out
 
-    return SymbolicSequence(bulk, Alphabet(r), horizon=N, name=f"uniform(r={r}, seed={seed})")
+    return SymbolicSequence(bulk, Alphabet(r), horizon=N)
 
 
 # ---------------------------------------------------------------------------
@@ -408,44 +393,4 @@ def champernowne_digits(r: int, N: int) -> SymbolicSequence:
         arr = materialize(start + count - 1)
         return arr[start - 1 : start - 1 + count].copy()
 
-    return SymbolicSequence(bulk, Alphabet(r), horizon=N, name=f"champernowne(r={r})")
-
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeneratorInstance:
-    """Named, parameterized generator for the CLI and experiment harness."""
-
-    kind: str
-    p: Optional[str] = None
-    seed: Optional[int] = None
-    r: int = 2
-    n: Optional[int] = None
-    pattern: Optional[str] = None
-
-    def build(self) -> SymbolicSequence:
-        if self.kind == "kappa":
-            return kappa_sequence()
-        if self.kind == "y":
-            return y_sequence()
-        if self.kind == "v":
-            return v_sequence()
-        if self.kind == "bernoulli":
-            if self.p is None or self.seed is None or self.n is None:
-                raise DomainError("bernoulli needs p, seed, and n")
-            return bernoulli_stream(self.p, self.seed, self.n)
-        if self.kind == "uniform":
-            if self.seed is None or self.n is None:
-                raise DomainError("uniform needs seed and n")
-            return uniform_stream(self.r, self.seed, self.n)
-        if self.kind == "champernowne":
-            if self.n is None:
-                raise DomainError("champernowne needs n")
-            return champernowne_digits(self.r, self.n)
-        if self.kind == "periodic":
-            if not self.pattern:
-                raise DomainError("periodic needs a pattern")
-            return SymbolicSequence.periodic(Block.from_string(self.pattern, self.r))
-        raise DomainError(f"unknown generator kind {self.kind!r}")
+    return SymbolicSequence(bulk, Alphabet(r), horizon=N)

@@ -103,17 +103,13 @@ class OrderingReport:
     all_distinct: bool
     unit_hamming: Optional[bool]
     nested_suffixes: Optional[bool]
-    bijection: bool
     failures: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        checks = [self.all_distinct, self.bijection]
-        if self.unit_hamming is not None:
-            checks.append(self.unit_hamming)
-        if self.nested_suffixes is not None:
-            checks.append(self.nested_suffixes)
-        return all(checks)
+        # unit_hamming and nested_suffixes are None for a variant without them;
+        # distinct words of the right count are already a permutation
+        return self.all_distinct and self.unit_hamming is not False and self.nested_suffixes is not False
 
 
 def verify_ordering(n: int, start: Optional[Block] = None, variant: str = "gray") -> OrderingReport:
@@ -168,6 +164,5 @@ def _check_words(words: np.ndarray, n: int, variant: str, start: int) -> Orderin
         all_distinct=distinct,
         unit_hamming=unit_hamming,
         nested_suffixes=nested,
-        bijection=distinct,  # distinct n-bit words of the right count = permutation
         failures=failures,
     )

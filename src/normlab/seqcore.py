@@ -108,14 +108,12 @@ class SymbolicSequence:
         bulk_fn: Callable[[int, int], np.ndarray],
         alphabet: Alphabet = BINARY,
         horizon: Optional[int] = None,
-        name: str = "",
         digit_fn: Optional[Callable[[int], int]] = None,
     ):
         self._bulk_fn = bulk_fn
         self._digit_fn = digit_fn or (lambda p: int(bulk_fn(p, 1)[0]))
         self.alphabet = alphabet
         self.horizon = horizon
-        self.name = name
         self._last: tuple = (None, None, None)  # (start, count, weakref to the digits)
 
     def _check_range(self, start: int, count: int) -> None:
@@ -153,23 +151,15 @@ class SymbolicSequence:
             self._last = (start, count, weakref.ref(out))
         return out
 
-    def block(self, start: int, length: int) -> Block:
-        return Block(tuple(int(d) for d in self.digits(start, length)), self.alphabet)
-
     @classmethod
-    def from_array(cls, arr, r: int = 2, name: str = "") -> "SymbolicSequence":
+    def from_array(cls, arr, r: int = 2) -> "SymbolicSequence":
         data = np.asarray(arr, dtype=_dtype_for(r))
         if data.size and int(data.max()) >= r:
             raise DomainError("array contains digits outside the alphabet")
-        return cls(
-            lambda s, c: data[s - 1 : s - 1 + c].copy(),
-            Alphabet(r),
-            horizon=len(data),
-            name=name,
-        )
+        return cls(lambda s, c: data[s - 1 : s - 1 + c].copy(), Alphabet(r), horizon=len(data))
 
     @classmethod
-    def periodic(cls, pattern, r: int = 2, name: str = "") -> "SymbolicSequence":
+    def periodic(cls, pattern, r: int = 2) -> "SymbolicSequence":
         if isinstance(pattern, Block):
             r = pattern.alphabet.size
             pat = pattern.as_array()
@@ -181,12 +171,7 @@ class SymbolicSequence:
             idx = (np.arange(start - 1, start - 1 + count)) % L
             return pat[idx]
 
-        return cls(
-            bulk,
-            Alphabet(r),
-            horizon=None,
-            name=name or f"periodic({''.join(map(str, pat.tolist()))})",
-        )
+        return cls(bulk, Alphabet(r))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +351,6 @@ class EmpiricalMeasure:
     m: int
     counts: dict[tuple[int, ...], int]
     total: int
-    alphabet: Alphabet = BINARY
 
     def __post_init__(self):
         if self.total < 1:
@@ -410,7 +394,7 @@ def empirical_measure(seq: SymbolicSequence, m: int, N: int) -> EmpiricalMeasure
         high_t, low_t = _code_tuples(high_codes, m - low, r), _code_tuples(low_codes, low, r)
         keys = [high_t[a] + low_t[b] for a, b in zip(high_at.tolist(), low_at.tolist())]
         counts.update(zip(keys, bc.counts[start : start + _DECODE_ROWS].tolist()))
-    return EmpiricalMeasure(m, counts, bc.total, seq.alphabet)
+    return EmpiricalMeasure(m, counts, bc.total)
 
 
 def zip_product(seqs: Sequence[SymbolicSequence]) -> SymbolicSequence:
@@ -436,25 +420,15 @@ def zip_product(seqs: Sequence[SymbolicSequence]) -> SymbolicSequence:
             out += s.digits(start, c).astype(_dtype_for(R))
         return out
 
-    return SymbolicSequence(bulk, Alphabet(R), horizon=horizon, name="zip")
+    return SymbolicSequence(bulk, Alphabet(R), horizon=horizon)
 
 
 def base4_split(seq: SymbolicSequence) -> tuple[SymbolicSequence, SymbolicSequence]:
     """Split a base-4 stream into its two binary rows (floor(d/2), d mod 2)."""
     if seq.alphabet.size != 4:
         raise DomainError("base4_split needs an alphabet of size 4")
-    row1 = SymbolicSequence(
-        lambda s, c: (seq.digits(s, c) // 2).astype(np.uint8),
-        BINARY,
-        horizon=seq.horizon,
-        name=f"{seq.name}/hi",
-    )
-    row2 = SymbolicSequence(
-        lambda s, c: (seq.digits(s, c) % 2).astype(np.uint8),
-        BINARY,
-        horizon=seq.horizon,
-        name=f"{seq.name}/lo",
-    )
+    row1 = SymbolicSequence(lambda s, c: (seq.digits(s, c) // 2).astype(np.uint8), BINARY, horizon=seq.horizon)
+    row2 = SymbolicSequence(lambda s, c: (seq.digits(s, c) % 2).astype(np.uint8), BINARY, horizon=seq.horizon)
     return row1, row2
 
 
@@ -514,4 +488,4 @@ def read_nseq(path) -> SymbolicSequence:
         digits = np.frombuffer(payload, dtype=np.uint8)[:n]
     if len(digits) < n:
         raise ValueError("truncated .nseq payload")
-    return SymbolicSequence.from_array(digits, r=r, name=str(path))
+    return SymbolicSequence.from_array(digits, r=r)

@@ -5,4 +5,4 @@ from normlab.seqcore import SymbolicSequence
 
 def constant(digit: int, r: int = 2) -> SymbolicSequence:
     """The sequence digit, digit, digit, ... over an alphabet of size r."""
-    return SymbolicSequence.periodic([digit], r=r, name=f"constant({digit})")
+    return SymbolicSequence.periodic([digit], r=r)

@@ -246,6 +246,13 @@ def test_precision_bits_are_bounded_before_use(bits, error):
         toral_orbit(tm, [Fraction(1, 5), Fraction(2, 5)], 10, precision_bits=bits)
 
 
+def test_negative_grid_bits_are_refused_by_name():
+    tm = ToralMap.from_rows([[2, 1], [1, 1]])
+    with pytest.raises(DomainError, match="grid_bits must be >= 0, got -1"):
+        toral_orbit(tm, [Fraction(1, 5), Fraction(2, 5)], 10, grid_bits=-1)
+    assert toral_orbit(tm, [Fraction(1, 5), Fraction(2, 5)], 10, grid_bits=0).discrepancy == 0.0
+
+
 def test_certified_steps_at_the_precision_cap():
     # induced 1-norm 10^20: the largest k with 2 * 2^32 * 10^(20k) <= 2^(2^20)
     tm = ToralMap.from_rows([[10**20 - 1, 1], [1, 1]])

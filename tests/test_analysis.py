@@ -406,3 +406,11 @@ def test_census_matches_direct_enumeration():
 def test_census_budget():
     with pytest.raises(BudgetError, match="enumeration budget is block length m <= 24, got 30"):
         count_low_entropy_blocks(30, 1, 0.5)
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (4, 0), (4, -1), (3, 4), (-1, 3)])
+def test_census_needs_n_between_1_and_m(m, n):
+    # n = 0 once divided 0/0 into NaN entropies (m = 4 counted all 16
+    # blocks) and m = n = 0 ended in a ZeroDivisionError
+    with pytest.raises(DomainError, match=f"n={n} "):
+        count_low_entropy_blocks(m, n, 0.5)

@@ -8,9 +8,9 @@ import time
 import pytest
 
 from normlab import analysis, experiments, pnormal
-from normlab.cli import main
-from normlab.errors import BUDGETS, DataQualityError, DomainError
-from normlab.generators import GeneratorInstance, y_sequence
+from normlab.cli import _KINDS, main
+from normlab.errors import BUDGETS, DataQualityError
+from normlab.generators import y_sequence
 from normlab.seqcore import read_nseq, write_nseq
 
 
@@ -226,8 +226,21 @@ def test_generate_periodic_sparse_is_not_a_kind(tmp_path, capsys):
               "--out", str(tmp_path / "p.nseq")])
     assert exc.value.code == 2
     assert not (tmp_path / "p.nseq").exists()
-    with pytest.raises(DomainError):
-        GeneratorInstance(kind="periodic-sparse", pattern="01").build()
+    assert "periodic-sparse" not in _KINDS
+
+
+def test_generate_builds_each_kind_from_one_table(tmp_path, capsys):
+    assert tuple(_KINDS) == ("kappa", "y", "v", "bernoulli", "uniform", "champernowne", "periodic")
+    extra = {"bernoulli": ["--p", "1/2", "--seed", "5"], "uniform": ["--r", "3"], "periodic": ["--pattern", "011"]}
+    for kind in _KINDS:
+        out = tmp_path / f"{kind}.nseq"
+        assert main(["generate", "--kind", kind, "--n", "100", "--out", str(out), *extra.get(kind, [])]) == 0
+        assert read_nseq(out).digits(1, 100).shape == (100,)
+    capsys.readouterr()
+    for kind, message in (("bernoulli", "bernoulli needs p, seed, and n"), ("periodic", "periodic needs a pattern")):
+        assert main(["generate", "--kind", kind, "--n", "8", "--out", str(tmp_path / "x.nseq")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "x.nseq").exists()
 
 
 @pytest.mark.parametrize("op", ["entropy", "complexity", "goodness", "profile"])
@@ -409,6 +422,49 @@ def _experiment(name: str, **config) -> list[str]:
     return ["experiment", "--name", name, "--config", json.dumps(config)]
 
 
+def _misshapen_overrides():
+    """For each object parameter of the manifest and each list parameter
+    whose entries are objects: per key of the object, a copy without the key
+    and one with a value of another JSON type; for a list, also a non-object
+    entry."""
+    rows = []
+    for name, cfg in experiments.load_manifest()["experiments"].items():
+        for key, value in cfg.items():
+            if isinstance(value, dict):
+                obj, wrap = value, lambda entry: entry
+            elif isinstance(value, list) and value and isinstance(value[0], dict):
+                obj, wrap = value[0], lambda entry: [entry]
+                rows.append(pytest.param(name, {key: [5]}, id=f"{name}-{key}-non-object"))
+            else:
+                continue
+            for k, v in obj.items():
+                missing = {j: w for j, w in obj.items() if j != k}
+                retyped = {**obj, k: 1 if isinstance(v, str) else "1"}
+                rows.append(pytest.param(name, {key: wrap(missing)}, id=f"{name}-{key}-no-{k}"))
+                rows.append(pytest.param(name, {key: wrap(retyped)}, id=f"{name}-{key}-{k}-retyped"))
+    return rows
+
+
+@pytest.mark.parametrize("name, config", _misshapen_overrides())
+def test_experiment_config_entries_must_be_shaped_like_the_manifest(capsys, name, config):
+    # these once reached the experiment and ended in a KeyError or
+    # TypeError traceback, or failed a check (exit 1)
+    t0 = time.perf_counter()
+    assert main(["experiment", "--name", name, "--config", json.dumps(config)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name} parameter ")
+
+
+def test_every_manifest_value_is_shaped_like_itself():
+    for name, cfg in experiments.load_manifest()["experiments"].items():
+        experiments._check_overrides(name, cfg, cfg)
+    census = experiments.load_manifest()["experiments"]["low-entropy-census"]["cases"][0]
+    experiments._check_overrides("low-entropy-census", {"cases": [census]}, {"cases": [{**census, "c": 1}]})
+
+
 ORBIT = ["algsys", "orbit", "--matrix", "[[2,1],[1,1]]", "--x0", "1/5,2/5"]
 ARITH = ["arith", "--in", "y.nseq", "--frac-bits", "100000000000", "--out", "out.nseq"]
 
@@ -584,8 +640,15 @@ def test_pnormal_long_denominator_ends_quickly(capsys, p):
         (_experiment("base4-independence", n=0), "base4-independence needs n >= 2 for a 2-block, got 0"),
         (_experiment("base4-independence", n=1), "base4-independence needs n >= 2 for a 2-block, got 1"),
         (_experiment("arithmetic-roundtrips", max_pq=0), "arithmetic-roundtrips needs max_pq >= 1, got 0"),
+        (_experiment("low-entropy-census", cases=[{"m": 0, "n": 0, "c": 0.5, "expected": 1}]),
+         "block length n=0 must be >= 1"),
+        (_experiment("low-entropy-census", cases=[{"m": 4, "n": 0, "c": 0.5, "expected": 16}]),
+         "block length n=0 must be >= 1"),
+        (_experiment("toral-discrepancy", grid_bits=-1), "grid_bits must be >= 0, got -1"),
+        ([*ORBIT, "--grid-bits", "-1"], "grid_bits must be >= 0, got -1"),
     ],
-    ids=["carry-monte-carlo-cap", "arithmetic-roundtrips-cap", "base4-n-0", "base4-n-1", "max-pq-0"],
+    ids=["carry-monte-carlo-cap", "arithmetic-roundtrips-cap", "base4-n-0", "base4-n-1", "max-pq-0",
+         "census-m-0-n-0", "census-n-0", "toral-grid-bits", "orbit-grid-bits"],
 )
 def test_experiment_value_outside_its_domain_is_usage_error(capsys, argv, message):
     # the alarm turns a hang, such as an endless carry-scan loop, into a failure of this row

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from normlab.generators import (
     SCHEDULE,
     DomainError,
-    GeneratorInstance,
     LevelSchedule,
     _WORD_CHUNK,
     _kappa_prefix_2048,
@@ -76,7 +75,12 @@ def test_index_density_profile_of_sum_set():
 
 
 def test_schedule_rebuild_is_identical():
-    assert LevelSchedule().exponent(5) == SCHEDULE.exponent(5)
+    # the five fixed exponents follow e_{k+1} = e_k + 2^{e_k} from e_1 = 1
+    exps = [1]
+    while len(exps) < 5:
+        exps.append(exps[-1] + (1 << exps[-1]))
+    assert [LevelSchedule().exponent(k) for k in range(1, 6)] == exps
+    assert SCHEDULE.depth == 5
 
 
 # -- kappa -------------------------------------------------------------------
@@ -331,16 +335,9 @@ def test_probe_domain_errors():
     for fn, p in ((kappa_digit, 0), (kappa_digit, -1), (v_digit, 0), (v_digit, -1), (y_digit, -1)):
         with pytest.raises(DomainError):
             fn(p)
-    small = LevelSchedule(exponent_bit_cap=4)  # levels 2, 8, 2048 only
-    for schedule in (SCHEDULE, small):
-        for p in (-1, 0, 1, 2):
-            with pytest.raises(DomainError):
-                schedule.level_of(p)
-    assert small.level_of(2048) == level_of_by_levels(small, 2048) == 2
-    with pytest.raises(DomainError):
-        small.level_of(2049)
-    with pytest.raises(DomainError):
-        level_of_by_levels(small, 2049)
+    for p in (-1, 0, 1, 2):
+        with pytest.raises(DomainError):
+            SCHEDULE.level_of(p)
 
 
 # -- pseudorandom streams ----------------------------------------------------
@@ -479,13 +476,3 @@ def test_champernowne_base2_balance():
     dev_large = abs(digits.mean() - 0.5)
     assert dev_large <= 0.04
     assert dev_large < dev_small
-
-
-# -- generator instances -----------------------------------------------------
-
-
-def test_generator_instance_dispatch():
-    inst = GeneratorInstance(kind="bernoulli", p="1/2", seed=5, n=100)
-    assert inst.build().digits(1, 100).shape == (100,)
-    with pytest.raises(DomainError):
-        GeneratorInstance(kind="nope").build()

@@ -9,6 +9,21 @@ reads the result files it leaves in .perfbench_out/, and writes
      "end_to_end": {workload: {"correct", "attempted", "failed", metric: value}},
      "layers": {workload: {"correct", metric: value}}}
 
+With --base REV it also checks REV out with `git worktree` into a new
+directory of the temporary directory whose path is as long as this
+checkout's (perfbench's peak RSS moves with the path length), runs PAIRS
+alternated pairs of untraced base and change runs of each workload, the
+side that runs first alternating, removes the worktree, and adds
+
+     "pairs": {"base_rev", "base_sha", "workloads": {workload: {"correct",
+               metric: {"n", "base_median", "change_median", "base_iqr",
+                        "change_wins"}}}}
+
+where change_wins counts the pairs the change won (ties count for
+neither) and base_iqr is the distance between the quartiles of the base
+runs.  Set TMPDIR to a shorter directory when the temporary directory's
+path is not shorter than the checkout's.
+
 Then it prints a field-by-field diff against the newest BENCH file numbered
 below n, skipping metrics that read 0 on both sides (layers a workload does
 not use).  "dirty" says whether the tree held changes besides BENCH files
@@ -19,32 +34,102 @@ another run, so its diff is printed in seconds, not as a percentage.  Exits
 perfbench does all the timing; this script only drives it and collects.
 
 Usage: python3 scripts/bench.py (--number N | --out PATH) [--seconds 30] [--size full|tiny]
+                                [--base REV]
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import operator
+import random
 import re
+import shutil
+import statistics
+import string
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("verify-suite", "cli-session", "block-stats")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mib", "ok_ops_ratio")
+HIGHER_IS_BETTER = ("ok_ops_ratio",)  # lower is better for the other end-to-end metrics
 ENV_FIELDS = ("python", "numpy", "platform", "nproc", "cpu_model", "src_sha256")
 SEED = 3  # every BENCH file is measured at this seed, so any two of them compare
+PAIRS = 10  # alternated pairs per workload with --base: a claimed gain must win at least nine of ten
 OVERHEAD_NOISE_S = 0.2  # trace.overhead_s moves by about this much between runs of the same code
 
 
-def run(workload: str, trace: int, args) -> dict:
-    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+def run(workload: str, trace: int, args, root: Path = ROOT) -> dict:
+    """The result of perfbench/run.py on the checkout at `root`."""
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(SEED), "--seconds", str(args.seconds), "--size", args.size,
            "--trace", str(trace)]
-    subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-    path = ROOT / ".perfbench_out" / f"result-{workload}-trace{trace}.json"
+    subprocess.run(cmd, cwd=root, check=True, stdout=subprocess.DEVNULL)
+    path = root / ".perfbench_out" / f"result-{workload}-trace{trace}.json"
     return json.loads(path.read_text())
+
+
+def equal_length_dir() -> Path:
+    """A new empty directory in the temporary directory whose path has as
+    many characters as ROOT's."""
+    tmp = Path(tempfile.gettempdir()).resolve()
+    room = len(str(ROOT)) - len(str(tmp)) - 1
+    if room < 1:
+        raise SystemExit(f"error: the temporary directory {tmp} is too long for a checkout as long as "
+                         f"{ROOT}; set TMPDIR to a shorter directory")
+    for _ in range(100):
+        path = tmp / "".join(random.choices(string.ascii_lowercase, k=room))
+        with contextlib.suppress(FileExistsError):
+            path.mkdir()
+            return path
+    raise SystemExit(f"error: no free directory name of {room} characters in {tmp}")
+
+
+@contextlib.contextmanager
+def worktree(rev: str):
+    """A detached `git worktree` of `rev` at an `equal_length_dir()`,
+    removed on exit."""
+    path = equal_length_dir()
+    try:
+        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(path), rev], cwd=ROOT, check=True)
+        yield path
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=ROOT, capture_output=True)
+        shutil.rmtree(path, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+
+
+def pair_stats(name: str, base: list[float], change: list[float]) -> dict:
+    """Both medians, the base IQR and the change's wins over pairs
+    (base[i], change[i]) of end-to-end metric `name`; ties win nothing."""
+    better = operator.gt if name in HIGHER_IS_BETTER else operator.lt
+    q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive")
+    return {"n": len(base), "base_median": statistics.median(base), "change_median": statistics.median(change),
+            "base_iqr": q3 - q1, "change_wins": sum(map(better, change, base))}
+
+
+def alternated_pairs(args) -> dict:
+    """The "pairs" section: PAIRS alternated untraced runs of REV and
+    of this checkout per workload."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{args.base}^{{commit}}"], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    section = {"base_rev": args.base, "base_sha": sha, "workloads": {}}
+    with worktree(sha) as base:
+        for workload in WORKLOADS:
+            runs = {base: [], ROOT: []}
+            for i in range(PAIRS):
+                for root in ((base, ROOT) if i % 2 == 0 else (ROOT, base)):
+                    runs[root].append(run(workload, 0, args, root))
+            row = {"correct": all(res["correct"] for side in runs.values() for res in side)}
+            for name in END_TO_END:
+                values = {root: [res["metrics"][name]["value"] for res in side] for root, side in runs.items()}
+                row[name] = pair_stats(name, values[base], values[ROOT])
+            section["workloads"][workload] = row
+    return section
 
 
 def dirty() -> bool | None:
@@ -61,6 +146,8 @@ def dirty() -> bool | None:
 def collect(args) -> dict:
     tree_dirty = dirty()
     bench = {"end_to_end": {}, "layers": {}}
+    if args.base is not None:
+        bench["pairs"] = alternated_pairs(args)
     for workload in WORKLOADS:
         for trace, section in ((0, "end_to_end"), (1, "layers")):
             res = run(workload, trace, args)
@@ -95,7 +182,20 @@ def problems(bench: dict) -> list[str]:
             out += [f"missing {section}.{workload}.{f}" for f in need if f not in row]
             if row.get("correct") is False:
                 out.append(f"{section}.{workload}: correct is false")
+    for workload, row in bench.get("pairs", {}).get("workloads", {}).items():
+        if not row["correct"]:
+            out.append(f"pairs.{workload}: a run reports correct false")
     return out
+
+
+def pairs_table(section: dict) -> list[str]:
+    lines = [f"{'pairs against ' + section['base_sha'][:12]:38} {'base':>12} {'change':>12} {'base IQR':>10}  wins"]
+    for workload, row in section["workloads"].items():
+        for name in END_TO_END:
+            st = row[name]
+            lines.append(f"{workload + '.' + name:38} {_fmt(st['base_median']):>12} {_fmt(st['change_median']):>12} "
+                         f"{_fmt(st['base_iqr']):>10}  {st['change_wins']}/{st['n']}")
+    return lines
 
 
 def earlier(number: int | None, out: Path) -> Path | None:
@@ -140,6 +240,7 @@ def main() -> int:
     ap.add_argument("--out", type=Path, help="write here instead of BENCH_<n>.json")
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--size", choices=("full", "tiny"), default="full")
+    ap.add_argument("--base", metavar="REV", help="also run alternated pairs against this revision")
     args = ap.parse_args()
     if args.number is None and args.out is None:
         ap.error("give --number or --out")
@@ -147,6 +248,8 @@ def main() -> int:
     bench = collect(args)
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out}")
+    if "pairs" in bench:
+        print("\n".join(pairs_table(bench["pairs"])))
     base = earlier(args.number, out)
     if base is not None:
         old = json.loads(base.read_text())

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, within
-from .seqcore import _anchor_codes, _check_code_bits, _counts_from_table, block_counts, check_block_length
+from .seqcore import _check_code_bits, _counts_from_table, block_counts, check_block_length, code_table
 
 
 def combinatorial_entropy(digits: np.ndarray, n: int, r: int = 2) -> float:
@@ -142,11 +142,12 @@ def entropy_profile(
     """H_n of each prefix window for each n, as `combinatorial_entropy` of
     the window would give it, from one count per window.
 
-    The blocks of the largest n, `top`, are anchored once over the longest
-    window.  A window whose table of top-blocks is dense, as
-    `block_histogram` counts it, counts its prefix of those codes into that
-    table and derives every n from it as `block_counts` derives its ladder;
-    a shorter window takes each n from `block_counts`.
+    Windows are taken shortest first.  A window whose table of blocks of
+    the largest n, `top`, is dense, as `block_histogram` counts it, adds
+    the top-blocks the previous dense window lacked to a running table
+    (`code_table`), so each anchor is coded once, and derives every n from
+    that table as `block_counts` derives its ladder; a shorter window takes
+    each n from `block_counts`.
     """
     ns = list(n_range)
     for w in window_lengths:
@@ -154,27 +155,26 @@ def entropy_profile(
             raise DomainError(f"window length {w} must be >= 1")
         if w > len(digits):
             raise DomainError(f"window length {w} exceeds the {len(digits)} digits")
-    digits = digits[: max(window_lengths)]
-    windows = [digits[:w] for w in window_lengths]
-    for window in windows:  # the errors of the per-window rule, in its order
+    for w in window_lengths:  # the errors of the per-window rule, in its order
         for n in ns:
-            check_block_length(n, len(window))
+            check_block_length(n, w)
             _check_code_bits(n, r)
     profile = EntropyProfile()
     if not ns:
         return profile
     top = max(ns)
-    codes = None
-    for w, window in zip(window_lengths, windows):
-        head = w - top + 1  # top-blocks inside the window
+    rows, table, coded = {}, None, 0  # table counts the top-blocks at the first `coded` anchors
+    for w in sorted(set(window_lengths)):
+        window, head = digits[:w], w - top + 1  # head: top-blocks inside the window
         if r**top <= head:
-            if codes is None:
-                codes = _anchor_codes(digits, top, r)
-            table = np.bincount(codes[:head], minlength=r**top)
+            more = code_table(digits[coded : head + top - 1], top, r, head - coded)
+            table, coded = (more if table is None else table + more), head
             counts = [_counts_from_table(table, window, top, n, r)[1] for n in ns]
         else:
             counts = [block_counts(window, n, r).counts for n in ns]
-        profile.rows += [(w, n, _entropy(c, n)) for n, c in zip(ns, counts)]
+        rows[w] = [(w, n, _entropy(c, n)) for n, c in zip(ns, counts)]
+    for w in window_lengths:
+        profile.rows += rows[w]
     return profile
 
 

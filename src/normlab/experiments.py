@@ -155,8 +155,8 @@ def _check_overrides(name: str, config: dict, overrides) -> None:
         _check_shape(name, key, config[key], value)
         if key in _LOG2_KEYS:
             exps = value if isinstance(value, list) else [value]
-            if not exps or min(exps) < 0:
-                each = " for each of a non-empty list" if isinstance(value, list) else ""
+            if min(exps) < 0:
+                each = " for each entry" if isinstance(value, list) else ""
                 raise DomainError(f"{name} parameter {key!r} must be >= 0{each}, got {value!r}")
             within("digit", max(exps), log2=True)
         if key == "tolerance_log2":
@@ -168,8 +168,8 @@ def _check_overrides(name: str, config: dict, overrides) -> None:
 def _check_shape(name: str, key: str, want, got) -> None:
     """Raise DomainError unless `got` is shaped like the manifest value
     `want`: the same JSON type (an integer may stand where the manifest has
-    a float), an object with the same keys, each list entry shaped like the
-    manifest list's first entry."""
+    a float), an object with the same keys, a list non-empty where the
+    manifest's is and each entry shaped like the manifest list's first."""
     if type(got) is not type(want) and not (type(want) is float and type(got) is int):
         raise DomainError(f"{name} parameter {key!r} must be {type(want).__name__}, got {got!r}")
     if isinstance(want, dict):
@@ -178,6 +178,8 @@ def _check_shape(name: str, key: str, want, got) -> None:
         for k in want:
             _check_shape(name, f"{key}.{k}", want[k], got[k])
     elif isinstance(want, list) and want:
+        if not got:  # an empty list would run no case and pass no check
+            raise DomainError(f"{name} parameter {key!r} must be a non-empty list, got []")
         for i, entry in enumerate(got):
             _check_shape(name, f"{key}[{i}]", want[0], entry)
 

@@ -362,6 +362,7 @@ def profile_inputs(draw):
 @example((2, [0, 1, 1] * 40, [50, 120], [3, 62]))  # a short window before the budget
 @example((3, [0, 1, 2, 2] * 30, [120, 7], [40, 2]))
 @example((2, [1] * 300, [300, 299, 1], [1]))
+@example((2, [0, 0, 1, 1, 1] * 60, [300, 40, 100], [3, 2]))  # dense windows out of order: one running table
 def test_profile_matches_per_window_entropy(inputs):
     r, digits, windows, ns = inputs
     arr = np.array(digits, dtype=np.uint8)

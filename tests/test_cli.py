@@ -465,6 +465,37 @@ def test_every_manifest_value_is_shaped_like_itself():
     experiments._check_overrides("low-entropy-census", {"cases": [census]}, {"cases": [{**census, "c": 1}]})
 
 
+@pytest.mark.parametrize(
+    "name, config, key",
+    [
+        ("low-entropy-census", {"cases": []}, "cases"),
+        ("xy-switch-decay", {"prefix_log2s": []}, "prefix_log2s"),
+        ("toral-discrepancy", {"matrix": []}, "matrix"),
+        ("toral-discrepancy", {"matrix": [[], []]}, "matrix[0]"),
+    ],
+    ids=["census-cases", "xy-prefix-log2s", "toral-matrix", "toral-matrix-row"],
+)
+def test_experiment_empty_list_is_usage_error(capsys, name, config, key):
+    # an empty list of census cases ran no check and reported PASS
+    t0 = time.perf_counter()
+    assert main(_experiment(name, **config)) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {name} parameter {key!r} must be a non-empty list, got []"]
+
+
+def test_recorded_curve_is_not_an_override(capsys):
+    # no experiment reads recorded_curve, so an override of it changed nothing and exited 0
+    t0 = time.perf_counter()
+    assert main(_experiment("xy-switch-decay", recorded_curve=[1])) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: xy-switch-decay has no parameter 'recorded_curve'; known: ")
+
+
 ORBIT = ["algsys", "orbit", "--matrix", "[[2,1],[1,1]]", "--x0", "1/5,2/5"]
 ARITH = ["arith", "--in", "y.nseq", "--frac-bits", "100000000000", "--out", "out.nseq"]
 
@@ -581,7 +612,7 @@ DIGIT_BUDGET = "digit budget is digits read at once <= 67108864, got "
         ("complexity-contrast", {"kappa_prefix_log2": 27}, DIGIT_BUDGET + "2^27"),
         ("xy-switch-decay", {"prefix_log2s": [12, 10**10]}, DIGIT_BUDGET + "2^10000000000"),
         ("xy-switch-decay", {"prefix_log2s": []},
-         "xy-switch-decay parameter 'prefix_log2s' must be >= 0 for each of a non-empty list, got []"),
+         "xy-switch-decay parameter 'prefix_log2s' must be a non-empty list, got []"),
         ("vy-identity", {"tolerance_log2": 1}, "vy-identity parameter 'tolerance_log2' must be <= 0, got 1"),
         ("vy-identity", {"tolerance_log2": -(2**26) - 1}, DIGIT_BUDGET + "67108865"),
         ("vy-identity", {"tolerance_log2": -(10**10)}, DIGIT_BUDGET + "10000000000"),

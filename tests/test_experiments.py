@@ -56,7 +56,7 @@ def test_pair_block_counts_match_frequencies(data):
 
 
 def test_xy_switch_decay_matches_recorded_curve():
-    recorded = load_manifest()["experiments"]["xy-switch-decay"]["recorded_curve"]
+    recorded = load_manifest()["reference"]["xy-switch-decay"]["recorded_curve"]
     rep = run_experiment("xy-switch-decay")
     curve = next(c.measured for c in rep.checks if c.name == "curve-nonincreasing")
     assert [round(v, 6) for v in curve] == recorded

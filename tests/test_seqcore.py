@@ -1,7 +1,9 @@
 import re
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from normlab import seqcore
 from normlab.errors import BUDGETS, BudgetError, DomainError
-from normlab.generators import bernoulli_stream, uniform_stream
+from normlab.generators import bernoulli_stream, kappa_sequence, uniform_stream
 from normlab.seqcore import (
     Alphabet,
     Block,
@@ -159,6 +161,56 @@ def test_block_histogram_matches_counter(case):
     assert list(zip(observed.tolist(), counts.tolist())) == sorted(Counter(codes).items())
 
 
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, (1 << 62) - 1) | st.integers(0, 7), max_size=80), st.integers(1, 5))
+@example([], 1)
+@example([12345], 1)
+@example([3, 3, 3], 1)
+def test_sorting_histogram_matches_unique(codes, extra):
+    # n_blocks above len(codes): the path that sorts the codes in place
+    arr = np.array(codes, dtype=np.int64)
+    want_codes, want_counts = np.unique(arr, return_counts=True)
+    got_codes, got_counts = block_histogram(arr.copy(), len(codes) + extra)
+    assert got_codes.tolist() == want_codes.tolist() and got_counts.tolist() == want_counts.tolist()
+    assert got_codes.dtype == want_codes.dtype == np.int64
+    assert got_counts.dtype == want_counts.dtype == np.int64
+
+
+# -- the chunked code table --------------------------------------------------
+
+
+def table_by_definition(digits: np.ndarray, M: int, r: int, head: int) -> np.ndarray:
+    """Counts of the first `head` M-block codes from one full-length anchor
+    pass, the table block_counts built before it counted in chunks."""
+    return np.bincount(_anchor_codes(digits[: head + M - 1], M, r), minlength=r**M)
+
+
+C = seqcore._TABLE_CHUNK
+
+
+@pytest.mark.parametrize("r, M", [(2, 16), (3, 9)])
+@pytest.mark.parametrize("head", [C - 1, C, C + 1, "2C+M"])
+def test_code_table_matches_bincount_of_the_anchor_codes(r, M, head):
+    head = 2 * C + M if head == "2C+M" else head
+    digits = np.random.default_rng(head + r).integers(0, r, 2 * C + 2 * M + 5, dtype=np.uint8)
+    got = seqcore.code_table(digits, M, r, head)
+    assert got.dtype == np.int64 and got.sum() == head
+    assert got.tolist() == table_by_definition(digits, M, r, head).tolist()
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_code_table_every_chunk_boundary(data):
+    # chunks of 8 anchors, so heads and lengths cross many chunk boundaries
+    r = data.draw(st.integers(2, 4))
+    M = data.draw(st.integers(1, 4))
+    digits = np.array(data.draw(st.lists(st.integers(0, r - 1), min_size=M, max_size=70)), dtype=np.uint8)
+    head = data.draw(st.integers(0, len(digits) - M + 1))
+    with mock.patch.object(seqcore, "_TABLE_CHUNK", 8):
+        got = seqcore.code_table(digits, M, r, head)
+    assert got.tolist() == table_by_definition(digits, M, r, head).tolist()
+
+
 # -- anchor codes ------------------------------------------------------------
 
 
@@ -298,6 +350,46 @@ def test_measure_decode_across_chunks_odd_m(r, m):
     assert len(want) > 2 * 4096
     assert list(em.counts.items()) == list(want.items())
 
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 4), st.lists(st.integers(0, 3), min_size=1, max_size=120), st.integers(1, 9))
+@example(2, [0, 1, 1, 0, 1], 1)
+@example(3, [2, 2, 2, 2], 2)
+def test_measure_view_matches_the_dict(r, digits, m):
+    seq = SymbolicSequence.from_array([d % r for d in digits], r=r)
+    m = min(m, len(digits))
+    view = empirical_measure(seq, m, len(digits)).counts
+    want = measure_counts_by_rows(seq, m, len(digits))
+    assert list(view.items()) == list(want.items())
+    assert list(view) == list(want) and len(view) == len(want)
+    assert view == want and want == view and view != {**want, (0,) * m: -1}
+    for key, count in want.items():
+        assert key in view and view[key] == view.get(key) == count and type(view[key]) is int
+        assert view[tuple(np.array(key, dtype=np.uint8))] == count  # numpy digits, as seq.digits gives them
+    absent = [key for key in map(tuple, np.ndindex(*(r,) * m)) if key not in want][:5]
+    wrong_length = [(0,) * (m + 1), (0,) * (m - 1), ()]
+    outside = [(r,) + (0,) * (m - 1), (0,) * (m - 1) + (-1,), (r**m,) * m]
+    # out of the alphabet, but encoding to the code of a key that occurs
+    outside += [k[:-2] + (k[-2] - 1, k[-1] + r) for k in want if m >= 2 and k[-2] >= 1][:5]
+    # not integers: with r = 2, (0.5, 0) would encode to the code of (0, 1)
+    outside += [(1 / r,) + k[1:] for k in want][:5] + [(np.float64(0.5),) * m, ("0",) * m]
+    for key in absent + wrong_length + outside:
+        assert key not in view and view.get(key) is None and view.get(key, 7) == 7
+        with pytest.raises(KeyError):
+            view[key]
+
+
+def test_measure_lookup_by_numpy_digits_does_not_wrap():
+    # nine uint8 digits 1 encode to 511; in uint8 arithmetic that wraps to
+    # 255, the code of (0, 1, 1, 1, 1, 1, 1, 1, 1)
+    seq = SymbolicSequence.from_array([0] + [1] * 10 + [0] * 5, r=2)
+    em = empirical_measure(seq, 9, 16)
+    ones, shifted = (1,) * 9, (0,) + (1,) * 8
+    assert (em.counts[ones], em.counts[shifted]) == (2, 1)
+    assert em.fraction(seq.digits(2, 9)) == em.fraction(ones) == Fraction(2, 8)
+    assert em.fraction(np.zeros(9, dtype=np.uint8)) == em.fraction((0,) * 9) == 0
+    assert em.counts.get(tuple(np.arange(9, dtype=np.int64) % 2)) == em.counts.get((0, 1) * 4 + (0,))
 
 
 def test_prefix_frequency_matches_measure_refinement():
@@ -597,3 +689,43 @@ def test_nseq_header_layout(tmp_path):
     assert int.from_bytes(blob[5:7], "little") == 2
     assert int.from_bytes(blob[7:15], "little") == 3
     assert blob[15] == 0b101  # LSB-first packing: digits 1,0,1 -> bits 0,1,2
+
+
+# -- memory of the counts ----------------------------------------------------
+
+
+def traced(fn, *args):
+    """(result, bytes still held, peak bytes) of one call under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+MiB = 1 << 20
+
+
+def test_block_counts_memory_on_2_20_digits():
+    kappa = kappa_sequence().digits(1, 1 << 20)
+    fresh = lambda: frozen(kappa)  # a new array: no memo entry holds its counts
+    # the dense M = 16 table: one chunk of codes at a time (9.4 MiB when all
+    # 2^20 codes were built at once)
+    _, _, peak = traced(block_counts, fresh(), 10, 2)
+    assert peak <= 3 * MiB
+    # the sparse m = 28 path: the 8 MiB of codes sorted in place (18.0 MiB
+    # when np.unique sorted a copy)
+    _, _, peak = traced(block_counts, fresh(), 28, 2)
+    assert peak <= 10 * MiB
+
+
+def test_measure_retains_arrays_not_tuples():
+    # 65,536 distinct 16-blocks: 1 MiB of codes and counts, where a dict of
+    # digit tuples held 14.6 MiB
+    seq = bernoulli_stream(Fraction(1, 2), 3, 1 << 20)
+    digits = seq.digits(1, 1 << 20)  # generated outside the trace, and kept for the measure
+    em, held, _ = traced(empirical_measure, seq, 16, 1 << 20)
+    assert len(em.counts) == 1 << 16 and seq.digits(1, 1 << 20) is digits
+    assert held <= 2 * MiB

@@ -44,9 +44,10 @@ def modp_add(s1: SymbolicSequence, s2: SymbolicSequence, N: int) -> SymbolicSequ
         raise DomainError(
             f"modulus mismatch: {p} vs {s2.alphabet.size}"
         )
-    a = s1.digits(1, N).astype(np.int64)
-    b = s2.digits(1, N).astype(np.int64)
-    return SymbolicSequence.from_array(((a + b) % p), r=p)
+    out = s1.digits(1, N).astype(np.min_scalar_type(2 * (p - 1)))  # uint8 unless 2(p - 1) > 255
+    out += s2.digits(1, N)
+    out %= p
+    return SymbolicSequence.from_array(out, r=p)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,7 @@ class LinearCA:
         if not _is_prime(self.p):
             raise DomainError(f"modulus must be prime, got {self.p}")
         if not self.coeffs:
-            raise ValueError("need at least one coefficient")
+            raise DomainError("need at least one coefficient")
 
     @property
     def reach(self) -> int:
@@ -73,17 +74,20 @@ class LinearCA:
 
 def apply_ca(ca: LinearCA, s: SymbolicSequence, N: int) -> SymbolicSequence:
     """Apply the automaton to the first N + reach input digits."""
-    if s.alphabet.size != ca.p:
-        raise DomainError(f"stream alphabet {s.alphabet.size} != modulus {ca.p}")
-    k = ca.reach
+    p, k = ca.p, ca.reach
+    if s.alphabet.size != p:
+        raise DomainError(f"stream alphabet {s.alphabet.size} != modulus {p}")
+    if N < 0:
+        raise DomainError(f"n must be >= 0, got {N}")
     if s.horizon is not None and s.horizon < N + k:
         raise DomainError(f"need {N + k} digits, horizon is {s.horizon}")
-    arr = s.digits(1, N + k).astype(np.int64)
-    out = np.zeros(N, dtype=np.int64)
+    arr = s.digits(1, N + k).astype(np.min_scalar_type(p * (p - 1)))  # the sum, reduced after each term, is < p^2
+    out, term = np.zeros(N, dtype=arr.dtype), np.empty(N, dtype=arr.dtype)
     for j, c in enumerate(ca.coeffs):
-        if c % ca.p:
-            out += (c % ca.p) * arr[j : j + N]
-    return SymbolicSequence.from_array(out % ca.p, r=ca.p)
+        if c % p:
+            out += np.multiply(arr[j : j + N], c % p, out=term)
+            out %= p
+    return SymbolicSequence.from_array(out, r=p)
 
 
 # ---------------------------------------------------------------------------

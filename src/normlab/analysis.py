@@ -143,7 +143,7 @@ def entropy_profile(
     the window would give it, from one count per window.
 
     Windows are taken shortest first.  A window whose table of blocks of
-    the largest n, `top`, is dense, as `block_histogram` counts it, adds
+    the largest n, `top`, is dense (r^top <= its top-blocks) adds
     the top-blocks the previous dense window lacked to a running table
     (`code_table`), so each anchor is coded once, and derives every n from
     that table as `block_counts` derives its ladder; a shorter window takes

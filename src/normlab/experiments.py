@@ -441,16 +441,16 @@ def _complexity_contrast(cfg: dict):
     )
 
 
-def _pair_block_counts(d1: np.ndarray, d2: np.ndarray, blen: int):
-    """Counts of the binary blen-blocks anchored at each position of two
-    equally long rows, in one pass: the joint histogram indexed by
-    c1 * 2^blen + c2, and the two marginal histograms."""
-    nb = 1 << blen
-    c1 = seqcore._anchor_codes(d1, blen, 2)
-    c2 = seqcore._anchor_codes(d2, blen, 2)
-    joint = np.bincount(c1 * nb + c2, minlength=nb * nb)
-    table = joint.reshape(nb, nb)
-    return joint, table.sum(1), table.sum(0)
+def _row_pair_table(digits: np.ndarray, blen: int) -> np.ndarray:
+    """Counts of the blen-blocks anchored in the two binary rows (d // 2,
+    d % 2) of base-4 digits, indexed by the two rows' codes.  A base-4 digit
+    is 2 * hi + lo, so the base-4 block codes split into the rows' codes by
+    regrouping their bits: a fixed permutation of the table."""
+    bc = seqcore.block_counts(digits, blen, 4)
+    table = np.zeros(4**blen, dtype=np.int64)
+    table[bc.codes] = bc.counts
+    rows_first = [*range(0, 2 * blen, 2), *range(1, 2 * blen, 2)]  # the hi bits, then the lo bits
+    return table.reshape((2, 2) * blen).transpose(rows_first).reshape(1 << blen, 1 << blen)
 
 
 @_experiment("base4-independence")
@@ -459,19 +459,18 @@ def _base4_independence(cfg: dict):
     if N < 2:
         raise DomainError(f"base4-independence needs n >= 2 for a 2-block, got {N}")
     k = cfg["sigma_count"]
-    stream = uniform_stream(4, derive_seed(cfg["seed"], "base4"), N + 2)
-    row1, row2 = seqcore.base4_split(stream)
-    d1, d2 = row1.digits(1, N), row2.digits(1, N)
+    digits = uniform_stream(4, derive_seed(cfg["seed"], "base4"), N + 2).digits(1, N)
     for blen in (1, 2):
         W = N - blen + 1
         nb = 1 << blen
-        joint, marg1, marg2 = _pair_block_counts(d1, d2, blen)
+        joint = _row_pair_table(digits, blen)
+        marg1, marg2 = joint.sum(1), joint.sum(0)
         worst = 0.0
         worst_name = ""
         ok = True
         for a1 in range(nb):
             for a2 in range(nb):
-                j = float(Fraction(int(joint[a1 * nb + a2]), W))
+                j = float(Fraction(int(joint[a1, a2]), W))
                 m1 = float(Fraction(int(marg1[a1]), W))
                 m2 = float(Fraction(int(marg2[a2]), W))
                 target = m1 * m2

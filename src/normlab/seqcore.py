@@ -170,8 +170,8 @@ class SymbolicSequence:
         L = len(pat)
 
         def bulk(start: int, count: int) -> np.ndarray:
-            idx = (np.arange(start - 1, start - 1 + count)) % L
-            return pat[idx]
+            k = (start - 1) % L  # tile the pattern rotated to the start: no index array
+            return np.tile(np.concatenate((pat[k:], pat[:k])), -(-count // L))[:count]
 
         return cls(bulk, Alphabet(r))
 
@@ -180,14 +180,17 @@ class SymbolicSequence:
 # occurrence counting
 
 
-def _anchor_codes(digits: np.ndarray, m: int, r: int) -> np.ndarray:
-    """Base-r code of the m-block anchored at each position (first digit MSB)."""
+def _anchor_codes(digits: np.ndarray, m: int, r: int, compact: bool = False) -> np.ndarray:
+    """Base-r code of the m-block anchored at each position (first digit MSB)
+    as int64, or, when `compact`, as uint32 for binary blocks of length
+    3 <= m <= 32: half the bytes for a sort, where `bincount` would cast
+    them back to int64."""
     W = len(digits) - m + 1
     if W <= 0:
         return np.zeros(0, dtype=np.int64)
     _check_code_bits(m, r)
     if r == 2 and 3 <= m <= 57:  # the m-pass loop is faster only for m <= 2
-        return _packed_codes(digits, m, W)
+        return _packed_codes(digits, m, W, compact and m <= 32)
     codes = np.zeros(W, dtype=np.int64)
     for j in range(m):
         codes *= r
@@ -200,8 +203,9 @@ def _check_code_bits(m: int, r: int) -> None:
         raise DomainError(f"block codes for m={m}, r={r} exceed the 64-bit budget")
 
 
-def _packed_codes(digits: np.ndarray, m: int, W: int) -> np.ndarray:
-    """Binary anchor codes from the bit-packed digits, in one pass at any m.
+def _packed_codes(digits: np.ndarray, m: int, W: int, uint32: bool) -> np.ndarray:
+    """Binary anchor codes from the bit-packed digits at any m, as int64 or
+    uint32, phase by phase, with no full-size uint64 temporary.
 
     Word q is the big-endian uint64 of packed bytes q .. q+7, that is digits
     8q .. 8q+63; the block anchored at digit 8q+s is its bits s .. s+m-1
@@ -212,28 +216,20 @@ def _packed_codes(digits: np.ndarray, m: int, W: int) -> np.ndarray:
     bits = np.packbits(digits)
     packed[: len(bits)] = bits
     words = np.ndarray((rows,), dtype=">u8", buffer=packed, strides=(1,)).astype(np.uint64)
-    shifts = np.arange(64 - m, 56 - m, -1, dtype=np.uint64)
-    codes = words[:, None] >> shifts
-    codes &= np.uint64((1 << m) - 1)
-    return codes.view(np.int64).reshape(-1)[:W]
+    codes = np.empty((rows, 8), dtype=np.uint32 if uint32 else np.int64)
+    for s in range(8):
+        np.bitwise_and(words >> np.uint64(64 - m - s), np.uint64((1 << m) - 1), out=codes[:, s], casting="unsafe")
+    return codes.reshape(-1)[:W]
 
 
-def block_histogram(codes: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """The block codes that occur, in ascending order, and their int64 counts.
-
-    `n_blocks` is the number of possible codes (r^m for m-blocks).  A table
-    of all of them is counted when it is no longer than `codes`; otherwise
-    `codes` is sorted in place and its runs are measured, so memory stays
-    linear in len(codes) and no copy of the codes is made.
-    """
-    if n_blocks <= len(codes):
-        counts = np.bincount(codes, minlength=n_blocks)
-        observed = np.flatnonzero(counts)
-        return observed, counts[observed]
+def block_histogram(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The block codes that occur, ascending, as int64, and their int64
+    counts: `codes` is sorted in place and its runs are measured, so memory
+    stays linear in len(codes) however many codes are possible."""
     codes.sort()
     starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1  # where each run but the first starts
     first = np.concatenate(([0], starts))[: len(codes)]
-    return codes[first], np.diff(first, append=len(codes))
+    return codes[first].astype(np.int64, copy=False), np.diff(first, append=len(codes))
 
 
 _TABLE_CHUNK = 1 << 17  # anchors coded at a time, 1 MiB of codes; 2^16 was about 10 % slower on 2^20 digits
@@ -241,10 +237,16 @@ _TABLE_CHUNK = 1 << 17  # anchors coded at a time, 1 MiB of codes; 2^16 was abou
 
 def code_table(digits: np.ndarray, M: int, r: int, head: int) -> np.ndarray:
     """Dense int64 counts, by code, of the M-blocks anchored at the first
-    `head` positions of `digits`, coding _TABLE_CHUNK anchors at a time."""
+    `head` positions of `digits`, coding _TABLE_CHUNK anchors at a time, or
+    r^M / 8 when that is more, so that no chunk's bincount is mostly the
+    zeroing and adding of a table, and a chunk's codes add an eighth of a
+    table to the table and one bincount (r = 4, M = 12 on 2^25 digits: 2.7 s
+    and a 272 MiB tracemalloc peak, against 15 s and 257 MiB in chunks of
+    2^17)."""
     table = np.zeros(r**M, dtype=np.int64)
-    for start in range(0, head, _TABLE_CHUNK):
-        stop = min(start + _TABLE_CHUNK, head)
+    step = max(_TABLE_CHUNK, r**M // 8)
+    for start in range(0, head, step):
+        stop = min(start + step, head)
         table += np.bincount(_anchor_codes(digits[start : stop + M - 1], M, r), minlength=r**M)
     return table
 
@@ -298,8 +300,8 @@ def _forget(ref: weakref.ref) -> None:
 
 def _top_length(n: int) -> int:
     """The largest M with 2^M <= min(2^16, n - M + 1), or 0: the length at
-    which a table of the M-blocks of n binary digits is dense, as
-    `block_histogram` counts it, and at most 512 KiB."""
+    which a table of the M-blocks of n binary digits is dense (no more
+    codes than anchors) and at most 512 KiB."""
     M = min(_TABLE_BITS, n.bit_length() - 1)
     while M > 0 and (1 << M) > n - M + 1:
         M -= 1
@@ -307,7 +309,7 @@ def _top_length(n: int) -> int:
 
 
 def _counts_from_table(table: np.ndarray, digits: np.ndarray, M: int, m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-blocks of `digits` as `block_histogram` gives them, for m <= M,
+    """The m-blocks of `digits`, codes ascending with counts, for m <= M,
     from `table`, the dense counts of the first len(digits) - M + 1 of its
     M-blocks by code.
 
@@ -330,7 +332,8 @@ def block_counts(digits: np.ndarray, m: int, r: int) -> BlockCounts:
     once at its top length M (`_top_length`) into a table memoised the same
     way, and every m <= M is derived from it.  A writeable array, an
     alphabet above 2 (where the table would cost M multiply-add passes, not
-    m) and m > M are counted at m, a writeable array every time.
+    m) and m > M are counted at m, a writeable array every time: densely
+    by `code_table` when r^m <= the anchors, else by `block_histogram`.
     """
     global _counts_last, _table_last
     check_block_length(m, len(digits))
@@ -344,8 +347,10 @@ def block_counts(digits: np.ndarray, m: int, r: int) -> BlockCounts:
             table = code_table(digits, M, 2, len(digits) - M + 1)
             _table_last = (id(digits), weakref.ref(digits, _forget), table)
         codes, counts = _counts_from_table(_table_last[2], digits, M, m, 2)
+    elif r**m <= len(digits) - m + 1:  # dense: a table at m itself
+        codes, counts = _counts_from_table(code_table(digits, m, r, len(digits) - m + 1), digits, m, m, r)
     else:
-        codes, counts = block_histogram(_anchor_codes(digits, m, r), r**m)
+        codes, counts = block_histogram(_anchor_codes(digits, m, r, compact=True))
     codes.setflags(write=False)
     counts.setflags(write=False)
     bc = BlockCounts(len(digits) - m + 1, codes, counts)
@@ -477,15 +482,6 @@ def zip_product(seqs: Sequence[SymbolicSequence]) -> SymbolicSequence:
         return out
 
     return SymbolicSequence(bulk, Alphabet(R), horizon=horizon)
-
-
-def base4_split(seq: SymbolicSequence) -> tuple[SymbolicSequence, SymbolicSequence]:
-    """Split a base-4 stream into its two binary rows (floor(d/2), d mod 2)."""
-    if seq.alphabet.size != 4:
-        raise DomainError("base4_split needs an alphabet of size 4")
-    row1 = SymbolicSequence(lambda s, c: (seq.digits(s, c) // 2).astype(np.uint8), BINARY, horizon=seq.horizon)
-    row2 = SymbolicSequence(lambda s, c: (seq.digits(s, c) % 2).astype(np.uint8), BINARY, horizon=seq.horizon)
-    return row1, row2
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from normlab.algsys import (
@@ -67,6 +67,68 @@ def test_modp_group_laws(a, b, c):
     )
     neg_a = seq3([(-d) % 3 for d in a[:n]])
     assert modp_add(sa, neg_a, n).digits(1, n).tolist() == [0] * n
+
+
+def modp_sum_by_definition(a: list[int], b: list[int], p: int) -> list[int]:
+    """(a + b) mod p in int64, the sum modp_add took before it kept the
+    digits in their own small dtype."""
+    return ((np.array(a, dtype=np.int64) + np.array(b, dtype=np.int64)) % p).tolist()
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([2, 3, 5, 127, 131, 251, 257]).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)), max_size=40))
+))
+@example((127, [(126, 126)] * 3))  # 2(p - 1) = 252: the largest sum uint8 holds
+@example((131, [(130, 130), (130, 1), (0, 0)]))  # 2(p - 1) >= 256: the sum is widened
+@example((251, [(250, 250), (250, 1), (125, 126)]))
+@example((3, []))
+def test_modp_add_matches_int64_sum(case):
+    # primes on both sides of the uint8 limit, and one whose digits are uint32
+    p, pairs = case
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    n = len(pairs)
+    out = modp_add(SymbolicSequence.from_array(a, r=p), SymbolicSequence.from_array(b, r=p), n)
+    assert out.alphabet.size == p
+    assert out.digits(1, n).tolist() == modp_sum_by_definition(a, b, p)
+
+
+def ca_by_definition(coeffs: tuple[int, ...], p: int, digits: list[int], N: int) -> list[int]:
+    """sum_j (c_j mod p) * in[n + j] accumulated in int64 and reduced once,
+    the sum apply_ca took before it reduced after each term in uint8."""
+    arr = np.array(digits, dtype=np.int64)
+    out = np.zeros(N, dtype=np.int64)
+    for j, c in enumerate(coeffs):
+        if c % p:
+            out += (c % p) * arr[j : j + N]
+    return (out % p).tolist()
+
+
+@settings(max_examples=100)
+@given(st.data())
+@example(None)
+def test_apply_ca_matches_int64_sum(data):
+    if data is None:  # every term at its largest: p^2 > 256 widens the sum
+        p, coeffs, digits = 17, (16, -1, 33, 16, 16), [16] * 12
+    else:
+        p = data.draw(st.sampled_from([2, 3, 17]))
+        # coefficients that are 0, >= p or negative too
+        coeffs = tuple(data.draw(st.lists(st.integers(-3 * p, 3 * p), min_size=1, max_size=5)))
+        digits = data.draw(st.lists(st.integers(0, p - 1), min_size=len(coeffs) - 1, max_size=40))
+    N = len(digits) - (len(coeffs) - 1)
+    out = apply_ca(LinearCA(p, coeffs), SymbolicSequence.from_array(digits, r=p), N)
+    assert out.alphabet.size == p
+    assert out.digits(1, N).tolist() == ca_by_definition(coeffs, p, digits, N)
+
+
+def test_apply_ca_rejects_negative_n():
+    with pytest.raises(DomainError, match="n must be >= 0, got -1"):
+        apply_ca(LinearCA(2, (1, 1)), SymbolicSequence.from_array([0, 1, 1]), -1)
+
+
+def test_ca_needs_a_coefficient():
+    with pytest.raises(DomainError, match="need at least one coefficient"):
+        LinearCA(2, ())
 
 
 def test_ca_switch_map():

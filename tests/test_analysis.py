@@ -180,7 +180,7 @@ def test_complexity_head_count_matches_taking_heads(digits, m, eps, j):
     arr = np.array(digits, dtype=np.uint8)
     m = min(m, len(digits))
     W = len(digits) - m + 1
-    _, counts = block_histogram(_anchor_codes(arr, m, 2), 1 << m)
+    _, counts = block_histogram(_anchor_codes(arr, m, 2))
     # eps * W on an integer and 10^-20 to either side of it, where a float
     # product would round across the integer
     on = Fraction(j % W, W)

@@ -392,6 +392,16 @@ def test_algsys_stream_op_missing_input_is_usage_error(capsys, argv, missing):
     assert capsys.readouterr().err.strip() == f"error: algsys {op} needs {missing}"
 
 
+def test_algsys_ca_negative_n_is_usage_error(tmp_path, capsys):
+    stream = tmp_path / "b.nseq"
+    assert main(["generate", "--kind", "bernoulli", "--p", "1/2", "--n", "16", "--out", str(stream)]) == 0
+    capsys.readouterr()
+    assert main(["algsys", "ca", "--in", str(stream), "--n", "-1", "--out", str(tmp_path / "ca.nseq")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.strip() == "error: n must be >= 0, got -1"
+    assert not (tmp_path / "ca.nseq").exists()
+
+
 @pytest.mark.parametrize(
     "name, config, message",
     [

@@ -1,13 +1,15 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normlab.experiments import _pair_block_counts, load_manifest, run_experiment
+from normlab.experiments import _row_pair_table, load_manifest, run_experiment
 from normlab.seqcore import Block, SymbolicSequence, _anchor_codes, prefix_frequency
 
-from helpers import constant
+from helpers import base4_split, constant
 
 
 def joint_frequency(seq1, seq2, B1: Block, B2: Block, N: int) -> Fraction:
@@ -39,20 +41,39 @@ def test_joint_frequency_constant_left():
 @settings(max_examples=100)
 @given(data=st.data())
 def test_pair_block_counts_match_frequencies(data):
+    # the row-pair table read from the base-4 block counts, against the
+    # frequencies of each binary row on its own and of both rows together
     N = data.draw(st.integers(2, 40))
-    rows = [data.draw(st.lists(st.integers(0, 1), min_size=N, max_size=N)) for _ in range(2)]
-    s1, s2 = (SymbolicSequence.from_array(r) for r in rows)
+    digits = data.draw(st.lists(st.integers(0, 3), min_size=N, max_size=N))
+    quad = SymbolicSequence.from_array(digits, r=4)
+    # read-only, as the experiment's digits are, or writeable
+    arr = quad.digits(1, N) if data.draw(st.booleans()) else np.array(digits, dtype=np.uint8)
+    s1, s2 = base4_split(quad)
     for blen in (1, 2):
         W = N - blen + 1
-        joint, marg1, marg2 = _pair_block_counts(s1.digits(1, N), s2.digits(1, N), blen)
+        joint = _row_pair_table(arr, blen)
+        marg1, marg2 = joint.sum(1), joint.sum(0)
         for c1 in range(1 << blen):
             B1 = Block.from_code(c1, blen, 2)
             assert Fraction(int(marg1[c1]), W) == prefix_frequency(s1, B1, N)
             assert Fraction(int(marg2[c1]), W) == prefix_frequency(s2, B1, N)
             for c2 in range(1 << blen):
                 B2 = Block.from_code(c2, blen, 2)
-                got = Fraction(int(joint[(c1 << blen) + c2]), W)
+                got = Fraction(int(joint[c1, c2]), W)
                 assert got == joint_frequency(s1, s2, B1, B2, N)
+
+
+@pytest.mark.parametrize("name", ["modp-translation", "ca-switch-identity", "base4-independence"])
+def test_digit_checks_keep_their_digits_compact(name):
+    # about 10^6 one-byte digits each; widened to int64 arrays they peaked at
+    # 30.5, 26.0 and 24.8 MiB under tracemalloc, kept compact at 3.0, 5.0, 2.0
+    tracemalloc.start()
+    try:
+        assert all(c.passed for c in run_experiment(name).checks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, f"{name} peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_xy_switch_decay_matches_recorded_curve():

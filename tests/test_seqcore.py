@@ -19,7 +19,6 @@ from normlab.seqcore import (
     BlockCounts,
     SymbolicSequence,
     _anchor_codes,
-    base4_split,
     block_counts,
     block_histogram,
     empirical_measure,
@@ -29,7 +28,7 @@ from normlab.seqcore import (
     zip_product,
 )
 
-from helpers import constant
+from helpers import base4_split, constant
 
 B = Block.from_string
 
@@ -63,6 +62,25 @@ def test_digit_budget_is_checked_before_reading():
         seq.digits(1, limit + 1)
     with pytest.raises(BudgetError, match="digit budget"):
         seq.digits(1, 1 << 40)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(0, 2), min_size=1, max_size=12),
+    st.integers(1, 50) | st.integers(1, 1 << 70),
+    st.integers(0, 60),
+)
+@example([0, 1, 2], 1, 0)
+@example([2], 1 << 64, 5)
+def test_periodic_digits_match_the_pattern_index(pattern, start, count):
+    # the rotated and tiled pattern against the index definition it replaces;
+    # one digit is read through the same bulk read
+    seq = SymbolicSequence.periodic(pattern, r=3)
+    L = len(pattern)
+    got = seq.digits(start, count)
+    assert got.dtype == np.uint8
+    assert got.tolist() == [pattern[(start - 1 + i) % L] for i in range(count)]
+    assert seq.digit(start) == pattern[(start - 1) % L]
 
 
 def test_digit_range_errors_match_digits():
@@ -154,23 +172,22 @@ def test_prefix_frequency_horizon_error():
     lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=40))
 ))
 def test_block_histogram_matches_counter(case):
-    # n_blocks up to 64 against at most 40 codes: both the dense and the
-    # sorting path run
+    # codes below n_blocks, up to 64, so that short and long runs occur
     n_blocks, codes = case
-    observed, counts = block_histogram(np.asarray(codes, dtype=np.int64), n_blocks)
+    observed, counts = block_histogram(np.asarray(codes, dtype=np.int64))
     assert list(zip(observed.tolist(), counts.tolist())) == sorted(Counter(codes).items())
 
 
 @settings(max_examples=200)
-@given(st.lists(st.integers(0, (1 << 62) - 1) | st.integers(0, 7), max_size=80), st.integers(1, 5))
-@example([], 1)
-@example([12345], 1)
-@example([3, 3, 3], 1)
-def test_sorting_histogram_matches_unique(codes, extra):
-    # n_blocks above len(codes): the path that sorts the codes in place
+@given(st.lists(st.integers(0, (1 << 62) - 1) | st.integers(0, 7), max_size=80))
+@example([])
+@example([12345])
+@example([3, 3, 3])
+def test_sorting_histogram_matches_unique(codes):
+    # block_histogram sorts the codes in place and measures the runs
     arr = np.array(codes, dtype=np.int64)
     want_codes, want_counts = np.unique(arr, return_counts=True)
-    got_codes, got_counts = block_histogram(arr.copy(), len(codes) + extra)
+    got_codes, got_counts = block_histogram(arr.copy())
     assert got_codes.tolist() == want_codes.tolist() and got_counts.tolist() == want_counts.tolist()
     assert got_codes.dtype == want_codes.dtype == np.int64
     assert got_counts.dtype == want_counts.dtype == np.int64
@@ -201,10 +218,11 @@ def test_code_table_matches_bincount_of_the_anchor_codes(r, M, head):
 @settings(max_examples=100)
 @given(st.data())
 def test_code_table_every_chunk_boundary(data):
-    # chunks of 8 anchors, so heads and lengths cross many chunk boundaries
+    # chunks of 8 anchors, or of r^M / 8 when that is more, so heads and
+    # lengths cross chunk boundaries at every table size drawn
     r = data.draw(st.integers(2, 4))
     M = data.draw(st.integers(1, 4))
-    digits = np.array(data.draw(st.lists(st.integers(0, r - 1), min_size=M, max_size=70)), dtype=np.uint8)
+    digits = np.array(data.draw(st.lists(st.integers(0, r - 1), min_size=M, max_size=3 * r**M + 70)), dtype=np.uint8)
     head = data.draw(st.integers(0, len(digits) - M + 1))
     with mock.patch.object(seqcore, "_TABLE_CHUNK", 8):
         got = seqcore.code_table(digits, M, r, head)
@@ -234,6 +252,9 @@ def test_packed_anchor_codes_match_the_passes(m, digits):
     got = _anchor_codes(arr, m, 2)
     assert got.dtype == np.int64
     assert got.tolist() == anchor_codes_by_passes(arr, m, 2).tolist()
+    compact = _anchor_codes(arr, m, 2, compact=True)
+    assert compact.dtype == (np.uint32 if 3 <= m <= 32 and len(digits) >= m else np.int64)
+    assert compact.tolist() == got.tolist()
 
 
 def test_packed_anchor_codes_every_length_and_phase():
@@ -300,7 +321,7 @@ def measure_counts_by_block(seq: SymbolicSequence, m: int, N: int) -> dict:
     """The counts dict built key by key through Block.from_code, the
     reference for the one-pass decode of `empirical_measure`."""
     r = seq.alphabet.size
-    observed, cnt = block_histogram(_anchor_codes(seq.digits(1, N), m, r), r**m)
+    observed, cnt = block_histogram(_anchor_codes(seq.digits(1, N), m, r))
     return {tuple(Block.from_code(int(c), m, r).digits): int(n) for c, n in zip(observed, cnt)}
 
 
@@ -441,7 +462,7 @@ def frozen(digits) -> np.ndarray:
 
 def assert_counts(bc, digits, m, r):
     """`bc` equals a fresh count of `digits`."""
-    codes, counts = block_histogram(_anchor_codes(digits, m, r), r**m)
+    codes, counts = block_histogram(_anchor_codes(digits, m, r))
     assert bc.total == len(digits) - m + 1
     assert bc.codes.tolist() == codes.tolist() and bc.counts.tolist() == counts.tolist()
 
@@ -486,6 +507,24 @@ def test_read_only_view_of_writeable_base_is_never_memoised(inputs, rnd):
     second = block_counts(view, m, r)
     assert second is not first
     assert_counts(second, view, m, r)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_dense_block_counts_match_the_sorted_anchor_codes(data):
+    # the branch that counts at m with code_table: r > 2 (frozen or not) and
+    # writeable binary arrays, r^m <= the anchors, in chunks of max(8, r^m)
+    # anchors
+    r = data.draw(st.sampled_from([2, 3, 4, 5]))
+    m = data.draw(st.integers(1, 4))
+    digits = data.draw(st.lists(st.integers(0, r - 1), min_size=r**m + m - 1, max_size=r**m + m + 100))
+    arr = frozen(digits) if r > 2 and data.draw(st.booleans()) else np.array(digits, dtype=np.uint8)
+    with mock.patch.object(seqcore, "_TABLE_CHUNK", 8), \
+            mock.patch.object(seqcore, "code_table", wraps=seqcore.code_table) as table:
+        bc = block_counts(arr, m, r)
+    table.assert_called_once_with(arr, m, r, len(digits) - m + 1)
+    assert_counts(bc, arr, m, r)
+    assert bc.codes.dtype == bc.counts.dtype == np.int64
 
 
 def test_reused_id_never_hits_the_memo(monkeypatch):

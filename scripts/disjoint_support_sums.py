@@ -8,6 +8,7 @@ residue class with zeros elsewhere and checks that the sum's block
 statistics match the mixture.
 
 Usage: python scripts/disjoint_support_sums.py [N=100000] [seed=9]
+Exits 1 when carry addition differs from digit-wise OR.
 """
 
 import sys
@@ -36,9 +37,9 @@ def main() -> int:
     s = carry_add(x, y)
     sum_digits = s.fraction_digits(N, certified_only=False)
 
-    digitwise = a | b
+    is_or = bool((sum_digits == (a | b)).all())
     print(f"N = {N}, seed = {seed}")
-    print("carry addition equals digit-wise OR:", bool((sum_digits == digitwise).all()))
+    print("carry addition equals digit-wise OR:", is_or)
     print("ones density of the sum:", float(sum_digits.mean()))
     for n in (1, 2, 4):
         h = combinatorial_entropy(sum_digits, n)
@@ -48,7 +49,7 @@ def main() -> int:
     p1 = float(sum_digits.mean())
     hmix = -(p1 * np.log2(p1) + (1 - p1) * np.log2(1 - p1))
     print(f"mixture one-block entropy H({p1:.3f}) = {hmix:.4f}")
-    return 0
+    return 0 if is_or else 1
 
 
 if __name__ == "__main__":

@@ -39,10 +39,10 @@ def _is_prime(p: int) -> bool:
 
 def modp_add(s1: SymbolicSequence, s2: SymbolicSequence, N: int) -> SymbolicSequence:
     """Digit-wise (a + b) mod p; no carry."""
-    p = s1.alphabet.size
-    if s2.alphabet.size != p:
+    p = s1.r
+    if s2.r != p:
         raise DomainError(
-            f"modulus mismatch: {p} vs {s2.alphabet.size}"
+            f"modulus mismatch: {p} vs {s2.r}"
         )
     out = s1.digits(1, N).astype(np.min_scalar_type(2 * (p - 1)))  # uint8 unless 2(p - 1) > 255
     out += s2.digits(1, N)
@@ -75,8 +75,8 @@ class LinearCA:
 def apply_ca(ca: LinearCA, s: SymbolicSequence, N: int) -> SymbolicSequence:
     """Apply the automaton to the first N + reach input digits."""
     p, k = ca.p, ca.reach
-    if s.alphabet.size != p:
-        raise DomainError(f"stream alphabet {s.alphabet.size} != modulus {p}")
+    if s.r != p:
+        raise DomainError(f"stream alphabet {s.r} != modulus {p}")
     if N < 0:
         raise DomainError(f"n must be >= 0, got {N}")
     if s.horizon is not None and s.horizon < N + k:

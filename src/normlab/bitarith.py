@@ -154,7 +154,7 @@ class FixedPointNumber:
         """0.d1 d2 ... truncated at N+G fractional digits (plus an integer
         part).  err is 1 ulp for the dropped tail unless `exact` asserts the
         sequence is zero beyond the horizon."""
-        if seq.alphabet.size != 2:
+        if seq.r != 2:
             raise DomainError("fixed-point numbers are binary")
         F = _frac_bits(N, G)
         take = F if seq.horizon is None else min(F, seq.horizon)
@@ -390,7 +390,7 @@ def stream_carry_add(
     carry 0 but carries no certificate.  The rows of N + lookahead_cap
     digits are added as two integers, and every scan is one bitwise AND.
     """
-    if s1.alphabet.size != 2 or s2.alphabet.size != 2:
+    if s1.r != 2 or s2.r != 2:
         raise DomainError("carry addition is defined for binary sequences")
     if N < 1:
         raise DomainError("N must be >= 1")

@@ -73,14 +73,14 @@ def _cmd_generate(args) -> int:
     seq = _KINDS[args.kind](args)
     out = args.out or f"{args.kind}.nseq"
     write_nseq(out, seq, count=args.n)
-    print(f"wrote {args.n} base-{seq.alphabet.size} digits to {out}")
+    print(f"wrote {args.n} base-{seq.r} digits to {out}")
     return 0
 
 
 def _load_prefix(path: str, L: int | None) -> tuple[np.ndarray, int]:
     seq = read_nseq(path)
     n = seq.horizon if L is None else min(L, seq.horizon)
-    return seq.digits(1, n), seq.alphabet.size
+    return seq.digits(1, n), seq.r
 
 
 def _cmd_analyze(args) -> int:
@@ -146,7 +146,7 @@ def _cmd_arith(args) -> int:
     out = args.out or f"{args.op}.nseq"
     certified = result.certified_digit_count()
     digits = result.fraction_digits(min(N, result.frac_bits), certified_only=False)
-    write_nseq(out, digits, r=2)
+    write_nseq(out, SymbolicSequence.from_array(digits))
     sidecar = {
         "certified_digits": certified,
         "error_bound_log2": result.error_bound_log2(),

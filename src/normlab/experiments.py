@@ -28,9 +28,9 @@ from . import algsys, analysis, bitarith, grayorder, pnormal, seqcore
 from .bitarith import FixedPointNumber, carry_add, mod1, mul, mul_rational, neg, shifted_sum, stream_carry_add
 from .errors import DomainError, rational, within
 from .generators import (
-    SCHEDULE,
     bernoulli_stream,
     derive_seed,
+    finite_sums,
     kappa_sequence,
     splitmix64,
     uniform_stream,
@@ -200,6 +200,8 @@ def run_experiment(name: str, overrides: Optional[dict] = None) -> ExperimentRep
     t0 = time.perf_counter()
     report.checks = _REGISTRY[name](config)
     report.runtime_s = time.perf_counter() - t0
+    if not report.checks:  # a run that checked nothing has not passed
+        raise DomainError(f"{name} ran no check: its parameters leave nothing to check")
     for c in report.checks:
         if c.provenance is None:
             c.provenance = config["provenance"]
@@ -320,7 +322,7 @@ def _z_switch_half(cfg: dict):
 
 
 def _xy_digits(N: int, G: int) -> np.ndarray:
-    shifts = [0] + SCHEDULE.finite_sums(N)
+    shifts = [0] + finite_sums(N)
     xy = shifted_sum(kappa_sequence(), shifts, N, G)
     return xy.fraction_digits(N, certified_only=False)
 

@@ -8,7 +8,6 @@ deterministic: identical parameters yield identical digit functions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterator
 
@@ -16,73 +15,34 @@ import numpy as np
 
 from .errors import DomainError, rational
 from .grayorder import GrayOrdering, offset
-from .seqcore import BINARY, Alphabet, Block, SymbolicSequence
+from .seqcore import Block, SymbolicSequence, tiled
 
 
 # ---------------------------------------------------------------------------
-# level schedule: 2, 8, 2048, 2048*2^2048, ...
+# level schedule: n_1 = 2, n_{k+1} = n_k * 2^{n_k}
+
+# n_1 .. n_4.  n_5 = 2^(2059 + 2^2059) has more bits than any Python int can
+# hold, so every position beyond n_4 lies at level 4 (n_4 < p <= n_5).  The
+# schedule is superincreasing (n_{k+1} > n_1 + ... + n_k), so finite-sum
+# representations are unique.
+LEVELS = (2, 8, 2048, 1 << 2059)
 
 
-class LevelSchedule:
-    """The doubling-tower level lengths n_1=2, n_{k+1} = n_k * 2^{n_k}.
+def finite_sums(n: int) -> list[int]:
+    """The positive elements up to n of S = {0} union FS((n_k)), ascending.
 
-    Every n_k is a power of two, so levels are stored as exact exponents
-    e_k = log2(n_k), with e_{k+1} = e_k + n_k: the five levels 1, 3, 11,
-    2059, 2059 + 2^2059.  No Python int has the 2059 + 2^2059 bits of a
-    position beyond n_5, so no position needs a sixth level.  Level values are
-    produced on demand while their bit length is sane; desk-scale work
-    never materializes n_5.  The schedule is superincreasing
-    (n_{k+1} > n_1 + ... + n_k), so finite-sum representations are unique.
+    (0 belongs to the set but is not a 1-indexed position; `y_digit(0)`
+    still answers 1.)  Superincreasing levels make subset-mask numeric
+    order equal to sum order, so the enumeration stops at the first sum
+    above n.
     """
-
-    _VALUE_EXP_CAP = 1 << 24  # refuse to materialize 2^e for e beyond this
-    _exponents = (1, 3, 11, 2059, 2059 + (1 << 2059))
-
-    @property
-    def depth(self) -> int:
-        return len(self._exponents)
-
-    def exponent(self, k: int) -> int:
-        """log2(n_k), 1-indexed."""
-        if not 1 <= k <= self.depth:
-            raise DomainError(f"level {k} outside the materialized range 1..{self.depth}")
-        return self._exponents[k - 1]
-
-    def value(self, k: int) -> int:
-        """n_k as an integer; refuses astronomically long values."""
-        e = self.exponent(k)
-        if e > self._VALUE_EXP_CAP:
-            raise DomainError(f"n_{k} is too long to materialize (log2 = {e})")
-        return 1 << e
-
-    def level_of(self, p: int) -> int:
-        """The k with n_k < p <= n_{k+1}; requires p > n_1."""
-        if p <= 2:
-            raise DomainError("level_of is defined for positions beyond n_1 = 2")
-        # p <= 2^e exactly when p - 1 has at most e bits; every p is <= n_5
-        return bisect_left(self._exponents, (p - 1).bit_length())
-
-    def finite_sums(self, n: int) -> list[int]:
-        """The positive elements up to n of S = {0} union FS((n_k)), ascending.
-
-        (0 belongs to the set but is not a 1-indexed position; `y_digit(0)`
-        still answers 1.)
-        Sums of the materializable levels cover every element below
-        n_{depth}; superincreasing levels make subset-mask numeric order
-        equal to sum order, so the enumeration stops at the first sum above n.
-        """
-        levels = range(1, self.depth + 1)
-        values = [self.value(k) for k in levels if self.exponent(k) <= self._VALUE_EXP_CAP]
-        sums = []
-        for mask in range(1, 1 << len(values)):
-            s = sum(v for i, v in enumerate(values) if mask >> i & 1)
-            if s > n:
-                break
-            sums.append(s)
-        return sums
-
-
-SCHEDULE = LevelSchedule()
+    sums = []
+    for mask in range(1, 1 << len(LEVELS)):
+        s = sum(v for i, v in enumerate(LEVELS) if mask >> i & 1)
+        if s > n:
+            break
+        sums.append(s)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +54,7 @@ def _kappa_prefix_2048() -> np.ndarray:
     """First n_3 = 2048 digits: the words of the alternated orderings of
     levels 1 and 2, each started at the level's prefix."""
     level = np.array([0, 1], dtype=np.uint8)  # the level-1 seed block
-    for k in (1, 2):
-        n_k = SCHEDULE.value(k)
+    for n_k in LEVELS[:2]:
         words = GrayOrdering(n_k, Block(tuple(int(b) for b in level)), "alternated").words()
         level = ((words[:, None] >> np.arange(n_k - 1, -1, -1)) & 1).astype(np.uint8).ravel()
     level.setflags(write=False)
@@ -104,11 +63,9 @@ def _kappa_prefix_2048() -> np.ndarray:
 
 _KAPPA_PREFIX = _kappa_prefix_2048().tolist()  # bound once: kappa_digit reads one entry per probe
 
-# (e, 2^e - 1, 2^e) of the levels whose chunks are longer than the prefix,
-# top first; no position reaches a level whose n_k cannot be materialized
-_KAPPA_LEVELS = tuple(
-    (e, (1 << e) - 1, 1 << e) for e in reversed(SCHEDULE._exponents) if 11 <= e <= LevelSchedule._VALUE_EXP_CAP
-)
+# (e, 2^e - 1, 2^e) of the levels n_k = 2^e whose chunks are at least as
+# long as the prefix, top first
+_KAPPA_LEVELS = tuple((n.bit_length() - 1, n - 1, n) for n in reversed(LEVELS[2:]))
 
 
 def kappa_digit(p: int) -> int:
@@ -147,13 +104,12 @@ def _kappa_bulk(start: int, count: int) -> np.ndarray:
             out[pos - lo : pos - lo + take] = prefix[pos - 1 : pos - 1 + take]
             pos += take
             continue
-        k = SCHEDULE.level_of(pos)
-        if SCHEDULE.exponent(k) > 11:
-            # chunks longer than the memoized prefix: per-digit recursion
+        if pos > LEVELS[3]:
+            # level 4, chunks longer than the memoized prefix: per digit
             out[pos - lo] = kappa_digit(pos)
             pos += 1
             continue
-        n_k = SCHEDULE.value(k)  # 2048: a whole number of bytes
+        n_k = LEVELS[2]  # level 3, chunks of 2048 digits: a whole number of bytes
         l = (pos - 1) // n_k + 1
         chunk_lo = (l - 1) * n_k + 1
         word = offset(n_k, l, alternated=True).to_bytes(n_k // 8, "big")
@@ -166,20 +122,16 @@ def _kappa_bulk(start: int, count: int) -> np.ndarray:
 
 
 def kappa_sequence() -> SymbolicSequence:
-    return SymbolicSequence(_kappa_bulk, BINARY, digit_fn=kappa_digit)
+    return SymbolicSequence(_kappa_bulk, digit_fn=kappa_digit)
 
 
 # ---------------------------------------------------------------------------
 # y: indicator of the finite-sums set (coordinate 0 is the integer part)
 
-Y_INTEGER_PART = 1  # 0 is in the sum set, so the integer bit of y is 1
-
-
 # The level values are distinct powers of two, so a finite sum of them is a
 # number whose binary digits all sit on level exponents.  Every
-# representable p is below n_5 = 2^(2059 + 2^2059), so the bits of the
-# materializable levels decide membership.
-_SUMS_MASK = sum(1 << e for e in SCHEDULE._exponents if e <= LevelSchedule._VALUE_EXP_CAP)
+# representable p is below n_5, so the bits of n_1 .. n_4 decide membership.
+_SUMS_MASK = sum(LEVELS)
 
 
 def y_digit(p: int) -> int:
@@ -196,7 +148,7 @@ def y_digit(p: int) -> int:
 def _y_bulk(start: int, count: int) -> np.ndarray:
     out = np.zeros(count, dtype=np.uint8)
     hi = start + count - 1
-    for s in SCHEDULE.finite_sums(hi):
+    for s in finite_sums(hi):
         if s >= start:
             out[s - start] = 1
     return out
@@ -204,7 +156,7 @@ def _y_bulk(start: int, count: int) -> np.ndarray:
 
 def y_sequence() -> SymbolicSequence:
     """Fractional digits of y (positions >= 1)."""
-    return SymbolicSequence(_y_bulk, BINARY, digit_fn=y_digit)
+    return SymbolicSequence(_y_bulk, digit_fn=y_digit)
 
 
 # ---------------------------------------------------------------------------
@@ -214,51 +166,42 @@ def y_sequence() -> SymbolicSequence:
 @lru_cache(maxsize=None)
 def _v_pattern_4096() -> np.ndarray:
     pat = np.array([1, 1], dtype=np.uint8)
-    for k in (1, 2):
-        n_k = SCHEDULE.value(k)
-        reps = SCHEDULE.value(k + 1) // (2 * n_k)
-        pat = np.tile(np.concatenate([pat, np.zeros(n_k, dtype=np.uint8)]), reps)
+    for n_k, n_next in zip(LEVELS, LEVELS[1:3]):
+        pat = np.tile(np.concatenate([pat, np.zeros(n_k, dtype=np.uint8)]), n_next // (2 * n_k))
     pat = np.concatenate([pat, np.zeros(2048, dtype=np.uint8)])
     pat.setflags(write=False)
     return pat  # (B_3 0^2048): the tile of the level-4 block, length 4096
 
 
 _V_PATTERN = _v_pattern_4096().tolist()  # bound once: v_digit reads one entry per probe
-_V_TILED = SCHEDULE.value(4)  # positions up to n_4 read the 4096-digit tile
+_V_TILED = LEVELS[3]  # positions up to n_4 read the 4096-digit tile
 
 
 def v_digit(p: int) -> int:
     """Digit p (1-indexed) of the block-doubling sequence v.
 
     The level-(k+1) block is (B_k 0^{n_k}) repeated, starting from B_1 = 11,
-    so the digit reduces along p -> ((p-1) mod 2 n_k) + 1 until p <= n_4,
-    where the level-4 block, which tiles (B_3 0^2048), gives it.
+    so the level-4 block tiles (B_3 0^2048) and gives every p <= n_4.  A
+    position beyond n_4 lies in the level-5 block, (B_4 0^{n_4}) repeated:
+    its digit is that of (p - 1) mod 2 n_4 + 1 when that is <= n_4, else 0.
     """
     if p < 1:
         raise DomainError("positions are 1-indexed")
-    while p > _V_TILED:
-        e = SCHEDULE._exponents[SCHEDULE.level_of(p) - 1]
-        r = (p - 1) % (2 << e) + 1
-        if r > (1 << e):
+    if p > _V_TILED:
+        p = (p - 1) % (2 * _V_TILED) + 1
+        if p > _V_TILED:
             return 0
-        p = r
     return _V_PATTERN[(p - 1) & 4095]
 
 
 def _v_bulk(start: int, count: int) -> np.ndarray:
-    hi = start + count - 1
-    if hi.bit_length() <= 62:
-        # any such position is far inside the level-4 block, which tiles
-        # the 4096-digit pattern (B_3 0^2048)
-        idx = np.arange(start - 1, hi, dtype=np.int64)
-        return _v_pattern_4096()[idx % 4096]
-    return np.fromiter(
-        (v_digit(p) for p in range(start, hi + 1)), dtype=np.uint8, count=count
-    )
+    if start + count - 1 <= _V_TILED:
+        return tiled(_v_pattern_4096(), start, count)
+    return np.fromiter((v_digit(p) for p in range(start, start + count)), dtype=np.uint8, count=count)
 
 
 def v_sequence() -> SymbolicSequence:
-    return SymbolicSequence(_v_bulk, BINARY, digit_fn=v_digit)
+    return SymbolicSequence(_v_bulk, digit_fn=v_digit)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +280,7 @@ def bernoulli_stream(p, seed: int, N: int) -> SymbolicSequence:
             np.less(z, threshold, out=out[i : i + len(z)].view(bool))
         return out
 
-    return SymbolicSequence(bulk, BINARY, horizon=N)
+    return SymbolicSequence(bulk, horizon=N)
 
 
 def uniform_stream(r: int, seed: int, N: int) -> SymbolicSequence:
@@ -354,7 +297,7 @@ def uniform_stream(r: int, seed: int, N: int) -> SymbolicSequence:
             np.remainder(z, np.uint64(r), out=out[i : i + len(z)], casting="unsafe")
         return out
 
-    return SymbolicSequence(bulk, Alphabet(r), horizon=N)
+    return SymbolicSequence(bulk, r, horizon=N)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +306,6 @@ def uniform_stream(r: int, seed: int, N: int) -> SymbolicSequence:
 
 def champernowne_digits(r: int, N: int) -> SymbolicSequence:
     """Concatenation of the base-r representations of 1, 2, 3, ..."""
-    if r < 2:
-        raise DomainError("alphabet size must be >= 2")
     cache: dict[str, object] = {"digits": np.zeros(0, dtype=np.uint8), "next": 1}
 
     def materialize(upto: int) -> np.ndarray:
@@ -393,4 +334,4 @@ def champernowne_digits(r: int, N: int) -> SymbolicSequence:
         arr = materialize(start + count - 1)
         return arr[start - 1 : start - 1 + count].copy()
 
-    return SymbolicSequence(bulk, Alphabet(r), horizon=N)
+    return SymbolicSequence(bulk, r, horizon=N)

@@ -61,7 +61,7 @@ class GrayOrdering:
         if self.start is not None:
             if len(self.start) != self.n:
                 raise DomainError(f"start block has length {len(self.start)}, expected {self.n}")
-            if self.start.alphabet.size != 2:
+            if self.start.r != 2:
                 raise DomainError("start block must be binary")
 
     @property

@@ -1,5 +1,6 @@
-"""Alphabets, blocks, symbolic sequences, and occurrence counting.
+"""Blocks, symbolic sequences, and occurrence counting.
 
+Digits lie in {0, ..., r - 1}; the alphabet size r >= 2 is a plain int.
 Positions are 1-indexed throughout.  Counts and frequencies are exact
 rationals (`fractions.Fraction`); callers convert to float only for display.
 """
@@ -19,21 +20,9 @@ import numpy as np
 from .errors import DomainError, within
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Digit alphabet {0, 1, ..., size-1}."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise DomainError(f"alphabet size must be >= 2, got {self.size}")
-
-    def __contains__(self, digit: int) -> bool:
-        return 0 <= digit < self.size
-
-
-BINARY = Alphabet(2)
+def _check_r(r: int) -> None:
+    if r < 2:
+        raise DomainError(f"alphabet size must be >= 2, got {r}")
 
 
 def _dtype_for(r: int):
@@ -42,23 +31,22 @@ def _dtype_for(r: int):
 
 @dataclass(frozen=True)
 class Block:
-    """Finite word over an alphabet; the unit of all counting."""
+    """Finite word over {0, ..., r - 1}; the unit of all counting."""
 
     digits: tuple[int, ...]
-    alphabet: Alphabet = BINARY
+    r: int = 2
 
     def __post_init__(self):
+        _check_r(self.r)
         if len(self.digits) < 1:
             raise DomainError("block must have length >= 1")
         for d in self.digits:
-            if d not in self.alphabet:
-                raise DomainError(
-                    f"digit {d} outside alphabet of size {self.alphabet.size}"
-                )
+            if not 0 <= d < self.r:
+                raise DomainError(f"digit {d} outside alphabet of size {self.r}")
 
     @classmethod
     def from_string(cls, text: str, r: int = 2) -> "Block":
-        return cls(tuple(int(c) for c in text), Alphabet(r))
+        return cls(tuple(int(c) for c in text), r)
 
     @classmethod
     def from_code(cls, code: int, length: int, r: int = 2) -> "Block":
@@ -67,13 +55,13 @@ class Block:
         for _ in range(length):
             code, d = divmod(code, r)
             digits.append(d)
-        return cls(tuple(reversed(digits)), Alphabet(r))
+        return cls(tuple(reversed(digits)), r)
 
     def __len__(self) -> int:
         return len(self.digits)
 
     def __str__(self) -> str:
-        if self.alphabet.size <= 10:
+        if self.r <= 10:
             return "".join(str(d) for d in self.digits)
         return ",".join(str(d) for d in self.digits)
 
@@ -81,20 +69,21 @@ class Block:
         """Base-r integer code, first digit most significant."""
         code = 0
         for d in self.digits:
-            code = code * self.alphabet.size + d
+            code = code * self.r + d
         return code
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.digits, dtype=_dtype_for(self.alphabet.size))
+        return np.array(self.digits, dtype=_dtype_for(self.r))
 
 
 class SymbolicSequence:
     """Deterministic random-access digit source.
 
     `bulk_fn(start, count)` is the one access primitive: it returns the
-    digits at positions start .. start+count-1 as an array.  `digit(p)` reads
-    one digit through it unless a per-digit rule `digit_fn` is given, which
-    sequences need whose positions reach far beyond any array (p > 2^62).
+    digits in {0, ..., r - 1} at positions start .. start+count-1 as an
+    array.  `digit(p)` reads one digit through it unless a per-digit rule
+    `digit_fn` is given, which sequences need whose positions reach far
+    beyond any array (p > 2^62).
     Positions run over 1 <= p <= horizon (horizon None = unbounded), and the
     same position always yields the same digit.
 
@@ -108,13 +97,14 @@ class SymbolicSequence:
     def __init__(
         self,
         bulk_fn: Callable[[int, int], np.ndarray],
-        alphabet: Alphabet = BINARY,
+        r: int = 2,
         horizon: Optional[int] = None,
         digit_fn: Optional[Callable[[int], int]] = None,
     ):
+        _check_r(r)
         self._bulk_fn = bulk_fn
         self._digit_fn = digit_fn or (lambda p: int(bulk_fn(p, 1)[0]))
-        self.alphabet = alphabet
+        self.r = r
         self.horizon = horizon
         self._last: tuple = (None, None, None)  # (start, count, weakref to the digits)
 
@@ -158,39 +148,40 @@ class SymbolicSequence:
         data = np.asarray(arr, dtype=_dtype_for(r))
         if data.size and int(data.max()) >= r:
             raise DomainError("array contains digits outside the alphabet")
-        return cls(lambda s, c: data[s - 1 : s - 1 + c].copy(), Alphabet(r), horizon=len(data))
+        return cls(lambda s, c: data[s - 1 : s - 1 + c].copy(), r, horizon=len(data))
 
     @classmethod
     def periodic(cls, pattern, r: int = 2) -> "SymbolicSequence":
         if isinstance(pattern, Block):
-            r = pattern.alphabet.size
+            r = pattern.r
             pat = pattern.as_array()
         else:
             pat = np.asarray(list(pattern), dtype=_dtype_for(r))
-        L = len(pat)
+        return cls(lambda s, c: tiled(pat, s, c), r)
 
-        def bulk(start: int, count: int) -> np.ndarray:
-            k = (start - 1) % L  # tile the pattern rotated to the start: no index array
-            return np.tile(np.concatenate((pat[k:], pat[:k])), -(-count // L))[:count]
 
-        return cls(bulk, Alphabet(r))
+def tiled(pat: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Digits start .. start+count-1 of the sequence that repeats `pat`
+    from position 1: the pattern rotated to the start and tiled, with no
+    index array, so any start, however large, costs the same."""
+    k = (start - 1) % len(pat)
+    return np.tile(np.concatenate((pat[k:], pat[:k])), -(-count // len(pat)))[:count]
 
 
 # ---------------------------------------------------------------------------
 # occurrence counting
 
 
-def _anchor_codes(digits: np.ndarray, m: int, r: int, compact: bool = False) -> np.ndarray:
+def _anchor_codes(digits: np.ndarray, m: int, r: int) -> np.ndarray:
     """Base-r code of the m-block anchored at each position (first digit MSB)
-    as int64, or, when `compact`, as uint32 for binary blocks of length
-    3 <= m <= 32: half the bytes for a sort, where `bincount` would cast
-    them back to int64."""
+    as int64, or as uint32 for binary blocks of length 3 <= m <= 32: half
+    the bytes for a sort."""
     W = len(digits) - m + 1
     if W <= 0:
         return np.zeros(0, dtype=np.int64)
     _check_code_bits(m, r)
     if r == 2 and 3 <= m <= 57:  # the m-pass loop is faster only for m <= 2
-        return _packed_codes(digits, m, W, compact and m <= 32)
+        return _packed_codes(digits, m, W)
     codes = np.zeros(W, dtype=np.int64)
     for j in range(m):
         codes *= r
@@ -203,9 +194,10 @@ def _check_code_bits(m: int, r: int) -> None:
         raise DomainError(f"block codes for m={m}, r={r} exceed the 64-bit budget")
 
 
-def _packed_codes(digits: np.ndarray, m: int, W: int, uint32: bool) -> np.ndarray:
-    """Binary anchor codes from the bit-packed digits at any m, as int64 or
-    uint32, phase by phase, with no full-size uint64 temporary.
+def _packed_codes(digits: np.ndarray, m: int, W: int) -> np.ndarray:
+    """Binary anchor codes from the bit-packed digits at any m, as uint32
+    while m <= 32, else int64, phase by phase, with no full-size uint64
+    temporary.
 
     Word q is the big-endian uint64 of packed bytes q .. q+7, that is digits
     8q .. 8q+63; the block anchored at digit 8q+s is its bits s .. s+m-1
@@ -216,7 +208,7 @@ def _packed_codes(digits: np.ndarray, m: int, W: int, uint32: bool) -> np.ndarra
     bits = np.packbits(digits)
     packed[: len(bits)] = bits
     words = np.ndarray((rows,), dtype=">u8", buffer=packed, strides=(1,)).astype(np.uint64)
-    codes = np.empty((rows, 8), dtype=np.uint32 if uint32 else np.int64)
+    codes = np.empty((rows, 8), dtype=np.uint32 if m <= 32 else np.int64)
     for s in range(8):
         np.bitwise_and(words >> np.uint64(64 - m - s), np.uint64((1 << m) - 1), out=codes[:, s], casting="unsafe")
     return codes.reshape(-1)[:W]
@@ -261,12 +253,10 @@ class BlockCounts:
     counts: np.ndarray
 
 
-# block_counts' memos, one entry each as in SymbolicSequence.digits: the
-# statistics read one prefix at one m after another, so only the last count
-# is asked for again, and every m <= M of that prefix comes from its table.
-# An entry dies with its digit array.
-# (key, weakref to the digit array, BlockCounts or M-block table)
-_counts_last: tuple = (None, None, None)
+# block_counts' memo, one entry as in SymbolicSequence.digits: the
+# statistics read one prefix at one m after another, and every m <= M of
+# that prefix comes from its M-block table.  The entry dies with its digit
+# array.  (id of the digit array, weakref to it, M-block table)
 _table_last: tuple = (None, None, None)
 
 _TABLE_BITS = 16  # the top-length table holds at most 2^16 int64 counts, 512 KiB
@@ -290,10 +280,8 @@ def check_block_length(m: int, length: int) -> None:
 
 
 def _forget(ref: weakref.ref) -> None:
-    """Drop the memo entries of a digit array that died."""
-    global _counts_last, _table_last
-    if _counts_last[1] is ref:
-        _counts_last = (None, None, None)
+    """Drop the memo entry of a digit array that died."""
+    global _table_last
     if _table_last[1] is ref:
         _table_last = (None, None, None)
 
@@ -326,22 +314,18 @@ def _counts_from_table(table: np.ndarray, digits: np.ndarray, M: int, m: int, r:
 def block_counts(digits: np.ndarray, m: int, r: int) -> BlockCounts:
     """Count the m-blocks anchored in `digits`; 1 <= m <= len(digits).
 
-    The last count of an array that is read-only up to its owner, as
-    `SymbolicSequence.digits` returns them, is memoised on (id, m, r); a hit
-    must still be that same array.  Such an array, when binary, is counted
-    once at its top length M (`_top_length`) into a table memoised the same
-    way, and every m <= M is derived from it.  A writeable array, an
-    alphabet above 2 (where the table would cost M multiply-add passes, not
-    m) and m > M are counted at m, a writeable array every time: densely
-    by `code_table` when r^m <= the anchors, else by `block_histogram`.
+    A binary array that is read-only up to its owner, as
+    `SymbolicSequence.digits` returns them, is counted once at its top
+    length M (`_top_length`) into a table memoised on its id; a hit must
+    still be that same array, and every m <= M is derived from the table.
+    A writeable array, an alphabet above 2 (where the table would cost M
+    multiply-add passes, not m) and m > M are counted at m, every time:
+    densely by `code_table` when r^m <= the anchors, else by
+    `block_histogram`.
     """
-    global _counts_last, _table_last
+    global _table_last
     check_block_length(m, len(digits))
-    key = (id(digits), m, r)
-    frozen = _frozen(digits)
-    if frozen and _counts_last[0] == key and _counts_last[1]() is digits:
-        return _counts_last[2]
-    M = _top_length(len(digits)) if frozen and r == 2 else 0
+    M = _top_length(len(digits)) if r == 2 and _frozen(digits) else 0
     if m <= M:
         if not (_table_last[0] == id(digits) and _table_last[1]() is digits):
             table = code_table(digits, M, 2, len(digits) - M + 1)
@@ -350,18 +334,15 @@ def block_counts(digits: np.ndarray, m: int, r: int) -> BlockCounts:
     elif r**m <= len(digits) - m + 1:  # dense: a table at m itself
         codes, counts = _counts_from_table(code_table(digits, m, r, len(digits) - m + 1), digits, m, m, r)
     else:
-        codes, counts = block_histogram(_anchor_codes(digits, m, r, compact=True))
+        codes, counts = block_histogram(_anchor_codes(digits, m, r))
     codes.setflags(write=False)
     counts.setflags(write=False)
-    bc = BlockCounts(len(digits) - m + 1, codes, counts)
-    if frozen:
-        _counts_last = (key, weakref.ref(digits, _forget), bc)
-    return bc
+    return BlockCounts(len(digits) - m + 1, codes, counts)
 
 
 def prefix_frequency(seq: SymbolicSequence, B: Block, N: int) -> Fraction:
     """Fraction of anchors n in [1, N-|B|+1] where B occurs in seq."""
-    bc = block_counts(seq.digits(1, N), len(B), seq.alphabet.size)
+    bc = block_counts(seq.digits(1, N), len(B), seq.r)
     code = B.encode()
     at = int(np.searchsorted(bc.codes, code))
     hits = int(bc.counts[at]) if at < len(bc.codes) and bc.codes[at] == code else 0
@@ -453,7 +434,7 @@ def empirical_measure(seq: SymbolicSequence, m: int, N: int) -> EmpiricalMeasure
     `counts` is a `MeasureCounts` view of them."""
     if N < m:
         raise DomainError(f"prefix {N} shorter than block length {m}")
-    r = seq.alphabet.size
+    r = seq.r
     bc = block_counts(seq.digits(1, N), m, r)
     return EmpiricalMeasure(m, MeasureCounts(bc, m, r), bc.total)
 
@@ -467,21 +448,20 @@ def zip_product(seqs: Sequence[SymbolicSequence]) -> SymbolicSequence:
         raise ValueError("need at least one row")
     if len(seqs) == 1:
         return seqs[0]
-    sizes = [s.alphabet.size for s in seqs]
     R = 1
-    for r in sizes:
-        R *= r
+    for s in seqs:
+        R *= s.r
     horizons = [s.horizon for s in seqs if s.horizon is not None]
     horizon = min(horizons) if horizons else None
 
     def bulk(start: int, c: int) -> np.ndarray:
         out = np.zeros(c, dtype=_dtype_for(R))
         for s in seqs:
-            out *= s.alphabet.size
+            out *= s.r
             out += s.digits(start, c).astype(_dtype_for(R))
         return out
 
-    return SymbolicSequence(bulk, Alphabet(R), horizon=horizon)
+    return SymbolicSequence(bulk, R, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -491,33 +471,26 @@ _NSEQ_MAGIC = b"NSEQ"
 _NSEQ_VERSION = 0x01
 
 
-def write_nseq(path, seq_or_array, r: Optional[int] = None, count: Optional[int] = None) -> None:
-    """Write digits to an .nseq file.
+def write_nseq(path, seq: SymbolicSequence, count: Optional[int] = None) -> None:
+    """Write the first `count` digits of `seq` (its horizon when None) to an
+    .nseq file.
 
     Header: magic "NSEQ", version byte 0x01, alphabet size (uint16 LE),
     digit count (uint64 LE).  Payload is bit-packed LSB-first within bytes
     for r=2, one byte per digit for 2 < r <= 256.
     """
-    if isinstance(seq_or_array, SymbolicSequence):
-        if count is None:
-            if seq_or_array.horizon is None:
-                raise DomainError("digit count required for an unbounded sequence")
-            count = seq_or_array.horizon
-        digits = seq_or_array.digits(1, count)
-        r = seq_or_array.alphabet.size
-    else:
-        digits = np.asarray(seq_or_array, dtype=np.uint8 if (r or 2) <= 256 else np.uint32)
-        if r is None:
-            raise ValueError("alphabet size required when writing a raw array")
-        if count is not None:
-            digits = digits[:count]
+    if count is None:
+        if seq.horizon is None:
+            raise DomainError("digit count required for an unbounded sequence")
+        count = seq.horizon
+    digits, r = seq.digits(1, count), seq.r
     if r > 256:
         raise DomainError(".nseq supports alphabets up to size 256")
     header = _NSEQ_MAGIC + struct.pack("<BHQ", _NSEQ_VERSION, r, len(digits))
     if r == 2:
-        payload = np.packbits(digits.astype(np.uint8), bitorder="little").tobytes()
+        payload = np.packbits(digits.astype(np.uint8, copy=False), bitorder="little").tobytes()
     else:
-        payload = digits.astype(np.uint8).tobytes()
+        payload = digits.astype(np.uint8, copy=False).tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)

@@ -89,7 +89,7 @@ def test_modp_add_matches_int64_sum(case):
     a, b = [x for x, _ in pairs], [y for _, y in pairs]
     n = len(pairs)
     out = modp_add(SymbolicSequence.from_array(a, r=p), SymbolicSequence.from_array(b, r=p), n)
-    assert out.alphabet.size == p
+    assert out.r == p
     assert out.digits(1, n).tolist() == modp_sum_by_definition(a, b, p)
 
 
@@ -117,7 +117,7 @@ def test_apply_ca_matches_int64_sum(data):
         digits = data.draw(st.lists(st.integers(0, p - 1), min_size=len(coeffs) - 1, max_size=40))
     N = len(digits) - (len(coeffs) - 1)
     out = apply_ca(LinearCA(p, coeffs), SymbolicSequence.from_array(digits, r=p), N)
-    assert out.alphabet.size == p
+    assert out.r == p
     assert out.digits(1, N).tolist() == ca_by_definition(coeffs, p, digits, N)
 
 

@@ -495,6 +495,19 @@ def test_experiment_empty_list_is_usage_error(capsys, name, config, key):
     assert captured.err.splitlines() == [f"error: {name} parameter {key!r} must be a non-empty list, got []"]
 
 
+@pytest.mark.parametrize(
+    "name, m_max",
+    [("kappa-goodness", 0), ("kappa-goodness", -2), ("rational-multiple-goodness", 0)],
+    ids=["kappa-0", "kappa-negative", "rational-multiple-0"],
+)
+def test_experiment_that_runs_no_check_is_usage_error(capsys, name, m_max):
+    # one check per m <= m_max: with none, there is nothing to pass
+    assert main(_experiment(name, m_max=m_max)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {name} ran no check: its parameters leave nothing to check"]
+
+
 def test_recorded_curve_is_not_an_override(capsys):
     # no experiment reads recorded_curve, so an override of it changed nothing and exited 0
     t0 = time.perf_counter()

@@ -19,8 +19,8 @@ def joint_frequency(seq1, seq2, B1: Block, B2: Block, N: int) -> Fraction:
     joint_frequency(s, s, B, B, N) == prefix_frequency(s, B, N) holds exactly.
     """
     W = N - max(len(B1), len(B2)) + 1
-    c1 = _anchor_codes(seq1.digits(1, W + len(B1) - 1), len(B1), seq1.alphabet.size)
-    c2 = _anchor_codes(seq2.digits(1, W + len(B2) - 1), len(B2), seq2.alphabet.size)
+    c1 = _anchor_codes(seq1.digits(1, W + len(B1) - 1), len(B1), seq1.r)
+    c2 = _anchor_codes(seq2.digits(1, W + len(B2) - 1), len(B2), seq2.r)
     return Fraction(int(np.count_nonzero((c1 == B1.encode()) & (c2 == B2.encode()))), W)
 
 

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlab.generators import (
-    SCHEDULE,
+    LEVELS,
     DomainError,
-    LevelSchedule,
     _WORD_CHUNK,
     _kappa_prefix_2048,
     _vec_words,
     bernoulli_stream,
     champernowne_digits,
     derive_seed,
+    finite_sums,
     kappa_digit,
     kappa_sequence,
     splitmix64,
@@ -36,26 +36,34 @@ KAPPA_PREFIX_56 = (
 # -- level schedule ----------------------------------------------------------
 
 
+# log2(n_1) .. log2(n_5): e_{k+1} = e_k + n_k from e_1 = 1, the references'
+# view of the schedule; no Python int has the bits of a position past n_5
+EXPONENTS = (1, 3, 11, 2059, 2059 + (1 << 2059))
+
+
 def test_schedule_exponents():
-    assert [SCHEDULE.exponent(k) for k in (1, 2, 3, 4)] == [1, 3, 11, 2059]
-    assert SCHEDULE.exponent(5) == 2059 + (1 << 2059)
-    assert [SCHEDULE.value(k) for k in (1, 2, 3)] == [2, 8, 2048]
+    assert LEVELS == tuple(1 << e for e in EXPONENTS[:4])
+    assert LEVELS[:3] == (2, 8, 2048)
+
+
+def test_schedule_rebuild_is_identical():
+    # n_{k+1} = n_k * 2^{n_k} from n_1 = 2, so e_{k+1} = e_k + 2^{e_k}
+    levels = [2]
+    while len(levels) < 4:
+        levels.append(levels[-1] << levels[-1])
+    assert tuple(levels) == LEVELS
+    assert [e + (1 << e) for e in EXPONENTS[:4]] == list(EXPONENTS[1:])
 
 
 def test_schedule_superincreasing():
     for k in range(1, 4):
-        assert SCHEDULE.value(k + 1) > sum(SCHEDULE.value(i) for i in range(1, k + 1))
-
-
-def test_schedule_value_refuses_monsters():
-    with pytest.raises(DomainError):
-        SCHEDULE.value(5)
+        assert LEVELS[k] > sum(LEVELS[:k])
 
 
 def test_finite_sums_membership():
     members = {2, 8, 10, 2048, 2050, 2056, 2058}
     assert {p for p in range(1, 2060) if y_digit(p)} == members
-    assert set(SCHEDULE.finite_sums(2059)) == members
+    assert set(finite_sums(2059)) == members
     assert y_digit(0) == 1
     n4 = 1 << 2059
     assert y_digit(n4) == 1
@@ -64,23 +72,15 @@ def test_finite_sums_membership():
 
 
 def test_finite_sums_enumeration_sorted():
-    assert SCHEDULE.finite_sums(3000) == [2, 8, 10, 2048, 2050, 2056, 2058]
-    assert SCHEDULE.finite_sums(2057) == [2, 8, 10, 2048, 2050, 2056]
-    assert SCHEDULE.finite_sums(1) == []
-    assert SCHEDULE.finite_sums(1 << 2059)[-2:] == [2058, 1 << 2059]
+    assert finite_sums(3000) == [2, 8, 10, 2048, 2050, 2056, 2058]
+    assert finite_sums(2057) == [2, 8, 10, 2048, 2050, 2056]
+    assert finite_sums(1) == []
+    assert finite_sums(1 << 2059)[-2:] == [2058, 1 << 2059]
+    assert len(finite_sums(1 << 2061)) == 15  # every nonempty sum of n_1 .. n_4
 
 
 def test_index_density_profile_of_sum_set():
-    assert Fraction(len(SCHEDULE.finite_sums(2048)), 2048) == Fraction(4, 2048)
-
-
-def test_schedule_rebuild_is_identical():
-    # the five fixed exponents follow e_{k+1} = e_k + 2^{e_k} from e_1 = 1
-    exps = [1]
-    while len(exps) < 5:
-        exps.append(exps[-1] + (1 << exps[-1]))
-    assert [LevelSchedule().exponent(k) for k in range(1, 6)] == exps
-    assert SCHEDULE.depth == 5
+    assert Fraction(len(finite_sums(2048)), 2048) == Fraction(4, 2048)
 
 
 # -- kappa -------------------------------------------------------------------
@@ -168,30 +168,31 @@ def test_v_digit_matches_bulk():
     seq = v_sequence()
     for p in (1, 7, 4096, 4097, 2**30 + 5):
         assert seq.digit(p) == int(seq.digits(p, 1)[0])
+    # ranges across 2^62, past int64, inside the level-4 tile, and across
+    # n_4 and 2 n_4, where v ends a block
+    for start in (2**62 - 5000, 2**2058 + 3, N4 - 5000, 2 * N4 - 5000):
+        got = seq.digits(start, 10007).tolist()
+        assert got == [v_digit(p) for p in range(start, start + 10007)]
 
 
 # -- per-digit probes against their recursive definitions --------------------
 
 
-def fits_level(schedule: LevelSchedule, p: int, k: int) -> bool:
-    """p <= n_k, comparing against the exact power of two."""
-    e = schedule.exponent(k)
-    bl = p.bit_length()
-    if bl <= e:
-        return True
-    if bl > e + 1:
-        return False
-    return p == (1 << e) if e <= schedule._VALUE_EXP_CAP else True
+def fits_level(p: int, k: int) -> bool:
+    """p <= n_k = 2^e: p has at most e bits, or is 2^e (never built for
+    n_5, which every p has fewer bits than)."""
+    e = EXPONENTS[k - 1]
+    return p.bit_length() <= e or p == 1 << e
 
 
-def level_of_by_levels(schedule: LevelSchedule, p: int) -> int:
+def level_of_by_levels(p: int) -> int:
     """The k with n_k < p <= n_{k+1}, tried level by level."""
     if p <= 2:
-        raise DomainError("level_of is defined for positions beyond n_1 = 2")
-    for k in range(1, schedule.depth):
-        if fits_level(schedule, p, k + 1):
+        raise DomainError("levels are defined for positions beyond n_1 = 2")
+    for k in range(1, len(EXPONENTS)):
+        if fits_level(p, k + 1):
             return k
-    raise DomainError("position beyond the materialized schedule")
+    raise DomainError("position beyond n_5")
 
 
 def kappa_digit_by_recursion(p: int) -> int:
@@ -201,7 +202,7 @@ def kappa_digit_by_recursion(p: int) -> int:
         raise DomainError("positions are 1-indexed")
     if p <= 2048:
         return int(_kappa_prefix_2048()[p - 1])
-    e = SCHEDULE.exponent(level_of_by_levels(SCHEDULE, p))
+    e = EXPONENTS[level_of_by_levels(p) - 1]
     l = ((p - 1) >> e) + 1
     r = ((p - 1) & ((1 << e) - 1)) + 1
     return kappa_digit_by_recursion(r) ^ offset_digit(1 << e, l, r, alternated=True)
@@ -214,7 +215,7 @@ def kappa_digit_by_offsets(p: int) -> int:
         raise DomainError("positions are 1-indexed")
     bit = 0
     while p > 2048:
-        e = SCHEDULE._exponents[SCHEDULE.level_of(p) - 1]
+        e = EXPONENTS[level_of_by_levels(p) - 1]
         l = ((p - 1) >> e) + 1
         p = ((p - 1) & ((1 << e) - 1)) + 1
         bit ^= offset_digit(1 << e, l, p, alternated=True)
@@ -237,30 +238,28 @@ def kappa_digit_by_shift(p: int) -> int:
     return (bit & 1) ^ _kappa_prefix_2048().tolist()[q]
 
 
-def finite_sum_contains(schedule: LevelSchedule, p: int) -> bool:
+def finite_sum_contains(p: int) -> bool:
     """Membership of p in {0} union FS((n_k)): greedy subtraction of the
     largest level value, valid because the schedule is superincreasing (the
     loop y_digit used before its bit mask)."""
     if p < 0:
         return False
     v = p
-    for e in reversed(schedule._exponents):
+    for e in reversed(EXPONENTS):
         if e < v.bit_length():  # then n_k = 2^e <= v
             v -= 1 << e
     return v == 0
 
 
 def y_digit_by_levels(p: int) -> int:
-    """Finite-sums indicator by greedy subtraction, level by level."""
+    """Finite-sums indicator by greedy subtraction of the level values
+    n_4 .. n_1 (every p is below n_5)."""
     if p < 0:
         raise DomainError("coordinates start at 0")
     v = p
-    for k in range(SCHEDULE.depth, 0, -1):
-        e = SCHEDULE.exponent(k)
-        if e >= v.bit_length() or e > SCHEDULE._VALUE_EXP_CAP:
-            continue
-        if 1 << e <= v:
-            v -= 1 << e
+    for n in reversed(LEVELS):
+        if n <= v:
+            v -= n
     return 1 if v == 0 else 0
 
 
@@ -270,7 +269,7 @@ def v_digit_by_levels(p: int) -> int:
     if p < 1:
         raise DomainError("positions are 1-indexed")
     while p > 2:
-        e = SCHEDULE.exponent(level_of_by_levels(SCHEDULE, p))
+        e = EXPONENTS[level_of_by_levels(p) - 1]
         r = (p - 1) % (2 << e) + 1
         if r > (1 << e):
             return 0
@@ -280,7 +279,7 @@ def v_digit_by_levels(p: int) -> int:
 
 def assert_probes_match(p: int) -> None:
     assert kappa_digit(p) == kappa_digit_by_recursion(p) == kappa_digit_by_offsets(p) == kappa_digit_by_shift(p)
-    assert y_digit(p) == y_digit_by_levels(p) == int(finite_sum_contains(SCHEDULE, p))
+    assert y_digit(p) == y_digit_by_levels(p) == int(finite_sum_contains(p))
     assert v_digit(p) == v_digit_by_levels(p)
 
 
@@ -308,8 +307,6 @@ near_sums = st.builds(
 @given(st.one_of(positions, near_n4, near_sums))
 def test_probes_match_their_recursions(p):
     assert_probes_match(p)
-    if p > 2:
-        assert SCHEDULE.level_of(p) == level_of_by_levels(SCHEDULE, p)
 
 
 def test_probes_at_the_level_edges():
@@ -317,12 +314,12 @@ def test_probes_at_the_level_edges():
     assert y_digit(0) == y_digit_by_levels(0) == 1
     for p in edges:
         assert_probes_match(p)
-    assert [SCHEDULE.level_of(p) for p in edges[2:]] == [1, 1, 2, 2, 3, 3, 4]
+    assert [level_of_by_levels(p) for p in edges[2:]] == [1, 1, 2, 2, 3, 3, 4]
     # every offset i = 0..2047 of a 2048-digit chunk far inside the level-4
     # block and of its last chunk, then the first and last 2048 positions of
-    # chunk 2 of the level-5 block (chunk 1 is the level-4 block) and the
-    # first 2048 of chunk 3
-    for first in ((1 << 2058) + (12345 << 11), N4 - 2048, N4, 2 * N4 - 2048, 2 * N4):
+    # chunk 2 of the level-5 block (chunk 1 is the level-4 block), the
+    # first 2048 of chunk 3 and the 1024 either side of its end
+    for first in ((1 << 2058) + (12345 << 11), N4 - 2048, N4, 2 * N4 - 2048, 2 * N4, 3 * N4 - 1024):
         for i in range(2048):
             assert_probes_match(first + i + 1)
     # the last position of each scale and the first past it, around n_4
@@ -335,9 +332,6 @@ def test_probe_domain_errors():
     for fn, p in ((kappa_digit, 0), (kappa_digit, -1), (v_digit, 0), (v_digit, -1), (y_digit, -1)):
         with pytest.raises(DomainError):
             fn(p)
-    for p in (-1, 0, 1, 2):
-        with pytest.raises(DomainError):
-            SCHEDULE.level_of(p)
 
 
 # -- pseudorandom streams ----------------------------------------------------

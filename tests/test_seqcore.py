@@ -14,9 +14,7 @@ from normlab import seqcore
 from normlab.errors import BUDGETS, BudgetError, DomainError
 from normlab.generators import bernoulli_stream, kappa_sequence, uniform_stream
 from normlab.seqcore import (
-    Alphabet,
     Block,
-    BlockCounts,
     SymbolicSequence,
     _anchor_codes,
     block_counts,
@@ -43,15 +41,16 @@ def complement(b: Block) -> Block:
 
 
 def test_alphabet_rejects_small():
-    with pytest.raises(DomainError, match="alphabet size must be >= 2, got 1"):
-        Alphabet(1)
+    for make in (lambda: Block((0,), 1), lambda: SymbolicSequence(lambda s, c: np.zeros(c), r=1)):
+        with pytest.raises(DomainError, match="alphabet size must be >= 2, got 1"):
+            make()
 
 
 def test_block_validation():
     with pytest.raises(DomainError, match="digit 2 outside alphabet of size 2"):
-        Block((0, 2), Alphabet(2))
+        Block((0, 2), 2)
     with pytest.raises(DomainError, match="block must have length >= 1"):
-        Block((), Alphabet(2))
+        Block((), 2)
 
 
 def test_digit_budget_is_checked_before_reading():
@@ -250,11 +249,9 @@ def anchor_codes_by_passes(digits: np.ndarray, m: int, r: int) -> np.ndarray:
 def test_packed_anchor_codes_match_the_passes(m, digits):
     arr = np.array(digits, dtype=np.uint8)
     got = _anchor_codes(arr, m, 2)
-    assert got.dtype == np.int64
+    # packed codes (3 <= m <= 57) are uint32 while they fit, the rest int64
+    assert got.dtype == (np.uint32 if 3 <= m <= 32 and len(digits) >= m else np.int64)
     assert got.tolist() == anchor_codes_by_passes(arr, m, 2).tolist()
-    compact = _anchor_codes(arr, m, 2, compact=True)
-    assert compact.dtype == (np.uint32 if 3 <= m <= 32 and len(digits) >= m else np.int64)
-    assert compact.tolist() == got.tolist()
 
 
 def test_packed_anchor_codes_every_length_and_phase():
@@ -314,13 +311,13 @@ def test_empirical_measure_counts_windows(r, digits, m):
     windows = Counter(tuple(digits[i : i + m]) for i in range(len(digits) - m + 1))
     assert em.counts == dict(windows)
     for key in em.counts:
-        assert Block.from_code(Block(key, Alphabet(r)).encode(), m, r).digits == key
+        assert Block.from_code(Block(key, r).encode(), m, r).digits == key
 
 
 def measure_counts_by_block(seq: SymbolicSequence, m: int, N: int) -> dict:
     """The counts dict built key by key through Block.from_code, the
     reference for the one-pass decode of `empirical_measure`."""
-    r = seq.alphabet.size
+    r = seq.r
     observed, cnt = block_histogram(_anchor_codes(seq.digits(1, N), m, r))
     return {tuple(Block.from_code(int(c), m, r).digits): int(n) for c, n in zip(observed, cnt)}
 
@@ -329,7 +326,7 @@ def measure_counts_by_rows(seq: SymbolicSequence, m: int, N: int) -> dict:
     """The counts dict decoded one row of m digits per code, as
     `(codes // powers) % r`, the decode empirical_measure had before it
     joined half-length tuples."""
-    r = seq.alphabet.size
+    r = seq.r
     bc = block_counts(seq.digits(1, N), m, r)
     rows = (bc.codes[:, None] // r ** np.arange(m - 1, -1, -1, dtype=np.int64)) % r
     return dict(zip(map(tuple, rows.tolist()), bc.counts.tolist()))
@@ -448,7 +445,7 @@ def test_prefix_frequency_matches_an_occurrence_count(inputs):
     W = N - len(block) + 1
     hits = sum(digits[i : i + len(block)] == block for i in range(W))
     seq = SymbolicSequence.from_array(digits, r=r)
-    assert prefix_frequency(seq, Block(tuple(block), Alphabet(r)), N) == Fraction(hits, W)
+    assert prefix_frequency(seq, Block(tuple(block), r), N) == Fraction(hits, W)
 
 
 # -- shared block counts -----------------------------------------------------
@@ -479,10 +476,10 @@ def digits_and_block_length(draw):
 def test_memoised_block_counts_equal_a_fresh_count(inputs):
     r, digits, m = inputs
     arr = frozen(digits)
-    first = block_counts(arr, m, r)
-    assert block_counts(arr, m, r) is first  # the second call is a memo hit
-    assert_counts(first, arr, m, r)
-    assert not (first.codes.flags.writeable or first.counts.flags.writeable)
+    for _ in range(2):  # binary at m <= M, the second count reads the memoised table
+        bc = block_counts(arr, m, r)
+        assert_counts(bc, arr, m, r)
+        assert not (bc.codes.flags.writeable or bc.counts.flags.writeable)
 
 
 @settings(max_examples=50)
@@ -502,10 +499,10 @@ def test_read_only_view_of_writeable_base_is_never_memoised(inputs, rnd):
     base = np.array(digits, dtype=np.uint8)
     view = base[:]
     view.setflags(write=False)
-    first = block_counts(view, m, r)
+    block_counts(view, m, r)
     base[:] = [rnd.randrange(r) for _ in digits]
     second = block_counts(view, m, r)
-    assert second is not first
+    assert seqcore._table_last[0] != id(view)  # an entry dies with its array: a live id is that array
     assert_counts(second, view, m, r)
 
 
@@ -528,36 +525,21 @@ def test_dense_block_counts_match_the_sorted_anchor_codes(data):
 
 
 def test_reused_id_never_hits_the_memo(monkeypatch):
-    # entries left by an array that died, under the id a new array now has
+    # an entry left by an array that died, under the id a new array now has
     arr, dead = frozen([0, 1] * 50), frozen([1] * 100)
-    stale = BlockCounts(98, np.array([7]), np.array([98]))
-    monkeypatch.setattr(seqcore, "_counts_last", ((id(arr), 3, 2), weakref.ref(dead), stale))
     monkeypatch.setattr(seqcore, "_table_last", (id(arr), weakref.ref(dead), np.arange(1 << 6)))
-    fresh = block_counts(arr, 3, 2)
-    assert fresh is not stale
-    assert_counts(fresh, arr, 3, 2)
+    assert_counts(block_counts(arr, 3, 2), arr, 3, 2)
     assert seqcore._table_last[1]() is arr
 
 
 @pytest.mark.parametrize("read_only", [False, True])
 def test_block_counts_rejects_a_block_longer_than_the_digits(read_only):
     arr = frozen([0, 1, 1]) if read_only else np.array([0, 1, 1], dtype=np.uint8)
-    assert block_counts(arr, 3, 2).total == 1  # memoised when read-only
+    assert block_counts(arr, 3, 2).total == 1
     with pytest.raises(DomainError, match="block length m=4 exceeds the 3 digits"):
         block_counts(arr, 4, 2)
     with pytest.raises(DomainError, match="block length m=1 exceeds the 0 digits"):
         block_counts(arr[:0], 1, 2)
-
-
-def test_memo_keeps_the_last_count():
-    arr = frozen([0, 1, 1] * 40)
-    first = block_counts(arr, 1, 2)
-    second = block_counts(arr, 2, 2)
-    assert seqcore._counts_last[0] == (id(arr), 2, 2)
-    assert block_counts(arr, 2, 2) is second
-    again = block_counts(arr, 1, 2)  # replaced by m=2, counted again
-    assert again is not first
-    assert_counts(again, arr, 1, 2)
 
 
 def top_length_by_definition(n: int) -> int:
@@ -587,8 +569,8 @@ def test_digits_copy_a_view_of_a_writeable_buffer():
     seq = SymbolicSequence(lambda s, c: buf[s - 1 : s - 1 + c], horizon=len(buf))
     d = seq.digits(1, 4000)
     assert seqcore._frozen(d)
-    first = block_counts(d, 3, 2)
-    assert block_counts(d, 3, 2) is first  # a memo hit
+    block_counts(d, 3, 2)
+    assert seqcore._table_last[1]() is d  # memoised: d is read-only up to its owner
     buf[:] = 0
     assert d.tolist() == [0, 1, 1, 0, 1] * 800
     assert_counts(block_counts(d, 3, 2), d, 3, 2)
@@ -596,10 +578,10 @@ def test_digits_copy_a_view_of_a_writeable_buffer():
 
 def test_memo_entries_die_with_their_array():
     arr = frozen([0, 1, 1, 0] * 100)
-    bc = block_counts(arr, 2, 2)
-    assert seqcore._counts_last[2] is bc and seqcore._table_last[1]() is arr
+    block_counts(arr, 2, 2)
+    assert seqcore._table_last[1]() is arr
     del arr
-    assert seqcore._counts_last == seqcore._table_last == (None, None, None)
+    assert seqcore._table_last == (None, None, None)
 
 
 @settings(max_examples=50)
@@ -627,7 +609,7 @@ def test_zip_product_codes():
     r1 = SymbolicSequence.from_array([0, 0, 1, 1])
     r2 = SymbolicSequence.from_array([0, 1, 0, 1])
     z = zip_product([r1, r2])
-    assert z.alphabet.size == 4
+    assert z.r == 4
     assert z.digits(1, 4).tolist() == [0, 1, 2, 3]
 
 
@@ -703,9 +685,9 @@ def test_base4_split_digit_rule(digits):
 def test_nseq_roundtrip_binary(tmp_path):
     path = tmp_path / "x.nseq"
     digits = [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0]
-    write_nseq(path, digits, r=2)
+    write_nseq(path, SymbolicSequence.from_array(digits))
     back = read_nseq(path)
-    assert back.alphabet.size == 2
+    assert back.r == 2
     assert back.horizon == len(digits)
     assert back.digits(1, len(digits)).tolist() == digits
 
@@ -713,15 +695,15 @@ def test_nseq_roundtrip_binary(tmp_path):
 def test_nseq_roundtrip_bytes(tmp_path):
     path = tmp_path / "x.nseq"
     digits = [5, 0, 9, 3, 7]
-    write_nseq(path, digits, r=10)
+    write_nseq(path, SymbolicSequence.from_array(digits, r=10))
     back = read_nseq(path)
-    assert back.alphabet.size == 10
+    assert back.r == 10
     assert back.digits(1, 5).tolist() == digits
 
 
 def test_nseq_header_layout(tmp_path):
     path = tmp_path / "x.nseq"
-    write_nseq(path, [1, 0, 1], r=2)
+    write_nseq(path, SymbolicSequence.from_array([1, 0, 1]))
     blob = path.read_bytes()
     assert blob[:4] == b"NSEQ"
     assert blob[4] == 0x01

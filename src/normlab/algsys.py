@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Optional, Union
 
@@ -173,24 +174,43 @@ class ToralMap:
         return True
 
 
-class OrbitPoints(Sequence):
-    """Orbit points x_k = v_k / D: integer numerator vectors over one common
-    denominator D, each point built as a tuple of Fractions on access."""
+def _numerators(A: tuple[tuple[int, ...], ...], v: tuple[int, ...], D: int, steps: int):
+    """v, then each of `steps` images under v <- A v mod D."""
+    yield v
+    for _ in range(steps):
+        v = tuple(sum(a * c for a, c in zip(row, v)) % D for row in A)
+        yield v
 
-    def __init__(self, numerators: list[tuple[int, ...]], denominator: int):
-        self._num = numerators
-        self._den = denominator
+
+class OrbitPoints(Sequence):
+    """Orbit points x_k = v_k / D, k = 0 .. steps: integer numerator vectors
+    over one common denominator D, recomputed on demand from v_0, so only
+    one vector is held at a time.  Iteration steps once per point, x[k]
+    steps k times, and each point is built as a tuple of Fractions."""
+
+    def __init__(self, v0: tuple[int, ...], matrix: tuple[tuple[int, ...], ...], denominator: int, steps: int):
+        self._v0, self._A, self._den, self._steps = v0, matrix, denominator, steps
 
     def _point(self, v: tuple[int, ...]) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self._den) for c in v)
 
+    def _points(self, start: int, stop: int, step: int = 1):
+        return map(self._point, islice(_numerators(self._A, self._v0, self._den, self._steps), start, stop, step))
+
     def __len__(self) -> int:
-        return len(self._num)
+        return self._steps + 1
+
+    def __iter__(self):
+        return self._points(0, None)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self._point(v) for v in self._num[i]]
-        return self._point(self._num[i])
+            at = range(len(self))[i]
+            if at.step < 0:
+                return self[at[-1] : at[0] + 1 : -at.step][::-1] if at else []
+            return list(self._points(at.start, at.stop, at.step))
+        k = range(len(self))[i]
+        return next(self._points(k, k + 1))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -264,8 +284,10 @@ def toral_orbit(
     rational inputs (precision_bits=None) certify every step.
 
     Raises BudgetError, before iterating, beyond the orbit budgets: the cell
-    histogram has 2^(d * grid_bits) entries, and every orbit vector (d
-    integers below D) is kept.
+    histogram has 2^(d * grid_bits) entries, and each of the steps
+    multiplies d^2 integers below D.  No orbit vector is kept: each point's
+    cell is counted as the orbit steps, and `points` recomputes the points
+    on demand.
     """
     if steps < 0:
         raise DomainError("steps must be >= 0")
@@ -281,12 +303,7 @@ def toral_orbit(
         raise DomainError("dimension mismatch between x0 and the matrix")
     D = lcm(*(c.denominator for c in x))
     within("orbit storage", steps * d * D.bit_length())
-    v = tuple(c.numerator * (D // c.denominator) % D for c in x)
-    A = tmap.matrix
-    nums = [v]
-    for _ in range(steps):
-        v = tuple(sum(a * c for a, c in zip(row, v)) % D for row in A)
-        nums.append(v)
+    v0 = tuple(c.numerator * (D // c.denominator) % D for c in x)
     if precision_bits is None:
         certified = steps
     else:
@@ -294,17 +311,18 @@ def toral_orbit(
         # integers scaled by 2^(precision_bits + OUTPUT_BITS)
         certified = _certified_steps(d << OUTPUT_BITS, tmap.induced_one_norm(), 1 << precision_bits, steps)
     cells = 1 << grid_bits
-    flat = []
-    for v in nums:
+    visits: dict[int, int] = {}  # cell code -> points in that cell
+    for v in _numerators(tmap.matrix, v0, D, steps):
         f = 0
         for c in v:
             f = f * cells + ((c << grid_bits) // D)
-        flat.append(f)
-    counts = np.bincount(flat, minlength=cells**d)
-    freq = counts / len(nums)
+        visits[f] = visits.get(f, 0) + 1
+    counts = np.zeros(cells**d, dtype=np.int64)
+    counts[list(visits)] = list(visits.values())
+    freq = counts / (steps + 1)
     disc = float(np.abs(freq - 1.0 / cells**d).max())
     return OrbitResult(
-        points=OrbitPoints(nums, D),
+        points=OrbitPoints(v0, tmap.matrix, D, steps),
         ergodic=tmap.is_ergodic(),
         certified_steps=certified,
         discrepancy=disc,

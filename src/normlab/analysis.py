@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -178,9 +179,18 @@ def entropy_profile(
     return profile
 
 
-def count_low_entropy_blocks(m: int, n: int, c: float) -> int:
+_CENSUS_ROWS, _CENSUS_CELLS = 14, 18  # log2 of the blocks, and of their 2^n counts, coded at a time
+_TIE_SLACK = 2.0**-30  # far above the float error of H_n (W nonzero terms, each within a few ulps)
+
+
+def count_low_entropy_blocks(m: int, n: int, c: float | Fraction) -> int:
     """Exhaustive count of binary blocks B of length m with H_n(B) <= c;
-    1 <= n <= m."""
+    1 <= n <= m.  `c` is a float, taken at its exact binary value (so ties
+    at 3/5 lie above c = 0.6), or an exact rational such as Fraction(3, 5).
+
+    H_n is computed in float64 for every block, and a block whose float
+    lies within _TIE_SLACK of c is decided exactly by `_entropy_at_most`,
+    so the count is exact."""
     within("enumeration", m)
     if n < 1:
         raise DomainError(f"block length n={n} must be >= 1")
@@ -189,7 +199,8 @@ def count_low_entropy_blocks(m: int, n: int, c: float) -> int:
     W = m - n + 1
     total = 1 << m
     nmask = (1 << n) - 1
-    chunk = 1 << min(m, 18)
+    chunk = 1 << min(m, _CENSUS_ROWS, max(0, _CENSUS_CELLS - n))  # a (W, chunk) index array, a (chunk, 2^n) table
+    c_float = float(c)
     count = 0
     for lo in range(0, total, chunk):
         blocks = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
@@ -207,5 +218,37 @@ def count_low_entropy_blocks(m: int, n: int, c: float) -> int:
         H = terms.sum(axis=1) / n
         single = (counts > 0).sum(axis=1) == 1
         H[single] = 0.0  # exactly one block type occurring is exactly zero entropy
-        count += int(np.count_nonzero(H <= c))
+        near = np.abs(H - c_float) <= _TIE_SLACK
+        count += int(np.count_nonzero((H <= c_float) & ~near))
+        count += sum(_entropy_at_most(row[row > 0].tolist(), n, Fraction(c)) for row in counts[near])
     return count
+
+
+def _entropy_at_most(counts: list[int], n: int, c: Fraction) -> bool:
+    """Whether H_n <= c exactly, for the n-block counts of one block.
+
+    With W = sum(counts), n W H_n = log2(L) for L = W^W / prod k^k, so
+    H_n <= a/b exactly when W^(bW) <= 2^(anW) prod k^(bk).  log2(L) is an
+    integer j when L = 2^j and irrational otherwise, so a tie H_n = c needs
+    L = 2^j, and then the test is j <= c n W in integers.  Any other L
+    differs from c, and the sign of ln L - c n W ln 2, from correctly
+    rounded `decimal` logarithms at doubling precision, decides the side.
+    """
+    W = sum(counts)
+    P, Q = W**W, math.prod(k**k for k in counts)
+    t = c * n * W  # H_n <= c exactly when log2(P / Q) <= t
+    q, rem = divmod(P, Q)
+    if rem == 0 and q & (q - 1) == 0:
+        return q.bit_length() - 1 <= t
+    prec = 40
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            ln_p, ln_q = Decimal(P).ln(), Decimal(Q).ln()
+            ln_t = Decimal(t.numerator) / t.denominator * Decimal(2).ln()
+            gap = ln_p - ln_q - ln_t
+            # each of the six roundings is within 10^(1 - prec) of its operands' size
+            slack = (ln_p + ln_q + abs(ln_t) + 1) * Decimal(10) ** (2 - prec)
+        if abs(gap) > slack:
+            return gap < 0
+        prec *= 2

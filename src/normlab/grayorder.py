@@ -129,7 +129,13 @@ def _check_words(words: np.ndarray, n: int, variant: str, start: int) -> Orderin
     """The report of `verify_ordering` for any int64 array of 2^n n-bit words."""
     size = 1 << n
     failures: list[str] = []
-    distinct = len(np.unique(words)) == size
+    # 2^n distinct n-bit words: in range, and each counted once
+    distinct = (
+        len(words) == size
+        and 0 <= int(words.min())
+        and int(words.max()) < size
+        and bool((np.bincount(words, minlength=size) == 1).all())
+    )
     if not distinct:
         failures.append("outputs are not distinct")
 

@@ -9,7 +9,8 @@ against seeded sampled streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import InitVar, asdict, dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -105,7 +106,9 @@ def rauzy_obstruction_l(p) -> int:
 
 @dataclass
 class MonteCarloCarrySum:
-    """Empirical digit statistics of one sampled carry sum."""
+    """Empirical digit statistics of one sampled carry sum.  `pair_rows`
+    keeps the tallied pairs' lead and next digits as a 2 x pairs bool array
+    for `correlation`, which is computed on its first read."""
 
     p: str
     seed: int
@@ -114,43 +117,64 @@ class MonteCarloCarrySum:
     freq_one: float
     freq_one_given_next_zero: float
     dependence: float  # conditional minus unconditional ones-frequency
-    correlation: float  # Pearson correlation of adjacent sum digits
     tallied: int
     tallied_pairs: int
     ambiguity_rate: float
+    pair_rows: InitVar[np.ndarray]
+
+    def __post_init__(self, pair_rows: np.ndarray):
+        self._pair_rows = pair_rows
+
+    @cached_property
+    def correlation(self) -> float:
+        """Pearson correlation of adjacent sum digits, 0 when either side of
+        the pairs is constant.  It stays np.corrcoef of the two rows (as
+        float64, a 2 x pairs copy): a closed form from the 2x2 pair counts
+        differs from it in the last bits."""
+        rows = self._pair_rows
+        ones = np.count_nonzero(rows, axis=1)
+        if not ((0 < ones) & (ones < self.tallied_pairs)).all():
+            return 0.0
+        # np.cov stacks two arguments into this 2 x pairs array, so passing it whole is the same computation
+        return float(np.corrcoef(rows)[0, 1])
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        out = {}
+        for key, value in asdict(self).items():
+            out[key] = value
+            if key == "dependence":
+                out["correlation"] = self.correlation
+        return out
 
 
 def _tallies(digits: np.ndarray, ambiguous: np.ndarray) -> dict:
     """The digit statistics of a carry sum over its unambiguous positions,
-    from integer counts of the 0/1 uint8 `digits`.
+    from integer counts of the 0/1 uint8 `digits`, and the tallied pairs'
+    rows for `MonteCarloCarrySum.correlation`.
 
     Each frequency is a quotient of two counts, which is also what the
     float64 mean of 0/1 digits rounds to, since its sum is exact.  The
-    next-digit-zero frequency is NaN when no tallied pair ends in 0, and the
-    correlation is 0 when either side of the pairs is constant.  The
-    correlation stays np.corrcoef on the two uint8 rows: a closed form from
-    the 2x2 pair counts differs from it in the last bits.
+    next-digit-zero frequency is NaN when no tallied pair ends in 0.
     """
     ok = ~ambiguous
     tallied = int(np.count_nonzero(ok))
     if tallied == 0:
         raise DataQualityError("no unambiguous digits to tally")
+    bits = digits.view(bool)  # the digits are 0 or 1
+    ones = int(np.count_nonzero(bits[ok]))
     pair_ok = ok[:-1] & ok[1:]
-    rows = np.stack((digits[:-1][pair_ok], digits[1:][pair_ok]))  # lead, next
-    pairs = rows.shape[1]
-    n00, n01, n10, n11 = np.bincount(2 * rows[0] + rows[1], minlength=4).tolist()
-    ones_lead, ones_next = n10 + n11, n01 + n11
+    del ok  # one byte a digit less at the peak, while the rows are built
+    pairs = int(np.count_nonzero(pair_ok))
+    rows = np.empty((2, pairs), dtype=bool)  # lead, next; a mask, where np.compress would build int64 indices
+    rows[0], rows[1] = bits[:-1][pair_ok], bits[1:][pair_ok]
+    n10 = int(np.count_nonzero(rows[0] > rows[1]))  # lead 1, next 0
+    zero_next = pairs - int(np.count_nonzero(rows[1]))
     return dict(
-        freq_one=int(np.count_nonzero(digits[ok])) / tallied,
-        freq_one_given_next_zero=n10 / (n00 + n10) if n00 + n10 else float("nan"),
-        # np.cov stacks two arguments into this 2 x pairs array, so passing it whole is the same
-        # computation without two float64 copies
-        correlation=float(np.corrcoef(rows)[0, 1]) if 0 < ones_lead < pairs and 0 < ones_next < pairs else 0.0,
+        freq_one=ones / tallied,
+        freq_one_given_next_zero=n10 / zero_next if zero_next else float("nan"),
         tallied=tallied,
         tallied_pairs=pairs,
+        pair_rows=rows,
     )
 
 

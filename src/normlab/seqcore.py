@@ -162,27 +162,39 @@ class SymbolicSequence:
 
 def tiled(pat: np.ndarray, start: int, count: int) -> np.ndarray:
     """Digits start .. start+count-1 of the sequence that repeats `pat`
-    from position 1: the pattern rotated to the start and tiled, with no
-    index array, so any start, however large, costs the same."""
+    from position 1, as a read-only array that owns its data: the pattern
+    rotated to the start, then the filled part copied after itself until
+    `count` digits are filled, with no index array, so any start, however
+    large, costs the same."""
     k = (start - 1) % len(pat)
-    return np.tile(np.concatenate((pat[k:], pat[:k])), -(-count // len(pat)))[:count]
+    out = np.empty(count, dtype=pat.dtype)
+    filled = min(len(pat), count)
+    out[:filled] = np.concatenate((pat[k:], pat[:k]))[:filled]
+    while filled < count:  # filled is a multiple of len(pat) here
+        more = min(filled, count - filled)
+        out[filled : filled + more] = out[:more]
+        filled += more
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # occurrence counting
 
 
-def _anchor_codes(digits: np.ndarray, m: int, r: int) -> np.ndarray:
+def _anchor_codes(digits: np.ndarray, m: int, r: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Base-r code of the m-block anchored at each position (first digit MSB)
     as int64, or as uint32 for binary blocks of length 3 <= m <= 32: half
-    the bytes for a sort."""
+    the bytes for a sort.  Given `out`, an int64 array of at least W + 7
+    entries for the W anchors, the codes are int64 and written into it."""
     W = len(digits) - m + 1
     if W <= 0:
         return np.zeros(0, dtype=np.int64)
     _check_code_bits(m, r)
     if r == 2 and 3 <= m <= 57:  # the m-pass loop is faster only for m <= 2
-        return _packed_codes(digits, m, W)
-    codes = np.zeros(W, dtype=np.int64)
+        return _packed_codes(digits, m, W, out)
+    codes = np.empty(W, dtype=np.int64) if out is None else out[:W]
+    codes.fill(0)
     for j in range(m):
         codes *= r
         codes += digits[j : j + W]  # cast in buffered chunks, not one full-size copy
@@ -194,10 +206,10 @@ def _check_code_bits(m: int, r: int) -> None:
         raise DomainError(f"block codes for m={m}, r={r} exceed the 64-bit budget")
 
 
-def _packed_codes(digits: np.ndarray, m: int, W: int) -> np.ndarray:
+def _packed_codes(digits: np.ndarray, m: int, W: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Binary anchor codes from the bit-packed digits at any m, as uint32
-    while m <= 32, else int64, phase by phase, with no full-size uint64
-    temporary.
+    while m <= 32, else int64, or into the int64 `out` when given, phase by
+    phase, with no full-size uint64 temporary.
 
     Word q is the big-endian uint64 of packed bytes q .. q+7, that is digits
     8q .. 8q+63; the block anchored at digit 8q+s is its bits s .. s+m-1
@@ -208,7 +220,10 @@ def _packed_codes(digits: np.ndarray, m: int, W: int) -> np.ndarray:
     bits = np.packbits(digits)
     packed[: len(bits)] = bits
     words = np.ndarray((rows,), dtype=">u8", buffer=packed, strides=(1,)).astype(np.uint64)
-    codes = np.empty((rows, 8), dtype=np.uint32 if m <= 32 else np.int64)
+    if out is None:
+        codes = np.empty((rows, 8), dtype=np.uint32 if m <= 32 else np.int64)
+    else:
+        codes = out[: rows * 8].reshape(rows, 8)
     for s in range(8):
         np.bitwise_and(words >> np.uint64(64 - m - s), np.uint64((1 << m) - 1), out=codes[:, s], casting="unsafe")
     return codes.reshape(-1)[:W]
@@ -237,9 +252,10 @@ def code_table(digits: np.ndarray, M: int, r: int, head: int) -> np.ndarray:
     2^17)."""
     table = np.zeros(r**M, dtype=np.int64)
     step = max(_TABLE_CHUNK, r**M // 8)
+    codes = np.empty(min(step, head) + 7, dtype=np.int64)  # every chunk's codes, so bincount reads them uncast
     for start in range(0, head, step):
         stop = min(start + step, head)
-        table += np.bincount(_anchor_codes(digits[start : stop + M - 1], M, r), minlength=r**M)
+        table += np.bincount(_anchor_codes(digits[start : stop + M - 1], M, r, codes), minlength=r**M)
     return table
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -363,3 +364,45 @@ def test_integer_orbit_matches_fraction_orbit(data):
     for pt in pts:
         counts[tuple(int(c * cells) % cells for c in pt)] += 1
     assert r.discrepancy == float(np.abs(counts / len(pts) - 1.0 / cells**d).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_orbit_points_read_like_a_list(data):
+    # the points are recomputed on demand; iteration, indexing and slicing
+    # must read as the list of a plain iteration of the Fraction map
+    tm = data.draw(st.sampled_from([ToralMap.from_rows([[2, 1], [1, 1]]), ToralMap.from_rows([[3, 1], [2, 1]])]))
+    x0 = [Fraction(data.draw(st.integers(0, 60)), data.draw(st.integers(1, 61))) for _ in range(2)]
+    steps = data.draw(st.integers(0, 25))
+    pts = [tuple(c - (c.numerator // c.denominator) for c in x0)]
+    for _ in range(steps):
+        pts.append(tuple(apply_map(tm, pts[-1])))
+    points = toral_orbit(tm, x0, steps).points
+    assert len(points) == steps + 1
+    assert list(points) == pts
+    assert points[steps] == points[-1] == pts[-1]
+    k = data.draw(st.integers(-steps - 1, steps))
+    assert points[k] == pts[k]
+    for bad in (steps + 1, -steps - 2):
+        with pytest.raises(IndexError):
+            points[bad]
+    cut = slice(
+        data.draw(st.none() | st.integers(-steps - 3, steps + 3)),
+        data.draw(st.none() | st.integers(-steps - 3, steps + 3)),
+        data.draw(st.none() | st.integers(-4, 4).filter(bool)),
+    )
+    assert points[cut] == pts[cut]
+
+
+def test_orbit_keeps_no_orbit_vectors():
+    # 10^4 steps of 4096-bit vectors: the stored orbit peaked at 11.7 MiB
+    tm = ToralMap.from_rows([[2, 1], [1, 1]])
+    x0 = [Fraction((1 << 4096) // 3, 1 << 4096), Fraction((1 << 4096) // 7, 1 << 4096)]
+    tracemalloc.start()
+    try:
+        r = toral_orbit(tm, x0, 10**4, grid_bits=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, f"peaked at {peak / 2**20:.1f} MiB"
+    assert len(r.points) == 10**4 + 1 and r.as_dict()["steps"] == 10**4

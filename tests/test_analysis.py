@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -402,6 +403,39 @@ def test_census_matches_direct_enumeration():
         if combinatorial_entropy(block.as_array(), n) <= c:
             direct += 1
     assert count_low_entropy_blocks(m, n, c) == direct
+
+
+def entropy_at_most_by_powers(block: int, m: int, n: int, c: Fraction) -> bool:
+    """H_n(B) <= a/b for the m-bit block B, decided in integers:
+    W^(bW) <= 2^(anW) * prod k^(bk) over the counts k of its W n-windows."""
+    W = m - n + 1
+    counts = Counter((block >> (m - n - i)) & ((1 << n) - 1) for i in range(W))
+    a, b = c.numerator, c.denominator
+    right = math.prod(k ** (b * k) for k in counts.values())
+    return W ** (b * W) <= (right << (a * n * W) if a >= 0 else 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_census_matches_the_exact_oracle(data):
+    if data is None:  # ties at H_2 = 1/2 exactly, as in the manifest's m = 16 case
+        m, n, c = 12, 2, Fraction(1, 2)
+    else:
+        m = data.draw(st.integers(1, 9))
+        n = data.draw(st.integers(1, m))
+        W = m - n + 1
+        # ties j / (nW) (H_n of a block whose L is a power of two), small
+        # rationals, and dyadic floats, which compare exactly as Fractions
+        c = data.draw(
+            st.integers(-1, n * W).map(lambda j: Fraction(j, n * W))
+            | st.fractions(Fraction(-1, 4), Fraction(5, 4), max_denominator=12)
+            | st.integers(0, 64).map(lambda j: Fraction(j, 64))
+        )
+    want = sum(entropy_at_most_by_powers(block, m, n, c) for block in range(1 << m))
+    assert count_low_entropy_blocks(m, n, c) == want
+    if c.denominator & (c.denominator - 1) == 0:
+        assert count_low_entropy_blocks(m, n, float(c)) == want
 
 
 def test_census_budget():

@@ -76,6 +76,27 @@ def test_digit_checks_keep_their_digits_compact(name):
     assert peak <= 8 << 20, f"{name} peaked at {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize(
+    "name, bound_mib",
+    [
+        # 10^4 orbit vectors of 4096 bits were kept: 11.7 MiB
+        ("toral-discrepancy", 1),
+        # (W, 2^18) index arrays and (2^18, 4) count tables a chunk: 18.8 MiB
+        ("low-entropy-census", 8),
+        # an int64 copy of the pairs for bincount and np.corrcoef's float64 copy: 21.0 MiB
+        ("carry-monte-carlo", 8),
+    ],
+)
+def test_largest_experiments_keep_their_working_sets_small(name, bound_mib):
+    tracemalloc.start()
+    try:
+        assert all(c.passed for c in run_experiment(name).checks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib << 20, f"{name} peaked at {peak / 2**20:.1f} MiB"
+
+
 def test_xy_switch_decay_matches_recorded_curve():
     recorded = load_manifest()["reference"]["xy-switch-decay"]["recorded_curve"]
     rep = run_experiment("xy-switch-decay")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normlab.errors import BudgetError, DomainError
@@ -213,3 +213,29 @@ def test_offset_digit_matches_offset_bits(n, l, i, alternated):
     word = offset(n, l, alternated)
     assert offset_digit(n, l, i, alternated) == (word >> (n - i)) & 1
     assert int(offset(n, np.array([l], dtype=np.int64), alternated)[0]) == word
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            # n-bit words, with duplicates, negatives and words >= 2^n mixed in
+            st.lists(st.integers(0, (1 << n) - 1) | st.integers(-3, -1) | st.integers(1 << n, (1 << n) + 3),
+                     min_size=1 << n, max_size=1 << n),
+            st.booleans(),
+        )
+    )
+)
+@example((2, [0, 1, 2, 5], False))  # distinct, but 5 is no 2-bit word
+@example((2, [0, -1, 2, 3], False))
+@example((2, [0, 1, 1, 3], False))
+@example((2, [3, 1, 0, 2], False))
+def test_distinct_words_match_the_unique_definition(case):
+    n, words, permute = case
+    if permute:  # a permutation of the n-bit words, with one word maybe replaced
+        words = list(np.random.default_rng(abs(words[0])).permutation(1 << n)[:-1]) + [words[-1]]
+    arr = np.array(words, dtype=np.int64)
+    # distinct n-bit words, 2^n of them: the set of words is {0, ..., 2^n - 1}
+    want = np.array_equal(np.unique(arr), np.arange(1 << n))
+    assert _check_words(arr, n, "alternated", 0).all_distinct == want

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from normlab.errors import BUDGETS, BudgetError, DataQualityError
 from normlab.pnormal import (
     DomainError,
+    MonteCarloCarrySum,
     _carry_parts,
     _tallies,
     carry_digit_prob,
@@ -242,11 +243,27 @@ def test_tallies_match_float_means(cells):
             _tallies(digits, ambiguous)
         return
     got = _tallies(digits, ambiguous)
+    # the correlation is read on demand from the kept pair rows, bit for bit
+    # np.corrcoef of the float64 rows
+    mc = MonteCarloCarrySum("1/2", 0, len(cells), 0, dependence=0.0, ambiguity_rate=0.0, **got)
+    got["correlation"] = mc.correlation
+    del got["pair_rows"]
     assert got.keys() == want.keys()
     for key, value in want.items():
         # the same type keeps repr() of the report, and so its digest, unchanged
         assert type(got[key]) is type(value), key
         assert got[key] == value or (math.isnan(got[key]) and math.isnan(value)), key
+
+
+def test_monte_carlo_report_keeps_its_key_order():
+    # the correlation is computed on its first read, and the report places it
+    # where the field stood, so `normlab pnormal --mc` prints the same JSON
+    d = monte_carlo_carry_sum(Fraction(1, 5), seed=7, N=10**4).as_dict()
+    assert list(d) == [
+        "p", "seed", "n_digits", "lookahead_cap", "freq_one", "freq_one_given_next_zero", "dependence",
+        "correlation", "tallied", "tallied_pairs", "ambiguity_rate",
+    ]
+    assert type(d["correlation"]) is float and -1 < d["correlation"] < 0
 
 
 def test_stats_bundle():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from normlab import seqcore
 from normlab.errors import BUDGETS, BudgetError, DomainError
-from normlab.generators import bernoulli_stream, kappa_sequence, uniform_stream
+from normlab.generators import bernoulli_stream, kappa_sequence, uniform_stream, v_sequence
 from normlab.seqcore import (
     Block,
     SymbolicSequence,
@@ -740,6 +740,16 @@ def test_block_counts_memory_on_2_20_digits():
     # when np.unique sorted a copy)
     _, _, peak = traced(block_counts, fresh(), 28, 2)
     assert peak <= 10 * MiB
+
+
+@pytest.mark.parametrize("make", [v_sequence, lambda: SymbolicSequence.periodic([0, 1, 1])])
+def test_tiled_reads_are_not_copied(make):
+    # the tile is built in the array it returns, read-only, so `digits` keeps
+    # it as it is; a view of a writeable np.tile result was copied: 2.0 B a digit
+    seq = make()
+    digits, _, peak = traced(seq.digits, 5, 1 << 20)
+    assert digits.base is None and not digits.flags.writeable
+    assert peak <= 1.25 * (1 << 20)
 
 
 def test_measure_retains_arrays_not_tuples():

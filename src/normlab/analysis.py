@@ -179,7 +179,7 @@ def entropy_profile(
     return profile
 
 
-_CENSUS_ROWS, _CENSUS_CELLS = 14, 18  # log2 of the blocks, and of their 2^n counts, coded at a time
+_CENSUS_CELLS = 17  # log2 of the window codes held at a time: 1 MiB of them
 _TIE_SLACK = 2.0**-30  # far above the float error of H_n (W nonzero terms, each within a few ulps)
 
 
@@ -188,9 +188,11 @@ def count_low_entropy_blocks(m: int, n: int, c: float | Fraction) -> int:
     1 <= n <= m.  `c` is a float, taken at its exact binary value (so ties
     at 3/5 lie above c = 0.6), or an exact rational such as Fraction(3, 5).
 
-    H_n is computed in float64 for every block, and a block whose float
-    lies within _TIE_SLACK of c is decided exactly by `_entropy_at_most`,
-    so the count is exact."""
+    Each block's W = m - n + 1 window codes are sorted, and their runs are
+    the n-block counts, so the work is linear in W whatever n is.  H_n is
+    computed in float64 for every block, and a block whose float lies
+    within _TIE_SLACK of c is decided exactly by `_entropy_at_most`, so the
+    count is exact."""
     within("enumeration", m)
     if n < 1:
         raise DomainError(f"block length n={n} must be >= 1")
@@ -198,29 +200,32 @@ def count_low_entropy_blocks(m: int, n: int, c: float | Fraction) -> int:
         raise DomainError(f"n={n} exceeds m={m}")
     W = m - n + 1
     total = 1 << m
-    nmask = (1 << n) - 1
-    chunk = 1 << min(m, _CENSUS_ROWS, max(0, _CENSUS_CELLS - n))  # a (W, chunk) index array, a (chunk, 2^n) table
+    code = np.uint32 if m <= 32 else np.uint64  # uint32: about 0.6 of uint64's time
+    shifts = np.arange(m - n, -1, -1, dtype=code)  # window i starts i digits below the top
+    nmask = code((1 << n) - 1)
+    chunk = max(1, (1 << _CENSUS_CELLS) // W)
     c_float = float(c)
     count = 0
     for lo in range(0, total, chunk):
-        blocks = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
-        rows = len(blocks)
-        # counts[b, code] over the W anchored n-windows of each block
-        row_offsets = np.arange(rows, dtype=np.int64) << n
-        idx = np.empty((W, rows), dtype=np.int64)
-        for i in range(W):
-            shift = np.uint64(m - n - i)
-            idx[i] = row_offsets + ((blocks >> shift) & np.uint64(nmask)).astype(np.int64)
-        counts = np.bincount(idx.ravel(), minlength=rows << n).reshape(rows, 1 << n)
-        p = counts / W
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(counts > 0, -p * np.log2(np.where(counts > 0, p, 1.0)), 0.0)
-        H = terms.sum(axis=1) / n
-        single = (counts > 0).sum(axis=1) == 1
-        H[single] = 0.0  # exactly one block type occurring is exactly zero entropy
+        blocks = np.arange(lo, min(lo + chunk, total), dtype=code)
+        windows = blocks[:, None] >> shifts
+        windows &= nmask
+        windows.sort(axis=1)
+        windows = windows.ravel()
+        first = np.empty(len(windows), dtype=bool)  # where each run of equal codes starts
+        np.not_equal(windows[1:], windows[:-1], out=first[1:])
+        first[::W] = True
+        starts = np.flatnonzero(first)  # each block's runs in ascending code order
+        del windows, first
+        runs = np.diff(starts, append=len(blocks) * W)
+        row = starts // W
+        p = runs / W
+        H = np.bincount(row, weights=-p * np.log2(p), minlength=len(blocks)) / n
         near = np.abs(H - c_float) <= _TIE_SLACK
         count += int(np.count_nonzero((H <= c_float) & ~near))
-        count += sum(_entropy_at_most(row[row > 0].tolist(), n, Fraction(c)) for row in counts[near])
+        tied = np.flatnonzero(near)
+        bounds = zip(np.searchsorted(row, tied), np.searchsorted(row, tied, side="right"))
+        count += sum(_entropy_at_most(runs[i:j].tolist(), n, Fraction(c)) for i, j in bounds)
     return count
 
 

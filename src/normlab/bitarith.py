@@ -49,10 +49,13 @@ def _int_to_bits(word: int, count: int) -> np.ndarray:
 # exact products of large mantissas
 
 # The smaller operand needs 2^14 bits, and 1/16 of the larger's, before the
-# FFT beats CPython's Karatsuba `*` (2 cores, numpy 2.4: 2^13 bits 0.11 vs
-# 0.18 ms, 2^14 bits 0.38 vs 0.30 ms, 2^20 bits 236 vs 44 ms; 2^20 by 2^15
-# bits 28 vs 44 ms, 2^20 by 2^16 bits 37 vs 39 ms).
+# FFT ties CPython's Karatsuba `*` (2 cores, numpy 2.4, best of 5 in two
+# runs, `*` vs FFT: 2^13 bits 0.04-0.07 vs 0.08-0.10 ms, 2^14 bits 0.13-0.22
+# vs 0.14-0.22 ms, 2^20 bits 94-100 vs 21-47 ms, 2^20 + 64 bits (peeled)
+# 101-104 vs 22-48 ms; 2^20 by 2^15 bits 12-13 vs 19 ms, 2^20 by 2^16 bits
+# 19-20 vs 18-20 ms).
 _FFT_MIN_BITS = 1 << 14
+_PEEL_MAX_LIMBS = 64  # the largest k that `_product` peels; see there
 
 _UNIT_ROUNDOFF = 2.0**-53
 _TWIDDLE_ERR = 2.0**-50  # beta: 8 ulps on each computed root of unity
@@ -99,6 +102,17 @@ def _product(a: int, b: int) -> int:
     when Percival's bound, computed from these operands' limb norms, is
     below 1/4.  With 8-bit limbs the bound is about 2e-4 at 2^20 bits and
     0.05 for two all-ones 2^26-bit operands.
+
+    A coefficient count just above a power of two P would double the FFT.
+    Then the k = ceil((count - P) / 2) low limbs of each operand are peeled
+    off, a = A 2^s + a0 and b = B 2^s + b0 with s = 8k, and the result is
+    A B 2^2s + (a0 B + A b0) 2^s + a0 b0: exact, with A B a convolution of
+    length P under its own bound.  The side products are big by <= 8k-bit
+    CPython products, so this is done only for k <= _PEEL_MAX_LIMBS.  At
+    k = 64 the peeled product took 0.42-0.70 of the time of the doubled
+    FFT from 2^14 to 2^20 bits, at k = 256 0.56-0.87, and at 2^20 bits it
+    loses from about k = 4096 (53 against 37 ms).  Two (2^20 + 64)-bit
+    operands peel k = 8: 18 against 34 ms.
     """
     small, big = sorted((a.bit_length(), b.bit_length()))
     if small < max(_FFT_MIN_BITS, big >> 4):
@@ -106,6 +120,11 @@ def _product(a: int, b: int) -> int:
     la, lb = (a.bit_length() + 7) // 8, (b.bit_length() + 7) // 8
     n_coeffs = la + lb - 1
     size = 1 << (n_coeffs - 1).bit_length()
+    peel = (n_coeffs - size // 2 + 1) // 2  # low limbs off each operand that halve the size
+    if peel <= _PEEL_MAX_LIMBS:
+        s = 8 * peel
+        a_hi, a_lo, b_hi, b_lo = a >> s, a & ((1 << s) - 1), b >> s, b & ((1 << s) - 1)
+        return (_product(a_hi, b_hi) << 2 * s) + ((a_lo * b_hi + a_hi * b_lo) << s) + a_lo * b_lo
     fa, norm2_a = _limb_spectrum(a, la, size)
     fb, norm2_b = _limb_spectrum(b, lb, size)
     if _fft_error_bound(size.bit_length() - 1, norm2_a, norm2_b) >= 0.25:

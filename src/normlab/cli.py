@@ -8,6 +8,7 @@ experiment.  Each accepts only the flags it reads.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -247,7 +248,11 @@ def _cmd_experiment(args) -> int:
     return 0 if rep.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The normlab argument parser, built on first use and shared by every
+    later call in the process: callers must not mutate it.  Sharing it is
+    safe because `parse_args` fills a fresh Namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="normlab",
         description="Exact-arithmetic workbench for digit expansions of real numbers",
@@ -348,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

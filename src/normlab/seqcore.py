@@ -231,12 +231,18 @@ def _packed_codes(digits: np.ndarray, m: int, W: int, out: Optional[np.ndarray] 
 
 def block_histogram(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The block codes that occur, ascending, as int64, and their int64
-    counts: `codes` is sorted in place and its runs are measured, so memory
-    stays linear in len(codes) however many codes are possible."""
+    counts: `codes` is sorted in place and one bool mask marks where each
+    run starts, so memory stays linear in len(codes) however many codes are
+    possible, with no int64 array beyond the two returned."""
     codes.sort()
-    starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1  # where each run but the first starts
-    first = np.concatenate(([0], starts))[: len(codes)]
-    return codes[first].astype(np.int64, copy=False), np.diff(first, append=len(codes))
+    first = np.empty(len(codes), dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    counts = np.flatnonzero(first)  # each run's start, then its length, in place
+    observed = codes[counts].astype(np.int64, copy=False)
+    np.subtract(counts[1:], counts[:-1], out=counts[:-1])
+    counts[-1:] = len(codes) - counts[-1:]
+    return observed, counts
 
 
 _TABLE_CHUNK = 1 << 17  # anchors coded at a time, 1 MiB of codes; 2^16 was about 10 % slower on 2^20 digits

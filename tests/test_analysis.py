@@ -389,6 +389,7 @@ def test_profile_matches_per_window_entropy_at_scale():
         (8, 1, 0.0, 2),
         (4, 1, 0.82, 10),
         (16, 2, 0.5, 98),
+        (14, 14, 0.5, 1 << 14),  # one window a block: 5.9 s when each was counted into a 2^14-wide row
     ],
 )
 def test_low_entropy_census(m, n, c, want):

@@ -260,15 +260,24 @@ def product_operands(draw):
 @example((1 << (1 << 17)) - 1, (1 << (1 << 17)) - 1)
 @example((1 << (1 << 17)) - 1, (1 << (1 << 14)) - 1)  # lopsided: Karatsuba
 @example(0, (1 << (1 << 17)) - 1)
+@example((1 << (1 << 20) + 64) - 1, (1 << (1 << 20) + 64) - 1)  # cli-session's mul: peels 8 limbs
 def test_product_matches_python_multiplication(a, b):
-    calls = []
+    sizes = []
     irfft = np.fft.irfft
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.fft, "irfft", lambda *args: calls.append(1) or irfft(*args))
+        mp.setattr(np.fft, "irfft", lambda spectrum, n: sizes.append(n) or irfft(spectrum, n))
         assert _product(a, b) == a * b
+    # the FFT runs exactly when the smaller operand has 2^14 bits and 1/16 of
+    # the larger's; a coefficient count up to 128 above a power of two P first
+    # loses ceil((count - P) / 2) low limbs of each operand
     small, big = sorted((a.bit_length(), b.bit_length()))
-    # the FFT runs exactly when the smaller operand has 2^14 bits and 1/16 of the larger's
-    assert len(calls) == (small >= max(1 << 14, big >> 4))
+    n_coeffs = (small + 7) // 8 + (big + 7) // 8 - 1
+    if small >= max(1 << 14, big >> 4):
+        peel = (n_coeffs - (1 << (n_coeffs - 1).bit_length() - 1) + 1) // 2
+        if peel <= 64:
+            small, big, n_coeffs = small - 8 * peel, big - 8 * peel, n_coeffs - 2 * peel
+    fft = small >= max(1 << 14, big >> 4)
+    assert sizes == ([1 << (n_coeffs - 1).bit_length()] if fft else [])
 
 
 def test_fft_error_bound_at_the_budget_edge():

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from normlab import analysis, experiments, pnormal
-from normlab.cli import _KINDS, main
+from normlab.cli import _KINDS, build_parser, main
 from normlab.errors import BUDGETS, DataQualityError
 from normlab.generators import y_sequence
 from normlab.seqcore import read_nseq, write_nseq
@@ -151,6 +151,34 @@ def test_only_read_flags_are_accepted(tmp_path, monkeypatch, capsys, argv, env, 
         assert "2/2 experiments passed" in capsys.readouterr().out
 
 
+def test_calls_in_one_process_share_one_parser_and_nothing_else(tmp_path, monkeypatch, capsys):
+    # the parser is built once; each call parses into a fresh namespace, so
+    # no option, appended name or half-parsed usage error reaches a later call
+    monkeypatch.chdir(tmp_path)
+    build_parser.cache_clear()
+    names = []
+    monkeypatch.setattr(experiments, "verify", lambda chosen: names.append(chosen) or [])
+    assert main(["verify", "--name", "a"]) == 0
+    assert main(["verify", "--name", "b"]) == 0
+    assert names == [["a"], ["b"]]
+    assert main(["generate", "--kind", "kappa", "--n", "512", "--out", "k.nseq"]) == 0
+    goodness = ["analyze", "--op", "goodness", "--in", "k.nseq", "--format", "json"]
+
+    def block_lengths(*extra):
+        capsys.readouterr()
+        assert main([*goodness, *extra]) == 0
+        return [row["m"] for row in json.loads(capsys.readouterr().out)["rows"]]
+
+    assert block_lengths("--n-max", "3") == [1, 2, 3]
+    assert block_lengths() == list(range(1, 9))
+    with pytest.raises(SystemExit) as exc:
+        main([*goodness, "--n-max", "5", "--n-min", "x"])  # --n-max is parsed before the error
+    assert exc.value.code == 2
+    assert block_lengths("--n-max", "3") == [1, 2, 3]
+    assert block_lengths() == list(range(1, 9))
+    assert build_parser.cache_info().misses == 1 and build_parser() is build_parser()
+
+
 def _commands(parser, path=(), inherited=frozenset()):
     """Each command path, e.g. ("algsys", "orbit"), with the options it accepts."""
     flags = inherited | {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
@@ -163,8 +191,6 @@ def _commands(parser, path=(), inherited=frozenset()):
 
 
 def test_each_command_has_only_the_flags_it_reads():
-    from normlab.cli import build_parser
-
     flags = dict(_commands(build_parser()))
     assert not any("--threads" in f for f in flags.values())
     assert {c for c, f in flags.items() if "--format" in f} == {

@@ -742,6 +742,17 @@ def test_block_counts_memory_on_2_20_digits():
     assert peak <= 10 * MiB
 
 
+def test_sparse_counts_of_distinct_blocks_stay_small():
+    # 2^20 random digits hold about 2^20 distinct 28-blocks: the int64 codes
+    # and counts returned take 16 MiB, the uint32 codes, their gather before
+    # the int64 cast and the run-start mask 9 more (43.9 MiB when the run
+    # starts were concatenated to a 0 and their lengths taken by np.diff)
+    digits = frozen(np.random.default_rng(5).integers(0, 2, 1 << 20))
+    bc, _, peak = traced(block_counts, digits, 28, 2)
+    assert len(bc.codes) > 1_000_000 and bc.counts.sum() == (1 << 20) - 27
+    assert peak <= 28 * MiB
+
+
 @pytest.mark.parametrize("make", [v_sequence, lambda: SymbolicSequence.periodic([0, 1, 1])])
 def test_tiled_reads_are_not_copied(make):
     # the tile is built in the array it returns, read-only, so `digits` keeps

@@ -192,7 +192,8 @@ def count_low_entropy_blocks(m: int, n: int, c: float | Fraction) -> int:
     the n-block counts, so the work is linear in W whatever n is.  H_n is
     computed in float64 for every block, and a block whose float lies
     within _TIE_SLACK of c is decided exactly by `_entropy_at_most`, so the
-    count is exact."""
+    count is exact.  H_n depends only on the multiset of run lengths, so
+    each distinct multiset among the tied blocks is decided once."""
     within("enumeration", m)
     if n < 1:
         raise DomainError(f"block length n={n} must be >= 1")
@@ -206,6 +207,7 @@ def count_low_entropy_blocks(m: int, n: int, c: float | Fraction) -> int:
     chunk = max(1, (1 << _CENSUS_CELLS) // W)
     c_float = float(c)
     count = 0
+    decided: dict[tuple[int, ...], bool] = {}  # run-length histogram -> H_n <= c, for tied blocks
     for lo in range(0, total, chunk):
         blocks = np.arange(lo, min(lo + chunk, total), dtype=code)
         windows = blocks[:, None] >> shifts
@@ -224,8 +226,20 @@ def count_low_entropy_blocks(m: int, n: int, c: float | Fraction) -> int:
         near = np.abs(H - c_float) <= _TIE_SLACK
         count += int(np.count_nonzero((H <= c_float) & ~near))
         tied = np.flatnonzero(near)
-        bounds = zip(np.searchsorted(row, tied), np.searchsorted(row, tied, side="right"))
-        count += sum(_entropy_at_most(runs[i:j].tolist(), n, Fraction(c)) for i, j in bounds)
+        if len(tied):
+            # each tied block's run lengths as a histogram over 0 .. W
+            sel = near[row]
+            hist = np.bincount(row[sel] * (W + 1) + runs[sel], minlength=len(blocks) * (W + 1))
+            hist = hist.reshape(-1, W + 1)[tied]
+            hist = hist[np.lexsort(hist.T)]
+            new = np.ones(len(hist), dtype=bool)  # where each run of equal histograms starts
+            np.any(hist[1:] != hist[:-1], axis=1, out=new[1:])
+            kinds = np.flatnonzero(new)
+            blocks_of = np.diff(kinds, append=len(hist))
+            for kind, k in zip(map(tuple, hist[kinds].tolist()), blocks_of.tolist()):
+                if kind not in decided:
+                    decided[kind] = _entropy_at_most([L for L, x in enumerate(kind) for _ in range(x)], n, Fraction(c))
+                count += k * decided[kind]
     return count
 
 

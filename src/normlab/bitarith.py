@@ -39,10 +39,13 @@ def _bits_to_int(bits: np.ndarray) -> int:
 
 
 def _int_to_bits(word: int, count: int) -> np.ndarray:
-    """The low `count` bits of an integer -> MSB-first digit array."""
-    word &= (1 << count) - 1
-    raw = word.to_bytes((count + 7) // 8, "big")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[-count:]
+    """The low `count` bits of an integer -> MSB-first digit array that owns
+    its data and is read-only, so `block_counts` memoises its table."""
+    pad = -count % 8  # shifted out below the last digit
+    raw = ((word & ((1 << count) - 1)) << pad).to_bytes((count + 7) // 8, "big")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
+    bits.setflags(write=False)
+    return bits
 
 
 # ---------------------------------------------------------------------------

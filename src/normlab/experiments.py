@@ -257,6 +257,9 @@ def _gray_invariants(cfg: dict):
     within("exhaustive check", cfg["n_max"])
     # every start verifies 2^n words per variant, two variants at even n
     within("gray words", cfg["starts_per_n"] * sum(2**n * (2 - n % 2) for n in range(1, cfg["n_max"] + 1)))
+    for key in ("n_max", "starts_per_n"):  # below 1, no ordering is verified
+        if cfg[key] < 1:
+            raise DomainError(f"gray-invariants needs {key} >= 1, got {cfg[key]}")
     seed = cfg["seed"]
     bad = []
     total = 0
@@ -541,8 +544,9 @@ def _ca_switch_identity(cfg: dict):
 def _arithmetic_roundtrips(cfg: dict):
     within("roundtrip cases", max(cfg["roundtrip_cases"], cfg["pairs"]))
     within("roundtrip stream digits", cfg["pairs"] * (cfg["digits"] + cfg["lookahead_cap"]))
-    if cfg["max_pq"] < 1:
-        raise DomainError(f"arithmetic-roundtrips needs max_pq >= 1, got {cfg['max_pq']}")
+    for key in ("roundtrip_cases", "max_pq", "pairs"):  # fewer cases or pairs would check nothing
+        if cfg[key] < 1:
+            raise DomainError(f"arithmetic-roundtrips needs {key} >= 1, got {cfg[key]}")
     seed = cfg["seed"]
     # (a) mod-1 negation inverse
     ok_neg = True
@@ -581,6 +585,7 @@ def _arithmetic_roundtrips(cfg: dict):
     for i in range(cfg["pairs"]):
         s1 = bernoulli_stream(Fraction(1, 2), derive_seed(seed, f"pair{i}a"), Nd + cap)
         s2 = bernoulli_stream(Fraction(1, 2), derive_seed(seed, f"pair{i}b"), Nd + cap)
+        rows = s1.digits(1, Nd + cap), s2.digits(1, Nd + cap)  # alive, so each row is generated once
         digits, amb = stream_carry_add(s1, s2, Nd, cap)
         flagged_total += int(amb.sum())
         a = FixedPointNumber.from_sequence(s1, Nd + cap, 0, exact=True)

@@ -148,20 +148,16 @@ def _check_words(words: np.ndarray, n: int, variant: str, start: int) -> Orderin
         if not unit_hamming:
             a, b = int(words[bad[0]]), int(words[bad[0] + 1])
             failures.append(f"neighbors {a:0{n}b}, {b:0{n}b} differ in != 1 place")
-        nested = True
-        index = np.arange(size, dtype=np.int64)
-        for i in range(1, n):
-            group = 1 << i
-            prefixes = (words >> i).reshape(-1, group)
-            # (group, suffix) keys: every group holds every suffix once iff
-            # each of the 2^n keys occurs exactly once
-            keys = (index & -group) | (words & (group - 1))
-            suffixes_bad = np.bincount(keys, minlength=size).reshape(-1, group) != 1
-            bad = np.flatnonzero((prefixes != prefixes[:, :1]).any(axis=1) | suffixes_bad.any(axis=1))
-            if len(bad):
-                nested = False
-                failures.append(f"suffix structure broken at i={i}, group {bad[0]}")
-                break
+        # Distinct words make each aligned group's suffixes distinct, so its
+        # suffixes enumerate {0,1}^i once its prefixes are constant, and they
+        # are when no step k -> k+1 flips a bit at or above tz(k+1) + 1.
+        step = np.arange(1, size, dtype=np.int64)
+        nested = distinct and bool((diff < (step & -step) << 1).all())
+        if not nested:
+            broken = _broken_group(words, n)
+            nested = broken is None
+            if broken:
+                failures.append(f"suffix structure broken at i={broken[0]}, group {broken[1]}")
 
     return OrderingReport(
         n=n,
@@ -172,3 +168,22 @@ def _check_words(words: np.ndarray, n: int, variant: str, start: int) -> Orderin
         nested_suffixes=nested,
         failures=failures,
     )
+
+
+def _broken_group(words: np.ndarray, n: int) -> Optional[tuple[int, int]]:
+    """The first (i, group) whose aligned group of 2^i words has no constant
+    prefix or misses a length-i suffix, or None: the definition, run level
+    by level when the one-pass test in `_check_words` fails."""
+    size = 1 << n
+    index = np.arange(size, dtype=np.int64)
+    for i in range(1, n):
+        group = 1 << i
+        prefixes = (words >> i).reshape(-1, group)
+        # (group, suffix) keys: every group holds every suffix once iff
+        # each of the 2^n keys occurs exactly once
+        keys = (index & -group) | (words & (group - 1))
+        suffixes_bad = np.bincount(keys, minlength=size).reshape(-1, group) != 1
+        bad = np.flatnonzero((prefixes != prefixes[:, :1]).any(axis=1) | suffixes_bad.any(axis=1))
+        if len(bad):
+            return i, int(bad[0])
+    return None

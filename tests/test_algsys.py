@@ -2,12 +2,14 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from normlab import algsys
 from normlab.algsys import (
     LinearCA,
     ToralMap,
@@ -364,6 +366,58 @@ def test_integer_orbit_matches_fraction_orbit(data):
     for pt in pts:
         counts[tuple(int(c * cells) % cells for c in pt)] += 1
     assert r.discrepancy == float(np.abs(counts / len(pts) - 1.0 / cells**d).max())
+
+
+def cell_counts_by_division(tm: ToralMap, x0, steps: int, grid_bits: int) -> np.ndarray:
+    """Points per grid cell code, stepping v <- A v mod D and binning with
+    (c << grid_bits) // D for any common denominator D: the definition the
+    power-of-two stepping replaces."""
+    D = math.lcm(*(c.denominator for c in x0))
+    v = [c.numerator * (D // c.denominator) % D for c in x0]
+    cells = 1 << grid_bits
+    counts = np.zeros(cells ** len(v), dtype=np.int64)
+    for _ in range(steps + 1):
+        f = 0
+        for c in v:
+            f = f * cells + (c << grid_bits) // D
+        counts[f] += 1
+        v = [sum(a * c for a, c in zip(row, v)) % D for row in tm.matrix]
+    return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_power_of_two_stepping_matches_division(data):
+    if data is None:  # precision_bits 2 under grid_bits 4: D = 4 has fewer bits than a cell code
+        tm, x0, steps, grid_bits = ToralMap.from_rows([[2, 1], [1, 1]]), [Fraction(1, 4), Fraction(3, 4)], 12, 4
+    else:
+        d = data.draw(st.integers(1, 3))
+        rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d))
+        tm = _nonsingular(rows)
+        assume(tm is not None)
+        dyadic = st.integers(0, 70).map(lambda k: 1 << k)
+        x0 = [
+            Fraction(data.draw(st.integers(-(2**72), 2**72)), data.draw(dyadic | st.integers(1, 40)))
+            for _ in range(d)
+        ]
+        steps = data.draw(st.integers(0, 40))
+        grid_bits = data.draw(st.integers(0, 12 // d))
+    counts = cell_counts_by_division(tm, x0, steps, grid_bits)
+    D = math.lcm(*(c.denominator for c in x0))
+    real, seen = algsys._dyadic_visits, []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with mock.patch.object(algsys, "_dyadic_visits", spy):
+        r = toral_orbit(tm, x0, steps, grid_bits=grid_bits)
+    assert len(seen) == (D & (D - 1) == 0)  # the fast path runs exactly for a power of two
+    if seen:
+        assert sorted(seen[0].items()) == [(f, int(k)) for f, k in enumerate(counts) if k]
+    cells = 1 << grid_bits
+    assert r.discrepancy == float(np.abs(counts / (steps + 1) - 1.0 / cells**tm.dimension).max())
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,12 +2,14 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from normlab import analysis
 from normlab.analysis import (
     combinatorial_entropy,
     complexity_curve,
@@ -437,6 +439,40 @@ def test_census_matches_the_exact_oracle(data):
     assert count_low_entropy_blocks(m, n, c) == want
     if c.denominator & (c.denominator - 1) == 0:
         assert count_low_entropy_blocks(m, n, float(c)) == want
+
+
+def census_by_blocks(m: int, n: int, c: Fraction) -> int:
+    """The census with every block decided on its own by `_entropy_at_most`,
+    as the tied blocks were before each run-length multiset was decided once."""
+    W = m - n + 1
+    windows = (Counter((block >> (m - n - i)) & ((1 << n) - 1) for i in range(W)) for block in range(1 << m))
+    return sum(analysis._entropy_at_most(list(counts.values()), n, c) for counts in windows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_tied_blocks_are_decided_once_per_run_length_multiset(data):
+    if data is None:
+        m, n, j = 10, 1, 10  # c = 1: the C(10, 5) balanced blocks tie
+    else:
+        m = data.draw(st.integers(1, 10))
+        n = data.draw(st.integers(1, m))
+        j = data.draw(st.integers(0, n * (m - n + 1)))
+    c = Fraction(j, n * (m - n + 1))  # j / (nW): the value of H_n at every L = 2^j
+    with mock.patch.object(analysis, "_CENSUS_CELLS", 4), \
+            mock.patch.object(analysis, "_entropy_at_most", wraps=analysis._entropy_at_most) as decide:
+        got = count_low_entropy_blocks(m, n, c)  # many chunks of a few blocks each
+    assert got == census_by_blocks(m, n, c)
+    multisets = [tuple(sorted(call.args[0])) for call in decide.call_args_list]
+    assert len(multisets) == len(set(multisets))
+
+
+def test_balanced_blocks_at_entropy_one_take_one_exact_decision():
+    # (20, 1, 1) decided each of its 184,756 balanced blocks: 2.0 s against 0.17 s at c = 0.5
+    with mock.patch.object(analysis, "_entropy_at_most", wraps=analysis._entropy_at_most) as decide:
+        assert count_low_entropy_blocks(20, 1, 1) == 1 << 20
+    decide.assert_called_once_with([10, 10], 1, Fraction(1))
 
 
 def test_census_budget():

@@ -1,15 +1,18 @@
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from normlab import seqcore
 from normlab.bitarith import (
     DomainError,
     FixedPointNumber,
     _fft_error_bound,
+    _int_to_bits,
     _product,
     carry_add,
     mod1,
@@ -20,7 +23,7 @@ from normlab.bitarith import (
     stream_carry_add,
 )
 from normlab.generators import bernoulli_stream, kappa_sequence, splitmix64, y_sequence
-from normlab.seqcore import SymbolicSequence
+from normlab.seqcore import SymbolicSequence, block_counts
 
 from helpers import constant
 
@@ -505,3 +508,33 @@ def test_certified_digit_count_matches_bit_search(data):
     err = data.draw(st.integers(0, 2 ** (frac_bits + 2)) | st.integers(0, 16))
     x = FixedPointNumber(mant, frac_bits, data.draw(st.integers(0, frac_bits)), 1, err)
     assert x.certified_digit_count() == certified_digit_count_by_bits(x)
+
+
+@settings(max_examples=300)
+@given(st.integers(-(2**300), 2**300), st.integers(0, 260))
+@example(-1, 0)
+@example(-1, 17)
+def test_int_to_bits_reads_the_low_bits_into_a_frozen_array(word, count):
+    bits = _int_to_bits(word, count)
+    # the slice of a full unpack that the shifted, counted unpack replaced
+    full = np.unpackbits(np.frombuffer((word & ((1 << count) - 1)).to_bytes((count + 7) // 8, "big"), dtype=np.uint8))
+    assert bits.tolist() == full[len(full) - count :].tolist()
+    assert bits.tolist() == [(word >> (count - 1 - i)) & 1 for i in range(count)]
+    assert bits.dtype == np.uint8 and bits.base is None and not bits.flags.writeable
+
+
+def test_digit_outputs_are_frozen_and_share_one_count_table():
+    N, G = 4096, 64
+    x = FixedPointNumber.from_sequence(bernoulli_stream(Fraction(1, 2), 7, N + G), N, G)
+    digits = mul_rational(x, 3, 1, N, G).fraction_digits(N, certified_only=False)
+    s1, s2 = (bernoulli_stream(Fraction(1, 2), seed, 300) for seed in (8, 9))
+    sums, amb = stream_carry_add(s1, s2, 200, 64)
+    for arr in (digits, sums):
+        assert arr.base is None and not arr.flags.writeable  # owns its digits, read-only
+    assert amb.dtype == bool and seqcore._frozen(amb)  # a bool view of such an array
+    want = [block_counts(digits.copy(), m, 2) for m in range(1, 5)]  # a writeable copy: counted at m
+    with mock.patch.object(seqcore, "code_table", wraps=seqcore.code_table) as table:
+        got = [block_counts(digits, m, 2) for m in range(1, 5)]
+    table.assert_called_once_with(digits, seqcore._top_length(N), 2, N - seqcore._top_length(N) + 1)
+    for a, b in zip(got, want):
+        assert a.total == b.total and a.codes.tolist() == b.codes.tolist() and a.counts.tolist() == b.counts.tolist()

@@ -720,6 +720,12 @@ def test_pnormal_long_denominator_ends_quickly(capsys, p):
         (_experiment("base4-independence", n=0), "base4-independence needs n >= 2 for a 2-block, got 0"),
         (_experiment("base4-independence", n=1), "base4-independence needs n >= 2 for a 2-block, got 1"),
         (_experiment("arithmetic-roundtrips", max_pq=0), "arithmetic-roundtrips needs max_pq >= 1, got 0"),
+        # each of these checked nothing and reported PASS
+        (_experiment("gray-invariants", n_max=0), "gray-invariants needs n_max >= 1, got 0"),
+        (_experiment("arithmetic-roundtrips", pairs=0), "arithmetic-roundtrips needs pairs >= 1, got 0"),
+        (_experiment("arithmetic-roundtrips", roundtrip_cases=-1),
+         "arithmetic-roundtrips needs roundtrip_cases >= 1, got -1"),
+        (_experiment("gray-invariants", starts_per_n=0), "gray-invariants needs starts_per_n >= 1, got 0"),
         (_experiment("low-entropy-census", cases=[{"m": 0, "n": 0, "c": 0.5, "expected": 1}]),
          "block length n=0 must be >= 1"),
         (_experiment("low-entropy-census", cases=[{"m": 4, "n": 0, "c": 0.5, "expected": 16}]),
@@ -728,7 +734,8 @@ def test_pnormal_long_denominator_ends_quickly(capsys, p):
         ([*ORBIT, "--grid-bits", "-1"], "grid_bits must be >= 0, got -1"),
     ],
     ids=["carry-monte-carlo-cap", "arithmetic-roundtrips-cap", "base4-n-0", "base4-n-1", "max-pq-0",
-         "census-m-0-n-0", "census-n-0", "toral-grid-bits", "orbit-grid-bits"],
+         "gray-n-max-0", "roundtrip-pairs-0", "roundtrip-cases-negative", "gray-starts-0", "census-m-0-n-0",
+         "census-n-0", "toral-grid-bits", "orbit-grid-bits"],
 )
 def test_experiment_value_outside_its_domain_is_usage_error(capsys, argv, message):
     # the alarm turns a hang, such as an endless carry-scan loop, into a failure of this row

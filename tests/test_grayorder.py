@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from normlab import grayorder
 from normlab.errors import BudgetError, DomainError
 from normlab.grayorder import (
     GrayOrdering,
@@ -157,7 +160,9 @@ def _loop_report(words, n, variant):
     st.integers(1, 8),
     st.sampled_from(["gray", "alternated"]),
     st.integers(0, 255),
-    st.sampled_from(["none", "swap", "duplicate", "flip"]),
+    # rotate and bitswap keep the words distinct and, for gray, at unit
+    # Hamming steps, so only the nesting can break
+    st.sampled_from(["none", "swap", "duplicate", "flip", "rotate", "bitswap"]),
     st.integers(0, 255),
     st.integers(0, 255),
 )
@@ -176,10 +181,19 @@ def test_vectorised_checks_match_loop_on_corrupted_words(n, variant, start_code,
         words[j] = words[k if k != j else (j + 1) % size]
     elif corruption == "flip":
         words[j] ^= 1 << (k % n)
-    rep = _check_words(np.array(words, dtype=np.int64), n, variant, ordering.start_word)
+    elif corruption == "rotate":
+        words = words[j:] + words[:j]
+    elif corruption == "bitswap":  # exchange bits j % n and k % n of every word
+        i, h = j % n, k % n
+        words = [w ^ (((w >> i ^ w >> h) & 1) * (1 << i | 1 << h)) for w in words]
+    with mock.patch.object(grayorder, "_broken_group", wraps=grayorder._broken_group) as loop:
+        rep = _check_words(np.array(words, dtype=np.int64), n, variant, ordering.start_word)
     distinct, unit_hamming, nested, failures = _loop_report(words, n, variant)
     assert rep.all_distinct == distinct
     assert (rep.unit_hamming, rep.nested_suffixes, rep.failures) == (unit_hamming, nested, failures)
+    # the one-pass test passes exactly the distinct, nested words; only the
+    # others run the level-by-level loop that names the broken group
+    assert loop.called == (variant == "gray" and not (distinct and nested))
     if corruption in ("duplicate", "flip"):
         assert not rep.passed
 

@@ -2,7 +2,7 @@
 
 Subcommands: generate, analyze, arith, pnormal, algsys, gray, verify,
 experiment.  Each accepts only the flags it reads.  Exit codes: 0 pass,
-1 failed check, 2 usage error.
+1 failed check, 2 usage error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -355,7 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (`normlab ... | head`): not a usage
+        # error.  stdout goes to devnull so that the interpreter's final
+        # flush of what is still buffered prints nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the status of a process the pipe killed
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

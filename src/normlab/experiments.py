@@ -366,6 +366,9 @@ def _kappa_goodness(cfg: dict):
 @_experiment("carry-closed-forms")
 def _carry_closed_forms(cfg: dict):
     within("closed-form points", cfg["n_random"] + cfg["grid_points"])
+    for key, low in (("n_random", 1), ("grid_points", 2)):  # fewer points would check nothing
+        if cfg[key] < low:
+            raise DomainError(f"carry-closed-forms needs {key} >= {low}, got {cfg[key]}")
     p = Fraction(1, 5)
     P, pprime = pnormal.carry_digit_prob(p)
     Q0, P0, pprime0 = pnormal.conditional_digit_prob(p)

@@ -26,6 +26,7 @@ from .seqcore import Block, SymbolicSequence, tiled
 # schedule is superincreasing (n_{k+1} > n_1 + ... + n_k), so finite-sum
 # representations are unique.
 LEVELS = (2, 8, 2048, 1 << 2059)
+_N4 = LEVELS[3]
 
 
 def finite_sums(n: int) -> list[int]:
@@ -66,6 +67,7 @@ _KAPPA_PREFIX = _kappa_prefix_2048().tolist()  # bound once: kappa_digit reads o
 # (e, 2^e - 1, 2^e) of the levels n_k = 2^e whose chunks are at least as
 # long as the prefix, top first
 _KAPPA_LEVELS = tuple((n.bit_length() - 1, n - 1, n) for n in reversed(LEVELS[2:]))
+_GRAY_PARITY = (0, 1, 1, 0)  # bit 0 of t ^ (t >> 1), t = 0 .. 3
 
 
 def kappa_digit(p: int) -> int:
@@ -79,9 +81,19 @@ def kappa_digit(p: int) -> int:
     t = q >> s gives it, and l is even when bit e of q is 1, read as
     q & 2^e without shifting all of q; for e = 2059 the shift is
     astronomically large and t = 0.
+
+    Every p <= n_4 past the prefix lies at level 3 (e = 11).  There, when
+    r = p & 2047 is not 0, q shares every bit at or above bit 11 with p and
+    i = r - 1, so the digit is read from p itself, with no copy p - 1:
+    s = 2059 - r.  Multiples of 2048 and p > n_4 take the level loop.
     """
-    if p < 1:
-        raise DomainError("positions are 1-indexed")
+    if p <= 2048:
+        if p < 1:
+            raise DomainError(f"positions are 1-indexed, got {p}")
+        return _KAPPA_PREFIX[p - 1]
+    r = p & 2047
+    if r and p <= _N4:
+        return _GRAY_PARITY[p >> (2059 - r) & 3] ^ (p & 2048 != 0) ^ _KAPPA_PREFIX[r - 1]
     q = p - 1
     bit = 0
     for e, mask, high in _KAPPA_LEVELS:
@@ -154,9 +166,25 @@ def _y_bulk(start: int, count: int) -> np.ndarray:
     return out
 
 
+_Y_TABLE = _y_bulk(0, 4096).tolist()  # digit p at entry p; entry 0 is never read
+
+
+def _y_position_digit(p: int) -> int:
+    """Digit p (1-indexed) of y_sequence, y_digit(p) for p >= 1.  Every
+    finite sum below n_4 is at most n_1 + n_2 + n_3 = 2058, so digits
+    4096 <= p < n_4 are 0 and only p >= n_4 needs the mask test."""
+    if p < 4096:
+        if p < 1:
+            raise DomainError(f"positions are 1-indexed, got {p}")
+        return _Y_TABLE[p]
+    if p < _N4:
+        return 0
+    return 1 if p | _SUMS_MASK == _SUMS_MASK else 0
+
+
 def y_sequence() -> SymbolicSequence:
     """Fractional digits of y (positions >= 1)."""
-    return SymbolicSequence(_y_bulk, digit_fn=y_digit)
+    return SymbolicSequence(_y_bulk, digit_fn=_y_position_digit)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +202,6 @@ def _v_pattern_4096() -> np.ndarray:
 
 
 _V_PATTERN = _v_pattern_4096().tolist()  # bound once: v_digit reads one entry per probe
-_V_TILED = LEVELS[3]  # positions up to n_4 read the 4096-digit tile
 
 
 def v_digit(p: int) -> int:
@@ -185,17 +212,17 @@ def v_digit(p: int) -> int:
     position beyond n_4 lies in the level-5 block, (B_4 0^{n_4}) repeated:
     its digit is that of (p - 1) mod 2 n_4 + 1 when that is <= n_4, else 0.
     """
-    if p < 1:
-        raise DomainError("positions are 1-indexed")
-    if p > _V_TILED:
-        p = (p - 1) % (2 * _V_TILED) + 1
-        if p > _V_TILED:
+    if p > _N4:
+        p = (p - 1) % (2 * _N4) + 1
+        if p > _N4:
             return 0
-    return _V_PATTERN[(p - 1) & 4095]
+    elif p < 1:
+        raise DomainError(f"positions are 1-indexed, got {p}")
+    return _V_PATTERN[(p & 4095) - 1]  # p & 4095 == 0 reads entry -1, the last
 
 
 def _v_bulk(start: int, count: int) -> np.ndarray:
-    if start + count - 1 <= _V_TILED:
+    if start + count - 1 <= _N4:
         return tiled(_v_pattern_4096(), start, count)
     return np.fromiter((v_digit(p) for p in range(start, start + count)), dtype=np.uint8, count=count)
 

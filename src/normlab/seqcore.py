@@ -87,6 +87,12 @@ class SymbolicSequence:
     Positions run over 1 <= p <= horizon (horizon None = unbounded), and the
     same position always yields the same digit.
 
+    An unbounded sequence with a rule binds `digit = digit_fn`, with no
+    frame in between, so the rule must itself reject p < 1 with
+    `DomainError(f"positions are 1-indexed, got {p}")`, the error
+    `digits(p, 1)` raises.  `_digit_fn` is the rule `digit` calls: setting
+    it, as a tracer does, rebinds `digit` too.
+
     `digits()` returns arrays that are read-only up to their owner (a view
     of a writeable array is copied) and keeps a weak reference to the last
     one: asked again for the same range while that array lives, it
@@ -103,10 +109,21 @@ class SymbolicSequence:
     ):
         _check_r(r)
         self._bulk_fn = bulk_fn
-        self._digit_fn = digit_fn or (lambda p: int(bulk_fn(p, 1)[0]))
         self.r = r
         self.horizon = horizon
+        self._direct = digit_fn is not None and horizon is None
+        self._digit_fn = digit_fn or (lambda p: int(bulk_fn(p, 1)[0]))
         self._last: tuple = (None, None, None)  # (start, count, weakref to the digits)
+
+    @property
+    def _digit_fn(self) -> Callable[[int], int]:
+        return self._rule
+
+    @_digit_fn.setter
+    def _digit_fn(self, fn: Callable[[int], int]) -> None:
+        self._rule = fn
+        if self._direct:
+            self.digit = fn  # shadows the method below
 
     def _check_range(self, start: int, count: int) -> None:
         # digit() repeats the two position tests inline: a rule added here
@@ -122,14 +139,13 @@ class SymbolicSequence:
             )
 
     def digit(self, p: int) -> int:
-        # one digit is always within the digit budget: only the position
-        # can be out of range, and _check_range then raises its error.
-        # Calling _check_range on every probe instead costs about 0.17 us a
-        # probe (10^5 probes at up to 2^2058: kappa 116 -> 135 ms, y 32 ->
-        # 49 ms, v 51 -> 65 ms), 25 % more time on block-stats' probes.
+        # bounded sequences and sequences without a rule.  One digit is
+        # always within the digit budget: only the position can be out of
+        # range, so it is tested inline and _check_range runs only to raise
+        # its error, not on every probe
         if p < 1 or (self.horizon is not None and p > self.horizon):
             self._check_range(p, 1)
-        return self._digit_fn(p)
+        return self._rule(p)
 
     def digits(self, start: int, count: int) -> np.ndarray:
         """Digits at positions start .. start+count-1 as a read-only array."""

@@ -3,10 +3,13 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import normlab
 from normlab import analysis, experiments, pnormal
 from normlab.cli import _KINDS, build_parser, main
 from normlab.errors import BUDGETS, DataQualityError
@@ -732,10 +735,15 @@ def test_pnormal_long_denominator_ends_quickly(capsys, p):
          "block length n=0 must be >= 1"),
         (_experiment("toral-discrepancy", grid_bits=-1), "grid_bits must be >= 0, got -1"),
         ([*ORBIT, "--grid-bits", "-1"], "grid_bits must be >= 0, got -1"),
+        # each of these checked nothing and reported PASS
+        (_experiment("carry-closed-forms", grid_points=-1), "carry-closed-forms needs grid_points >= 2, got -1"),
+        (_experiment("carry-closed-forms", grid_points=1), "carry-closed-forms needs grid_points >= 2, got 1"),
+        (_experiment("carry-closed-forms", n_random=0), "carry-closed-forms needs n_random >= 1, got 0"),
     ],
     ids=["carry-monte-carlo-cap", "arithmetic-roundtrips-cap", "base4-n-0", "base4-n-1", "max-pq-0",
          "gray-n-max-0", "roundtrip-pairs-0", "roundtrip-cases-negative", "gray-starts-0", "census-m-0-n-0",
-         "census-n-0", "toral-grid-bits", "orbit-grid-bits"],
+         "census-n-0", "toral-grid-bits", "orbit-grid-bits", "closed-forms-grid-negative", "closed-forms-grid-1",
+         "closed-forms-random-0"],
 )
 def test_experiment_value_outside_its_domain_is_usage_error(capsys, argv, message):
     # the alarm turns a hang, such as an endless carry-scan loop, into a failure of this row
@@ -779,3 +787,29 @@ def test_outside_rationals_are_read_exactly_or_refused(tmp_path, monkeypatch, ca
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv, codes",
+    [
+        # 245,760 bytes, more than a pipe holds: a write after the reader
+        # has gone must fail
+        (["gray", "--n", "14"], {141}),
+        # 379 bytes, which may all be written before the reader goes
+        (["verify", "--name", "arithmetic-roundtrips"], {0, 141}),
+    ],
+    ids=["gray-n-14", "verify-roundtrips"],
+)
+def test_stdout_closed_by_its_reader_exits_141_silently(argv, codes, unbuffered):
+    # a fresh interpreter, as `normlab ... | head -1` runs it: its final
+    # flush of stdout must not print either
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(normlab.__file__)),
+           "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen([sys.executable, "-m", "normlab", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) in codes
+    assert err == b""

@@ -278,9 +278,11 @@ def v_digit_by_levels(p: int) -> int:
 
 
 def assert_probes_match(p: int) -> None:
+    # the rules, and the sequences' digit(p) that call them directly
     assert kappa_digit(p) == kappa_digit_by_recursion(p) == kappa_digit_by_offsets(p) == kappa_digit_by_shift(p)
-    assert y_digit(p) == y_digit_by_levels(p) == int(finite_sum_contains(p))
-    assert v_digit(p) == v_digit_by_levels(p)
+    assert kappa_sequence().digit(p) == kappa_digit(p)
+    assert y_sequence().digit(p) == y_digit(p) == y_digit_by_levels(p) == int(finite_sum_contains(p))
+    assert v_sequence().digit(p) == v_digit(p) == v_digit_by_levels(p)
 
 
 def bits_exactly(b: int):
@@ -301,10 +303,13 @@ near_sums = st.builds(
     st.sets(st.sampled_from([1, 3, 11, 2059]), min_size=1),
     st.integers(-1, 1),
 )
+# multiples of 2048, where kappa takes its level loop, and the first and
+# last positions of a 2048-digit chunk, p = 1 and p = 2047 mod 2048
+chunk_edges = st.builds(lambda q, d: (q << 11) + d, positions, st.sampled_from([0, 1, 2047]))
 
 
 @settings(max_examples=300)
-@given(st.one_of(positions, near_n4, near_sums))
+@given(st.one_of(positions, near_n4, near_sums, chunk_edges))
 def test_probes_match_their_recursions(p):
     assert_probes_match(p)
 

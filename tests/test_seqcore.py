@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from normlab import seqcore
 from normlab.errors import BUDGETS, BudgetError, DomainError
-from normlab.generators import bernoulli_stream, kappa_sequence, uniform_stream, v_sequence
+from normlab.generators import bernoulli_stream, kappa_digit, kappa_sequence, uniform_stream, v_sequence, y_sequence
 from normlab.seqcore import (
     Block,
     SymbolicSequence,
@@ -83,11 +83,13 @@ def test_periodic_digits_match_the_pattern_index(pattern, start, count):
 
 
 def test_digit_range_errors_match_digits():
-    # digit(p) tests the position inline; it must accept and reject exactly
-    # the positions digits(p, 1) does, with the same error
+    # digit(p) must accept and reject exactly the positions digits(p, 1)
+    # does, with the same error, both where it tests the position inline
+    # and where it is the generator's own rule (kappa, y, v)
     bounded = SymbolicSequence.from_array([0, 1, 1])
     unbounded = SymbolicSequence.periodic([0, 1])
-    for seq, positions in ((bounded, range(-2, 6)), (unbounded, (-1, 0, 1, 2, 1 << 40))):
+    ruled = [(make(), (-1, 0, 1, 2)) for make in (kappa_sequence, y_sequence, v_sequence)]
+    for seq, positions in ((bounded, range(-2, 6)), (unbounded, (-1, 0, 1, 2, 1 << 40)), *ruled):
         for p in positions:
             try:
                 expected = int(seq.digits(p, 1)[0])
@@ -98,6 +100,21 @@ def test_digit_range_errors_match_digits():
                 assert seq.digit(p) == expected
     assert [bounded.digit(p) for p in (1, 2, 3)] == [0, 1, 1]
     assert unbounded.digit(1 << 40) == 1
+
+
+def test_an_unbounded_rule_is_digit_itself():
+    # no frame between digit and the rule, and a tracer that replaces
+    # _digit_fn sees every probe; a bounded rule keeps the horizon test
+    seq = kappa_sequence()
+    assert seq.digit is kappa_digit
+    calls = []
+    seq._digit_fn = lambda p: calls.append(p) or kappa_digit(p)
+    assert [seq.digit(p) for p in (5, 1 << 3000)] == [kappa_digit(5), kappa_digit(1 << 3000)]
+    assert calls == [5, 1 << 3000]
+    bounded = SymbolicSequence(lambda s, c: np.ones(c, dtype=np.uint8), horizon=3, digit_fn=lambda p: 1)
+    assert bounded.digit(3) == 1
+    with pytest.raises(DomainError, match="^positions up to 4 exceed horizon 3$"):
+        bounded.digit(4)
 
 
 # -- block_density -----------------------------------------------------------

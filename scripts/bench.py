@@ -9,11 +9,11 @@ reads the result files it leaves in .perfbench_out/, and writes
      "end_to_end": {workload: {"correct", "attempted", "failed", metric: value}},
      "layers": {workload: {"correct", metric: value}}}
 
-With --base REV it also checks REV out with `git worktree` into a new
-directory of the temporary directory whose path is as long as this
+With --base REV it also extracts REV with `git archive REV | tar -x` into a
+new directory of the temporary directory whose path is as long as this
 checkout's (perfbench's peak RSS moves with the path length), runs PAIRS
 alternated pairs of untraced base and change runs of each workload, the
-side that runs first alternating, removes the worktree, and adds
+side that runs first alternating, removes the copy, and adds
 
      "pairs": {"base_rev", "base_sha", "workloads": {workload: {"correct",
                metric: {"n", "base_median", "change_median", "base_iqr",
@@ -90,17 +90,19 @@ def equal_length_dir() -> Path:
 
 
 @contextlib.contextmanager
-def worktree(rev: str):
-    """A detached `git worktree` of `rev` at an `equal_length_dir()`,
-    removed on exit."""
+def checkout(rev: str):
+    """The committed files of `rev`, extracted by `git archive | tar -x`
+    into an `equal_length_dir()` and removed on exit.  Nothing is written
+    under .git."""
     path = equal_length_dir()
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(path), rev], cwd=ROOT, check=True)
+        with subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE) as archive:
+            subprocess.run(["tar", "-x", "-C", str(path)], stdin=archive.stdout, check=True)
+        if archive.returncode:
+            raise SystemExit(f"error: git archive {rev} exited {archive.returncode}")
         yield path
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=ROOT, capture_output=True)
         shutil.rmtree(path, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
 
 
 def pair_stats(name: str, base: list[float], change: list[float]) -> dict:
@@ -118,7 +120,7 @@ def alternated_pairs(args) -> dict:
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{args.base}^{{commit}}"], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
     section = {"base_rev": args.base, "base_sha": sha, "workloads": {}}
-    with worktree(sha) as base:
+    with checkout(sha) as base:
         for workload in WORKLOADS:
             runs = {base: [], ROOT: []}
             for i in range(PAIRS):

@@ -32,8 +32,8 @@ def main() -> int:
     a[0::3] = rand[0::3]  # support inside 3N+1
     b[1::3] = rand[1::3]  # support inside 3N+2; positions 3N stay zero
 
-    x = FixedPointNumber.from_sequence(SymbolicSequence.from_array(a), N, 0, exact=True)
-    y = FixedPointNumber.from_sequence(SymbolicSequence.from_array(b), N, 0, exact=True)
+    x = FixedPointNumber.from_sequence(SymbolicSequence.from_array(a), N, 0)
+    y = FixedPointNumber.from_sequence(SymbolicSequence.from_array(b), N, 0)
     s = carry_add(x, y)
     sum_digits = s.fraction_digits(N, certified_only=False)
 

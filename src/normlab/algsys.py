@@ -239,9 +239,6 @@ class OrbitPoints(Sequence):
         k = range(len(self))[i]
         return next(self._points(k, k + 1))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
 
 @dataclass
 class OrbitResult:

@@ -49,7 +49,7 @@ def epsilon_complexity(digits: np.ndarray, eps, m: int, r: int = 2) -> int:
     """
     epsf = Fraction(eps)
     if not 0 < epsf < 1:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+        raise DomainError(f"eps must lie in (0, 1), got {eps}")
     bc = block_counts(digits, m, r)
     W = bc.total
     # the head must hold at least W - floor(eps * W) anchors; head[t] is
@@ -98,7 +98,7 @@ def eps_m_goodness(digits: np.ndarray, m: int, r: int = 2) -> Fraction:
     the smallest is 0 when some m-block does not occur.
     """
     if r != 2:
-        raise ValueError("goodness is defined against the binary uniform weights")
+        raise DomainError("goodness is defined against the binary uniform weights")
     bc = block_counts(digits, m, 2)
     W = bc.total
     lo = int(bc.counts.min()) if len(bc.counts) == 1 << m else 0

@@ -154,13 +154,13 @@ class FixedPointNumber:
 
     def __post_init__(self):
         if self.mant < 0:
-            raise ValueError("mantissa is stored unsigned; use sign")
+            raise DomainError("mantissa is stored unsigned; use sign")
         if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+            raise DomainError("sign must be +1 or -1")
         if self.guard_bits < 0 or self.guard_bits > self.frac_bits:
             raise DomainError("need 0 <= guard_bits <= frac_bits")
         if self.err_ulps < 0:
-            raise ValueError("error bound cannot be negative")
+            raise DomainError("error bound cannot be negative")
 
     # -- construction -------------------------------------------------------
 
@@ -171,11 +171,10 @@ class FixedPointNumber:
         N: int,
         G: int = DEFAULT_GUARD_BITS,
         integer_part: int = 0,
-        exact: bool = False,
     ) -> "FixedPointNumber":
         """0.d1 d2 ... truncated at N+G fractional digits (plus an integer
-        part).  err is 1 ulp for the dropped tail unless `exact` asserts the
-        sequence is zero beyond the horizon."""
+        part).  err is 0 when the sequence ends at F digits, 1 ulp for a
+        dropped tail, and 2^(F - horizon) ulps when it ends sooner."""
         if seq.r != 2:
             raise DomainError("fixed-point numbers are binary")
         F = _frac_bits(N, G)
@@ -188,8 +187,7 @@ class FixedPointNumber:
             # dropped tail (digits beyond F, if any) is strictly below 1 ulp
             err = 0 if (seq.horizon is not None and seq.horizon <= F) else 1
         else:
-            # digits beyond the horizon are unknown unless asserted zero
-            err = 0 if exact else 1 << (F - take)
+            err = 1 << (F - take)
         return cls(mant, F, G, 1, err)
 
     # -- views ---------------------------------------------------------------
@@ -294,7 +292,7 @@ def neg(x: FixedPointNumber) -> FixedPointNumber:
     return FixedPointNumber(out, x.frac_bits, x.guard_bits, 1, x.err_ulps)
 
 
-def mul_rational(x: FixedPointNumber, p: int, q: int, N: int, G: Optional[int] = None) -> FixedPointNumber:
+def mul_rational(x: FixedPointNumber, p: int, q: int, N: int, G: int) -> FixedPointNumber:
     """x * p / q at N (+G) fractional bits, truncated toward zero (adds at
     most 1 ulp).
 
@@ -310,8 +308,7 @@ def mul_rational(x: FixedPointNumber, p: int, q: int, N: int, G: Optional[int] =
         raise DomainError("q must be positive; carry the sign in p")
     if p == 0:
         raise DomainError("p must be nonzero")
-    Gout = x.guard_bits if G is None else G
-    F = N + Gout
+    F = N + G
     a = x.mant * abs(p)
     e = x.err_ulps * abs(p)
     k = x.frac_bits - F
@@ -328,10 +325,10 @@ def mul_rational(x: FixedPointNumber, p: int, q: int, N: int, G: Optional[int] =
     if inexact or rem:
         err += 1
     sign = x.sign * (1 if p > 0 else -1)
-    return FixedPointNumber(mant, F, Gout, sign, err)
+    return FixedPointNumber(mant, F, G, sign, err)
 
 
-def mul(x: FixedPointNumber, y: FixedPointNumber, N: int, G: Optional[int] = None) -> FixedPointNumber:
+def mul(x: FixedPointNumber, y: FixedPointNumber, N: int, G: int) -> FixedPointNumber:
     """Full product at N (+G) fractional bits.
 
     Certified error <= |x|*err_y + |y|*err_x + err_x*err_y + 1 ulp of
@@ -339,8 +336,7 @@ def mul(x: FixedPointNumber, y: FixedPointNumber, N: int, G: Optional[int] = Non
     (|x| + |y| + 1) * 2^-(N+G) envelope.  Products of large mantissas go
     through the exact FFT product `_product`.
     """
-    Gout = max(x.guard_bits, y.guard_bits) if G is None else G
-    F = N + Gout
+    F = N + G
     if x.frac_bits < F or y.frac_bits < F:
         raise DomainError(
             f"operands carry {x.frac_bits} and {y.frac_bits} fractional bits, need >= {F}"
@@ -354,7 +350,7 @@ def mul(x: FixedPointNumber, y: FixedPointNumber, N: int, G: Optional[int] = Non
     err = -((-err_scaled) >> shift) if err_scaled else 0  # ceil division by 2^shift
     if prod & ((1 << shift) - 1):
         err += 1
-    return FixedPointNumber(mant, F, Gout, x.sign * y.sign, err)
+    return FixedPointNumber(mant, F, G, x.sign * y.sign, err)
 
 
 def shifted_sum(

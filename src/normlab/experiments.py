@@ -431,6 +431,8 @@ def _low_entropy_census(cfg: dict):
 
 @_experiment("complexity-contrast")
 def _complexity_contrast(cfg: dict):
+    if cfg["kappa_c_min"] < 1:  # a complexity is never negative: a bound below 1 checks nothing
+        raise DomainError(f"complexity-contrast needs kappa_c_min >= 1, got {cfg['kappa_c_min']}")
     eps = cfg["eps"]
     ydig = y_sequence().digits(1, cfg["sparse_prefix"])
     curve = analysis.complexity_curve(ydig, eps, range(1, cfg["sparse_m_max"] + 1))
@@ -591,8 +593,8 @@ def _arithmetic_roundtrips(cfg: dict):
         rows = s1.digits(1, Nd + cap), s2.digits(1, Nd + cap)  # alive, so each row is generated once
         digits, amb = stream_carry_add(s1, s2, Nd, cap)
         flagged_total += int(amb.sum())
-        a = FixedPointNumber.from_sequence(s1, Nd + cap, 0, exact=True)
-        b = FixedPointNumber.from_sequence(s2, Nd + cap, 0, exact=True)
+        a = FixedPointNumber.from_sequence(s1, Nd + cap, 0)
+        b = FixedPointNumber.from_sequence(s2, Nd + cap, 0)
         batch = mod1(carry_add(a, b)).fraction_digits(Nd, certified_only=False)
         if not bool((digits[~amb] == batch[~amb]).all()):
             ok_stream = False
@@ -633,6 +635,8 @@ def _spr_obstruction(cfg: dict):
     p = rational(cfg["p"])
     N = cfg["n"]
     k = cfg["sigma_count"]
+    if k < 1:  # a band of fewer than one sigma does not test the inequality against noise
+        raise DomainError(f"spr-obstruction needs sigma_count >= 1, got {k}")
     l = pnormal.rauzy_obstruction_l(p)
     cap = 64
     x = bernoulli_stream(p, derive_seed(cfg["seed"], "x"), N + cap)

@@ -32,8 +32,8 @@ _N4 = LEVELS[3]
 def finite_sums(n: int) -> list[int]:
     """The positive elements up to n of S = {0} union FS((n_k)), ascending.
 
-    (0 belongs to the set but is not a 1-indexed position; `y_digit(0)`
-    still answers 1.)  Superincreasing levels make subset-mask numeric
+    (0 belongs to the set but is not a 1-indexed position: it is y's
+    integer part.)  Superincreasing levels make subset-mask numeric
     order equal to sum order, so the enumeration stops at the first sum
     above n.
     """
@@ -146,17 +146,6 @@ def kappa_sequence() -> SymbolicSequence:
 _SUMS_MASK = sum(LEVELS)
 
 
-def y_digit(p: int) -> int:
-    """Indicator digit of the sparse number y at coordinate p >= 0.
-
-    Coordinate 0 carries the integer part; coordinates >= 1 are the
-    fractional digits, 1 exactly on the finite-sums set.
-    """
-    if p < 0:
-        raise DomainError("coordinates start at 0")
-    return 1 if p | _SUMS_MASK == _SUMS_MASK else 0
-
-
 def _y_bulk(start: int, count: int) -> np.ndarray:
     out = np.zeros(count, dtype=np.uint8)
     hi = start + count - 1
@@ -170,7 +159,7 @@ _Y_TABLE = _y_bulk(0, 4096).tolist()  # digit p at entry p; entry 0 is never rea
 
 
 def _y_position_digit(p: int) -> int:
-    """Digit p (1-indexed) of y_sequence, y_digit(p) for p >= 1.  Every
+    """Digit p (1-indexed) of y_sequence: 1 exactly on the finite sums.  Every
     finite sum below n_4 is at most n_1 + n_2 + n_3 = 2058, so digits
     4096 <= p < n_4 are 0 and only p >= n_4 needs the mask test."""
     if p < 4096:

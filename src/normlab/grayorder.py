@@ -53,7 +53,7 @@ class GrayOrdering:
 
     def __post_init__(self):
         if self.variant not in ("gray", "alternated"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise DomainError(f"unknown variant {self.variant!r}")
         if self.n < 1:
             raise DomainError("block length must be >= 1")
         if self.alternated and self.n % 2 != 0:
@@ -71,9 +71,6 @@ class GrayOrdering:
     @property
     def start_word(self) -> int:
         return 0 if self.start is None else self.start.encode()
-
-    def __len__(self) -> int:
-        return 2**self.n
 
     def word(self, l: int) -> int:
         if not 1 <= l <= 2**self.n:

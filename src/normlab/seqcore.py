@@ -483,7 +483,7 @@ def zip_product(seqs: Sequence[SymbolicSequence]) -> SymbolicSequence:
     Row-major encoding, first row most significant.
     """
     if not seqs:
-        raise ValueError("need at least one row")
+        raise DomainError("need at least one row")
     if len(seqs) == 1:
         return seqs[0]
     R = 1
@@ -539,10 +539,14 @@ def read_nseq(path) -> SymbolicSequence:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _NSEQ_MAGIC:
-        raise ValueError("not an .nseq file (bad magic)")
+        raise DomainError("not an .nseq file (bad magic)")
+    if len(blob) < 15:
+        raise DomainError(f"truncated .nseq header: {len(blob)} of 15 bytes")
     version, r, n = struct.unpack("<BHQ", blob[4:15])
     if version != _NSEQ_VERSION:
-        raise ValueError(f"unsupported .nseq version {version}")
+        raise DomainError(f"unsupported .nseq version {version}")
+    if not 2 <= r <= 256:
+        raise DomainError(f".nseq alphabet size {r} outside 2..256")
     payload = blob[15:]
     if r == 2:
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
@@ -550,5 +554,5 @@ def read_nseq(path) -> SymbolicSequence:
     else:
         digits = np.frombuffer(payload, dtype=np.uint8)[:n]
     if len(digits) < n:
-        raise ValueError("truncated .nseq payload")
+        raise DomainError("truncated .nseq payload")
     return SymbolicSequence.from_array(digits, r=r)

@@ -1,6 +1,7 @@
 """scripts/bench.py: the paired comparison against a base revision."""
 
 import importlib.util
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -40,3 +41,19 @@ def test_equal_length_dir_refuses_a_longer_temporary_directory(bench, monkeypatc
     monkeypatch.setattr(bench, "ROOT", Path(str(tmp_path)[:-1]))
     with pytest.raises(SystemExit, match="set TMPDIR to a shorter directory"):
         bench.equal_length_dir()
+
+
+def test_checkout_extracts_a_revision_and_leaves_git_alone(bench, monkeypatch, tmp_path):
+    def git(*argv):
+        return subprocess.run(["git", *argv], cwd=bench.ROOT, capture_output=True, text=True)
+
+    if git("rev-parse", "--verify", "HEAD^{commit}").returncode != 0:
+        pytest.skip("not a git checkout")
+    monkeypatch.setattr(bench, "equal_length_dir", lambda: Path(tempfile.mkdtemp(dir=tmp_path)))
+    worktrees = git("worktree", "list").stdout
+    with bench.checkout("HEAD") as path:
+        assert (path / "src" / "normlab" / "__init__.py").is_file()
+        assert (path / "perfbench" / "run.py").is_file()
+        assert not (path / ".git").exists()
+    assert not path.exists()
+    assert git("worktree", "list").stdout == worktrees

@@ -109,10 +109,19 @@ def test_add_commutes_and_associates_exactly(a, b, c):
 def test_disjoint_support_sum_is_digitwise():
     a_bits = [1, 0, 0, 1, 0, 0, 0, 0]
     b_bits = [0, 1, 0, 0, 0, 1, 0, 1]
-    a = FixedPointNumber.from_sequence(SymbolicSequence.from_array(a_bits), 8, 0, exact=True)
-    b = FixedPointNumber.from_sequence(SymbolicSequence.from_array(b_bits), 8, 0, exact=True)
+    a = FixedPointNumber.from_sequence(SymbolicSequence.from_array(a_bits), 8, 0)
+    b = FixedPointNumber.from_sequence(SymbolicSequence.from_array(b_bits), 8, 0)
     s = carry_add(a, b)
     assert s.fraction_digits(8, False).tolist() == [x | y for x, y in zip(a_bits, b_bits)]
+
+
+def test_from_sequence_error_follows_the_horizon():
+    bits = SymbolicSequence.from_array([1, 0, 1, 1])
+    assert FixedPointNumber.from_sequence(bits, 4, 0).err_ulps == 0  # every digit read, none dropped
+    assert FixedPointNumber.from_sequence(constant(1), 4, 0).err_ulps == 1  # an unread tail below 1 ulp
+    short = FixedPointNumber.from_sequence(bits, 6, 2)  # 8 fractional bits, 4 of them known
+    assert short.value() == Fraction(0b1011, 16)
+    assert short.err_ulps == 1 << 4
 
 
 # -- neg ---------------------------------------------------------------------
@@ -145,8 +154,8 @@ def test_neg_domain():
 
 def test_mul_rational_identity_and_shift():
     x = fp(Fraction(5, 8), 16, 4)
-    assert mul_rational(x, 1, 1, 16).value() == x.value()
-    doubled = mul_rational(x, 2, 1, 16)
+    assert mul_rational(x, 1, 1, 16, 4).value() == x.value()
+    doubled = mul_rational(x, 2, 1, 16, 4)
     assert doubled.value() == x.value() * 2
     # doubling shifts the fraction digits left by one
     assert doubled.fraction_digits(8, False).tolist() == [0, 1, 0, 0, 0, 0, 0, 0]
@@ -154,14 +163,14 @@ def test_mul_rational_identity_and_shift():
 
 def test_mul_rational_z_prefix():
     y = FixedPointNumber.from_sequence(y_sequence(), 4096, 64, integer_part=1)
-    z = mul_rational(y, 4, 3, 4096)
+    z = mul_rational(y, 4, 3, 4096, 64)
     assert z.integer_part() == 1
     assert z.fraction_digits(10).tolist() == [1, 0, 1, 0, 1, 1, 0, 0, 0, 1]
 
 
 def test_mul_rational_rejects_zero_q():
     with pytest.raises(DomainError):
-        mul_rational(fp(Fraction(1, 2)), 1, 0, 8)
+        mul_rational(fp(Fraction(1, 2)), 1, 0, 8, 8)
 
 
 @settings(max_examples=50)
@@ -346,9 +355,7 @@ def test_shifted_sum_matches_mul_for_sparse_multipliers():
         mult_bits = np.zeros(N + G, dtype=np.uint8)
         for pos in positions:
             mult_bits[pos - 1] = 1
-        mult = FixedPointNumber.from_sequence(
-            SymbolicSequence.from_array(mult_bits), N, G, exact=True
-        )
+        mult = FixedPointNumber.from_sequence(SymbolicSequence.from_array(mult_bits), N, G)
         via_mul = mul(x, mult, N, G)
         via_shift = shifted_sum(kap, positions, N, G)
         agree = min(via_mul.certified_digit_count(), via_shift.certified_digit_count())
@@ -393,8 +400,8 @@ def test_stream_matches_batch_on_kappa_shift():
     arr = np.concatenate([np.zeros(2, dtype=np.uint8), kap.digits(1, N + cap - 2)])
     shifted = SymbolicSequence.from_array(arr)
     digits, amb = stream_carry_add(kap, shifted, N, cap)
-    a = FixedPointNumber.from_sequence(kap, N + cap, 0, exact=True)
-    b = FixedPointNumber.from_sequence(shifted, N + cap, 0, exact=True)
+    a = FixedPointNumber.from_sequence(kap, N + cap, 0)
+    b = FixedPointNumber.from_sequence(shifted, N + cap, 0)
     batch = mod1(carry_add(a, b)).fraction_digits(N, certified_only=False)
     ok = ~amb
     assert ok.sum() > 0.99 * N

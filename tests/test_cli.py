@@ -14,7 +14,7 @@ from normlab import analysis, experiments, pnormal
 from normlab.cli import _KINDS, build_parser, main
 from normlab.errors import BUDGETS, DataQualityError
 from normlab.generators import y_sequence
-from normlab.seqcore import read_nseq, write_nseq
+from normlab.seqcore import SymbolicSequence, read_nseq, write_nseq
 
 
 def test_generate_roundtrip(tmp_path, capsys):
@@ -292,6 +292,20 @@ def test_analyze_long_blocks_on_short_file(tmp_path, capsys, op):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert re.search(rf"\b[mn]={length}\b", err[0]), err[0]  # names the block length
+
+
+def test_analyze_refuses_a_broken_nseq_header(tmp_path, capsys):
+    # a header cut anywhere in its 15 bytes, and alphabet sizes write_nseq never writes
+    src = tmp_path / "b.nseq"
+    write_nseq(src, SymbolicSequence.from_array([0, 1] * 50))
+    blob = src.read_bytes()
+    broken = [blob[:cut] for cut in range(15)]
+    broken += [blob[:5] + r.to_bytes(2, "little") + blob[7:] for r in (0, 1, 257, 300)]
+    for data in broken:
+        src.write_bytes(data)
+        assert main(["analyze", "--op", "entropy", "--in", str(src), "--n-max", "2"]) == 2, data
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (data, err)
 
 
 @pytest.fixture
@@ -739,11 +753,13 @@ def test_pnormal_long_denominator_ends_quickly(capsys, p):
         (_experiment("carry-closed-forms", grid_points=-1), "carry-closed-forms needs grid_points >= 2, got -1"),
         (_experiment("carry-closed-forms", grid_points=1), "carry-closed-forms needs grid_points >= 2, got 1"),
         (_experiment("carry-closed-forms", n_random=0), "carry-closed-forms needs n_random >= 1, got 0"),
+        (_experiment("spr-obstruction", sigma_count=-1), "spr-obstruction needs sigma_count >= 1, got -1"),
+        (_experiment("complexity-contrast", kappa_c_min=0), "complexity-contrast needs kappa_c_min >= 1, got 0"),
     ],
     ids=["carry-monte-carlo-cap", "arithmetic-roundtrips-cap", "base4-n-0", "base4-n-1", "max-pq-0",
          "gray-n-max-0", "roundtrip-pairs-0", "roundtrip-cases-negative", "gray-starts-0", "census-m-0-n-0",
          "census-n-0", "toral-grid-bits", "orbit-grid-bits", "closed-forms-grid-negative", "closed-forms-grid-1",
-         "closed-forms-random-0"],
+         "closed-forms-random-0", "spr-sigma-negative", "complexity-kappa-min-0"],
 )
 def test_experiment_value_outside_its_domain_is_usage_error(capsys, argv, message):
     # the alarm turns a hang, such as an endless carry-scan loop, into a failure of this row

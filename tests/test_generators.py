@@ -21,7 +21,6 @@ from normlab.generators import (
     uniform_stream,
     v_digit,
     v_sequence,
-    y_digit,
     y_sequence,
 )
 from normlab.grayorder import GrayOrdering
@@ -62,13 +61,13 @@ def test_schedule_superincreasing():
 
 def test_finite_sums_membership():
     members = {2, 8, 10, 2048, 2050, 2056, 2058}
-    assert {p for p in range(1, 2060) if y_digit(p)} == members
+    y = y_sequence()
+    assert {p for p in range(1, 2060) if y.digit(p)} == members
     assert set(finite_sums(2059)) == members
-    assert y_digit(0) == 1
     n4 = 1 << 2059
-    assert y_digit(n4) == 1
-    assert y_digit(n4 + 2058) == 1
-    assert y_digit(n4 + 1) == 0
+    assert y.digit(n4) == 1
+    assert y.digit(n4 + 2058) == 1
+    assert y.digit(n4 + 1) == 0
 
 
 def test_finite_sums_enumeration_sorted():
@@ -136,15 +135,15 @@ def test_kappa_rejects_nonpositive():
 
 
 def test_y_digit_examples():
-    assert y_digit(0) == 1
-    assert y_digit(1) == 0
-    assert y_digit(2) == 1
-    assert y_digit(4) == 0
-    assert y_digit(10) == 1
+    y = y_sequence()
+    assert y.digit(1) == 0
+    assert y.digit(2) == 1
+    assert y.digit(4) == 0
+    assert y.digit(10) == 1
 
 
 def test_y_ones_positions():
-    ones = [p for p in range(1, 2060) if y_digit(p)]
+    ones = [p for p in range(1, 2060) if y_sequence().digit(p)]
     assert ones == [2, 8, 10, 2048, 2050, 2056, 2058]
     bulk = y_sequence().digits(1, 2059)
     assert np.flatnonzero(bulk).tolist() == [p - 1 for p in ones]
@@ -241,7 +240,7 @@ def kappa_digit_by_shift(p: int) -> int:
 def finite_sum_contains(p: int) -> bool:
     """Membership of p in {0} union FS((n_k)): greedy subtraction of the
     largest level value, valid because the schedule is superincreasing (the
-    loop y_digit used before its bit mask)."""
+    loop y's digit rule used before its bit mask)."""
     if p < 0:
         return False
     v = p
@@ -281,7 +280,7 @@ def assert_probes_match(p: int) -> None:
     # the rules, and the sequences' digit(p) that call them directly
     assert kappa_digit(p) == kappa_digit_by_recursion(p) == kappa_digit_by_offsets(p) == kappa_digit_by_shift(p)
     assert kappa_sequence().digit(p) == kappa_digit(p)
-    assert y_sequence().digit(p) == y_digit(p) == y_digit_by_levels(p) == int(finite_sum_contains(p))
+    assert y_sequence().digit(p) == y_digit_by_levels(p) == int(finite_sum_contains(p))
     assert v_sequence().digit(p) == v_digit(p) == v_digit_by_levels(p)
 
 
@@ -316,7 +315,6 @@ def test_probes_match_their_recursions(p):
 
 def test_probes_at_the_level_edges():
     edges = [1, 2, 3, 8, 9, 2048, 2049, N4, N4 + 1]
-    assert y_digit(0) == y_digit_by_levels(0) == 1
     for p in edges:
         assert_probes_match(p)
     assert [level_of_by_levels(p) for p in edges[2:]] == [1, 1, 2, 2, 3, 3, 4]
@@ -334,7 +332,7 @@ def test_probes_at_the_level_edges():
 
 
 def test_probe_domain_errors():
-    for fn, p in ((kappa_digit, 0), (kappa_digit, -1), (v_digit, 0), (v_digit, -1), (y_digit, -1)):
+    for fn, p in ((kappa_digit, 0), (kappa_digit, -1), (v_digit, 0), (v_digit, -1)):
         with pytest.raises(DomainError):
             fn(p)
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, within
+from .errors import DomainError, rational, within
 from .seqcore import _check_code_bits, _counts_from_table, block_counts, check_block_length, code_table
 
 
@@ -38,6 +38,14 @@ def _entropy(counts: np.ndarray, n: int) -> float:
     return float(-(p * np.log2(p)).sum() / n)
 
 
+def _eps(eps) -> Fraction:
+    """eps read by `errors.rational` (the text "0.3" is exactly 3/10) and held to (0, 1)."""
+    epsf = rational(eps)
+    if not 0 < epsf < 1:
+        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    return epsf
+
+
 def epsilon_complexity(digits: np.ndarray, eps, m: int, r: int = 2) -> int:
     """Minimal number of m-blocks needed to cover all but an eps-fraction of
     the anchored positions of the prefix.
@@ -47,9 +55,7 @@ def epsilon_complexity(digits: np.ndarray, eps, m: int, r: int = 2) -> int:
     (greedy-by-frequency is minimal for this relaxation; dropping any head
     block in favor of a tail block never shrinks the family).
     """
-    epsf = Fraction(eps)
-    if not 0 < epsf < 1:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    epsf = _eps(eps)
     bc = block_counts(digits, m, r)
     W = bc.total
     # the head must hold at least W - floor(eps * W) anchors; head[t] is
@@ -80,6 +86,7 @@ class ComplexityReport:
 
 
 def complexity_curve(digits: np.ndarray, eps, m_range: Iterable[int], r: int = 2) -> ComplexityReport:
+    eps = _eps(eps)
     report = ComplexityReport(eps=float(eps), prefix_length=len(digits))
     for m in m_range:
         C = epsilon_complexity(digits, eps, m, r)

@@ -148,7 +148,7 @@ class FixedPointNumber:
 
     mant: int
     frac_bits: int
-    guard_bits: int = DEFAULT_GUARD_BITS
+    guard_bits: int
     sign: int = 1
     err_ulps: int = 0
 
@@ -169,7 +169,7 @@ class FixedPointNumber:
         cls,
         seq: SymbolicSequence,
         N: int,
-        G: int = DEFAULT_GUARD_BITS,
+        G: int,
         integer_part: int = 0,
     ) -> "FixedPointNumber":
         """0.d1 d2 ... truncated at N+G fractional digits (plus an integer
@@ -357,7 +357,7 @@ def shifted_sum(
     seq: SymbolicSequence,
     shifts: Iterable[int],
     N: int,
-    G: int = DEFAULT_GUARD_BITS,
+    G: int,
 ) -> FixedPointNumber:
     """Sum of 2^-s * (0.seq) over the shifts s, by big-integer accumulation.
 

@@ -169,12 +169,6 @@ def _cmd_pnormal(args) -> int:
     return 0
 
 
-def _require(args, *needs: tuple[str, str]) -> None:
-    for dest, flag in needs:
-        if getattr(args, dest) is None:
-            raise DomainError(f"algsys {args.op} needs {flag}")
-
-
 def _write_stream(args, seq: SymbolicSequence) -> int:
     path = args.out or f"{args.op}.nseq"
     write_nseq(path, seq, count=args.n)
@@ -183,18 +177,15 @@ def _write_stream(args, seq: SymbolicSequence) -> int:
 
 
 def _cmd_modp_add(args) -> int:
-    _require(args, ("infile", "--in"), ("infile2", "--in2"))
     return _write_stream(args, algsys.modp_add(read_nseq(args.infile), read_nseq(args.infile2), args.n))
 
 
 def _cmd_ca(args) -> int:
-    _require(args, ("infile", "--in"))
     ca = algsys.LinearCA(args.p, tuple(int(c) for c in args.coeffs.split(",")))
     return _write_stream(args, algsys.apply_ca(ca, read_nseq(args.infile), args.n))
 
 
 def _cmd_orbit(args) -> int:
-    _require(args, ("matrix", "--matrix"), ("x0", "--x0"))
     tmap = algsys.ToralMap.from_rows(json.loads(args.matrix))
     result = algsys.toral_orbit(
         tmap,
@@ -249,12 +240,20 @@ def _cmd_experiment(args) -> int:
     return 0 if rep.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a usage error, one `error:` line
+    from `main`, not argparse's usage block; subparsers share the class."""
+
+    def error(self, message: str):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The normlab argument parser, built on first use and shared by every
     later call in the process: callers must not mutate it.  Sharing it is
     safe because `parse_args` fills a fresh Namespace on every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="normlab",
         description="Exact-arithmetic workbench for digit expansions of real numbers",
     )
@@ -276,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True, choices=("entropy", "complexity", "goodness", "switches", "profile"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--L", type=int, help="prefix length (default: whole file)")
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", default="0.1", help="share complexity may leave uncovered, e.g. 0.1 or 1/10")
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--windows", help="comma-separated window lengths for profile")
@@ -308,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     ops = p.add_subparsers(dest="op", required=True)
     q = ops.add_parser("modp-add", help="digit-wise sum mod p of two .nseq streams")
     q.add_argument("--out", help="output path (default: modp-add.nseq)")
-    q.add_argument("--in", dest="infile")
-    q.add_argument("--in2", dest="infile2")
+    q.add_argument("--in", dest="infile", required=True)
+    q.add_argument("--in2", dest="infile2", required=True)
     q.add_argument("--n", type=int, default=1000)
     q.set_defaults(fn=_cmd_modp_add)
     q = ops.add_parser("ca", help="apply a linear cellular automaton to an .nseq stream")
     q.add_argument("--out", help="output path (default: ca.nseq)")
-    q.add_argument("--in", dest="infile")
+    q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--n", type=int, default=1000)
     q.add_argument("--p", type=int, default=2, help="prime modulus")
     q.add_argument("--coeffs", default="1,1")
@@ -322,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = ops.add_parser("orbit", help="exact toral-endomorphism orbit and its grid discrepancy")
     q.add_argument("--out", help="output path (default: stdout)")
     q.add_argument("--format", choices=("csv", "json", "text"), default="text")
-    q.add_argument("--matrix", help="integer matrix as JSON, e.g. [[2,1],[1,1]]")
-    q.add_argument("--x0", help="comma-separated rationals, e.g. 1/5,2/5")
+    q.add_argument("--matrix", required=True, help="integer matrix as JSON, e.g. [[2,1],[1,1]]")
+    q.add_argument("--x0", required=True, help="comma-separated rationals, e.g. 1/5,2/5")
     q.add_argument("--steps", type=int, default=1000)
     q.add_argument("--precision-bits", type=int)
     q.add_argument("--grid-bits", type=int, default=4)
@@ -354,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code

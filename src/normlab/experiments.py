@@ -119,14 +119,17 @@ def _content_hash(config: dict) -> str:
 
 
 _REGISTRY: dict[str, Callable[[dict], list[Check]]] = {}
+_FLOORS: dict[str, dict[str, int]] = {}
 
 
-def _experiment(name: str):
+def _experiment(name: str, **floors: int):
     """Register a generator of checks.  The registry entry runs it to the
-    end, so one call of the entry spans all of the experiment's work."""
+    end, so one call of the entry spans all of the experiment's work.
+    `floors`: the least value of each integer parameter, held by `run_experiment`."""
 
     def deco(gen: Callable[[dict], Iterator[Check]]):
         _REGISTRY[name] = lambda cfg: list(gen(cfg))
+        _FLOORS[name] = floors
         return gen
 
     return deco
@@ -196,6 +199,9 @@ def run_experiment(name: str, overrides: Optional[dict] = None) -> ExperimentRep
     if overrides is not None:
         _check_overrides(name, config, overrides)
         config.update(overrides)
+    for key, low in _FLOORS[name].items():
+        if config[key] < low:
+            raise DomainError(f"{name} needs {key} >= {low}, got {config[key]}")
     report = ExperimentReport(name=name, parameters=config, content_hash=_content_hash(config))
     t0 = time.perf_counter()
     report.checks = _REGISTRY[name](config)
@@ -252,14 +258,11 @@ def _figure1_kappa(cfg: dict):
     )
 
 
-@_experiment("gray-invariants")
+@_experiment("gray-invariants", n_max=1, starts_per_n=1)  # below 1, no ordering is verified
 def _gray_invariants(cfg: dict):
     within("exhaustive check", cfg["n_max"])
     # every start verifies 2^n words per variant, two variants at even n
     within("gray words", cfg["starts_per_n"] * sum(2**n * (2 - n % 2) for n in range(1, cfg["n_max"] + 1)))
-    for key in ("n_max", "starts_per_n"):  # below 1, no ordering is verified
-        if cfg[key] < 1:
-            raise DomainError(f"gray-invariants needs {key} >= 1, got {cfg[key]}")
     seed = cfg["seed"]
     bad = []
     total = 0
@@ -363,12 +366,9 @@ def _kappa_goodness(cfg: dict):
     yield from _goodness_checks(kappa_sequence().digits(1, 1 << cfg["prefix_log2"]), cfg, "goodness-")
 
 
-@_experiment("carry-closed-forms")
+@_experiment("carry-closed-forms", n_random=1, grid_points=2)  # fewer points would check nothing
 def _carry_closed_forms(cfg: dict):
     within("closed-form points", cfg["n_random"] + cfg["grid_points"])
-    for key, low in (("n_random", 1), ("grid_points", 2)):  # fewer points would check nothing
-        if cfg[key] < low:
-            raise DomainError(f"carry-closed-forms needs {key} >= {low}, got {cfg[key]}")
     p = Fraction(1, 5)
     P, pprime = pnormal.carry_digit_prob(p)
     Q0, P0, pprime0 = pnormal.conditional_digit_prob(p)
@@ -429,10 +429,8 @@ def _low_entropy_census(cfg: dict):
         )
 
 
-@_experiment("complexity-contrast")
+@_experiment("complexity-contrast", kappa_c_min=1)  # C >= 0 always: a bound below 1 checks nothing
 def _complexity_contrast(cfg: dict):
-    if cfg["kappa_c_min"] < 1:  # a complexity is never negative: a bound below 1 checks nothing
-        raise DomainError(f"complexity-contrast needs kappa_c_min >= 1, got {cfg['kappa_c_min']}")
     eps = cfg["eps"]
     ydig = y_sequence().digits(1, cfg["sparse_prefix"])
     curve = analysis.complexity_curve(ydig, eps, range(1, cfg["sparse_m_max"] + 1))
@@ -463,11 +461,9 @@ def _row_pair_table(digits: np.ndarray, blen: int) -> np.ndarray:
     return table.reshape((2, 2) * blen).transpose(rows_first).reshape(1 << blen, 1 << blen)
 
 
-@_experiment("base4-independence")
+@_experiment("base4-independence", n=2)  # the 2-block factorization needs 2 digits
 def _base4_independence(cfg: dict):
     N = cfg["n"]
-    if N < 2:
-        raise DomainError(f"base4-independence needs n >= 2 for a 2-block, got {N}")
     k = cfg["sigma_count"]
     digits = uniform_stream(4, derive_seed(cfg["seed"], "base4"), N + 2).digits(1, N)
     for blen in (1, 2):
@@ -545,13 +541,10 @@ def _ca_switch_identity(cfg: dict):
     yield exact("ca-ones-equals-switch-density", str(ones), str(sw), "exact rational equality")
 
 
-@_experiment("arithmetic-roundtrips")
+@_experiment("arithmetic-roundtrips", roundtrip_cases=1, max_pq=1, pairs=1)  # fewer would check nothing
 def _arithmetic_roundtrips(cfg: dict):
     within("roundtrip cases", max(cfg["roundtrip_cases"], cfg["pairs"]))
     within("roundtrip stream digits", cfg["pairs"] * (cfg["digits"] + cfg["lookahead_cap"]))
-    for key in ("roundtrip_cases", "max_pq", "pairs"):  # fewer cases or pairs would check nothing
-        if cfg[key] < 1:
-            raise DomainError(f"arithmetic-roundtrips needs {key} >= 1, got {cfg[key]}")
     seed = cfg["seed"]
     # (a) mod-1 negation inverse
     ok_neg = True
@@ -628,15 +621,13 @@ def _zip_columns(cfg: dict):
     )
 
 
-@_experiment("spr-obstruction")
+@_experiment("spr-obstruction", sigma_count=1)  # a narrower band does not test against noise
 def _spr_obstruction(cfg: dict):
     """With p > 1/2, the all-ones block over a periodic partner occurs in the
     carry sum strictly less often than product structure would demand."""
     p = rational(cfg["p"])
     N = cfg["n"]
     k = cfg["sigma_count"]
-    if k < 1:  # a band of fewer than one sigma does not test the inequality against noise
-        raise DomainError(f"spr-obstruction needs sigma_count >= 1, got {k}")
     l = pnormal.rauzy_obstruction_l(p)
     cap = 64
     x = bernoulli_stream(p, derive_seed(cfg["seed"], "x"), N + cap)

@@ -535,24 +535,26 @@ def write_nseq(path, seq: SymbolicSequence, count: Optional[int] = None) -> None
 
 
 def read_nseq(path) -> SymbolicSequence:
-    """Load an .nseq file as an array-backed sequence."""
+    """Load an .nseq file as an array-backed sequence.  The digit count is
+    budgeted before the payload is read, and trailing bytes are refused."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _NSEQ_MAGIC:
-        raise DomainError("not an .nseq file (bad magic)")
-    if len(blob) < 15:
-        raise DomainError(f"truncated .nseq header: {len(blob)} of 15 bytes")
-    version, r, n = struct.unpack("<BHQ", blob[4:15])
-    if version != _NSEQ_VERSION:
-        raise DomainError(f"unsupported .nseq version {version}")
-    if not 2 <= r <= 256:
-        raise DomainError(f".nseq alphabet size {r} outside 2..256")
-    payload = blob[15:]
-    if r == 2:
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
-        digits = bits[:n]
-    else:
-        digits = np.frombuffer(payload, dtype=np.uint8)[:n]
-    if len(digits) < n:
-        raise DomainError("truncated .nseq payload")
+        header = fh.read(15)
+        if header[:4] != _NSEQ_MAGIC:
+            raise DomainError("not an .nseq file (bad magic)")
+        if len(header) < 15:
+            raise DomainError(f"truncated .nseq header: {len(header)} of 15 bytes")
+        version, r, n = struct.unpack("<BHQ", header[4:])
+        if version != _NSEQ_VERSION:
+            raise DomainError(f"unsupported .nseq version {version}")
+        if not 2 <= r <= 256:
+            raise DomainError(f".nseq alphabet size {r} outside 2..256")
+        within("digit", n)
+        size = (n + 7) // 8 if r == 2 else n
+        payload = fh.read(size)
+        if len(payload) < size:
+            raise DomainError("truncated .nseq payload")
+        if fh.read(1):
+            raise DomainError(f"trailing bytes after the {size}-byte .nseq payload of {n} digits")
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    digits = np.unpackbits(raw, count=n, bitorder="little") if r == 2 else raw
     return SymbolicSequence.from_array(digits, r=r)

@@ -116,10 +116,21 @@ def test_experiment_failure_exit_code(capsys):
     assert code == 1
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["generate", "--kind", "kappa"])  # missing --n
-    assert exc.value.code == 2
+def usage_error(capsys, argv: list[str]) -> str:
+    """Run argv, a usage error: exit code 2, nothing on stdout and one
+    `error:` line on stderr, returned without its prefix."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0].removeprefix("error: ")
+
+
+def test_usage_error_exit_code(capsys):
+    # argparse's own errors take the one `error:` path, not its usage block and SystemExit
+    message = usage_error(capsys, ["generate", "--kind", "kappa"])
+    assert message == "normlab generate: the following arguments are required: --n"
 
 
 @pytest.mark.parametrize(
@@ -144,14 +155,12 @@ def test_only_read_flags_are_accepted(tmp_path, monkeypatch, capsys, argv, env, 
     monkeypatch.chdir(tmp_path)
     if env is not None:
         monkeypatch.setenv("NORMLAB_THREADS", env)
-    try:
-        rc = main(argv)
-    except SystemExit as exc:
-        rc = exc.code
-    assert rc == code
-    assert list(tmp_path.iterdir()) == []
     if code == 0:
+        assert main(argv) == 0
         assert "2/2 experiments passed" in capsys.readouterr().out
+    else:
+        usage_error(capsys, argv)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_calls_in_one_process_share_one_parser_and_nothing_else(tmp_path, monkeypatch, capsys):
@@ -174,27 +183,26 @@ def test_calls_in_one_process_share_one_parser_and_nothing_else(tmp_path, monkey
 
     assert block_lengths("--n-max", "3") == [1, 2, 3]
     assert block_lengths() == list(range(1, 9))
-    with pytest.raises(SystemExit) as exc:
-        main([*goodness, "--n-max", "5", "--n-min", "x"])  # --n-max is parsed before the error
-    assert exc.value.code == 2
+    usage_error(capsys, [*goodness, "--n-max", "5", "--n-min", "x"])  # --n-max is parsed before the error
     assert block_lengths("--n-max", "3") == [1, 2, 3]
     assert block_lengths() == list(range(1, 9))
     assert build_parser.cache_info().misses == 1 and build_parser() is build_parser()
 
 
 def _commands(parser, path=(), inherited=frozenset()):
-    """Each command path, e.g. ("algsys", "orbit"), with the options it accepts."""
+    """Each command path, e.g. ("algsys", "orbit"), with the options it
+    accepts and its parser."""
     flags = inherited | {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
-        yield path, flags
+        yield path, flags, parser
     for sub in subs:
         for name, p in sub.choices.items():
             yield from _commands(p, path + (name,), flags)
 
 
 def test_each_command_has_only_the_flags_it_reads():
-    flags = dict(_commands(build_parser()))
+    flags = {path: f for path, f, _ in _commands(build_parser())}
     assert not any("--threads" in f for f in flags.values())
     assert {c for c, f in flags.items() if "--format" in f} == {
         ("analyze",), ("pnormal",), ("algsys", "orbit"), ("verify",), ("experiment",)
@@ -207,6 +215,34 @@ def test_each_command_has_only_the_flags_it_reads():
         "orbit": {"--out", "--format", "--matrix", "--x0", "--steps", "--precision-bits", "--grid-bits"},
     }
     assert sum(map(len, algsys.values())) == 16
+
+
+COMMANDS = [pytest.param(path, parser, id=" ".join(path)) for path, _, parser in _commands(build_parser())]
+
+
+@pytest.mark.parametrize("path, parser", COMMANDS)
+def test_every_malformed_command_line_is_one_error_line(capsys, path, parser):
+    # each case fails while parsing, so no command runs and nothing is written
+    options = [a for a in parser._actions if a.option_strings]
+    required = {a.option_strings[0]: a.choices[0] if a.choices else "1" for a in options if a.required}
+
+    def argv(without=None):  # the path with a valid value for each required flag but `without`
+        return [*path, *(w for f, v in required.items() if f != without for w in (f, v))]
+
+    full = argv()
+    prog = " ".join(("normlab", *path))
+    assert usage_error(capsys, [*full, "--no-such-flag"]) == "normlab: unrecognized arguments: --no-such-flag"
+    for flag in required:
+        assert usage_error(capsys, argv(flag)) == f"{prog}: the following arguments are required: {flag}"
+    for a in options:
+        if a.type is int:
+            flag = a.option_strings[0]
+            assert usage_error(capsys, [*full, flag, "x"]) == f"{prog}: argument {flag}: invalid int value: 'x'"
+    with pytest.raises(SystemExit) as exc:
+        main([*path, "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith(f"usage: {prog} ")
 
 
 def test_experiment_reports_reproduce():
@@ -238,8 +274,8 @@ def test_arith_binary_op_without_in2_is_usage_error(tmp_path, capsys, op):
     ids=["no-matrix", "no-x0"],
 )
 def test_algsys_orbit_missing_option_is_usage_error(capsys, argv, missing):
-    assert main(["algsys", "orbit", *argv]) == 2
-    assert capsys.readouterr().err.strip() == f"error: algsys orbit needs {missing}"
+    message = usage_error(capsys, ["algsys", "orbit", *argv])
+    assert message == f"normlab algsys orbit: the following arguments are required: {missing}"
 
 
 @pytest.mark.parametrize("matrix", ["5", "[[1.5]]", '{"a":1}'], ids=["scalar", "float", "dict"])
@@ -250,10 +286,9 @@ def test_algsys_orbit_rejects_malformed_matrix(capsys, matrix):
 
 
 def test_generate_periodic_sparse_is_not_a_kind(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["generate", "--kind", "periodic-sparse", "--pattern", "01", "--n", "8",
-              "--out", str(tmp_path / "p.nseq")])
-    assert exc.value.code == 2
+    message = usage_error(capsys, ["generate", "--kind", "periodic-sparse", "--pattern", "01", "--n", "8",
+                                   "--out", str(tmp_path / "p.nseq")])
+    assert "invalid choice: 'periodic-sparse'" in message
     assert not (tmp_path / "p.nseq").exists()
     assert "periodic-sparse" not in _KINDS
 
@@ -295,17 +330,19 @@ def test_analyze_long_blocks_on_short_file(tmp_path, capsys, op):
 
 
 def test_analyze_refuses_a_broken_nseq_header(tmp_path, capsys):
-    # a header cut anywhere in its 15 bytes, and alphabet sizes write_nseq never writes
+    # a header cut anywhere in its 15 bytes, alphabet sizes write_nseq never
+    # writes, one trailing byte, and a digit count beyond the digit budget
     src = tmp_path / "b.nseq"
     write_nseq(src, SymbolicSequence.from_array([0, 1] * 50))
     blob = src.read_bytes()
     broken = [blob[:cut] for cut in range(15)]
     broken += [blob[:5] + r.to_bytes(2, "little") + blob[7:] for r in (0, 1, 257, 300)]
+    broken += [blob + b"\0", blob[:7] + (BUDGETS["digit"].limit + 1).to_bytes(8, "little") + blob[15:]]
     for data in broken:
         src.write_bytes(data)
-        assert main(["analyze", "--op", "entropy", "--in", str(src), "--n-max", "2"]) == 2, data
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: "), (data, err)
+        t0 = time.perf_counter()
+        usage_error(capsys, ["analyze", "--op", "entropy", "--in", str(src), "--n-max", "2"])
+        assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.fixture
@@ -345,6 +382,20 @@ def test_analyze_entropy_and_profile_read_the_files_alphabet(ternary_file, capsy
     rows = json.loads(capsys.readouterr().out)["rows"]
     want = analysis.entropy_profile(digits, [1000, 4000], range(1, 4), r=3).rows
     assert [(row["window"], row["n"], row["H"]) for row in rows] == want
+
+
+def test_analyze_eps_is_read_exactly_or_refused(tmp_path, capsys):
+    # seven 1s and three 0s: 3/10 of the 10 anchors may go uncovered, so the
+    # 1s alone cover them; 0.3 read as a float is below 3/10 and needed both
+    src = tmp_path / "p.nseq"
+    assert main(["generate", "--kind", "periodic", "--pattern", "1111111000", "--n", "10", "--out", str(src)]) == 0
+    complexity = ["analyze", "--op", "complexity", "--in", str(src), "--n-max", "1", "--format", "json"]
+    for eps in ("0.3", "3/10"):
+        capsys.readouterr()
+        assert main([*complexity, "--eps", eps]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["C"] == 1
+    for eps in ("inf", "1e400", "-inf", "1/0", "1e-99999999", "0", "1"):
+        usage_error(capsys, [*complexity, "--eps", eps])
 
 
 @pytest.mark.parametrize("windows", ["-5,4096", "0", "4096,-1"])
@@ -404,9 +455,7 @@ def test_verify_format_json_prints_the_reports(tmp_path, capsys):
 
 
 def test_seed_only_where_it_is_read(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--name", "z-prefix-digits", "--seed", "5"])
-    assert exc.value.code == 2
+    assert usage_error(capsys, ["verify", "--name", "z-prefix-digits", "--seed", "5"]).endswith("--seed 5")
     assert main(["pnormal", "--p", "1/5", "--seed", "5"]) == 0
 
 
@@ -430,9 +479,8 @@ def test_gray_listing_beyond_budget_is_usage_error(budget_dir, capsys):
     ids=["modp-add-no-in", "modp-add-no-in2", "ca-no-in"],
 )
 def test_algsys_stream_op_missing_input_is_usage_error(capsys, argv, missing):
-    assert main(["algsys", *argv]) == 2
-    op = argv[0]
-    assert capsys.readouterr().err.strip() == f"error: algsys {op} needs {missing}"
+    message = usage_error(capsys, ["algsys", *argv])
+    assert message == f"normlab algsys {argv[0]}: the following arguments are required: {missing}"
 
 
 def test_algsys_ca_negative_n_is_usage_error(tmp_path, capsys):
@@ -509,6 +557,14 @@ def test_experiment_config_entries_must_be_shaped_like_the_manifest(capsys, name
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {name} parameter ")
+
+
+def test_every_floor_is_held_by_a_manifest_integer():
+    manifest = experiments.load_manifest()["experiments"]
+    assert experiments._FLOORS.keys() == manifest.keys()
+    for name, floors in experiments._FLOORS.items():
+        for key, low in floors.items():
+            assert type(manifest[name][key]) is int and manifest[name][key] >= low, (name, key)
 
 
 def test_every_manifest_value_is_shaped_like_itself():
@@ -734,8 +790,8 @@ def test_pnormal_long_denominator_ends_quickly(capsys, p):
     [
         (_experiment("carry-monte-carlo", lookahead_cap=-5), "lookahead_cap must be >= 0, got -5"),
         (_experiment("arithmetic-roundtrips", lookahead_cap=-1), "lookahead_cap must be >= 0, got -1"),
-        (_experiment("base4-independence", n=0), "base4-independence needs n >= 2 for a 2-block, got 0"),
-        (_experiment("base4-independence", n=1), "base4-independence needs n >= 2 for a 2-block, got 1"),
+        (_experiment("base4-independence", n=0), "base4-independence needs n >= 2, got 0"),
+        (_experiment("base4-independence", n=1), "base4-independence needs n >= 2, got 1"),
         (_experiment("arithmetic-roundtrips", max_pq=0), "arithmetic-roundtrips needs max_pq >= 1, got 0"),
         # each of these checked nothing and reported PASS
         (_experiment("gray-invariants", n_max=0), "gray-invariants needs n_max >= 1, got 0"),
@@ -755,11 +811,14 @@ def test_pnormal_long_denominator_ends_quickly(capsys, p):
         (_experiment("carry-closed-forms", n_random=0), "carry-closed-forms needs n_random >= 1, got 0"),
         (_experiment("spr-obstruction", sigma_count=-1), "spr-obstruction needs sigma_count >= 1, got -1"),
         (_experiment("complexity-contrast", kappa_c_min=0), "complexity-contrast needs kappa_c_min >= 1, got 0"),
+        # a floor is held before the body's budgets
+        (_experiment("carry-closed-forms", n_random=0, grid_points=10**10),
+         "carry-closed-forms needs n_random >= 1, got 0"),
     ],
     ids=["carry-monte-carlo-cap", "arithmetic-roundtrips-cap", "base4-n-0", "base4-n-1", "max-pq-0",
          "gray-n-max-0", "roundtrip-pairs-0", "roundtrip-cases-negative", "gray-starts-0", "census-m-0-n-0",
          "census-n-0", "toral-grid-bits", "orbit-grid-bits", "closed-forms-grid-negative", "closed-forms-grid-1",
-         "closed-forms-random-0", "spr-sigma-negative", "complexity-kappa-min-0"],
+         "closed-forms-random-0", "spr-sigma-negative", "complexity-kappa-min-0", "closed-forms-floor-first"],
 )
 def test_experiment_value_outside_its_domain_is_usage_error(capsys, argv, message):
     # the alarm turns a hang, such as an endless carry-scan loop, into a failure of this row
@@ -788,6 +847,7 @@ def test_experiment_value_outside_its_domain_is_usage_error(capsys, argv, messag
         ["algsys", "orbit", "--matrix", "[[2,1],[1,1]]", "--x0", "1e-99999999,1/5"],
         *(_experiment(name, p=p) for name in ("carry-monte-carlo", "spr-obstruction") for p in ("1/0", "1e-99999999")),
         _experiment("kappa-goodness", bound_factor=float("inf")),
+        _experiment("complexity-contrast", eps=float("inf")),
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -729,6 +729,31 @@ def test_nseq_header_layout(tmp_path):
     assert blob[15] == 0b101  # LSB-first packing: digits 1,0,1 -> bits 0,1,2
 
 
+def test_nseq_payload_is_budgeted_and_exact(tmp_path):
+    # an 8-digit file with 10 MiB of trailing bytes was read whole, unpacked
+    # (a 100 MiB peak) and accepted with horizon 8
+    path = tmp_path / "x.nseq"
+    write_nseq(path, SymbolicSequence.from_array([1, 0] * 4))
+    blob = path.read_bytes()
+    n = BUDGETS["digit"].limit + 1
+    for data, error in (
+        (blob + bytes(10 * MiB), DomainError),
+        (blob[:7] + n.to_bytes(8, "little") + bytes((n + 7) // 8), BudgetError),
+        (blob[:-1], DomainError),
+    ):
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                read_nseq(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < MiB
+    write_nseq(path, SymbolicSequence.from_array([], r=3))
+    assert read_nseq(path).horizon == 0
+
+
 # -- memory of the counts ----------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, rational, within
-from .seqcore import _check_code_bits, _counts_from_table, block_counts, check_block_length, code_table
+from .seqcore import _check_code_bits, _counts_from_table, _memo_length, block_counts, check_block_length, code_table
 
 
 def combinatorial_entropy(digits: np.ndarray, n: int, r: int = 2) -> float:
@@ -150,12 +150,17 @@ def entropy_profile(
     """H_n of each prefix window for each n, as `combinatorial_entropy` of
     the window would give it, from one count per window.
 
-    Windows are taken shortest first.  A window whose table of blocks of
-    the largest n, `top`, is dense (r^top <= its top-blocks) adds
-    the top-blocks the previous dense window lacked to a running table
-    (`code_table`), so each anchor is coded once, and derives every n from
-    that table as `block_counts` derives its ladder; a shorter window takes
-    each n from `block_counts`.
+    Windows are taken shortest first.  The window of all the digits reads
+    each n from `block_counts` when that answers every n from the table it
+    memoises for the array (`_memo_length`), the table a ladder of
+    `block_counts` on the array has already built.  Any other window whose
+    table of blocks of the largest n, `top`, is dense (r^top <= its
+    top-blocks) adds the top-blocks the previous dense window lacked to a
+    running table (`code_table`), so each anchor is coded once, and derives
+    every n from that table as `block_counts` derives its ladder; a shorter
+    window takes each n from `block_counts`.  The codes behind every table
+    come in phase-major order (`seqcore._packed_codes`), not anchor order,
+    and no count depends on their order.
     """
     ns = list(n_range)
     for w in window_lengths:
@@ -174,7 +179,9 @@ def entropy_profile(
     rows, table, coded = {}, None, 0  # table counts the top-blocks at the first `coded` anchors
     for w in sorted(set(window_lengths)):
         window, head = digits[:w], w - top + 1  # head: top-blocks inside the window
-        if r**top <= head:
+        if w == len(digits) and top <= _memo_length(digits, r):
+            counts = [block_counts(digits, n, r).counts for n in ns]
+        elif r**top <= head:
             more = code_table(digits[coded : head + top - 1], top, r, head - coded)
             table, coded = (more if table is None else table + more), head
             counts = [_counts_from_table(table, window, top, n, r)[1] for n in ns]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import algsys, analysis, bitarith, grayorder, pnormal, seqcore
 from .bitarith import FixedPointNumber, carry_add, mod1, mul, mul_rational, neg, shifted_sum, stream_carry_add
-from .errors import DomainError, rational, within
+from .errors import DataQualityError, DomainError, rational, within
 from .generators import (
     bernoulli_stream,
     derive_seed,
@@ -621,7 +621,8 @@ def _zip_columns(cfg: dict):
     )
 
 
-@_experiment("spr-obstruction", sigma_count=1)  # a narrower band does not test against noise
+# the 2-block needs 2 digits; a band narrower than 1 sigma does not test against noise
+@_experiment("spr-obstruction", n=2, sigma_count=1)
 def _spr_obstruction(cfg: dict):
     """With p > 1/2, the all-ones block over a periodic partner occurs in the
     carry sum strictly less often than product structure would demand."""
@@ -644,11 +645,13 @@ def _spr_obstruction(cfg: dict):
         anchor &= ok[j : j + W] & (ydig[j : j + W] == b)
         ones &= digits[j : j + W] == 1
     anchors = int(np.count_nonzero(anchor))
+    if anchors == 0:
+        raise DataQualityError("no certified anchor to tally")
     sum_hits = int(np.count_nonzero(anchor & ones))
-    measured = sum_hits / max(anchors, 1)
+    measured = sum_hits / anchors
     product_demand = float(p) ** nb  # conditional ones-run frequency if product structure held
     forced_cap = float(1 - p)  # each occurrence forces a mirror prefix digit in x
-    sigma = _binom_sigma(forced_cap, max(anchors, 1))
+    sigma = _binom_sigma(forced_cap, anchors)
     yield Check(
         "obstruction-inequality",
         f"measured {measured:.5f} over {anchors} anchors (l={l})",

@@ -309,8 +309,14 @@ def uniform_stream(r: int, seed: int, N: int) -> SymbolicSequence:
 
     def bulk(start: int, count: int) -> np.ndarray:
         out = np.empty(count, dtype=np.uint8)
+        q = np.empty(min(count, _WORD_CHUNK), dtype=np.uint64)
         for i, z in _vec_words(seed, start - 1, count):
-            np.remainder(z, np.uint64(r), out=out[i : i + len(z)], casting="unsafe")
+            # z - r * (z // r): numpy divides uint64 by a constant about 3x
+            # faster than np.remainder reduces it
+            qi = q[: len(z)]
+            np.floor_divide(z, np.uint64(r), out=qi)
+            qi *= np.uint64(r)
+            np.subtract(z, qi, out=out[i : i + len(z)], casting="unsafe")
         return out
 
     return SymbolicSequence(bulk, r, horizon=N)

@@ -201,8 +201,11 @@ def tiled(pat: np.ndarray, start: int, count: int) -> np.ndarray:
 def _anchor_codes(digits: np.ndarray, m: int, r: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Base-r code of the m-block anchored at each position (first digit MSB)
     as int64, or as uint32 for binary blocks of length 3 <= m <= 32: half
-    the bytes for a sort.  Given `out`, an int64 array of at least W + 7
-    entries for the W anchors, the codes are int64 and written into it."""
+    the bytes for a sort.  Given `out`, an int64 array of at least W entries
+    for the W anchors, the codes are int64 and written into it.  Binary
+    codes for 3 <= m <= 57 come in phase-major order (`_packed_codes`), the
+    rest in anchor order: no caller may rely on the order, only on the
+    multiset of codes."""
     W = len(digits) - m + 1
     if W <= 0:
         return np.zeros(0, dtype=np.int64)
@@ -224,8 +227,10 @@ def _check_code_bits(m: int, r: int) -> None:
 
 def _packed_codes(digits: np.ndarray, m: int, W: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Binary anchor codes from the bit-packed digits at any m, as uint32
-    while m <= 32, else int64, or into the int64 `out` when given, phase by
-    phase, with no full-size uint64 temporary.
+    while m <= 32, else int64, or into the int64 `out` when given, with no
+    full-size uint64 temporary, in phase-major order: the codes of anchors
+    s, s + 8, s + 16, ... (0-based) for phase s = 0, then for s = 1, and so
+    on, each phase one contiguous run.  No caller may rely on anchor order.
 
     Word q is the big-endian uint64 of packed bytes q .. q+7, that is digits
     8q .. 8q+63; the block anchored at digit 8q+s is its bits s .. s+m-1
@@ -236,13 +241,13 @@ def _packed_codes(digits: np.ndarray, m: int, W: int, out: Optional[np.ndarray] 
     bits = np.packbits(digits)
     packed[: len(bits)] = bits
     words = np.ndarray((rows,), dtype=">u8", buffer=packed, strides=(1,)).astype(np.uint64)
-    if out is None:
-        codes = np.empty((rows, 8), dtype=np.uint32 if m <= 32 else np.int64)
-    else:
-        codes = out[: rows * 8].reshape(rows, 8)
-    for s in range(8):
-        np.bitwise_and(words >> np.uint64(64 - m - s), np.uint64((1 << m) - 1), out=codes[:, s], casting="unsafe")
-    return codes.reshape(-1)[:W]
+    codes = np.empty(W, dtype=np.uint32 if m <= 32 else np.int64) if out is None else out[:W]
+    mask, at = np.uint64((1 << m) - 1), 0
+    for s in range(min(8, W)):
+        n = (W - s + 7) // 8  # the anchors 8q + s below W
+        np.bitwise_and(words[:n] >> np.uint64(64 - m - s), mask, out=codes[at : at + n], casting="unsafe")
+        at += n
+    return codes
 
 
 def block_histogram(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +279,7 @@ def code_table(digits: np.ndarray, M: int, r: int, head: int) -> np.ndarray:
     2^17)."""
     table = np.zeros(r**M, dtype=np.int64)
     step = max(_TABLE_CHUNK, r**M // 8)
-    codes = np.empty(min(step, head) + 7, dtype=np.int64)  # every chunk's codes, so bincount reads them uncast
+    codes = np.empty(min(step, head), dtype=np.int64)  # every chunk's codes, so bincount reads them uncast
     for start in range(0, head, step):
         stop = min(start + step, head)
         table += np.bincount(_anchor_codes(digits[start : stop + M - 1], M, r, codes), minlength=r**M)
@@ -334,6 +339,13 @@ def _top_length(n: int) -> int:
     return M
 
 
+def _memo_length(digits: np.ndarray, r: int) -> int:
+    """The top length M whose table `block_counts` memoises for `digits`,
+    answering every m <= M from it, or 0 when it counts at m every time (a
+    writeable array or an alphabet above 2)."""
+    return _top_length(len(digits)) if r == 2 and _frozen(digits) else 0
+
+
 def _counts_from_table(table: np.ndarray, digits: np.ndarray, M: int, m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The m-blocks of `digits`, codes ascending with counts, for m <= M,
     from `table`, the dense counts of the first len(digits) - M + 1 of its
@@ -363,7 +375,7 @@ def block_counts(digits: np.ndarray, m: int, r: int) -> BlockCounts:
     """
     global _table_last
     check_block_length(m, len(digits))
-    M = _top_length(len(digits)) if r == 2 and _frozen(digits) else 0
+    M = _memo_length(digits, r)
     if m <= M:
         if not (_table_last[0] == id(digits) and _table_last[1]() is digits):
             table = code_table(digits, M, 2, len(digits) - M + 1)

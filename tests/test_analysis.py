@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normlab import analysis
+from normlab import analysis, seqcore
 from normlab.analysis import (
     combinatorial_entropy,
     complexity_curve,
@@ -26,6 +26,7 @@ from normlab.seqcore import (
     Block,
     SymbolicSequence,
     _anchor_codes,
+    block_counts,
     block_histogram,
     empirical_measure,
     prefix_frequency,
@@ -380,6 +381,32 @@ def test_profile_matches_per_window_entropy_at_scale():
         digits = seq.digits(1, 1 << 16)
         windows, ns = [1 << 16, 1000, 1 << 12, 1000], range(3, 13, 2)
         assert entropy_profile(digits, windows, ns).rows == profile_by_windows(digits, windows, ns)
+
+
+def test_profile_full_window_reads_the_memoised_table():
+    # the whole array's rows come from the table block_counts memoised for
+    # it; code_table runs only for the running table of the shorter windows
+    N, top = 1 << 16, 8
+    digits = kappa_sequence().digits(1, N)
+    block_counts(digits, 1, 2)  # a ladder's first count: the memo is warm
+    windows, ns = [N, 1 << 10, 1 << 13], range(1, top + 1)
+    with mock.patch.object(seqcore, "code_table", wraps=seqcore.code_table) as table, \
+            mock.patch.object(analysis, "code_table", table):
+        rows = entropy_profile(digits, windows, ns).rows
+    heads = [(1 << 10) - top + 1, (1 << 13) - top + 1]
+    assert [call.args[1:] for call in table.call_args_list] == [(top, 2, heads[0]), (top, 2, heads[1] - heads[0])]
+    assert rows == profile_by_windows(digits, windows, ns)
+    # a cold memo: block_counts builds the top-length table first
+    cold = digits.copy()
+    cold.setflags(write=False)
+    with mock.patch.object(seqcore, "code_table", wraps=seqcore.code_table) as table, \
+            mock.patch.object(analysis, "code_table", table):
+        assert entropy_profile(cold, windows, ns).rows == rows
+    M = seqcore._top_length(N)  # 15: 2^16 codes would outnumber the anchors
+    assert [call.args[1:] for call in table.call_args_list][2:] == [(M, 2, N - M + 1)]
+    # n up to 20 lies above the top length: no table answers every n
+    ns = range(1, 21)
+    assert entropy_profile(digits, windows, ns).rows == profile_by_windows(digits, windows, ns)
 
 
 # -- census ------------------------------------------------------------------

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import normlab
@@ -811,6 +812,8 @@ def test_pnormal_long_denominator_ends_quickly(capsys, p):
         (_experiment("carry-closed-forms", n_random=0), "carry-closed-forms needs n_random >= 1, got 0"),
         (_experiment("spr-obstruction", sigma_count=-1), "spr-obstruction needs sigma_count >= 1, got -1"),
         (_experiment("complexity-contrast", kappa_c_min=0), "complexity-contrast needs kappa_c_min >= 1, got 0"),
+        # counted over 0 anchors and reported obstruction-inequality BAD, exit 1
+        (_experiment("spr-obstruction", n=1), "spr-obstruction needs n >= 2, got 1"),
         # a floor is held before the body's budgets
         (_experiment("carry-closed-forms", n_random=0, grid_points=10**10),
          "carry-closed-forms needs n_random >= 1, got 0"),
@@ -818,7 +821,7 @@ def test_pnormal_long_denominator_ends_quickly(capsys, p):
     ids=["carry-monte-carlo-cap", "arithmetic-roundtrips-cap", "base4-n-0", "base4-n-1", "max-pq-0",
          "gray-n-max-0", "roundtrip-pairs-0", "roundtrip-cases-negative", "gray-starts-0", "census-m-0-n-0",
          "census-n-0", "toral-grid-bits", "orbit-grid-bits", "closed-forms-grid-negative", "closed-forms-grid-1",
-         "closed-forms-random-0", "spr-sigma-negative", "complexity-kappa-min-0", "closed-forms-floor-first"],
+         "closed-forms-random-0", "spr-sigma-negative", "complexity-kappa-min-0", "spr-n-1", "closed-forms-floor-first"],
 )
 def test_experiment_value_outside_its_domain_is_usage_error(capsys, argv, message):
     # the alarm turns a hang, such as an endless carry-scan loop, into a failure of this row
@@ -835,6 +838,19 @@ def test_experiment_value_outside_its_domain_is_usage_error(capsys, argv, messag
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_spr_obstruction_without_a_certified_anchor_is_usage_error(monkeypatch, capsys):
+    # every carry-sum digit ambiguous: no anchor is left to tally
+    carry_sum = experiments.stream_carry_add
+
+    def all_ambiguous(*args):
+        digits, ambiguous = carry_sum(*args)
+        return digits, np.ones_like(ambiguous)
+
+    monkeypatch.setattr(experiments, "stream_carry_add", all_ambiguous)
+    assert main(_experiment("spr-obstruction", n=2)) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: no certified anchor to tally"]
 
 
 @pytest.mark.parametrize(

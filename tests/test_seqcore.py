@@ -213,9 +213,9 @@ def test_sorting_histogram_matches_unique(codes):
 
 
 def table_by_definition(digits: np.ndarray, M: int, r: int, head: int) -> np.ndarray:
-    """Counts of the first `head` M-block codes from one full-length anchor
-    pass, the table block_counts built before it counted in chunks."""
-    return np.bincount(_anchor_codes(digits[: head + M - 1], M, r), minlength=r**M)
+    """Counts of the first `head` M-block codes from the M-pass definition
+    of the codes over the whole head, with no packing and no chunks."""
+    return np.bincount(anchor_codes_by_passes(digits[: head + M - 1], M, r), minlength=r**M)
 
 
 C = seqcore._TABLE_CHUNK
@@ -245,6 +245,25 @@ def test_code_table_every_chunk_boundary(data):
     assert got.tolist() == table_by_definition(digits, M, r, head).tolist()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_binary_code_table_every_phase_and_chunk_boundary(data):
+    # the packed path writes each chunk's codes phase by phase: heads on
+    # every phase (head % 8) on both sides of every chunk boundary, in
+    # chunks of 8 anchors or of 2^M / 8 when that is more
+    M = data.draw(st.integers(3, 20), label="M")
+    step = max(8, (1 << M) // 8)
+    head = max(0, data.draw(st.integers(0, 3)) * step + data.draw(st.integers(-9, 9)))
+    n = head + M - 1 + data.draw(st.integers(0, 9))
+    bits = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, 2, n)
+    kind = data.draw(st.sampled_from(["read-only uint8", "int64", "bool"]))
+    digits = {"read-only uint8": frozen(bits), "int64": bits, "bool": bits.astype(bool)}[kind]
+    with mock.patch.object(seqcore, "_TABLE_CHUNK", 8):
+        got = seqcore.code_table(digits, M, 2, head)
+    assert got.dtype == np.int64 and got.sum() == head
+    assert np.array_equal(got, table_by_definition(digits, M, 2, head))
+
+
 # -- anchor codes ------------------------------------------------------------
 
 
@@ -261,6 +280,14 @@ def anchor_codes_by_passes(digits: np.ndarray, m: int, r: int) -> np.ndarray:
     return codes
 
 
+def binary_codes_in_kernel_order(digits: np.ndarray, m: int) -> np.ndarray:
+    """The m-pass binary codes in the order _anchor_codes documents: anchor
+    order for m <= 2, else phase-major, the codes of anchors 0, 8, 16, ...
+    (0-based), then of 1, 9, 17, ..., and so on to phase 7."""
+    codes = anchor_codes_by_passes(digits, m, 2)
+    return codes if m <= 2 else np.concatenate([codes[s::8] for s in range(8)])
+
+
 @settings(max_examples=300)
 @given(st.integers(1, 57), st.lists(st.integers(0, 1), min_size=1, max_size=300))
 def test_packed_anchor_codes_match_the_passes(m, digits):
@@ -268,17 +295,18 @@ def test_packed_anchor_codes_match_the_passes(m, digits):
     got = _anchor_codes(arr, m, 2)
     # packed codes (3 <= m <= 57) are uint32 while they fit, the rest int64
     assert got.dtype == (np.uint32 if 3 <= m <= 32 and len(digits) >= m else np.int64)
-    assert got.tolist() == anchor_codes_by_passes(arr, m, 2).tolist()
+    assert got.tolist() == binary_codes_in_kernel_order(arr, m).tolist()
 
 
 def test_packed_anchor_codes_every_length_and_phase():
     # every m through the packed range and every length from W <= 0 to W =
-    # 20, so the last anchor falls on every bit of a packed byte
+    # 20, so the last anchor falls on every bit of a packed byte and each
+    # phase's run ends one anchor short or not; neither side is sorted
     rng = np.random.default_rng(5)
     for m in range(1, 58):
         for n in range(max(1, m - 2), m + 20):
             arr = rng.integers(0, 2, n, dtype=np.uint8)
-            assert _anchor_codes(arr, m, 2).tolist() == anchor_codes_by_passes(arr, m, 2).tolist()
+            assert _anchor_codes(arr, m, 2).tolist() == binary_codes_in_kernel_order(arr, m).tolist()
     ones = np.ones(300, dtype=np.uint8)
     assert _anchor_codes(ones, 57, 2).tolist() == [(1 << 57) - 1] * 244
 

@@ -7,8 +7,8 @@ the effective configuration so regressions are attributable.
 
 An experiment is a generator of `Check`s.  A check carries the manifest
 entry's provenance unless it names its own.  Checks with a fixed comparison
-are built by `exact`, `at_most` and `band`, which compute `passed` from
-the values they report.
+are built by `exact`, `at_most`, `band` and `cells_within`, which compute
+`passed` from the values they report.
 """
 
 from __future__ import annotations
@@ -67,14 +67,46 @@ def at_most(name: str, measured: float, bound, tolerance: str) -> Check:
     return Check(name, round(measured, 6), f"<= {bound}", tolerance, measured <= bound)
 
 
-def band(name: str, measured: float, center: float, sigma: float, k: int) -> Check:
-    """A check that passes when `measured` lies within k sigma of `center`."""
+_TOO_WIDE = "a {k} sigma band over {n} trials is too wide to test: every outcome gets the same result"
+
+
+def _sigmas(targets, n: int, k: int) -> np.ndarray:
+    """The binomial sigma of each target frequency over n trials.  Raise
+    DataQualityError when every target's k-sigma band holds all of [0, 1],
+    because no outcome could fail a check against such bands."""
+    t = np.asarray(targets, dtype=float)
+    sigmas = np.sqrt(np.maximum(t * (1.0 - t), 1e-12) / n)
+    if np.all((t - k * sigmas <= 0) & (t + k * sigmas >= 1)):
+        raise DataQualityError(_TOO_WIDE.format(k=k, n=n))
+    return sigmas
+
+
+def band(name: str, measured: float, center: float, n: int, k: int) -> Check:
+    """A check that passes when `measured` lies within k sigma of `center` over n trials."""
+    sigma = float(_sigmas(center, n, k))
     return Check(
         name,
         round(float(measured), 8),
         round(float(center), 8),
         f"within {k} sigma = {k * sigma:.2e}",
         center - k * sigma <= measured <= center + k * sigma,
+    )
+
+
+def cells_within(name: str, counts, targets, n: int, k: int, labels=None) -> Check:
+    """A check that passes when every cell's count / n lies within k sigma of
+    its target; `labels`, in the order of the flattened counts, name the worst."""
+    targets = np.asarray(targets, dtype=float).ravel()
+    sigmas = _sigmas(targets, n, k)
+    devs = np.abs(np.asarray(counts).ravel() / n - targets)
+    worst = int(np.argmax(devs))
+    at = f" at {labels[worst]}" if labels is not None else ""
+    return Check(
+        name,
+        f"max dev {devs[worst]:.6f}{at}",
+        f"each of {devs.size} cells within {k} sigma",
+        f"{k} sigma <= {k * sigmas.max():.2e}",
+        bool(np.all(devs <= k * sigmas)),
     )
 
 
@@ -227,10 +259,6 @@ def verify(names: Optional[list[str]] = None, threads: int = 1) -> list[Experime
         if n not in _REGISTRY:
             raise _unknown(n)
     return [run_experiment(n) for n in todo]
-
-
-def _binom_sigma(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 1e-12) / n)
 
 
 def _sign(x) -> int:
@@ -412,9 +440,9 @@ def _carry_monte_carlo(cfg: dict):
     pprime = float(pnormal.carry_digit_prob(p)[1])
     pprime0 = float(pnormal.conditional_digit_prob(p)[2])
     k = cfg["sigma_count"]
-    yield band("freq-one", mc.freq_one, pprime, _binom_sigma(pprime, mc.tallied), k)
+    yield band("freq-one", mc.freq_one, pprime, mc.tallied, k)
     n_cond = max(1, int(mc.tallied_pairs * (1 - pprime)))
-    yield band("freq-one-given-next-zero", mc.freq_one_given_next_zero, pprime0, _binom_sigma(pprime0, n_cond), k)
+    yield band("freq-one-given-next-zero", mc.freq_one_given_next_zero, pprime0, n_cond, k)
     yield Check("conditional-exceeds-unconditional", round(mc.dependence, 6), "> 0", "sign check", mc.dependence > 0)
 
 
@@ -449,14 +477,20 @@ def _complexity_contrast(cfg: dict):
     )
 
 
+def _dense_counts(digits: np.ndarray, m: int, r: int) -> np.ndarray:
+    """The count of every m-block in `digits`, indexed by its base-r code."""
+    bc = seqcore.block_counts(digits, m, r)
+    table = np.zeros(r**m, dtype=np.int64)
+    table[bc.codes] = bc.counts
+    return table
+
+
 def _row_pair_table(digits: np.ndarray, blen: int) -> np.ndarray:
     """Counts of the blen-blocks anchored in the two binary rows (d // 2,
     d % 2) of base-4 digits, indexed by the two rows' codes.  A base-4 digit
     is 2 * hi + lo, so the base-4 block codes split into the rows' codes by
     regrouping their bits: a fixed permutation of the table."""
-    bc = seqcore.block_counts(digits, blen, 4)
-    table = np.zeros(4**blen, dtype=np.int64)
-    table[bc.codes] = bc.counts
+    table = _dense_counts(digits, blen, 4)
     rows_first = [*range(0, 2 * blen, 2), *range(1, 2 * blen, 2)]  # the hi bits, then the lo bits
     return table.reshape((2, 2) * blen).transpose(rows_first).reshape(1 << blen, 1 << blen)
 
@@ -464,36 +498,14 @@ def _row_pair_table(digits: np.ndarray, blen: int) -> np.ndarray:
 @_experiment("base4-independence", n=2)  # the 2-block factorization needs 2 digits
 def _base4_independence(cfg: dict):
     N = cfg["n"]
-    k = cfg["sigma_count"]
     digits = uniform_stream(4, derive_seed(cfg["seed"], "base4"), N + 2).digits(1, N)
     for blen in (1, 2):
         W = N - blen + 1
-        nb = 1 << blen
         joint = _row_pair_table(digits, blen)
-        marg1, marg2 = joint.sum(1), joint.sum(0)
-        worst = 0.0
-        worst_name = ""
-        ok = True
-        for a1 in range(nb):
-            for a2 in range(nb):
-                j = float(Fraction(int(joint[a1, a2]), W))
-                m1 = float(Fraction(int(marg1[a1]), W))
-                m2 = float(Fraction(int(marg2[a2]), W))
-                target = m1 * m2
-                sigma = _binom_sigma(target, W)
-                dev = abs(j - target)
-                if dev > worst:
-                    B1, B2 = Block.from_code(a1, blen, 2), Block.from_code(a2, blen, 2)
-                    worst, worst_name = dev, f"({B1},{B2})"
-                if dev > k * sigma:
-                    ok = False
-        yield Check(
-            f"factorization-{blen}-blocks",
-            f"max dev {worst:.6f} at {worst_name}",
-            f"<= {k} sigma each",
-            "joint vs product of marginals",
-            ok,
-        )
+        targets = np.outer(joint.sum(1) / W, joint.sum(0) / W)  # the product of the rows' marginals
+        words = [str(Block.from_code(a, blen, 2)) for a in range(1 << blen)]
+        labels = [f"({B1},{B2})" for B1 in words for B2 in words]
+        yield cells_within(f"factorization-{blen}-blocks", joint, targets, W, cfg["sigma_count"], labels)
 
 
 @_experiment("rational-multiple-goodness")
@@ -513,20 +525,8 @@ def _modp_translation(cfg: dict):
     N = cfg["n"]
     k = cfg["sigma_count"]
     s = uniform_stream(3, derive_seed(cfg["seed"], "mod3"), N + 1)
-    t = SymbolicSequence.periodic([0, 1, 2], r=3)
-    total = algsys.modp_add(s, t, N + 1)
-    measure = seqcore.empirical_measure(total, 2, N)
-    target = 1.0 / 9.0
-    sigma = _binom_sigma(target, N - 1)
-    worst = max(abs(float(f) - target) for f in measure.fractions().values())
-    missing = 9 - len(measure.counts)
-    yield Check(
-        "two-block-uniformity",
-        f"max dev {worst:.6f}",
-        f"each of 9 blocks within {k} sigma of 1/9",
-        f"{k} sigma = {k * sigma:.2e}",
-        missing == 0 and worst <= k * sigma,
-    )
+    digits = algsys.modp_add(s, SymbolicSequence.periodic([0, 1, 2], r=3), N + 1).digits(1, N)
+    yield cells_within("two-block-uniformity", _dense_counts(digits, 2, 3), np.full(9, 1 / 9), N - 1, k)
 
 
 @_experiment("ca-switch-identity")
@@ -604,21 +604,9 @@ def _arithmetic_roundtrips(cfg: dict):
 def _zip_columns(cfg: dict):
     N = cfg["n"]
     k = cfg["sigma_count"]
-    rows = [
-        bernoulli_stream(Fraction(1, 2), derive_seed(cfg["seed"], tag), N)
-        for tag in ("left", "right")
-    ]
+    rows = [bernoulli_stream(Fraction(1, 2), derive_seed(cfg["seed"], tag), N) for tag in ("left", "right")]
     z = seqcore.zip_product(rows)
-    measure = seqcore.empirical_measure(z, 1, N)
-    sigma = _binom_sigma(0.25, N)
-    worst = max(abs(float(measure.fraction((c,))) - 0.25) for c in range(4))
-    yield Check(
-        "column-uniformity",
-        f"max dev {worst:.6f}",
-        f"each of 4 columns within {k} sigma of 1/4",
-        f"{k} sigma = {k * sigma:.2e}",
-        worst <= k * sigma,
-    )
+    yield cells_within("column-uniformity", _dense_counts(z.digits(1, N), 1, 4), np.full(4, 0.25), N, k)
 
 
 # the 2-block needs 2 digits; a band narrower than 1 sigma does not test against noise
@@ -651,7 +639,9 @@ def _spr_obstruction(cfg: dict):
     measured = sum_hits / anchors
     product_demand = float(p) ** nb  # conditional ones-run frequency if product structure held
     forced_cap = float(1 - p)  # each occurrence forces a mirror prefix digit in x
-    sigma = _binom_sigma(forced_cap, anchors)
+    sigma = float(_sigmas(forced_cap, anchors, k))
+    if k * sigma >= product_demand:  # measured >= 0: measured + k sigma < demand cannot hold
+        raise DataQualityError(_TOO_WIDE.format(k=k, n=anchors))
     yield Check(
         "obstruction-inequality",
         f"measured {measured:.5f} over {anchors} anchors (l={l})",

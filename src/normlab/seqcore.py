@@ -126,8 +126,6 @@ class SymbolicSequence:
             self.digit = fn  # shadows the method below
 
     def _check_range(self, start: int, count: int) -> None:
-        # digit() repeats the two position tests inline: a rule added here
-        # that can reject count == 1 must be added there too
         if start < 1:
             raise DomainError(f"positions are 1-indexed, got {start}")
         if count < 0:
@@ -139,12 +137,8 @@ class SymbolicSequence:
             )
 
     def digit(self, p: int) -> int:
-        # bounded sequences and sequences without a rule.  One digit is
-        # always within the digit budget: only the position can be out of
-        # range, so it is tested inline and _check_range runs only to raise
-        # its error, not on every probe
-        if p < 1 or (self.horizon is not None and p > self.horizon):
-            self._check_range(p, 1)
+        # bounded sequences and sequences without a rule
+        self._check_range(p, 1)
         return self._rule(p)
 
     def digits(self, start: int, count: int) -> np.ndarray:

@@ -786,6 +786,9 @@ def test_pnormal_long_denominator_ends_quickly(capsys, p):
     assert len(err) == 1 and err[0].startswith(("error: p-denominator budget", "error: decimal exponent budget"))
 
 
+_TOO_WIDE = "a {k} sigma band over {n} trials is too wide to test: every outcome gets the same result"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -817,11 +820,20 @@ def test_pnormal_long_denominator_ends_quickly(capsys, p):
         # a floor is held before the body's budgets
         (_experiment("carry-closed-forms", n_random=0, grid_points=10**10),
          "carry-closed-forms needs n_random >= 1, got 0"),
+        # a band that holds every outcome: each reported PASS, or a BAD no count could mend
+        (_experiment("zip-columns", n=1), _TOO_WIDE.format(k=3, n=1)),
+        (_experiment("base4-independence", n=2), _TOO_WIDE.format(k=3, n=2)),
+        (_experiment("modp-translation", n=2), _TOO_WIDE.format(k=3, n=1)),
+        (_experiment("carry-monte-carlo", n=1000, sigma_count=1000), _TOO_WIDE.format(k=1000, n=1000)),
+        (_experiment("spr-obstruction", n=2), _TOO_WIDE.format(k=3, n=1)),
+        # 5 anchors: 3 sigma of the forced cap exceeds the product demand 0.49
+        (_experiment("spr-obstruction", n=10), _TOO_WIDE.format(k=3, n=5)),
     ],
     ids=["carry-monte-carlo-cap", "arithmetic-roundtrips-cap", "base4-n-0", "base4-n-1", "max-pq-0",
          "gray-n-max-0", "roundtrip-pairs-0", "roundtrip-cases-negative", "gray-starts-0", "census-m-0-n-0",
          "census-n-0", "toral-grid-bits", "orbit-grid-bits", "closed-forms-grid-negative", "closed-forms-grid-1",
-         "closed-forms-random-0", "spr-sigma-negative", "complexity-kappa-min-0", "spr-n-1", "closed-forms-floor-first"],
+         "closed-forms-random-0", "spr-sigma-negative", "complexity-kappa-min-0", "spr-n-1", "closed-forms-floor-first",
+         "zip-n-1", "base4-n-2", "modp-n-2", "carry-monte-carlo-wide", "spr-n-2", "spr-n-10"],
 )
 def test_experiment_value_outside_its_domain_is_usage_error(capsys, argv, message):
     # the alarm turns a hang, such as an endless carry-scan loop, into a failure of this row

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normlab.experiments import _row_pair_table, load_manifest, run_experiment
+from normlab.errors import DataQualityError
+from normlab.experiments import _row_pair_table, band, cells_within, load_manifest, run_experiment
 from normlab.seqcore import Block, SymbolicSequence, _anchor_codes, prefix_frequency
 
 from helpers import base4_split, constant
@@ -61,6 +63,73 @@ def test_pair_block_counts_match_frequencies(data):
                 B2 = Block.from_code(c2, blen, 2)
                 got = Fraction(int(joint[c1, c2]), W)
                 assert got == joint_frequency(s1, s2, B1, B2, N)
+
+
+def binom_sigma(p: float, n: int) -> float:
+    return math.sqrt(max(p * (1.0 - p), 1e-12) / n)
+
+
+def too_wide(targets, n: int, k: int) -> bool:
+    """Whether every target's k-sigma band holds all of [0, 1]."""
+    return all(t - k * binom_sigma(t, n) <= 0 and t + k * binom_sigma(t, n) >= 1 for t in targets)
+
+
+def cells_by_loop(counts, targets, n: int, k: int, labels):
+    """The per-cell loop that `cells_within` replaced: the worst cell's
+    deviation and label, and whether every cell is within k sigma.  It
+    starts below 0 so that a zero deviation still names its cell."""
+    worst, worst_label, ok = -1.0, "", True
+    for count, t, label in zip(counts, targets, labels):
+        dev = abs(float(Fraction(count, n)) - t)
+        if dev > worst:
+            worst, worst_label = dev, label
+        if dev > k * binom_sigma(t, n):
+            ok = False
+    return f"max dev {worst:.6f} at {worst_label}", ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sigma_checks_match_the_comparisons_they_replace(data):
+    # few trials, where a band may hold every outcome, or many
+    n = data.draw(st.one_of(st.integers(1, 12), st.integers(1, 10**6)))
+    k = data.draw(st.integers(1, 5))
+    cells = data.draw(st.integers(1, 16))
+    # one target for every cell, as for uniformity, or one each
+    one_each = st.lists(st.floats(0, 1), min_size=cells, max_size=cells)
+    targets = data.draw(st.floats(0, 1).map(lambda t: [t] * cells) | one_each)
+    # counts anywhere, or within about a sigma of their targets, where a cell can pass
+    spread = math.isqrt(n) // 2
+    near = st.tuples(*(st.integers(round(t * n) - spread, round(t * n) + spread) for t in targets))
+    counts = [min(max(c, 0), n) for c in data.draw(st.lists(st.integers(0, n), min_size=cells, max_size=cells) | near)]
+    labels = [f"c{i}" for i in range(cells)]
+    if too_wide(targets, n, k):
+        with pytest.raises(DataQualityError):
+            cells_within("cells", counts, targets, n, k, labels)
+    else:
+        check = cells_within("cells", counts, targets, n, k, labels)
+        assert (check.measured, check.passed) == cells_by_loop(counts, targets, n, k, labels)
+    # band: the center +- k sigma comparison of one measured frequency
+    measured, center = counts[0] / n, targets[0]
+    if too_wide([center], n, k):
+        with pytest.raises(DataQualityError):
+            band("band", measured, center, n, k)
+    else:
+        sigma = binom_sigma(center, n)
+        check = band("band", measured, center, n, k)
+        assert check.measured == round(measured, 8)
+        assert check.passed == (center - k * sigma <= measured <= center + k * sigma)
+
+
+def test_sigma_checks_at_their_edges():
+    # at n = 4, one sigma of 1/2 is 1/4: a deviation of exactly k sigma is within the band
+    assert cells_within("cells", [3, 1], [0.5, 0.5], 4, 1).passed
+    assert band("band", 0.25, 0.5, 4, 1).passed and band("band", 0.75, 0.5, 4, 1).passed
+    # at n = 3, 3 sigma of 1/4 or 3/4 is 3/4: bands that reach 1 or 0 exactly hold every outcome
+    with pytest.raises(DataQualityError, match="^a 3 sigma band over 3 trials is too wide to test"):
+        cells_within("cells", [0, 3], [0.25, 0.75], 3, 3)
+    # a target of 0 or 1 keeps a sigma of 10^-6 / sqrt(n)
+    assert cells_within("cells", [0, 5], [0.0, 1.0], 5, 3).tolerance == f"3 sigma <= {3e-6 / math.sqrt(5):.2e}"
 
 
 @pytest.mark.parametrize("name", ["modp-translation", "ca-switch-identity", "base4-independence"])

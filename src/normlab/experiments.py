@@ -433,7 +433,8 @@ def _carry_closed_forms(cfg: dict):
     )
 
 
-@_experiment("carry-monte-carlo")
+# a band narrower than 1 sigma does not test against noise
+@_experiment("carry-monte-carlo", sigma_count=1)
 def _carry_monte_carlo(cfg: dict):
     p = rational(cfg["p"])
     mc = pnormal.monte_carlo_carry_sum(p, cfg["seed"], cfg["n"], cfg["lookahead_cap"])
@@ -495,7 +496,8 @@ def _row_pair_table(digits: np.ndarray, blen: int) -> np.ndarray:
     return table.reshape((2, 2) * blen).transpose(rows_first).reshape(1 << blen, 1 << blen)
 
 
-@_experiment("base4-independence", n=2)  # the 2-block factorization needs 2 digits
+# the 2-block factorization needs 2 digits; a band narrower than 1 sigma does not test against noise
+@_experiment("base4-independence", n=2, sigma_count=1)
 def _base4_independence(cfg: dict):
     N = cfg["n"]
     digits = uniform_stream(4, derive_seed(cfg["seed"], "base4"), N + 2).digits(1, N)
@@ -520,7 +522,8 @@ def _rational_multiple_goodness(cfg: dict):
         yield from _goodness_checks(digits, cfg, f"goodness-x*{p}/{q}-")
 
 
-@_experiment("modp-translation")
+# the 2-blocks need 2 digits; a band narrower than 1 sigma does not test against noise
+@_experiment("modp-translation", n=2, sigma_count=1)
 def _modp_translation(cfg: dict):
     N = cfg["n"]
     k = cfg["sigma_count"]
@@ -600,7 +603,8 @@ def _arithmetic_roundtrips(cfg: dict):
     )
 
 
-@_experiment("zip-columns")
+# a column needs a digit; a band narrower than 1 sigma does not test against noise
+@_experiment("zip-columns", n=1, sigma_count=1)
 def _zip_columns(cfg: dict):
     N = cfg["n"]
     k = cfg["sigma_count"]

@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, rational
-from .grayorder import GrayOrdering, offset
+from .grayorder import GrayOrdering
 from .seqcore import Block, SymbolicSequence, tiled
 
 
@@ -105,31 +105,55 @@ def kappa_digit(p: int) -> int:
     return (bit & 1) ^ _KAPPA_PREFIX[q]
 
 
-def _kappa_bulk(start: int, count: int) -> np.ndarray:
+def _level3_chunks(rows: np.ndarray, c: int) -> None:
+    """Write level-3 chunks c + 1, c + 2, ... (each 2048 digits) into the
+    rows of `rows`, a (chunks, 2048) uint8 array.
+
+    Chunk l is the prefix XOR reflected-gray(l - 1), complemented for even
+    l.  With l - 1 = H 2^62 + L, gray(l - 1) is gray(L), below 2^62, XOR
+    ((H ^ (H >> 1)) << 62) | ((H & 1) << 61), a constant of the run of
+    chunks sharing H: each run is the prefix XOR its constant in every row
+    (complemented where L is odd), with gray(L) XORed into the last 64
+    digits, all of its rows at once.
+    """
     prefix = _kappa_prefix_2048()
+    k = 0
+    while k < len(rows):
+        H, L = divmod(c + k, 1 << 62)
+        run = rows[k : k + (1 << 62) - L]
+        const = ((H ^ (H >> 1)) << 62) | ((H & 1) << 61)
+        base = prefix ^ np.unpackbits(np.frombuffer(const.to_bytes(256, "big"), dtype=np.uint8))
+        run[L & 1 :: 2] = base
+        run[1 - (L & 1) :: 2] = base ^ 1
+        Ls = np.arange(L, L + len(run), dtype=np.uint64)
+        gray = (Ls ^ (Ls >> np.uint64(1))).astype(">u8")
+        run[:, -64:] ^= np.unpackbits(gray.view(np.uint8).reshape(-1, 8), axis=1)
+        k += len(run)
+
+
+def _kappa_bulk(start: int, count: int) -> np.ndarray:
+    """Digits start .. start+count-1 of kappa: the prefix, then the whole
+    level-3 chunks of the range through a (chunks, 2048) view of the output
+    and its partial end chunks through one scratch row, then level 4
+    (p > n_4) digit by digit."""
     lo, hi = start, start + count - 1
     out = np.empty(count, dtype=np.uint8)
-    pos = lo
-    while pos <= hi:
-        if pos <= 2048:
-            take = min(hi, 2048) - pos + 1
-            out[pos - lo : pos - lo + take] = prefix[pos - 1 : pos - 1 + take]
-            pos += take
-            continue
-        if pos > LEVELS[3]:
-            # level 4, chunks longer than the memoized prefix: per digit
-            out[pos - lo] = kappa_digit(pos)
-            pos += 1
-            continue
-        n_k = LEVELS[2]  # level 3, chunks of 2048 digits: a whole number of bytes
-        l = (pos - 1) // n_k + 1
-        chunk_lo = (l - 1) * n_k + 1
-        word = offset(n_k, l, alternated=True).to_bytes(n_k // 8, "big")
-        chunk = prefix[:n_k] ^ np.unpackbits(np.frombuffer(word, dtype=np.uint8))
-        a = pos - chunk_lo
-        take = min(hi, chunk_lo + n_k - 1) - pos + 1
-        out[pos - lo : pos - lo + take] = chunk[a : a + take]
-        pos += take
+    if lo <= 2048:
+        out[: min(hi, 2048) - lo + 1] = _kappa_prefix_2048()[lo - 1 : hi]
+    a, b = max(lo, 2049), min(hi, _N4)
+    if a <= b:
+        first, last = -(-(a - 1) >> 11), b >> 11  # the whole chunks: positions 2048 first + 1 .. 2048 last
+        if first < last:
+            _level3_chunks(out[(first << 11) + 1 - lo : (last << 11) + 1 - lo].reshape(-1, 2048), first)
+        row = np.empty((1, 2048), dtype=np.uint8)
+        for c in {(a - 1) >> 11, (b - 1) >> 11}:
+            if first <= c < last:
+                continue
+            _level3_chunks(row, c)
+            s, e = max(a, (c << 11) + 1), min(b, (c + 1) << 11)
+            out[s - lo : e - lo + 1] = row[0, s - 1 - (c << 11) : e - (c << 11)]
+    for p in range(max(lo, _N4 + 1), hi + 1):  # level 4, chunks longer than the prefix
+        out[p - lo] = kappa_digit(p)
     return out
 
 

@@ -385,12 +385,19 @@ def block_counts(digits: np.ndarray, m: int, r: int) -> BlockCounts:
 
 
 def prefix_frequency(seq: SymbolicSequence, B: Block, N: int) -> Fraction:
-    """Fraction of anchors n in [1, N-|B|+1] where B occurs in seq."""
-    bc = block_counts(seq.digits(1, N), len(B), seq.r)
-    code = B.encode()
-    at = int(np.searchsorted(bc.codes, code))
-    hits = int(bc.counts[at]) if at < len(bc.codes) and bc.codes[at] == code else 0
-    return Fraction(hits, bc.total)
+    """Fraction of anchors n in [1, N-|B|+1] where B occurs in seq.
+
+    B's m digits are compared with the first N digits at each of its m
+    shifts and the comparisons ANDed: m passes over the prefix, with no
+    table of the other blocks and no base-r code of B.
+    """
+    digits = seq.digits(1, N)
+    check_block_length(len(B), N)
+    W = N - len(B) + 1
+    hits = digits[:W] == B.digits[0]
+    for j, d in enumerate(B.digits[1:], 1):
+        hits &= digits[j : j + W] == d
+    return Fraction(int(np.count_nonzero(hits)), W)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from normlab.algsys import (
     LinearCA,
     ToralMap,
     _certified_steps,
+    _reduce,
     apply_ca,
     modp_add,
     toral_orbit,
@@ -122,6 +123,28 @@ def test_apply_ca_matches_int64_sum(data):
     out = apply_ca(LinearCA(p, coeffs), SymbolicSequence.from_array(digits, r=p), N)
     assert out.r == p
     assert out.digits(1, N).tolist() == ca_by_definition(coeffs, p, digits, N)
+
+
+def reduce_moduli(dtype) -> list[int]:
+    """Moduli whose sums `_reduce` sees in `dtype`.  modp_add sums in uint8
+    for p <= 128 and in uint16 up to p = 32768, apply_ca (p prime) in uint8
+    for p <= 13 and in uint16 up to 251.  uint8 takes every p below 256;
+    uint16 every p below 1024, then every 61st up to 32768 and the powers
+    of two with their neighbours (all 32,768 would take seconds)."""
+    if dtype == np.uint8:
+        return list(range(2, 256))
+    powers = [(1 << e) + d for e in range(10, 16) for d in (-1, 0, 1)]
+    return sorted({*range(2, 1024), *range(1024, 32769, 61), *powers, 32768})
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_reduce_matches_np_remainder(dtype):
+    values = np.arange(np.iinfo(dtype).max + 1, dtype=dtype)
+    got, scratch = np.empty_like(values), np.empty_like(values)
+    for p in reduce_moduli(dtype):
+        got[:] = values
+        _reduce(got, p, scratch)
+        assert np.array_equal(got, np.remainder(values, p)), p
 
 
 def test_apply_ca_rejects_negative_n():

@@ -828,12 +828,21 @@ _TOO_WIDE = "a {k} sigma band over {n} trials is too wide to test: every outcome
         (_experiment("spr-obstruction", n=2), _TOO_WIDE.format(k=3, n=1)),
         # 5 anchors: 3 sigma of the forced cap exceeds the product demand 0.49
         (_experiment("spr-obstruction", n=10), _TOO_WIDE.format(k=3, n=5)),
+        # a band of 0 sigma: every cell reported BAD, exit 1
+        (_experiment("base4-independence", sigma_count=0), "base4-independence needs sigma_count >= 1, got 0"),
+        (_experiment("modp-translation", sigma_count=0), "modp-translation needs sigma_count >= 1, got 0"),
+        (_experiment("zip-columns", sigma_count=0), "zip-columns needs sigma_count >= 1, got 0"),
+        (_experiment("carry-monte-carlo", sigma_count=-1), "carry-monte-carlo needs sigma_count >= 1, got -1"),
+        # each named no parameter the user set: "N must be >= 1", "block length m=2 exceeds the 0 digits"
+        (_experiment("zip-columns", n=0), "zip-columns needs n >= 1, got 0"),
+        (_experiment("modp-translation", n=0), "modp-translation needs n >= 2, got 0"),
     ],
     ids=["carry-monte-carlo-cap", "arithmetic-roundtrips-cap", "base4-n-0", "base4-n-1", "max-pq-0",
          "gray-n-max-0", "roundtrip-pairs-0", "roundtrip-cases-negative", "gray-starts-0", "census-m-0-n-0",
          "census-n-0", "toral-grid-bits", "orbit-grid-bits", "closed-forms-grid-negative", "closed-forms-grid-1",
          "closed-forms-random-0", "spr-sigma-negative", "complexity-kappa-min-0", "spr-n-1", "closed-forms-floor-first",
-         "zip-n-1", "base4-n-2", "modp-n-2", "carry-monte-carlo-wide", "spr-n-2", "spr-n-10"],
+         "zip-n-1", "base4-n-2", "modp-n-2", "carry-monte-carlo-wide", "spr-n-2", "spr-n-10", "base4-sigma-0",
+         "modp-sigma-0", "zip-sigma-0", "carry-monte-carlo-sigma-negative", "zip-n-0", "modp-n-0"],
 )
 def test_experiment_value_outside_its_domain_is_usage_error(capsys, argv, message):
     # the alarm turns a hang, such as an endless carry-scan loop, into a failure of this row

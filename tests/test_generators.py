@@ -9,6 +9,7 @@ from normlab.generators import (
     LEVELS,
     DomainError,
     _WORD_CHUNK,
+    _kappa_bulk,
     _kappa_prefix_2048,
     _vec_words,
     bernoulli_stream,
@@ -119,6 +120,30 @@ def test_kappa_digit_matches_bulk():
     seq = kappa_sequence()
     for p in (1, 2048, 2049, 10**6, 2**40 + 7, 2**63 + 11):
         assert seq.digit(p) == int(seq.digits(p, 1)[0])
+
+
+def kappa_bulk_ranges() -> list[tuple[int, int]]:
+    """(start, count) of bulk reads.  One random start of each bit length
+    1 .. 2059, read for a few digits; every 16th is moved 5 digits before a
+    2048-digit chunk boundary and read across one whole chunk into the next.
+    Then ranges across the prefix's end, across the first boundary where
+    l - 1 reaches 2^62 (position 2^73 + 1, where the level-3 run constant
+    changes) and a later one, and across n_4, where level 4 begins."""
+    rng = np.random.default_rng(31)
+    ranges = []
+    for bits in range(1, 2060):
+        start = int.from_bytes(rng.bytes(258), "big") >> (2064 - bits) | 1 << (bits - 1)
+        if bits % 16 == 0:
+            ranges.append(((start >> 11 << 11) - 5, 2060))
+        else:
+            ranges.append((start, (1, 2, 3, 64, 257)[bits % 5]))
+    return ranges + [(2000, 4100), ((1 << 73) - 2 * 2048 - 7, 8200), ((3 << 73) - 1000, 2048), (N4 - 4100, 4200)]
+
+
+def test_kappa_bulk_matches_kappa_digit():
+    for start, count in kappa_bulk_ranges():
+        got = _kappa_bulk(start, count).tolist()
+        assert got == [kappa_digit(p) for p in range(start, start + count)], (start, count)
 
 
 def test_kappa_digit_beyond_level_four():

@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 import weakref
@@ -491,6 +492,39 @@ def test_prefix_frequency_matches_an_occurrence_count(inputs):
     hits = sum(digits[i : i + len(block)] == block for i in range(W))
     seq = SymbolicSequence.from_array(digits, r=r)
     assert prefix_frequency(seq, Block(tuple(block), r), N) == Fraction(hits, W)
+
+
+def frequency_by_block_counts(seq: SymbolicSequence, B: Block, N: int) -> Fraction:
+    """The lookup prefix_frequency made before it compared digits: B's
+    base-r code among the m-block counts of the prefix."""
+    bc = block_counts(seq.digits(1, N), len(B), seq.r)
+    code = B.encode()
+    at = int(np.searchsorted(bc.codes, code))
+    hits = int(bc.counts[at]) if at < len(bc.codes) and bc.codes[at] == code else 0
+    return Fraction(hits, bc.total)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_prefix_frequency_matches_block_counts_lookup(r):
+    # binary prefixes of 2^17 digits take block_counts' memoised M = 16 table
+    rng = np.random.default_rng(r)
+    for length in (20, 333, 1 << 17):
+        seq = SymbolicSequence.from_array(rng.integers(0, r, length), r=r)
+        digits = seq.digits(1, length)
+        for m, N in itertools.product(range(1, 21), (length, length - 7)):
+            if m > N:
+                continue
+            anchor = int(rng.integers(0, N - m + 1))
+            for block in (digits[anchor : anchor + m], rng.integers(0, r, m)):  # one that occurs, one drawn
+                B = Block(tuple(block.tolist()), r)
+                assert prefix_frequency(seq, B, N) == frequency_by_block_counts(seq, B, N), (m, N, B)
+
+
+def test_prefix_frequency_compares_digits_whatever_the_block_alphabet():
+    # a ternary 11 was coded as 4, which no binary 2-block has
+    seq = SymbolicSequence.from_array([1, 1, 0, 1, 1, 0, 0, 0])
+    assert prefix_frequency(seq, B("11", r=3), 8) == Fraction(2, 7)
+    assert prefix_frequency(seq, B("2", r=3), 8) == 0
 
 
 # -- shared block counts -----------------------------------------------------

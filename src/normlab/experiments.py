@@ -226,7 +226,11 @@ def _unknown(name: str) -> DomainError:
 def run_experiment(name: str, overrides: Optional[dict] = None) -> ExperimentReport:
     if name not in _REGISTRY:
         raise _unknown(name)
-    manifest = load_manifest()
+    return _run(name, load_manifest(), overrides)
+
+
+def _run(name: str, manifest: dict, overrides: Optional[dict] = None) -> ExperimentReport:
+    """`run_experiment` of a registered name with the manifest already read."""
     config = dict(manifest["experiments"].get(name, {}))
     if overrides is not None:
         _check_overrides(name, config, overrides)
@@ -258,11 +262,8 @@ def verify(names: Optional[list[str]] = None, threads: int = 1) -> list[Experime
     for n in todo:
         if n not in _REGISTRY:
             raise _unknown(n)
-    return [run_experiment(n) for n in todo]
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
+    manifest = load_manifest()  # read once for all of them
+    return [_run(n, manifest) for n in todo]
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +296,11 @@ def _gray_invariants(cfg: dict):
     bad = []
     total = 0
     for n in range(1, cfg["n_max"] + 1):
-        for t in range(cfg["starts_per_n"]):
-            word = splitmix64(seed, n * 1000 + t) & ((1 << n) - 1)
-            start = Block.from_code(word, n, 2)
-            for variant in ("gray", "alternated") if n % 2 == 0 else ("gray",):
-                rep = grayorder.verify_ordering(n, start, variant)
-                total += 1
-                if not rep.passed:
-                    bad.append((n, variant, rep.failures[:1]))
+        starts = [splitmix64(seed, n * 1000 + t) & ((1 << n) - 1) for t in range(cfg["starts_per_n"])]
+        for variant in ("gray", "alternated") if n % 2 == 0 else ("gray",):
+            reports = grayorder.verify_orderings(n, starts, variant)
+            total += len(reports)
+            bad += [(n, variant, rep.failures[:1]) for rep in reports if not rep.passed]
     yield Check("orderings-verified", f"{total - len(bad)}/{total}", f"{total}/{total}", "exhaustive, exact", not bad)
     if bad:
         yield Check("failures", str(bad[:3]), "[]", "diagnostic", False)
@@ -406,9 +404,7 @@ def _carry_closed_forms(cfg: dict):
 
     # the comparisons below run on the integer (numerator, denominator) of
     # p'(a/n); multiplying out positive denominators keeps them exact
-    def pprime_parts(a: int, n: int) -> tuple[int, int]:
-        return pnormal._carry_parts(a, n)[1]
-
+    pprime_parts = pnormal._pprime_parts
     seed = cfg["seed"]
     sym_ok = True
     for i in range(cfg["n_random"]):
@@ -422,8 +418,9 @@ def _carry_closed_forms(cfg: dict):
     G = cfg["grid_points"]
     grid_ok = True
     for k in range(1, G):
-        num, den = pprime_parts(k, G)  # sign(p' - k/G) against sign(1/2 - k/G)
-        grid_ok &= _sign(num * G - k * den) == _sign(G - 2 * k)
+        num, den = pprime_parts(k, G)
+        above, half = num * G - k * den, G - 2 * k  # p' - k/G and 1/2 - k/G, times positive denominators
+        grid_ok &= (above > 0) - (above < 0) == (half > 0) - (half < 0)
     yield Check(
         "fixed-point-only-at-half",
         f"grid of {G} points",
@@ -442,8 +439,8 @@ def _carry_monte_carlo(cfg: dict):
     pprime0 = float(pnormal.conditional_digit_prob(p)[2])
     k = cfg["sigma_count"]
     yield band("freq-one", mc.freq_one, pprime, mc.tallied, k)
-    n_cond = max(1, int(mc.tallied_pairs * (1 - pprime)))
-    yield band("freq-one-given-next-zero", mc.freq_one_given_next_zero, pprime0, n_cond, k)
+    # over the tallied pairs whose next digit is 0, at least one so that a band has trials
+    yield band("freq-one-given-next-zero", mc.freq_one_given_next_zero, pprime0, max(1, mc.zero_next), k)
     yield Check("conditional-exceeds-unconditional", round(mc.dependence, 6), "> 0", "sign check", mc.dependence > 0)
 
 

@@ -270,12 +270,15 @@ def splitmix64(seed: int, index: int) -> int:
 _WORD_CHUNK = 1 << 15  # words per chunk: its two 256 KiB uint64 buffers stay in L2 cache
 
 
-def _vec_words(seed: int, first: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
-    """splitmix64 words first .. first + count - 1 of the stream, in chunks.
+def _vec_words(seed: int, first: int, count: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """splitmix64 words first .. first + count - 1 of the stream, in chunks,
+    before the mix's last z ^= z >> 31 (`_finish`).
 
-    Yields (i, z) with z the words first + i .. first + i + len(z) - 1,
+    Yields (i, z, t) with z the words first + i .. first + i + len(z) - 1,
     computed in place in one uint64 buffer (uint64 arithmetic wraps mod
-    2^64) that the next chunk overwrites: reduce z before asking for more.
+    2^64) that the next chunk overwrites, and t a scratch buffer as long as
+    z: reduce z before asking for more.  z >> 31 is below 2^33, so z and
+    the finished words agree on bits 33 to 63.
     """
     steps = np.arange(min(count, _WORD_CHUNK), dtype=np.uint64)
     steps *= np.uint64(_SM_GAMMA)  # word k of a chunk starts from k * gamma past its first
@@ -288,9 +291,14 @@ def _vec_words(seed: int, first: int, count: int) -> Iterator[tuple[int, np.ndar
             np.right_shift(zi, np.uint64(shift), out=ti)
             zi ^= ti
             zi *= np.uint64(mult)
-        np.right_shift(zi, np.uint64(31), out=ti)
-        zi ^= ti
-        yield i, zi
+        yield i, zi, ti
+
+
+def _finish(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """z ^= z >> 31 in place, with t as scratch: `_vec_words`' chunk finished."""
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -304,20 +312,24 @@ def derive_seed(seed: int, tag: str) -> int:
 def bernoulli_stream(p, seed: int, N: int) -> SymbolicSequence:
     """Deterministic pseudorandom binary digits with marginal P(1) = p.
 
-    Digit i is 1 iff the (i-1)-th 64-bit word is below floor(p * 2^64);
-    exact, branch-simple, reproducible per (p, seed).
+    Digit i is 1 iff the (i-1)-th 64-bit word is below T = floor(p * 2^64);
+    exact, branch-simple, reproducible per (p, seed).  When 2^33 divides T
+    (every dyadic p with denominator up to 2^31, 1/2 among them), that test
+    reads only bits 33 to 63, where the unfinished words of `_vec_words`
+    agree with the words, so it skips the finish.
     """
     pf = rational(p)  # floats are exact binary rationals
     if not 0 < pf < 1:
         raise DomainError(f"p must lie strictly between 0 and 1, got {p}")
     if N < 1:
         raise DomainError("N must be >= 1")
-    threshold = np.uint64((pf.numerator << 64) // pf.denominator)
+    T = (pf.numerator << 64) // pf.denominator
+    threshold, finish = np.uint64(T), T % (1 << 33) != 0
 
     def bulk(start: int, count: int) -> np.ndarray:
         out = np.empty(count, dtype=np.uint8)
-        for i, z in _vec_words(seed, start - 1, count):
-            np.less(z, threshold, out=out[i : i + len(z)].view(bool))
+        for i, z, t in _vec_words(seed, start - 1, count):
+            np.less(_finish(z, t) if finish else z, threshold, out=out[i : i + len(z)].view(bool))
         return out
 
     return SymbolicSequence(bulk, horizon=N)
@@ -333,14 +345,16 @@ def uniform_stream(r: int, seed: int, N: int) -> SymbolicSequence:
 
     def bulk(start: int, count: int) -> np.ndarray:
         out = np.empty(count, dtype=np.uint8)
-        q = np.empty(min(count, _WORD_CHUNK), dtype=np.uint64)
-        for i, z in _vec_words(seed, start - 1, count):
-            # z - r * (z // r): numpy divides uint64 by a constant about 3x
-            # faster than np.remainder reduces it
-            qi = q[: len(z)]
-            np.floor_divide(z, np.uint64(r), out=qi)
-            qi *= np.uint64(r)
-            np.subtract(z, qi, out=out[i : i + len(z)], casting="unsafe")
+        for i, z, t in _vec_words(seed, start - 1, count):
+            z, digits = _finish(z, t), out[i : i + len(z)]
+            if r & (r - 1):
+                # z - r * (z // r): numpy divides uint64 by a constant about
+                # 3x faster than np.remainder reduces it
+                np.floor_divide(z, np.uint64(r), out=t)
+                t *= np.uint64(r)
+                np.subtract(z, t, out=digits, casting="unsafe")
+            else:  # a power of two: the low bits, with no divide
+                np.bitwise_and(z, np.uint64(r - 1), out=digits, casting="unsafe")
         return out
 
     return SymbolicSequence(bulk, r, horizon=N)

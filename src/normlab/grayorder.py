@@ -5,9 +5,9 @@ starts at the n-bit word S is S XOR `offset(n, l)`, where the offset is
 reflected-gray(l-1), complemented for even l in the alternated variant.
 The first block coordinate is the most significant bit of the word.
 `GrayOrdering` validates one (n, start, variant) and reads its blocks
-through the rule; `verify_ordering` is the exhaustive regression guard that
-runs the same rule over all 2^n indices and checks distinctness, unit
-Hamming steps and the recursive prefix/suffix structure.
+through the rule; `verify_orderings` is the exhaustive regression guard that
+runs the same rule over all 2^n indices of each start and checks
+distinctness, unit Hamming steps and the recursive prefix/suffix structure.
 """
 
 from __future__ import annotations
@@ -118,12 +118,66 @@ def verify_ordering(n: int, start: Optional[Block] = None, variant: str = "gray"
     enumerate all of {0,1}^i.
     variant="alternated": the outputs are a permutation of {0,1}^n (even n).
     """
-    ordering = GrayOrdering(n, start, variant)
-    return _check_words(ordering.words(), n, variant, ordering.start_word)
+    return verify_orderings(n, [GrayOrdering(n, start, variant).start_word], variant)[0]
+
+
+_BATCH_WORDS = 1 << 17  # words checked at once, so memory does not grow with the starts
+
+
+def verify_orderings(n: int, starts: list[int], variant: str = "gray") -> list[OrderingReport]:
+    """`verify_ordering` of each n-bit start word, in order: the orderings
+    are the rows of (rows, 2^n) int64 arrays of at most _BATCH_WORDS words
+    (one row when 2^n is more), each batch checked at once by `_check_rows`."""
+    offsets = GrayOrdering(n, None, variant).words()  # the ordering of start 0, within the budget
+    for s in starts:
+        if not 0 <= s < len(offsets):
+            raise DomainError(f"start word {s} outside [0, 2^{n})")
+    words = np.array(starts, dtype=np.int64)
+    rows = max(1, _BATCH_WORDS >> n)
+    reports: list[OrderingReport] = []
+    for b in range(0, len(words), rows):
+        batch = words[b : b + rows]
+        reports += _check_rows(batch[:, None] ^ offsets, n, variant, batch.tolist())
+    return reports
+
+
+def _check_rows(words: np.ndarray, n: int, variant: str, starts: list[int]) -> list[OrderingReport]:
+    """The `_check_words` report of each row of the (rows, 2^n) int64 `words`
+    with its start: all rows pass or fail in one pass of reductions along
+    axis 1, and only a failing row is checked again alone, for its text."""
+    rows, size = words.shape[0], 1 << n
+    # distinct: in range, and every (row, word) key seen, since each row
+    # puts 2^n keys in its own 2^n bins (a bool scatter, 1/8 of int64 counts)
+    keys = words & (size - 1)
+    keys += np.arange(0, rows << n, size, dtype=np.int64)[:, None]
+    seen = np.zeros((rows, size), dtype=bool)
+    seen.ravel()[keys] = True
+    del keys
+    ok = (words.min(axis=1) >= 0) & (words.max(axis=1) < size) & seen.all(axis=1)
+    ordered = None
+    if variant == "gray":
+        # Unit Hamming steps, and nested suffixes: distinct words make each
+        # aligned group's suffixes distinct, so its suffixes enumerate
+        # {0,1}^i once its prefixes are constant, and they are when step k
+        # (word k - 1 to word k, 0-indexed) flips no bit at or above tz(k) + 1.
+        # The diffs are >= 0 in a row of distinct words, where bitwise_count
+        # is exact.
+        diff = words[:, 1:] ^ words[:, :-1]
+        bound = np.empty(size - 1, dtype=np.int64)  # 2^(tz(k) + 1), filled with no full-length temporary
+        for i in range(n):
+            bound[(1 << i) - 1 :: 2 << i] = 2 << i
+        ok &= ((np.bitwise_count(diff) == 1) & (diff < bound)).all(axis=1)
+        ordered = True
+    return [
+        OrderingReport(n, variant, f"{start:0{n}b}", True, ordered, ordered) if good
+        else _check_words(row, n, variant, start)
+        for row, start, good in zip(words, starts, ok.tolist())
+    ]
 
 
 def _check_words(words: np.ndarray, n: int, variant: str, start: int) -> OrderingReport:
-    """The report of `verify_ordering` for any int64 array of 2^n n-bit words."""
+    """The report of `verify_ordering` for any int64 array of 2^n n-bit words,
+    with the text of each failure."""
     size = 1 << n
     failures: list[str] = []
     # 2^n distinct n-bit words: in range, and each counted once
@@ -145,16 +199,10 @@ def _check_words(words: np.ndarray, n: int, variant: str, start: int) -> Orderin
         if not unit_hamming:
             a, b = int(words[bad[0]]), int(words[bad[0] + 1])
             failures.append(f"neighbors {a:0{n}b}, {b:0{n}b} differ in != 1 place")
-        # Distinct words make each aligned group's suffixes distinct, so its
-        # suffixes enumerate {0,1}^i once its prefixes are constant, and they
-        # are when no step k -> k+1 flips a bit at or above tz(k+1) + 1.
-        step = np.arange(1, size, dtype=np.int64)
-        nested = distinct and bool((diff < (step & -step) << 1).all())
-        if not nested:
-            broken = _broken_group(words, n)
-            nested = broken is None
-            if broken:
-                failures.append(f"suffix structure broken at i={broken[0]}, group {broken[1]}")
+        broken = _broken_group(words, n)
+        nested = broken is None
+        if broken:
+            failures.append(f"suffix structure broken at i={broken[0]}, group {broken[1]}")
 
     return OrderingReport(
         n=n,
@@ -170,7 +218,7 @@ def _check_words(words: np.ndarray, n: int, variant: str, start: int) -> Orderin
 def _broken_group(words: np.ndarray, n: int) -> Optional[tuple[int, int]]:
     """The first (i, group) whose aligned group of 2^i words has no constant
     prefix or misses a length-i suffix, or None: the definition, run level
-    by level when the one-pass test in `_check_words` fails."""
+    by level for a row that failed the one-pass test of `_check_rows`."""
     size = 1 << n
     index = np.arange(size, dtype=np.int64)
     for i in range(1, n):

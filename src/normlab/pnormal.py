@@ -31,21 +31,28 @@ def _check_p(p) -> Fraction:
     return pf
 
 
+def _pprime_parts(a: int, n: int) -> tuple[int, int]:
+    """p' at p = a/n as integers (numerator, denominator), not reduced:
+    (a^2 s + 2 a b^3, n^2 s) with b = n - a and s = a^2 + b^2."""
+    b = n - a
+    s = a * a + b * b
+    return a * a * s + 2 * a * b * b * b, n * n * s
+
+
 def _carry_parts(a: int, n: int):
     """The closed forms at p = a/n as integer (numerator, denominator)
     pairs, in the order P, p', Q0, P0, p0'; not reduced.
 
-    With b = n - a and s = a^2 + b^2: P = a^2 / s,
-    p' = (a^2 s + 2 a b^3) / (n^2 s), Q0 = b^3 / D0 with D0 = b s + 2 a^3,
-    P0 = (D0 - b^3) / D0 and p0' = (2 a b^4 + (D0 - b^3) s) / (n^2 D0).
+    With b = n - a and s = a^2 + b^2: P = a^2 / s, p' by `_pprime_parts`,
+    Q0 = b^3 / D0 with D0 = b s + 2 a^3, P0 = (D0 - b^3) / D0 and
+    p0' = (2 a b^4 + (D0 - b^3) s) / (n^2 D0).
     """
     b = n - a
     a2, b3 = a * a, b * b * b
     s = a2 + b * b
     d0 = b * s + 2 * a2 * a
     p0_num = d0 - b3
-    n2 = n * n
-    return (a2, s), (a2 * s + 2 * a * b3, n2 * s), (b3, d0), (p0_num, d0), (2 * a * b3 * b + p0_num * s, n2 * d0)
+    return (a2, s), _pprime_parts(a, n), (b3, d0), (p0_num, d0), (2 * a * b3 * b + p0_num * s, n * n * d0)
 
 
 def carry_digit_prob(p) -> tuple[Fraction, Fraction]:
@@ -106,9 +113,10 @@ def rauzy_obstruction_l(p) -> int:
 
 @dataclass
 class MonteCarloCarrySum:
-    """Empirical digit statistics of one sampled carry sum.  `pair_rows`
-    keeps the tallied pairs' lead and next digits as a 2 x pairs bool array
-    for `correlation`, which is computed on its first read."""
+    """Empirical digit statistics of one sampled carry sum.  `zero_next`,
+    the tallied pairs whose next digit is 0, is an attribute, not a field
+    of the report; `pairs`, the digits as bools and the tallied pairs'
+    mask, are kept until `correlation`, on its first read, builds its rows."""
 
     p: str
     seed: int
@@ -120,18 +128,23 @@ class MonteCarloCarrySum:
     tallied: int
     tallied_pairs: int
     ambiguity_rate: float
-    pair_rows: InitVar[np.ndarray]
+    zero_next: InitVar[int]
+    pairs: InitVar[tuple[np.ndarray, np.ndarray]]
 
-    def __post_init__(self, pair_rows: np.ndarray):
-        self._pair_rows = pair_rows
+    def __post_init__(self, zero_next: int, pairs: tuple[np.ndarray, np.ndarray]):
+        self.zero_next = zero_next
+        self._pairs = pairs
 
     @cached_property
     def correlation(self) -> float:
         """Pearson correlation of adjacent sum digits, 0 when either side of
-        the pairs is constant.  It stays np.corrcoef of the two rows (as
-        float64, a 2 x pairs copy): a closed form from the 2x2 pair counts
-        differs from it in the last bits."""
-        rows = self._pair_rows
+        the pairs is constant.  It stays np.corrcoef of the pairs' lead and
+        next rows (as float64, a 2 x pairs copy): a closed form from the 2x2
+        pair counts differs from it in the last bits."""
+        (bits, pair_ok), self._pairs = self._pairs, None  # freed before np.corrcoef's copy
+        rows = np.empty((2, self.tallied_pairs), dtype=bool)  # a mask, where np.compress would build int64 indices
+        rows[0], rows[1] = bits[:-1][pair_ok], bits[1:][pair_ok]
+        del bits, pair_ok
         ones = np.count_nonzero(rows, axis=1)
         if not ((0 < ones) & (ones < self.tallied_pairs)).all():
             return 0.0
@@ -149,8 +162,8 @@ class MonteCarloCarrySum:
 
 def _tallies(digits: np.ndarray, ambiguous: np.ndarray) -> dict:
     """The digit statistics of a carry sum over its unambiguous positions,
-    from integer counts of the 0/1 uint8 `digits`, and the tallied pairs'
-    rows for `MonteCarloCarrySum.correlation`.
+    from integer counts of the 0/1 uint8 `digits`, and the `zero_next` and
+    `pairs` of `MonteCarloCarrySum`.
 
     Each frequency is a quotient of two counts, which is also what the
     float64 mean of 0/1 digits rounds to, since its sum is exact.  The
@@ -163,18 +176,17 @@ def _tallies(digits: np.ndarray, ambiguous: np.ndarray) -> dict:
     bits = digits.view(bool)  # the digits are 0 or 1
     ones = int(np.count_nonzero(bits[ok]))
     pair_ok = ok[:-1] & ok[1:]
-    del ok  # one byte a digit less at the peak, while the rows are built
-    pairs = int(np.count_nonzero(pair_ok))
-    rows = np.empty((2, pairs), dtype=bool)  # lead, next; a mask, where np.compress would build int64 indices
-    rows[0], rows[1] = bits[:-1][pair_ok], bits[1:][pair_ok]
-    n10 = int(np.count_nonzero(rows[0] > rows[1]))  # lead 1, next 0
-    zero_next = pairs - int(np.count_nonzero(rows[1]))
+    del ok  # one byte a digit less at the peak
+    next_zero = np.less(bits[1:], pair_ok)  # a tallied pair whose next digit is 0
+    zero_next = int(np.count_nonzero(next_zero))
+    n10 = int(np.count_nonzero(np.logical_and(next_zero, bits[:-1], out=next_zero)))  # lead 1, next 0
     return dict(
         freq_one=ones / tallied,
         freq_one_given_next_zero=n10 / zero_next if zero_next else float("nan"),
         tallied=tallied,
-        tallied_pairs=pairs,
-        pair_rows=rows,
+        tallied_pairs=int(np.count_nonzero(pair_ok)),
+        zero_next=zero_next,
+        pairs=(bits, pair_ok),
     )
 
 
@@ -195,7 +207,7 @@ def monte_carlo_carry_sum(
     s1 = bernoulli_stream(pf, derive_seed(seed, "carry-sum/left"), M)
     s2 = bernoulli_stream(pf, derive_seed(seed, "carry-sum/right"), M)
     digits, ambiguous = stream_carry_add(s1, s2, N, lookahead_cap)
-    amb_rate = float(ambiguous.mean())
+    amb_rate = np.count_nonzero(ambiguous) / len(ambiguous)  # the float mean of the bools: the sum is exact
     if amb_rate > MAX_AMBIGUITY:
         raise DataQualityError(f"ambiguity rate {amb_rate:.4f} exceeds {MAX_AMBIGUITY:.4f}")
     t = _tallies(digits, ambiguous)

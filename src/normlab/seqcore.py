@@ -207,8 +207,8 @@ def _anchor_codes(digits: np.ndarray, m: int, r: int, out: Optional[np.ndarray] 
     if r == 2 and 3 <= m <= 57:  # the m-pass loop is faster only for m <= 2
         return _packed_codes(digits, m, W, out)
     codes = np.empty(W, dtype=np.int64) if out is None else out[:W]
-    codes.fill(0)
-    for j in range(m):
+    codes[:] = digits[:W]  # the first digit, so no pass multiplies zeros
+    for j in range(1, m):
         codes *= r
         codes += digits[j : j + W]  # cast in buffered chunks, not one full-size copy
     return codes

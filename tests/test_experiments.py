@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normlab import experiments, pnormal
 from normlab.errors import DataQualityError
 from normlab.experiments import _row_pair_table, band, cells_within, load_manifest, run_experiment
 from normlab.seqcore import Block, SymbolicSequence, _anchor_codes, prefix_frequency
@@ -171,3 +173,24 @@ def test_xy_switch_decay_matches_recorded_curve():
     rep = run_experiment("xy-switch-decay")
     curve = next(c.measured for c in rep.checks if c.name == "curve-nonincreasing")
     assert [round(v, 6) for v in curve] == recorded
+
+
+def test_verify_reads_the_manifest_once():
+    names = ["carry-closed-forms", "gray-invariants", "low-entropy-census"]
+    with mock.patch.object(experiments, "load_manifest", wraps=load_manifest) as load:
+        reports = experiments.verify(names)
+        assert load.call_count == 1
+        assert [rep.as_dict() | {"runtime_s": 0} for rep in reports] == [
+            run_experiment(name).as_dict() | {"runtime_s": 0} for name in names
+        ]
+        assert load.call_count == 4  # a single run still reads it itself
+
+
+def test_conditional_band_counts_the_pairs_whose_next_digit_is_zero():
+    # its trials are the true count, not an estimate from p' that prints the same tolerance
+    cfg = load_manifest()["experiments"]["carry-monte-carlo"]
+    mc = pnormal.monte_carlo_carry_sum(Fraction(cfg["p"]), cfg["seed"], cfg["n"], cfg["lookahead_cap"])
+    with mock.patch.object(experiments, "band", wraps=band) as bands:
+        run_experiment("carry-monte-carlo")
+    trials = {call.args[0]: call.args[3] for call in bands.call_args_list}
+    assert trials == {"freq-one": mc.tallied, "freq-one-given-next-zero": mc.zero_next}

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from normlab.generators import (
     LEVELS,
     DomainError,
+    _MASK64,
+    _SM_GAMMA,
+    _SM_M1,
+    _SM_M2,
     _WORD_CHUNK,
+    _finish,
     _kappa_bulk,
     _kappa_prefix_2048,
     _vec_words,
@@ -373,8 +378,9 @@ def test_splitmix_reference_stability():
 
 
 def vec_words(seed: int, first: int, count: int) -> list[int]:
-    """The chunks of _vec_words joined, each copied before the next overwrites it."""
-    chunks = [(i, z.copy()) for i, z in _vec_words(seed, first, count)]
+    """The chunks of _vec_words finished and joined, each copied before the
+    next overwrites it."""
+    chunks = [(i, _finish(z, t).copy()) for i, z, t in _vec_words(seed, first, count)]
     assert [i for i, _ in chunks] == list(range(0, count, _WORD_CHUNK))
     assert all(z.dtype == np.uint64 for _, z in chunks)
     return [w for _, z in chunks for w in z.tolist()]
@@ -405,6 +411,67 @@ def test_streams_reduce_every_chunk(count):
     threshold = (2 << 64) // 5
     assert b._bulk_fn(3, count).tolist() == [int(splitmix64(17, i) < threshold) for i in range(2, 2 + count)]
     assert u._bulk_fn(3, count).tolist() == [splitmix64(17, i) % 7 for i in range(2, 2 + count)]
+
+
+def stream_words(seed: int, first: int, count: int) -> list[int]:
+    """Stream words first .. first + count - 1 by the scalar rule."""
+    return [splitmix64(seed, i) for i in range(first, first + count)]
+
+
+# (start, count): a short read, and one that straddles a chunk boundary of
+# its own and the stream's word _WORD_CHUNK
+READS = [(1, 7), (_WORD_CHUNK - 2, _WORD_CHUNK + 5)]
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 8), Fraction(1234567891, 2**31), Fraction(1, 5), Fraction(7, 10)])
+def test_bernoulli_digits_follow_the_scalar_rule(p):
+    T = (p.numerator << 64) // p.denominator
+    for start, count in READS:
+        want = [int(w < T) for w in stream_words(99, start - 1, count)]
+        assert bernoulli_stream(p, 99, start + count).digits(start, count).tolist() == want
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 256])
+def test_uniform_digits_follow_the_scalar_rule(r):
+    for start, count in READS:
+        want = [w % r for w in stream_words(99, start - 1, count)]
+        assert uniform_stream(r, 99, start + count).digits(start, count).tolist() == want
+
+
+def seed_for_unfinished_word(z: int) -> int:
+    """The seed whose stream word 0 is z before its last xorshift: the
+    splitmix64 mix up to there undone, multiplier by inverse multiplier."""
+
+    def unxorshift(y: int, s: int) -> int:
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    x = unxorshift(z * pow(_SM_M2, -1, 1 << 64) & _MASK64, 27)
+    x = unxorshift(x * pow(_SM_M1, -1, 1 << 64) & _MASK64, 30)
+    return (x - _SM_GAMMA) & _MASK64
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 8), Fraction(1234567891, 2**31), Fraction(1, 5)])
+def test_bernoulli_tie_band(p):
+    """Words whose bits 33 to 63 equal those of T = floor(p 2^64): only there
+    can a word and its unfinished form fall on different sides of T.  A
+    random seed meets one in about 2^31 words, so these are crafted."""
+    T = (p.numerator << 64) // p.denominator
+    high, low_T = T >> 33 << 33, T & ((1 << 33) - 1)
+    lows = {0, 1, low_T - 1, low_T, low_T + 1, 1 << 31, (1 << 32) - 1, 1 << 32, (1 << 33) - 1}
+    lows |= set(np.random.default_rng(5).integers(0, 1 << 33, 40).tolist())
+    sides = set()
+    for low in sorted(v for v in lows if 0 <= v < 1 << 33):
+        z = high | low
+        seed = seed_for_unfinished_word(z)
+        assert splitmix64(seed, 0) == z ^ (z >> 31)
+        digit = bernoulli_stream(p, seed, 1).digits(1, 1)[0]
+        assert digit == int(splitmix64(seed, 0) < T)
+        sides.add((z < T) == (splitmix64(seed, 0) < T))
+    # the unfinished word decides exactly when T is a multiple of 2^33
+    assert sides == ({True} if low_T == 0 else {True, False})
 
 
 def test_bernoulli_deterministic_and_calibrated():

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,11 +9,14 @@ from hypothesis import strategies as st
 from normlab import grayorder
 from normlab.errors import BudgetError, DomainError
 from normlab.grayorder import (
+    _BATCH_WORDS,
     GrayOrdering,
+    _check_rows,
     _check_words,
     offset,
     reflected_gray,
     verify_ordering,
+    verify_orderings,
 )
 from normlab.seqcore import Block
 
@@ -186,14 +190,16 @@ def test_vectorised_checks_match_loop_on_corrupted_words(n, variant, start_code,
     elif corruption == "bitswap":  # exchange bits j % n and k % n of every word
         i, h = j % n, k % n
         words = [w ^ (((w >> i ^ w >> h) & 1) * (1 << i | 1 << h)) for w in words]
-    with mock.patch.object(grayorder, "_broken_group", wraps=grayorder._broken_group) as loop:
-        rep = _check_words(np.array(words, dtype=np.int64), n, variant, ordering.start_word)
+    arr = np.array(words, dtype=np.int64)
+    rep = _check_words(arr, n, variant, ordering.start_word)
     distinct, unit_hamming, nested, failures = _loop_report(words, n, variant)
     assert rep.all_distinct == distinct
     assert (rep.unit_hamming, rep.nested_suffixes, rep.failures) == (unit_hamming, nested, failures)
-    # the one-pass test passes exactly the distinct, nested words; only the
-    # others run the level-by-level loop that names the broken group
-    assert loop.called == (variant == "gray" and not (distinct and nested))
+    # the one-pass batch test passes exactly the rows that pass; only the
+    # others are checked again alone, for their text
+    with mock.patch.object(grayorder, "_check_words", wraps=grayorder._check_words) as alone:
+        assert _check_rows(arr[None], n, variant, [ordering.start_word]) == [rep]
+    assert alone.called == (not rep.passed)
     if corruption in ("duplicate", "flip"):
         assert not rep.passed
 
@@ -207,6 +213,57 @@ def test_verify_ordering_reports_a_broken_ordering():
         "neighbors 000, 011 differ in != 1 place",
         "suffix structure broken at i=1, group 0",
     ]
+
+
+@pytest.mark.parametrize("variant", ["gray", "alternated"])
+def test_batched_orderings_match_the_row_reports(variant):
+    for n in range(2 if variant == "alternated" else 1, 9, 2 if variant == "alternated" else 1):
+        starts = [0, (1 << n) - 1, *np.random.default_rng(n).integers(0, 1 << n, 5).tolist()]
+        got = verify_orderings(n, starts, variant)
+        want = [_check_words(GrayOrdering(n, Block.from_code(s, n, 2), variant).words(), n, variant, s) for s in starts]
+        assert got == want and all(rep.passed for rep in got)
+        assert verify_ordering(n, Block.from_code(starts[-1], n, 2), variant) == want[-1]
+
+
+def test_batch_rows_fail_alone_with_their_text():
+    n = 4
+    good = GrayOrdering(n, B("0110")).words()
+    duplicate = good.copy()
+    duplicate[5] = duplicate[9]
+    two_bit = good.copy()
+    two_bit[[1, 2]] = two_bit[[2, 1]]  # distinct, but 0110 -> 0101 flips two bits
+    not_nested = (good & 0b0110) | ((good & 1) << 3) | (good >> 3)  # bits 0 and 3 swapped: unit steps, step 1 flips bit 3
+    rows = np.stack([good, duplicate, good, two_bit, not_nested, good])
+    starts = [int(row[0]) for row in rows]
+    got = _check_rows(rows, n, "gray", starts)
+    for rep, row, start in zip(got, rows, starts):
+        assert rep == _check_words(row, n, "gray", start)
+    assert [rep.passed for rep in got] == [True, False, True, False, False, True]
+    assert got[1].failures[0] == "outputs are not distinct"
+    assert got[3].failures[0].startswith("neighbors 0110, 0101 differ")
+    assert got[4].unit_hamming and got[4].failures == ["suffix structure broken at i=1, group 0"]
+    alternated = _check_rows(rows[:2], n, "alternated", starts[:2])
+    assert [rep.failures for rep in alternated] == [[], ["outputs are not distinct"]]
+
+
+def test_verify_orderings_memory_stays_within_a_batch():
+    n, starts = 16, list(range(0, 1 << 16, 1 << 10))  # 64 starts, 32 MiB of words at once
+    tracemalloc.start()
+    try:
+        reports = verify_orderings(n, starts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 64 and all(rep.passed for rep in reports)
+    assert peak < 8 * 8 * _BATCH_WORDS < len(starts) << n << 3, f"peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_verify_orderings_checks_the_start_words():
+    with pytest.raises(DomainError, match=r"start word 16 outside \[0, 2\^4\)"):
+        verify_orderings(4, [3, 16])
+    with pytest.raises(DomainError, match="alternated ordering needs even block length, got 3"):
+        verify_orderings(3, [], "alternated")
+    assert verify_orderings(4, []) == []
 
 
 def offset_digit(n: int, l: int, i: int, alternated: bool = False) -> int:

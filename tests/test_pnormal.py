@@ -11,6 +11,7 @@ from normlab.pnormal import (
     DomainError,
     MonteCarloCarrySum,
     _carry_parts,
+    _pprime_parts,
     _tallies,
     carry_digit_prob,
     carry_sum_stats,
@@ -53,6 +54,15 @@ def test_integer_parts_match_fraction_definitions(n, data, k):
     assert carry_digit_prob(p) == tuple(parts[:2])
     assert conditional_digit_prob(p) == tuple(parts[2:])
     assert all(den > 0 for _, den in _carry_parts(k * a, k * n))
+
+
+@given(st.integers(2, 10**30), st.data())
+def test_pprime_parts_match_fraction_arithmetic(n, data):
+    a = data.draw(st.integers(1, n - 1))
+    p = Fraction(a, n)
+    num, den = _pprime_parts(a, n)
+    assert den > 0 and Fraction(num, den) == carry_digit_prob_by_fractions(p)[1]
+    assert (num, den) == _carry_parts(a, n)[1]
 
 
 def test_half_is_fixed():
@@ -219,6 +229,7 @@ def tallies_by_float_means(digits: np.ndarray, ambiguous: np.ndarray) -> dict:
         correlation=corr,
         tallied=tallied,
         tallied_pairs=tallied_pairs,
+        zero_next=int(next_zero.sum()),
     )
 
 
@@ -243,11 +254,12 @@ def test_tallies_match_float_means(cells):
             _tallies(digits, ambiguous)
         return
     got = _tallies(digits, ambiguous)
-    # the correlation is read on demand from the kept pair rows, bit for bit
-    # np.corrcoef of the float64 rows
+    # the correlation is read on demand from the kept digits and pair mask,
+    # bit for bit np.corrcoef of the float64 rows
     mc = MonteCarloCarrySum("1/2", 0, len(cells), 0, dependence=0.0, ambiguity_rate=0.0, **got)
     got["correlation"] = mc.correlation
-    del got["pair_rows"]
+    assert mc.zero_next == got["zero_next"]
+    del got["pairs"]
     assert got.keys() == want.keys()
     for key, value in want.items():
         # the same type keeps repr() of the report, and so its digest, unchanged
@@ -264,6 +276,16 @@ def test_monte_carlo_report_keeps_its_key_order():
         "correlation", "tallied", "tallied_pairs", "ambiguity_rate",
     ]
     assert type(d["correlation"]) is float and -1 < d["correlation"] < 0
+
+
+def test_monte_carlo_counts_the_pairs_with_next_digit_zero():
+    # the trials of the conditional frequency, kept out of the report's fields
+    mc = monte_carlo_carry_sum(Fraction(1, 5), seed=7, N=10**4)
+    bits, pair_ok = mc._pairs
+    assert mc.zero_next == int(np.count_nonzero(pair_ok & (bits[1:] == 0)))
+    assert round(mc.freq_one_given_next_zero * mc.zero_next) == np.count_nonzero(pair_ok & bits[:-1] & ~bits[1:])
+    assert "zero_next" not in mc.as_dict()
+    assert mc._pairs is None  # the digits are dropped once the correlation has its rows
 
 
 def test_stats_bundle():

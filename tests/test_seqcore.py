@@ -312,6 +312,18 @@ def test_packed_anchor_codes_every_length_and_phase():
     assert _anchor_codes(ones, 57, 2).tolist() == [(1 << 57) - 1] * 244
 
 
+@pytest.mark.parametrize("r, m", [(r, m) for r in (3, 4, 5) for m in (1, 2, 3)] + [(2, 1), (2, 2)])
+def test_anchor_codes_ignore_what_out_held(r, m):
+    # the m-pass path starts from the first digit, so nothing of a reused
+    # buffer may reach the codes
+    rng = np.random.default_rng(r * 10 + m)
+    digits = rng.integers(0, r, 1000, dtype=np.uint8)
+    out = rng.integers(-(2**62), 2**62, 1200, dtype=np.int64)
+    got = _anchor_codes(digits, m, r, out)
+    assert np.shares_memory(got, out)
+    assert got.tolist() == anchor_codes_by_passes(digits, m, r).tolist()
+
+
 @settings(max_examples=100)
 @given(st.integers(1, 39), st.lists(st.integers(0, 2), min_size=1, max_size=300))
 def test_ternary_anchor_codes_unchanged(m, digits):
